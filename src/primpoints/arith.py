@@ -45,6 +45,18 @@ def rational_sqrt(a: Fraction):
     return None
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division; n < 2 is not prime."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials over Q
 
@@ -381,32 +393,6 @@ def lagrange_interpolate(points) -> UniPoly:
 # Polynomials over prime fields (machine-word modulus)
 
 
-@dataclass(frozen=True)
-class PrimePoly:
-    """Dense polynomial over F_p; residues in [0, p), no leading zeros."""
-
-    modulus: int
-    coeffs: tuple
-
-    @staticmethod
-    def make(modulus: int, coeffs) -> "PrimePoly":
-        return PrimePoly(modulus, tuple(_fp_trim([c % modulus for c in coeffs])))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __mul__(self, other):
-        assert self.modulus == other.modulus
-        return PrimePoly.make(self.modulus,
-                              _fp_mul(list(self.coeffs), list(other.coeffs), self.modulus))
-
-    def __mod__(self, other):
-        assert self.modulus == other.modulus
-        _, r = _fp_divmod(list(self.coeffs), list(other.coeffs), self.modulus)
-        return PrimePoly.make(self.modulus, r)
-
-
 def _fp_trim(c):
     while c and c[-1] == 0:
         c.pop()
@@ -668,17 +654,12 @@ class Factorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-_SMALL_PRIMES = None
-
-
 def _primes_above(limit_start):
     """Infinite-ish generator of primes greater than limit_start."""
     n = limit_start
     while True:
         n += 1
-        if n < 2:
-            continue
-        if all(n % q for q in range(2, isqrt(n) + 1)):
+        if is_prime(n):
             yield n
 
 

@@ -1,10 +1,10 @@
 """Command-line front end with stable file formats and exit codes.
 
 Exit codes: 0 success, 2 I/O or parse failure, 3 unsupported divisor or
-group shape, 4 domain precondition violation.  Every subcommand accepts
---json for a machine-readable document carrying a versioned schema tag;
-all reports are byte-deterministic for fixed inputs and flags, regardless
-of the parallelism width.
+group shape, 4 domain precondition violation, 5 internal verification
+failed.  Every subcommand accepts --json for a machine-readable document
+carrying a versioned schema tag; all reports are byte-deterministic for
+fixed inputs and flags, regardless of the parallelism width.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ import sys
 from fractions import Fraction
 
 from . import formats, hyperell, numfield, permact, pipeline
-from .arith import UniPoly
+from .arith import is_prime
 from .errors import (
     ParseError,
     PrimpointsError,
     ReduciblePolynomial,
     UnsupportedDivisorShape,
+    VerificationFailed,
 )
 
-EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_DOMAIN = 0, 2, 3, 4
+EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_DOMAIN, EXIT_VERIFY = 0, 2, 3, 4, 5
 
 _OUTCOME_TEXT = {
     pipeline.SKIPPED: "skipped_positive_dim",
@@ -54,6 +55,9 @@ def main(argv=None) -> int:
             for f, mult in exc.factors.factors:
                 print(f"factor: {f.literal()} multiplicity {mult}", file=sys.stderr)
         return EXIT_DOMAIN
+    except VerificationFailed as exc:
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except PrimpointsError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -78,7 +82,9 @@ def build_parser():
     p.add_argument("degree", type=int)
     p.add_argument("report_out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="parallel class evaluation width")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel class evaluation width"
+    )
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("field", help="primitivity of the field cut out by a polynomial")
@@ -119,6 +125,16 @@ def build_parser():
     p.set_defaults(func=cmd_perm)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -249,7 +265,7 @@ def cmd_field(args) -> int:
     else:
         report = (
             numfield.principal_subfields(numfield.nf_new(m))
-            if m.degree and m.degree > 1 and not _is_prime(m.degree)
+            if m.degree and m.degree > 1 and not is_prime(m.degree)
             else None
         )
         if report is not None:
@@ -267,10 +283,6 @@ def cmd_field(args) -> int:
             data = {"schema": "primpoints.field/1", "primitive": False}
     print(_json_dump(data) if args.json else text, end="" if args.json else "\n")
     return EXIT_OK
-
-
-def _is_prime(n: int) -> bool:
-    return pipeline._is_prime(n)
 
 
 def cmd_rr(args) -> int:

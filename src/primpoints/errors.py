@@ -1,7 +1,9 @@
 """Typed errors shared across the package.
 
 Every domain precondition failure raises one of these, so callers (and the
-CLI exit-code map) can distinguish bad input from genuine bugs.
+CLI exit-code map) can distinguish bad input from genuine bugs.  An exact
+check that a computed result fails raises VerificationFailed, which no
+domain handler should absorb.
 """
 
 
@@ -85,3 +87,7 @@ class NotSeparable(PrimpointsError):
 
 class ParseError(PrimpointsError):
     pass
+
+
+class VerificationFailed(PrimpointsError):
+    """An exact re-check rejected a computed result: an internal fault."""

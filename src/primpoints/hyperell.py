@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import numfield
 from .arith import (
@@ -43,6 +44,7 @@ from .errors import (
     NotInLinearSeries,
     NotSquarefree,
     UnsupportedDivisorShape,
+    VerificationFailed,
     ZeroFunction,
 )
 from .linalg import kernel_basis
@@ -306,12 +308,22 @@ def _y_series_exact(curve: HyperCurve, nterms: int):
     return tuple(_series_sqrt(reversed_f, nterms, curve.sqrt_lc))
 
 
-def _y_series(curve: HyperCurve, nterms: int):
-    """Coefficients S with y = +- t^{-(g+1)} * sum S[i] t^i at oo+-, even models.
+def _series_length(nterms: int) -> int:
+    """Requests are rounded up so repeated valuations share one cached series."""
+    return ((max(nterms, 1) + 63) // 64) * 64
 
-    Requests are rounded up so repeated valuations share one cached series.
-    """
-    return _y_series_exact(curve, ((max(nterms, 1) + 63) // 64) * 64)
+
+def _y_series(curve: HyperCurve, nterms: int):
+    """Coefficients S with y = +- t^{-(g+1)} * sum S[i] t^i at oo+-, even models."""
+    return _y_series_exact(curve, _series_length(nterms))
+
+
+@lru_cache(maxsize=64)
+def _y_series_scaled(curve: HyperCurve, nterms: int):
+    """(L, N) with N[i] = L * S[i] integers, S = _y_series(curve, nterms)."""
+    series = _y_series(curve, nterms)
+    den = lcm(*(c.denominator for c in series))
+    return den, tuple(c.numerator * (den // c.denominator) for c in series)
 
 
 @lru_cache(maxsize=64)
@@ -555,7 +567,8 @@ def rr_space_infty(curve: HyperCurve, n_plus: int, n_minus: int = None) -> RRSpa
             (ClosedPoint.infinite(OO_MINUS), n_minus),
         ]
     )
-    basis = _even_infinity_kernel(curve, n_plus, n_minus, extra_den=UniPoly.one())
+    rows, ncols, B = _even_rows_with_congruences(curve, n_plus, n_minus, ())
+    basis = _even_basis(curve, kernel_basis(rows, ncols), B, UniPoly.one(), n_plus, n_minus)
     return RRSpace(divisor, tuple(basis), len(basis))
 
 
@@ -574,47 +587,13 @@ def _rr_odd_infty(curve: HyperCurve, n: int) -> RRSpace:
     return RRSpace(divisor, tuple(basis), len(basis))
 
 
-def _even_infinity_kernel(curve, n_plus, n_minus, extra_den):
-    """Basis of {(U + V y)/extra_den bounded by n+/n- at infinity}.
-
-    Candidate span is {x^i} + {x^j y} with i, j <= B; the linear system
-    forbids every Laurent coefficient below the allowed pole order at each
-    place.  With h = extra_den the returned functions are (U + V y)/h and
-    the bounds apply to the quotient.
-    """
-    g = curve.genus
-    dh = extra_den.degree
-    bound_plus = n_plus + dh
-    bound_minus = n_minus + dh
-    B = max(bound_plus, bound_minus) + g + 2
-    if B < 0:
-        return []
-    ncols = 2 * (B + 1)
-    low = -(B + g + 1)
-    nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
-    series = _y_series(curve, nterms)
-    rows = []
-    for sign, bound in ((1, bound_plus), (-1, bound_minus)):
-        for e in range(low, -bound):
-            row = [Fraction(0)] * ncols
-            if e <= 0 and -e <= B:
-                row[-e] = Fraction(1)
-            for j in range(B + 1):
-                idx = e + j + g + 1
-                if 0 <= idx < len(series):
-                    row[B + 1 + j] = Fraction(sign) * series[idx]
-            rows.append(row)
-    kernel = kernel_basis(rows, ncols) if rows else [
-        [Fraction(1 if i == k else 0) for i in range(ncols)] for k in range(ncols)
-    ]
+def _even_basis(curve, kernel, B, h, n_plus, n_minus):
+    """(U + V y)/h for each kernel vector (U, V), re-checked at infinity."""
     basis = []
     for vec in kernel:
-        U = UniPoly.make(vec[: B + 1])
-        V = UniPoly.make(vec[B + 1 :])
-        w = CurveFunction.make(U, V, extra_den)
-        basis.append(w)
-    for w in basis:
+        w = CurveFunction.make(UniPoly.make(vec[: B + 1]), UniPoly.make(vec[B + 1 :]), h)
         _assert_infinity_bounds(curve, w, n_plus, n_minus)
+        basis.append(w)
     return basis
 
 
@@ -623,7 +602,8 @@ def _assert_infinity_bounds(curve, w, n_plus, n_minus):
     dden = w.den.degree
     vp = _even_infinity_valuation(curve, w.u, w.v, OO_PLUS) + dden
     vm = _even_infinity_valuation(curve, w.u, w.v, OO_MINUS) + dden
-    assert vp >= -n_plus and vm >= -n_minus, "basis element violates pole bounds"
+    if vp < -n_plus or vm < -n_minus:
+        raise VerificationFailed("basis element violates pole bounds")
 
 
 def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
@@ -697,14 +677,8 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
         rows, ncols, B = _even_rows_with_congruences(
             curve, n_plus + dh, n_minus + dh, congruences
         )
-        kernel = kernel_basis(rows, ncols) if rows else []
-        basis = []
-        for vec in kernel:
-            U = UniPoly.make(vec[: B + 1])
-            V = UniPoly.make(vec[B + 1 :])
-            basis.append(CurveFunction.make(U, V, h))
+        basis = _even_basis(curve, kernel_basis(rows, ncols), B, h, n_plus, n_minus)
         for w in basis:
-            _assert_infinity_bounds(curve, w, n_plus, n_minus)
             _assert_affine_membership(curve, w, D)
         return RRSpace(D, tuple(basis), len(basis))
 
@@ -718,13 +692,8 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     if ncols == 0:
         return RRSpace(D, (), 0)
     rows = _congruence_rows(congruences, Bu, Bv)
-    kernel = (
-        kernel_basis(rows, ncols)
-        if rows
-        else [[Fraction(1 if i == k else 0) for i in range(ncols)] for k in range(ncols)]
-    )
     basis = []
-    for vec in kernel:
+    for vec in kernel_basis(rows, ncols):
         U = UniPoly.make(vec[: Bu + 1])
         V = UniPoly.make(vec[Bu + 1 :])
         basis.append(CurveFunction.make(U, V, h))
@@ -734,6 +703,13 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
 
 
 def _even_rows_with_congruences(curve, bound_plus, bound_minus, congruences):
+    """Rows of the conditions on U + V y, U and V of degree <= B: (rows, ncols, B).
+
+    The candidate span is {x^i} + {x^j y} with i, j <= B (columns 0..B carry
+    U, columns B+1.. carry V).  One integer row per Laurent coefficient
+    below the allowed pole order at oo+ and at oo- forbids it; the rows of
+    the congruences follow.
+    """
     g = curve.genus
     B = max(bound_plus, bound_minus) + g + 2
     if B < 0:
@@ -741,17 +717,17 @@ def _even_rows_with_congruences(curve, bound_plus, bound_minus, congruences):
     ncols = 2 * (B + 1)
     low = -(B + g + 1)
     nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
-    series = _y_series(curve, nterms)
+    den, nums = _y_series_scaled(curve, _series_length(nterms))
     rows = []
     for sign, bound in ((1, bound_plus), (-1, bound_minus)):
         for e in range(low, -bound):
-            row = [Fraction(0)] * ncols
+            # the coefficient of t^e in x^j y is +-S[e + j + g + 1]
+            row = [0] * ncols
             if e <= 0 and -e <= B:
-                row[-e] = Fraction(1)
-            for j in range(B + 1):
-                idx = e + j + g + 1
-                if 0 <= idx < len(series):
-                    row[B + 1 + j] = Fraction(sign) * series[idx]
+                row[-e] = den
+            start = max(0, -(e + g + 1))
+            window = nums[e + g + 1 + start : e + g + 2 + B]
+            row[B + 1 + start :] = window if sign == 1 else [-v for v in window]
             rows.append(row)
     rows.extend(_congruence_rows(congruences, B, B))
     return rows, ncols, B
@@ -792,7 +768,8 @@ def _assert_affine_membership(curve, w, D):
     """Exact recheck of div(w) + D >= 0 at the affine support of D and w.den."""
     div = divisor_of_function(curve, w)
     for pt, mult in (div + D).terms:
-        assert pt.kind == "inf" or mult >= 0, "affine membership recheck failed"
+        if pt.kind != "inf" and mult < 0:
+            raise VerificationFailed("affine membership recheck failed")
 
 
 def decompose_effective(curve: HyperCurve, w: CurveFunction, base: Divisor) -> Divisor:

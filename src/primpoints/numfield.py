@@ -22,6 +22,7 @@ from . import linalg
 from .arith import (
     UniPoly,
     factor_over_Q,
+    is_prime,
     lagrange_interpolate,
     poly_gcd,
     resultant,
@@ -436,22 +437,11 @@ def is_primitive_field(m: UniPoly) -> bool:
     if d == 1:
         warnings.warn("degree-1 field treated as not primitive by convention")
         return False
-    if _is_prime(d):
+    if is_prime(d):
         # validate irreducibility, then no proper nontrivial subfield can exist
         nf_new(m)
         return True
     return principal_subfields(nf_new(m)).is_primitive
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

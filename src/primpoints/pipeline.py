@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import hyperell, numfield
-from .arith import UniPoly, rational_sqrt
+from .arith import UniPoly, is_prime, rational_sqrt
 from .errors import (
     ConstantFunction,
     NotPrimitive,
@@ -116,22 +116,11 @@ def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
     if gcd(d, m) == 1:
         trace.append(f"gcd({d},{m}) = 1")
         return FinitenessVerdict(YES, tuple(trace))
-    if _is_prime(d):
+    if is_prime(d):
         trace.append(f"degree {d} prime")
         return FinitenessVerdict(YES, tuple(trace))
     trace.append(f"gcd({d},{m}) > 1 and {d} composite")
     return FinitenessVerdict(PRIMITIVE_ONLY, tuple(trace))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
@@ -310,7 +299,7 @@ def _classify_entry(curve: HyperCurve, entry: ClassEntry, d: int) -> OrbitVerdic
     pt = terms[0][0]
     minpoly = point_field(curve, pt)
     assert minpoly.degree == d
-    if _is_prime(d):
+    if is_prime(d):
         return OrbitVerdict(
             entry.label, 1, PRIMITIVE, witness_divisor=eff, witness_minpoly=minpoly
         )

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from primpoints import hyperell
 from primpoints.cli import main
+from primpoints.errors import VerificationFailed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -41,6 +43,28 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["classify", str(tmp_path / "nope.csv"), str(tmp_path / "o")]) == 2
     assert main(["points", str(tmp_path / "nope"), fixture("x0_71.mw"), "4",
                  str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_points_rejects_jobs_below_one(tmp_path, capsys, width):
+    out = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "3", str(out),
+              "--jobs", width])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing(curve, D):
+        raise VerificationFailed("basis element violates pole bounds")
+
+    monkeypatch.setattr(hyperell, "rr_space", failing)
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 1 0 0 0 0 0 1\n")
+    assert main(["rr", str(curve), "2*oo+ + 2*oo-"]) == 5
+    assert "internal verification failed" in capsys.readouterr().err
 
 
 def test_field_command(capsys):

@@ -13,6 +13,7 @@ from primpoints.errors import (
     NotInLinearSeries,
     NotSquarefree,
     UnsupportedDivisorShape,
+    VerificationFailed,
     ZeroFunction,
 )
 from primpoints.hyperell import (
@@ -25,6 +26,8 @@ from primpoints.hyperell import (
     ClosedPoint,
     CurveFunction,
     Divisor,
+    _assert_affine_membership,
+    _assert_infinity_bounds,
     _series_sqrt,
     canonical_divisor,
     classify_place,
@@ -256,6 +259,18 @@ def test_basis_membership_via_divisor_recheck():
     for w in space.basis:
         total = divisor_of_function(C_X6, w) + D
         assert total.is_effective
+
+
+def test_failed_rechecks_raise_verification_failed():
+    # x has simple poles at oo+ and oo-, so it is not in L(0)
+    x = CurveFunction.from_x_poly(poly(0, 1))
+    with pytest.raises(VerificationFailed):
+        _assert_infinity_bounds(C_X6, x, 0, 0)
+    _assert_infinity_bounds(C_X6, x, 1, 1)
+    # 1/x has poles at the two points over x = 0
+    inv = CurveFunction.make(UniPoly.one(), UniPoly.zero(), poly(0, 1))
+    with pytest.raises(VerificationFailed):
+        _assert_affine_membership(C_X6, inv, Divisor.zero())
 
 
 def test_rr_space_affine_pole_permission():

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
 
-from .errors import BadInput, RamifiedBranch, ZeroPolynomial
+from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
 
 # Exact rational scalar used everywhere: stored reduced, denominator > 0.
 Rational = Fraction
@@ -389,8 +389,23 @@ def lagrange_interpolate(points) -> UniPoly:
     return result
 
 
+def interpolate_values(npoints: int, value) -> UniPoly:
+    """Polynomial through (x0, value(x0)) for the first npoints integers x0.
+
+    The points are taken in the order 0, 1, -1, 2, -2, ..., so they stay
+    small in absolute value.
+    """
+    points = []
+    x0 = 0
+    while len(points) < npoints:
+        points.append((x0, value(x0)))
+        x0 = -x0 if x0 > 0 else -x0 + 1
+    return lagrange_interpolate(points)
+
+
 # ---------------------------------------------------------------------------
-# Polynomials over prime fields (machine-word modulus)
+# Polynomials modulo an integer m: a prime p, or a prime power p^k during
+# Hensel lifting.  Only the inverse-taking helpers need m prime.
 
 
 def _fp_trim(c):
@@ -531,17 +546,6 @@ def _im_trimmed(a, m):
     return _fp_trim([v % m for v in a])
 
 
-def _im_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va:
-            for j, vb in enumerate(b):
-                out[i + j] = (out[i + j] + va * vb) % m
-    return _fp_trim(out)
-
-
 def _im_divmod_monic(a, b, m):
     """Division by a monic polynomial; valid over Z/m."""
     rem = list(a)
@@ -556,22 +560,6 @@ def _im_divmod_monic(a, b, m):
             for j, bv in enumerate(b):
                 rem[i - db + j] = (rem[i - db + j] - c * bv) % m
     return _fp_trim(quot), _fp_trim(rem)
-
-
-def _im_sub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % m
-    return _fp_trim(out)
-
-
-def _im_add(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % m
-    return _fp_trim(out)
 
 
 def _fp_bezout(g, h, p):
@@ -599,15 +587,16 @@ def _hensel_pair(f, g, h, s, t, p, target_exp):
         k = min(2 * k, target_exp)
         m = p ** k
         fm = _im_trimmed(f, m)
-        e = _im_sub(fm, _im_mul(g, h, m), m)
-        _, corr = _im_divmod_monic(_im_mul(t, e, m), g, m)
-        g = _im_add(g, corr, m)
+        e = _fp_sub(fm, _fp_mul(g, h, m), m)
+        _, corr = _im_divmod_monic(_fp_mul(t, e, m), g, m)
+        g = _fp_add(g, corr, m)
         h, rem = _im_divmod_monic(fm, g, m)
-        assert not rem, "hensel pair step lost exact divisibility"
-        b = _im_sub(_im_add(_im_mul(s, g, m), _im_mul(t, h, m), m), [1], m)
-        c, d = _im_divmod_monic(_im_mul(s, b, m), h, m)
-        s = _im_sub(s, d, m)
-        t = _im_sub(_im_sub(t, _im_mul(t, b, m), m), _im_mul(c, g, m), m)
+        if rem:
+            raise VerificationFailed("hensel pair step lost exact divisibility")
+        b = _fp_sub(_fp_add(_fp_mul(s, g, m), _fp_mul(t, h, m), m), [1], m)
+        c, d = _im_divmod_monic(_fp_mul(s, b, m), h, m)
+        s = _fp_sub(s, d, m)
+        t = _fp_sub(_fp_sub(t, _fp_mul(t, b, m), m), _fp_mul(c, g, m), m)
     return g, h
 
 
@@ -723,7 +712,7 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
             for combo in itertools.combinations(pool, size):
                 cand = [lc_cur % modulus]
                 for idx in combo:
-                    cand = _im_mul(cand, lifted[idx], modulus)
+                    cand = _fp_mul(cand, lifted[idx], modulus)
                 cand = [_symmetric(v, modulus) for v in cand]
                 content = reduce(gcd, (abs(v) for v in cand if v), 0)
                 if content == 0:
@@ -767,7 +756,8 @@ def factor_over_Q(a: UniPoly) -> Factorization:
         merged[f] = merged.get(f, 0) + m
     factors = tuple(sorted(merged.items(), key=lambda fm: fm[0].sort_key()))
     fact = Factorization(unit, factors)
-    assert fact.expand() == a, "factorization failed exact re-multiplication"
+    if fact.expand() != a:
+        raise VerificationFailed("factorization failed exact re-multiplication")
     return fact
 
 

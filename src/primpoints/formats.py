@@ -18,7 +18,7 @@ from fractions import Fraction
 from .arith import UniPoly
 from .errors import ParseError
 from .hyperell import INERT, OO, OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor
-from .pipeline import Cover, CoverRow, Divisor as _Divisor, MWSpec  # noqa: F401
+from .pipeline import Cover, CoverRow, MWSpec
 
 _TERM_RE = re.compile(
     r"^(?P<coef>[+-]?(?:\d+(?:/\d+)?)?)"
@@ -92,16 +92,8 @@ def _parse_poly_literal(text: str) -> UniPoly:
     return UniPoly.make(out)
 
 
-def poly_literal(p: UniPoly) -> str:
-    return p.literal()
-
-
 # ---------------------------------------------------------------------------
 # Divisor literals
-
-
-def divisor_literal(D: Divisor) -> str:
-    return D.literal()
 
 
 def parse_divisor(text: str) -> Divisor:

@@ -524,7 +524,8 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
         bump(ClosedPoint.infinite(OO), val)
 
     out = Divisor.make(terms.items())
-    assert out.degree == 0, f"principal divisor degree {out.degree} != 0"
+    if out.degree != 0:
+        raise VerificationFailed(f"principal divisor degree {out.degree} != 0")
     return out
 
 
@@ -558,43 +559,17 @@ def rr_space_infty(curve: HyperCurve, n_plus: int, n_minus: int = None) -> RRSpa
     Negative bounds demand vanishing to that order at the place.
     """
     if curve.parity == ODD:
-        assert n_minus is None, "odd models take a single bound"
-        return _rr_odd_infty(curve, n_plus)
-    assert n_minus is not None, "even models need bounds at both places"
-    divisor = Divisor.make(
-        [
+        if n_minus is not None:
+            raise UnsupportedDivisorShape("odd models take a single bound")
+        pairs = [(ClosedPoint.infinite(OO), n_plus)]
+    else:
+        if n_minus is None:
+            raise UnsupportedDivisorShape("even models need bounds at both places")
+        pairs = [
             (ClosedPoint.infinite(OO_PLUS), n_plus),
             (ClosedPoint.infinite(OO_MINUS), n_minus),
         ]
-    )
-    rows, ncols, B = _even_rows_with_congruences(curve, n_plus, n_minus, ())
-    basis = _even_basis(curve, kernel_basis(rows, ncols), B, UniPoly.one(), n_plus, n_minus)
-    return RRSpace(divisor, tuple(basis), len(basis))
-
-
-def _rr_odd_infty(curve: HyperCurve, n: int) -> RRSpace:
-    g = curve.genus
-    basis = []
-    i = 0
-    while 2 * i <= n:
-        basis.append(CurveFunction.from_x_poly(UniPoly.x() ** i))
-        i += 1
-    j = 0
-    while 2 * j + 2 * g + 1 <= n:
-        basis.append(CurveFunction.make(UniPoly.zero(), UniPoly.x() ** j))
-        j += 1
-    divisor = Divisor.make([(ClosedPoint.infinite(OO), n)])
-    return RRSpace(divisor, tuple(basis), len(basis))
-
-
-def _even_basis(curve, kernel, B, h, n_plus, n_minus):
-    """(U + V y)/h for each kernel vector (U, V), re-checked at infinity."""
-    basis = []
-    for vec in kernel:
-        w = CurveFunction.make(UniPoly.make(vec[: B + 1]), UniPoly.make(vec[B + 1 :]), h)
-        _assert_infinity_bounds(curve, w, n_plus, n_minus)
-        basis.append(w)
-    return basis
+    return rr_space(curve, Divisor.make(pairs))
 
 
 def _assert_infinity_bounds(curve, w, n_plus, n_minus):
@@ -612,22 +587,12 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     The effective affine part grants pole permissions, realized by a
     denominator h built from the defining polynomials and linear
     conditions modulo their powers; a negative affine part raises
-    UnsupportedDivisorShape.
+    UnsupportedDivisorShape.  Each basis element is (U + V y) / h for a
+    kernel vector (U, V) of the pole and congruence conditions.
     """
     affine = D.affine_terms()
     if any(m < 0 for _, m in affine):
         raise UnsupportedDivisorShape("negative affine divisor part")
-    if curve.parity == EVEN:
-        n_plus = D.infinite_coefficient(OO_PLUS)
-        n_minus = D.infinite_coefficient(OO_MINUS)
-    else:
-        n_odd = D.infinite_coefficient(OO)
-    if not affine:
-        if curve.parity == EVEN:
-            space = rr_space_infty(curve, n_plus, n_minus)
-        else:
-            space = rr_space_infty(curve, n_odd)
-        return RRSpace(D, space.basis, space.dim)
 
     # group pole permissions by defining polynomial
     by_p = {}
@@ -674,46 +639,39 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
 
     dh = h.degree
     if curve.parity == EVEN:
-        rows, ncols, B = _even_rows_with_congruences(
-            curve, n_plus + dh, n_minus + dh, congruences
-        )
-        basis = _even_basis(curve, kernel_basis(rows, ncols), B, h, n_plus, n_minus)
+        n_plus = D.infinite_coefficient(OO_PLUS)
+        n_minus = D.infinite_coefficient(OO_MINUS)
+        Bu = Bv = max(max(n_plus, n_minus) + dh + curve.genus + 2, -1)
+        rows = _infinity_rows(curve, n_plus + dh, n_minus + dh, Bu)
+    else:
+        # odd model: infinity bounds are pure degree caps
+        n_eff = D.infinite_coefficient(OO) + 2 * dh
+        Bu = max(n_eff // 2, -1)
+        Bv = max((n_eff - (2 * curve.genus + 1)) // 2, -1)
+        rows = []
+    rows.extend(_congruence_rows(congruences, Bu, Bv))
+    basis = []
+    for vec in kernel_basis(rows, (Bu + 1) + (Bv + 1)):
+        w = CurveFunction.make(UniPoly.make(vec[: Bu + 1]), UniPoly.make(vec[Bu + 1 :]), h)
+        if curve.parity == EVEN:
+            _assert_infinity_bounds(curve, w, n_plus, n_minus)
+        basis.append(w)
+    if affine:
         for w in basis:
             _assert_affine_membership(curve, w, D)
-        return RRSpace(D, tuple(basis), len(basis))
-
-    # odd model: infinity bounds are pure degree caps
-    n_eff = n_odd + 2 * dh
-    du_max = n_eff // 2
-    dv_max = (n_eff - (2 * curve.genus + 1)) // 2
-    Bu = max(du_max, -1)
-    Bv = max(dv_max, -1)
-    ncols = (Bu + 1) + (Bv + 1)
-    if ncols == 0:
-        return RRSpace(D, (), 0)
-    rows = _congruence_rows(congruences, Bu, Bv)
-    basis = []
-    for vec in kernel_basis(rows, ncols):
-        U = UniPoly.make(vec[: Bu + 1])
-        V = UniPoly.make(vec[Bu + 1 :])
-        basis.append(CurveFunction.make(U, V, h))
-    for w in basis:
-        _assert_affine_membership(curve, w, D)
     return RRSpace(D, tuple(basis), len(basis))
 
 
-def _even_rows_with_congruences(curve, bound_plus, bound_minus, congruences):
-    """Rows of the conditions on U + V y, U and V of degree <= B: (rows, ncols, B).
+def _infinity_rows(curve, bound_plus, bound_minus, B):
+    """Integer rows of the pole conditions at oo+ and oo- on U + V y.
 
     The candidate span is {x^i} + {x^j y} with i, j <= B (columns 0..B carry
-    U, columns B+1.. carry V).  One integer row per Laurent coefficient
-    below the allowed pole order at oo+ and at oo- forbids it; the rows of
-    the congruences follow.
+    U, columns B+1.. carry V).  One row per Laurent coefficient below the
+    allowed pole order at oo+ and at oo- forbids it.
     """
-    g = curve.genus
-    B = max(bound_plus, bound_minus) + g + 2
     if B < 0:
-        return [], 0, -1
+        return []
+    g = curve.genus
     ncols = 2 * (B + 1)
     low = -(B + g + 1)
     nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
@@ -729,8 +687,7 @@ def _even_rows_with_congruences(curve, bound_plus, bound_minus, congruences):
             window = nums[e + g + 1 + start : e + g + 2 + B]
             row[B + 1 + start :] = window if sign == 1 else [-v for v in window]
             rows.append(row)
-    rows.extend(_congruence_rows(congruences, B, B))
-    return rows, ncols, B
+    return rows
 
 
 def _congruence_rows(congruences, Bu, Bv):

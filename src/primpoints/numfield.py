@@ -22,13 +22,19 @@ from . import linalg
 from .arith import (
     UniPoly,
     factor_over_Q,
+    interpolate_values,
     is_prime,
-    lagrange_interpolate,
     poly_gcd,
     resultant,
     squarefree_part,
 )
-from .errors import Degenerate, NotInert, ReduciblePolynomial, ZeroPolynomial
+from .errors import (
+    Degenerate,
+    NotInert,
+    ReduciblePolynomial,
+    VerificationFailed,
+    ZeroPolynomial,
+)
 
 
 @dataclass(frozen=True)
@@ -144,15 +150,12 @@ def nf_minpoly(e: NfElement) -> UniPoly:
     columns = [(e * basis).coords() for basis in theta_pows]
     # char(x) = det(x*I - M) with M the multiplication matrix; interpolate
     # from d+1 exact evaluations.
-    points = []
-    for k in range(d + 1):
-        x0 = Fraction(k)
-        mat = [
-            [(x0 if i == j else Fraction(0)) - columns[j][i] for j in range(d)]
-            for i in range(d)
-        ]
-        points.append((x0, linalg.det(mat)))
-    char = lagrange_interpolate(points)
+    char = interpolate_values(
+        d + 1,
+        lambda x0: linalg.det(
+            [[(x0 if i == j else 0) - columns[j][i] for j in range(d)] for i in range(d)]
+        ),
+    )
     assert char.degree == d and char.lc == 1
     return squarefree_part(char)
 
@@ -291,14 +294,9 @@ def _nf_norm_poly(a: NfPoly) -> UniPoly:
     interpolation; each value is Norm(a(x0)) = Res(min_poly, a(x0)-repr).
     """
     K = a.parent
-    n = a.degree * K.degree
-    points = []
-    x0 = 0
-    while len(points) < n + 1:
-        value = a.evaluate(K.const(x0))
-        points.append((Fraction(x0), value.norm()))
-        x0 = -x0 if x0 > 0 else -x0 + 1
-    return lagrange_interpolate(points)
+    return interpolate_values(
+        a.degree * K.degree + 1, lambda x0: a.evaluate(K.const(x0)).norm()
+    )
 
 
 def factor_over_nf(K: NumberField, a: NfPoly):
@@ -337,7 +335,8 @@ def factor_over_nf(K: NumberField, a: NfPoly):
     for f, m in factors:
         for _ in range(m):
             check = check * f
-    assert _nfp_eq(check, a), "factorization over K failed re-multiplication"
+    if not _nfp_eq(check, a):
+        raise VerificationFailed("factorization over K failed re-multiplication")
     return unit, factors
 
 
@@ -469,19 +468,9 @@ def absolute_minpoly(p: UniPoly, f: UniPoly, shift_seed: int) -> UniPoly:
     dp = p.degree
     target = 2 * dp
     for c in range(shift_seed, shift_seed + 50):
-        points = []
-        z0 = 0
-        ok = True
-        while len(points) < target + 1:
-            gz = UniPoly.make([z0, -c]) ** 2 - f
-            if gz.is_zero:
-                ok = False
-                break
-            points.append((Fraction(z0), resultant(p, gz)))
-            z0 = -z0 if z0 > 0 else -z0 + 1
-        if not ok:
-            continue
-        cand = lagrange_interpolate(points)
+        cand = interpolate_values(
+            target + 1, lambda z0: resultant(p, UniPoly.make([z0, -c]) ** 2 - f)
+        )
         if cand.degree != target or cand.lc != 1:
             continue
         if poly_gcd(cand, cand.derivative()).degree != 0:

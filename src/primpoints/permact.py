@@ -245,10 +245,6 @@ def is_primitive_action(G: PermGroup) -> bool:
     return minimal_blocks(G) is None
 
 
-def stabilizer_elements(G: PermGroup, point: int = 0) -> list:
-    return sorted(g for g in elements(G) if g[point] == point)
-
-
 def _generating_subset(els: list, target_size: int, degree: int) -> list:
     """Greedy small generating set for a materialized subgroup."""
     gens = []

@@ -18,16 +18,20 @@ Mordell-Weil data is always an input, never computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from . import hyperell, numfield
-from .arith import UniPoly, is_prime, rational_sqrt
+from . import hyperell
+from .arith import UniPoly, is_prime, is_squarefree, rational_sqrt
 from .errors import (
+    BadInput,
     ConstantFunction,
+    DegreeTooSmall,
     NotPrimitive,
     NotSeparable,
+    NotSquarefree,
     UnsupportedDivisorShape,
 )
 from .hyperell import (
@@ -174,8 +178,10 @@ class MWSpec:
 
     def __post_init__(self):
         for order, gen in self.cyclic_factors:
-            assert order >= 1
-            assert gen.degree == 0, "generators must have degree 0"
+            if order < 1:
+                raise BadInput(f"cyclic factor order must be at least 1, got {order}")
+            if gen.degree != 0:
+                raise UnsupportedDivisorShape("generators must have degree 0")
 
     @property
     def order(self) -> int:
@@ -233,7 +239,7 @@ def enumerate_classes(curve: HyperCurve, mw: MWSpec, d: int):
     shift = _shift_divisor(curve, mw, d)
     ranges = [_coefficient_range(order) for order, _ in mw.cyclic_factors]
     entries = []
-    for label in _lex_product(ranges):
+    for label in itertools.product(*ranges):
         D = shift
         for coeff, (_, gen) in zip(label, mw.cyclic_factors):
             if coeff:
@@ -241,15 +247,6 @@ def enumerate_classes(curve: HyperCurve, mw: MWSpec, d: int):
         space = rr_space(curve, D)
         entries.append(ClassEntry(tuple(label), D, space.dim, space.basis))
     return entries
-
-
-def _lex_product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _lex_product(ranges[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,6 @@ class ClassificationReport:
     degree: int
     group_order: int
     verdicts: tuple
-    counts: dict = field(compare=False, default=None)
 
     def summary(self) -> dict:
         out = {
@@ -399,8 +395,6 @@ def construct_primitive_curve(m: UniPoly, alpha_seed=0):
     fsq = nf_minpoly(phi * phi)
     assert fsq.degree == d, "phi^2 must generate the primitive field"
     h = fsq.compose(UniPoly.make([0, 0, 1]))
-    from .arith import is_squarefree
-
     if not is_squarefree(h):
         raise NotSeparable("curve model unexpectedly inseparable")
     curve = curve_new(h)
@@ -518,10 +512,12 @@ def twist_census(f: UniPoly, M: int, height_bound: int) -> TwistCensusResult:
     y != 0.  Points at infinity on odd models are Weierstrass and never
     found by the affine scan.
     """
-    assert M >= 1 and height_bound >= 1
-    from .arith import is_squarefree
-
-    assert not f.is_zero and f.degree >= 6 and is_squarefree(f)
+    if M < 1 or height_bound < 1:
+        raise BadInput("twist bound and height bound must be at least 1")
+    if f.is_zero or f.degree < 6:
+        raise DegreeTooSmall("twist census needs deg f >= 6")
+    if not is_squarefree(f):
+        raise NotSquarefree("twist census needs a squarefree model")
     xs = []
     for q in range(1, height_bound + 1):
         for p in range(-height_bound, height_bound + 1):

@@ -240,6 +240,27 @@ def test_factor_remultiplication(parts):
             assert g.degree == 1 or not rational_roots(g)
 
 
+@given(st.lists(polys(4, nonzero=True), min_size=2, max_size=4))
+@settings(max_examples=30)
+def test_factor_matches_sympy(parts):
+    # products of several factors reach Hensel lifting and recombination
+    sympy = pytest.importorskip("sympy")
+    product = UniPoly.one()
+    for p in parts:
+        product = product * p
+    if product.degree == 0:
+        return
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(product.coeffs)]
+    _, ref_factors = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    expected = sorted(
+        (tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())), mult)
+        for g, mult in ref_factors
+    )
+    got = sorted((g.coeffs, mult) for g, mult in factor_over_Q(product).factors)
+    assert got == expected
+
+
 def test_rational_roots_examples():
     assert rational_roots(poly(-1, 0, 1)) == [-1, 1]
     assert rational_roots(poly(1, 0, 1)) == []

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +128,44 @@ def test_fiber_command(capsys):
     assert main(["fiber", "x^3-2", "--samples", "5", "--height", "10"]) == 0
     out = capsys.readouterr().out
     assert "primitive_fraction" in out
+
+
+def _run_cli(args, optimize):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "primpoints.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "mw_text, expected",
+    [
+        ("order 35\ngen 1*oo+\nbase 1*oo+ + 1*oo-\n", 3),  # generator of degree 1
+        ("order 0\ngen 0\nbase 1*oo+ + 1*oo-\n", 4),  # empty cyclic factor
+    ],
+)
+def test_bad_mw_file_exit_code(tmp_path, optimize, mw_text, expected):
+    mw = tmp_path / "bad.mw"
+    mw.write_text(mw_text)
+    out = tmp_path / "out.txt"
+    done = _run_cli(["points", fixture("x0_71.curve"), str(mw), "3", str(out)], optimize)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_twists_rejects_small_degree(optimize):
+    done = _run_cli(["twists", "x^5+1"], optimize)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "hits=" not in done.stdout
 
 
 @pytest.mark.slow

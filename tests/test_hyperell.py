@@ -186,6 +186,35 @@ def test_rr_odd_closed_form():
     assert rr_space_infty(C_X5, 5).dim == 4  # 1, x, x^2, y
 
 
+def test_rr_odd_infinity_basis_is_monomial_staircase():
+    # genus 2, 3 and 4 odd models of the Riemann-Roch sweep
+    curves = [
+        C_X5,
+        curve_new(poly(2, 0, 0, 0, 0, 0, 0, 1)),
+        curve_new(poly(1, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+    ]
+    for curve in curves:
+        g = curve.genus
+        for n in range(-3, 4 * g + 3):
+            expected = [
+                CurveFunction.from_x_poly(UniPoly.x() ** i) for i in range(n + 1) if 2 * i <= n
+            ] + [
+                CurveFunction.make(UniPoly.zero(), UniPoly.x() ** j)
+                for j in range(n + 1)
+                if 2 * j + 2 * g + 1 <= n
+            ]
+            space = rr_space_infty(curve, n)
+            assert space.basis == tuple(expected), (g, n)
+            assert space.dim == len(expected)
+
+
+def test_rr_space_infty_rejects_wrong_parity_arguments():
+    with pytest.raises(UnsupportedDivisorShape):
+        rr_space_infty(C_X5, 2, 2)
+    with pytest.raises(UnsupportedDivisorShape):
+        rr_space_infty(C_X6, 2)
+
+
 def riemann_roch_check(curve, coeffs):
     if curve.parity == "even":
         n_plus, n_minus = coeffs

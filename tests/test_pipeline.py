@@ -4,8 +4,11 @@ import pytest
 
 from primpoints.arith import UniPoly, is_squarefree, poly
 from primpoints.errors import (
+    BadInput,
     ConstantFunction,
+    DegreeTooSmall,
     NotPrimitive,
+    NotSquarefree,
     UnsupportedDivisorShape,
 )
 from primpoints.hyperell import (
@@ -142,8 +145,10 @@ def test_classify_points_x0_71_degree4_head():
 
 
 def test_mwspec_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnsupportedDivisorShape):
         MWSpec(((35, D_INF),), D_INF)  # generator must have degree 0
+    with pytest.raises(BadInput):
+        MWSpec(((0, Divisor.zero()),), D_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +245,17 @@ def test_twist_census_sign_obstruction():
     f = poly(-1, 0, 0, 0, 0, 0, -1)
     result = twist_census(f, 5, 4)
     assert all(hit.r < 0 for hit in result.hits)
+
+
+def test_twist_census_preconditions():
+    f = poly(1, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(DegreeTooSmall):
+        twist_census(poly(1, 0, 0, 0, 0, 1), 3, 3)
+    with pytest.raises(DegreeTooSmall):
+        twist_census(UniPoly.zero(), 3, 3)
+    with pytest.raises(NotSquarefree):
+        twist_census(f * poly(1, 1) ** 2, 3, 3)
+    with pytest.raises(BadInput):
+        twist_census(f, 0, 3)
+    with pytest.raises(BadInput):
+        twist_census(f, 3, 0)

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import formats, hyperell, numfield, permact, pipeline
-from .arith import is_prime
 from .errors import (
     ParseError,
     PrimpointsError,
@@ -257,30 +256,16 @@ def cmd_points(args) -> int:
 
 
 def cmd_field(args) -> int:
-    m = formats.parse_poly(args.poly)
-    verdict = numfield.is_primitive_field(m)
-    if verdict:
-        data = {"schema": "primpoints.field/1", "primitive": True}
+    report = numfield.field_report(formats.parse_poly(args.poly))
+    data = {"schema": "primpoints.field/1", "primitive": report.is_primitive}
+    proper = list(report.proper_subfield_degrees)
+    if report.is_primitive:
         text = "primitive"
+    elif proper:
+        text = f"imprimitive (subfield degree {proper[0]})"
+        data["subfield_degrees"] = proper
     else:
-        report = (
-            numfield.principal_subfields(numfield.nf_new(m))
-            if m.degree and m.degree > 1 and not is_prime(m.degree)
-            else None
-        )
-        if report is not None:
-            proper = sorted(
-                k for k in report.principal_subfield_degrees if 1 < k < m.degree
-            )
-            text = f"imprimitive (subfield degree {proper[0]})"
-            data = {
-                "schema": "primpoints.field/1",
-                "primitive": False,
-                "subfield_degrees": proper,
-            }
-        else:
-            text = "imprimitive (degree 1 convention)"
-            data = {"schema": "primpoints.field/1", "primitive": False}
+        text = "imprimitive (degree 1 convention)"
     print(_json_dump(data) if args.json else text, end="" if args.json else "\n")
     return EXIT_OK
 

@@ -38,6 +38,7 @@ from .arith import (
     squarefree_part,
 )
 from .errors import (
+    BadInput,
     DegreeTooSmall,
     InfinitePlace,
     IrrationalInfinitePlaces,
@@ -447,13 +448,10 @@ def _valuation_at(p: UniPoly, a: UniPoly) -> int:
 
 def _split_valuations(curve, p, q, u, v, mult_norm):
     """ord of u + v y at the two split places (q-branch first)."""
-    if v.is_zero:
-        val = _valuation_at(p, u)
-        assert 2 * val == mult_norm
-        return val, val
-    if u.is_zero:
-        val = _valuation_at(p, v)
-        assert 2 * val == mult_norm
+    if u.is_zero or v.is_zero:
+        val = _valuation_at(p, v if u.is_zero else u)
+        if 2 * val != mult_norm:
+            raise VerificationFailed("split valuations disagree with the norm")
         return val, val
     k = mult_norm + 1
     qk = hensel_sqrt(curve.f, p, q, k)
@@ -465,7 +463,8 @@ def _split_valuations(curve, p, q, u, v, mult_norm):
         val_plus = mult_norm - min(val_minus, mult_norm)
     elif val_minus >= k:
         val_minus = mult_norm - val_plus
-    assert val_plus + val_minus == mult_norm, "split valuations lost mass"
+    if val_plus + val_minus != mult_norm:
+        raise VerificationFailed("split valuations lost mass")
     return val_plus, val_minus
 
 
@@ -482,7 +481,8 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
 
     # numerator part: zeros of u + v y via the norm u^2 - v^2 f
     norm = u * u - v * v * curve.f
-    assert not norm.is_zero, "u + v y vanished identically on the curve"
+    if norm.is_zero:
+        raise VerificationFailed("u + v y vanished identically on the curve")
     if norm.degree > 0:
         for p, mult in factor_over_Q(norm).factors:
             branch, q = classify_place(curve, p)
@@ -494,7 +494,8 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
                     vals.append(2 * _valuation_at(p, v) + 1)
                 bump(ClosedPoint.affine(p, RAM), min(vals))
             elif branch == INERT:
-                assert mult % 2 == 0, "inert norm valuation must be even"
+                if mult % 2:
+                    raise VerificationFailed("inert norm valuation must be even")
                 bump(ClosedPoint.affine(p, INERT), mult // 2)
             else:
                 vp, vm = _split_valuations(curve, p, q, u, v, mult)
@@ -599,9 +600,17 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     for pt, mult in affine:
         by_p.setdefault(pt.p, []).append((pt, mult))
     h = UniPoly.one()
-    congruences = []  # (modulus power of p, residue rows builder data)
+    congruences = []  # (p^r, a, b): a*U + b*V = 0 mod p^r
     for p, pts in sorted(by_p.items(), key=lambda kv: kv[0].sort_key()):
         branch, q = classify_place(curve, p)
+        place = ClosedPoint.affine(p, branch, q)
+        for pt, _ in pts:
+            if pt not in (place, place.conjugate()):
+                residue = f" with y = +-({q.literal()})" if q is not None else ""
+                raise BadInput(
+                    f"{pt.literal()} is not a place of the curve: "
+                    f"{p.literal()} is {branch}{residue} there"
+                )
         if branch == SPLIT:
             a_plus = a_minus = 0
             for pt, mult in pts:
@@ -616,9 +625,9 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
             if lift > 0:
                 qk = hensel_sqrt(curve.f, p, q, lift)
                 if r_plus > 0:
-                    congruences.append(("pm", p**r_plus, qk, 1))
+                    congruences.append((p**r_plus, UniPoly.one(), qk))
                 if r_minus > 0:
-                    congruences.append(("pm", p**r_minus, qk, -1))
+                    congruences.append((p**r_minus, UniPoly.one(), -qk))
         elif branch == INERT:
             (pt, a) = pts[0]
             c = a
@@ -633,9 +642,9 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
                 ru = (r + 1) // 2
                 rv = r // 2
                 if ru > 0:
-                    congruences.append(("u", p**ru, None, 0))
+                    congruences.append((p**ru, UniPoly.one(), UniPoly.zero()))
                 if rv > 0:
-                    congruences.append(("v", p**rv, None, 0))
+                    congruences.append((p**rv, UniPoly.zero(), UniPoly.one()))
 
     dh = h.degree
     if curve.parity == EVEN:
@@ -691,33 +700,19 @@ def _infinity_rows(curve, bound_plus, bound_minus, B):
 
 
 def _congruence_rows(congruences, Bu, Bv):
-    """Rows forcing U (columns 0..Bu) and V (columns Bu+1..) congruences."""
+    """Rows forcing a*U + b*V = 0 mod m for each condition (m, a, b).
+
+    U fills columns 0..Bu and V columns Bu+1..; (a, b) is (1, +-q_k), (1, 0)
+    or (0, 1).  Each condition gives one row per coefficient of the residue.
+    """
     rows = []
-    ncols = (Bu + 1) + (Bv + 1)
-    for kind, modulus, qk, sign in congruences:
-        deg_m = modulus.degree
-        if kind in ("pm",):
-            # (U + sign * V * qk) = 0 mod modulus
-            for r in range(deg_m):
-                row = [Fraction(0)] * ncols
-                for i in range(Bu + 1):
-                    row[i] = (UniPoly.x() ** i % modulus).coeff(r)
-                for j in range(Bv + 1):
-                    red = (UniPoly.x() ** j * qk) % modulus
-                    row[Bu + 1 + j] = Fraction(sign) * red.coeff(r)
-                rows.append(row)
-        elif kind == "u":
-            for r in range(deg_m):
-                row = [Fraction(0)] * ncols
-                for i in range(Bu + 1):
-                    row[i] = (UniPoly.x() ** i % modulus).coeff(r)
-                rows.append(row)
-        else:  # kind == "v"
-            for r in range(deg_m):
-                row = [Fraction(0)] * ncols
-                for j in range(Bv + 1):
-                    row[Bu + 1 + j] = (UniPoly.x() ** j % modulus).coeff(r)
-                rows.append(row)
+    for modulus, a, b in congruences:
+        x_pows = [UniPoly.one()]
+        for _ in range(max(Bu, Bv)):
+            x_pows.append((x_pows[-1] * UniPoly.x()) % modulus)
+        residues = [(a * xp) % modulus for xp in x_pows[: Bu + 1]]
+        residues += [(b * xp) % modulus for xp in x_pows[: Bv + 1]]
+        rows.extend([res.coeff(r) for res in residues] for r in range(modulus.degree))
     return rows
 
 

@@ -2,10 +2,16 @@
 
 Factorization over K uses Trager's norm method: push a squarefree
 polynomial down to Q by the norm of a generic shift, factor over Q, and
-pull the factors back with gcds over K.  Primitivity of K is decided from
-the principal subfields attached to the irreducible factors of m over K:
-a proper nontrivial subfield exists iff some principal subfield has degree
-strictly between 1 and [K:Q], because every maximal subfield is principal.
+pull the factors back with gcds over K.
+
+This module is the only one that decides primitivity.  `field_report`
+validates m, applies the degree-1 convention (not primitive, with a
+warning) and the prime-degree shortcut (primitive, no subfield search),
+and otherwise reads the verdict off the principal subfields attached to
+the irreducible factors of m over K: a proper nontrivial subfield exists
+iff some principal subfield has degree strictly between 1 and [K:Q],
+because every maximal subfield is principal.  `is_primitive_field` is its
+bool view.
 
 Norms and characteristic polynomials are computed by exact evaluation /
 interpolation instead of symbolic bivariate resultants; with m monic the
@@ -366,7 +372,8 @@ def _trager_squarefree(K: NumberField, a: NfPoly):
             g = nfp_gcd(a, h_shift_back)
             if g.degree and g.degree > 0:
                 out.append(g)
-        assert sum(g.degree for g in out) == a.degree
+        if sum(g.degree for g in out) != a.degree:
+            raise VerificationFailed("Trager factor degrees do not sum to the degree")
         return out
     raise Degenerate("no squarefree Trager shift found within the search cap")
 
@@ -377,10 +384,16 @@ def _trager_squarefree(K: NumberField, a: NfPoly):
 
 @dataclass(frozen=True)
 class SubfieldReport:
-    """Degrees of the principal subfields and the primitivity verdict."""
+    """Principal subfield degrees, the proper ones among them, and the verdict.
+
+    `proper_subfield_degrees` lists the principal subfield degrees strictly
+    between 1 and [K:Q], sorted, duplicates kept; it is empty whenever the
+    verdict did not need the subfield search.
+    """
 
     principal_subfield_degrees: tuple
     is_primitive: bool
+    proper_subfield_degrees: tuple = ()
 
 
 def principal_subfields(K: NumberField) -> SubfieldReport:
@@ -419,14 +432,17 @@ def principal_subfields(K: NumberField) -> SubfieldReport:
         ]
         degrees.append(d - linalg.rank(matrix))
     degrees.sort()
-    return SubfieldReport(tuple(degrees), all(k in (1, d) for k in degrees))
+    proper = tuple(k for k in degrees if 1 < k < d)
+    return SubfieldReport(tuple(degrees), not proper, proper)
 
 
-def is_primitive_field(m: UniPoly) -> bool:
-    """True iff Q[t]/(m) has no subfield strictly between Q and itself.
+def field_report(m: UniPoly) -> SubfieldReport:
+    """Primitivity verdict for Q[t]/(m): the one place that decides it.
 
-    Degree 1 returns False with a warning (the notion presupposes a
-    nontrivial extension); prime degree returns True without factoring.
+    Degree 1 is not primitive by convention and warns (the notion
+    presupposes a nontrivial extension); a reducible m raises
+    ReduciblePolynomial; prime degree is primitive without a subfield
+    search; every other degree goes through `principal_subfields`.
     """
     if m.is_zero:
         raise ZeroPolynomial("empty defining polynomial")
@@ -435,12 +451,17 @@ def is_primitive_field(m: UniPoly) -> bool:
         raise ReduciblePolynomial("constant polynomial defines no field")
     if d == 1:
         warnings.warn("degree-1 field treated as not primitive by convention")
-        return False
+        return SubfieldReport((), False)
+    K = nf_new(m)
     if is_prime(d):
-        # validate irreducibility, then no proper nontrivial subfield can exist
-        nf_new(m)
-        return True
-    return principal_subfields(nf_new(m)).is_primitive
+        # no degree strictly between 1 and a prime divides it
+        return SubfieldReport((), True)
+    return principal_subfields(K)
+
+
+def is_primitive_field(m: UniPoly) -> bool:
+    """True iff Q[t]/(m) has no subfield strictly between Q and itself."""
+    return field_report(m).is_primitive
 
 
 # ---------------------------------------------------------------------------
@@ -450,33 +471,26 @@ def is_primitive_field(m: UniPoly) -> bool:
 def absolute_minpoly(p: UniPoly, f: UniPoly, shift_seed: int) -> UniPoly:
     """Minimal polynomial over Q of y + c*x for the first good shift c.
 
-    Requires f to be a non-square modulo p (the inert case); the result is
-    monic irreducible of degree 2*deg(p).  The candidate for a given c is
-    the product of (z - c*x_i - y_i) over all conjugates, computed by
-    evaluation/interpolation; c is accepted once that candidate is
-    squarefree.
+    For the inert case that `hyperell.classify_place` decides: p irreducible
+    and f a non-square unit mod p.  The result is monic irreducible of
+    degree 2*deg(p).  The candidate for c is prod_i ((z - c*x_i)^2 - f(x_i))
+    over the roots x_i of p, by evaluation/interpolation; c is accepted once
+    the candidate is squarefree.  A squarefree candidate is irreducible iff
+    f is a non-square mod p (if f is a square it is the product of the two
+    branch norms), so a reducible one raises NotInert, as does f = 0 mod p.
     """
     p = p.monic()
-    K = nf_new(p)
-    fbar = K.element(f)
-    if fbar.is_zero:
+    nf_new(p)  # rejects a reducible p
+    if (f % p).is_zero:
         raise NotInert("f vanishes modulo p: ramified, use p itself")
-    zsq = NfPoly.make(K, [-fbar, K.zero(), K.one()])
-    _, sq_factors = factor_over_nf(K, zsq)
-    if any(h.degree == 1 for h, _ in sq_factors):
-        raise NotInert("f is a square modulo p: split case, use p itself")
-    dp = p.degree
-    target = 2 * dp
+    target = 2 * p.degree
     for c in range(shift_seed, shift_seed + 50):
         cand = interpolate_values(
             target + 1, lambda z0: resultant(p, UniPoly.make([z0, -c]) ** 2 - f)
         )
-        if cand.degree != target or cand.lc != 1:
-            continue
         if poly_gcd(cand, cand.derivative()).degree != 0:
             continue
-        assert factor_over_Q(cand).is_irreducible(), (
-            "inert point field candidate unexpectedly reducible"
-        )
+        if not factor_over_Q(cand).is_irreducible():
+            raise NotInert("f is a square modulo p: split case, use p itself")
         return cand
     raise Degenerate("no admissible shift c below the search cap")

@@ -47,7 +47,7 @@ from .hyperell import (
     point_field,
     rr_space,
 )
-from .numfield import is_primitive_field, nf_minpoly, nf_new, principal_subfields
+from .numfield import field_report, is_primitive_field, nf_minpoly, nf_new
 
 # ---------------------------------------------------------------------------
 # Finiteness classification
@@ -69,9 +69,10 @@ class FinitenessInput:
     j_simple: bool
 
     def __post_init__(self):
-        assert self.cover.m >= 2 and self.d >= 2
-        if self.cover.kind == "relative":
-            assert self.cover.gprime >= 1
+        if self.cover.m < 2 or self.d < 2:
+            raise BadInput("cover degree m and point degree d must be at least 2")
+        if self.cover.kind == "relative" and (self.cover.gprime or 0) < 1:
+            raise BadInput("a relative cover needs a base genus of at least 1")
 
 
 YES, PRIMITIVE_ONLY, UNKNOWN = "Yes", "PrimitiveOnly", "Unknown"
@@ -130,7 +131,8 @@ def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
 def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
     """True iff gX > m*gY + n*gZ + (m-1)(n-1), forcing a common factorization
     of any pair of independent covers of those degrees."""
-    assert m >= 1 and n >= 1 and min(gX, gY, gZ) >= 0
+    if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
+        raise BadInput("cover degrees must be positive and genera non-negative")
     return gX > m * gY + n * gZ + (m - 1) * (n - 1)
 
 
@@ -296,21 +298,13 @@ def _classify_entry(curve: HyperCurve, entry: ClassEntry, d: int) -> OrbitVerdic
     pt = terms[0][0]
     minpoly = point_field(curve, pt)
     assert minpoly.degree == d
-    if is_prime(d):
-        return OrbitVerdict(
-            entry.label, 1, PRIMITIVE, witness_divisor=eff, witness_minpoly=minpoly
-        )
-    report = principal_subfields(nf_new(minpoly))
-    if report.is_primitive:
-        return OrbitVerdict(
-            entry.label, 1, PRIMITIVE, witness_divisor=eff, witness_minpoly=minpoly
-        )
-    proper = sorted(k for k in report.principal_subfield_degrees if 1 < k < d)
+    report = field_report(minpoly)
+    proper = report.proper_subfield_degrees
     return OrbitVerdict(
         entry.label,
         1,
-        IMPRIMITIVE,
-        subfield_degree=proper[0],
+        PRIMITIVE if report.is_primitive else IMPRIMITIVE,
+        subfield_degree=proper[0] if proper else None,
         witness_divisor=eff,
         witness_minpoly=minpoly,
     )

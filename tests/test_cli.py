@@ -1,11 +1,10 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from primpoints import hyperell
+from conftest import run_python
+from primpoints import hyperell, numfield
 from primpoints.cli import main
 from primpoints.errors import VerificationFailed
 
@@ -81,6 +80,20 @@ def test_field_command(capsys):
     assert doc["primitive"] is False and doc["subfield_degrees"] == [2]
 
 
+def test_field_command_runs_the_subfield_search_once(capsys, monkeypatch):
+    calls = []
+    search = numfield.principal_subfields
+
+    def counted(K):
+        calls.append(K.min_poly)
+        return search(K)
+
+    monkeypatch.setattr(numfield, "principal_subfields", counted)
+    assert main(["field", "x^4-2"]) == 0
+    assert capsys.readouterr().out == "imprimitive (subfield degree 2)\n"
+    assert len(calls) == 1
+
+
 def test_rr_command(tmp_path, capsys):
     curve = tmp_path / "c.curve"
     curve.write_text("f: 1 0 0 0 0 0 1\n")
@@ -131,15 +144,7 @@ def test_fiber_command(capsys):
 
 
 def _run_cli(args, optimize):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "primpoints.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    return run_python(["-m", "primpoints.cli", *args], optimize)
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -158,6 +163,25 @@ def test_bad_mw_file_exit_code(tmp_path, optimize, mw_text, expected):
     assert done.returncode == expected, done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "divisor",
+    [
+        "2*(x; ram) + 1*oo",  # x is inert on y^2 = x^7 + 2
+        "1*(x-1; split; 5) + 1*oo",  # x-1 is inert
+        "1*(x+1; split; 5) + 1*oo",  # x+1 splits, but with y = +-1
+    ],
+)
+def test_rr_rejects_places_not_on_the_curve(tmp_path, optimize, divisor):
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 2 0 0 0 0 0 0 1\n")
+    done = _run_cli(["rr", str(curve), divisor], optimize)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "is not a place of the curve" in done.stderr
+    assert done.stdout == ""
 
 
 @pytest.mark.parametrize("optimize", [False, True])

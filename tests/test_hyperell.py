@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS
-from primpoints.arith import UniPoly, poly
+from primpoints import hyperell
+from primpoints.arith import Factorization, UniPoly, poly
 from primpoints.errors import (
+    BadInput,
     DegreeTooSmall,
     InfinitePlace,
     IrrationalInfinitePlaces,
@@ -26,9 +28,11 @@ from primpoints.hyperell import (
     ClosedPoint,
     CurveFunction,
     Divisor,
+    HyperCurve,
     _assert_affine_membership,
     _assert_infinity_bounds,
     _series_sqrt,
+    _split_valuations,
     canonical_divisor,
     classify_place,
     curve_new,
@@ -317,6 +321,95 @@ def test_rr_space_affine_pole_permission():
     w = nonconst[0]
     div = divisor_of_function(curve, w)
     assert (div + D).is_effective
+
+
+# one place of each kind per model: the split pair over x (y = +-1), a
+# ramified place (degree 1 on the odd model, degree 2 on the even one) and
+# the inert place over x - 1 (y^2 = 2)
+RR_MODELS = {
+    "odd": (C_X5, poly(1, 1)),
+    "even": (C_X6, poly(1, 0, 1)),
+}
+
+
+@given(
+    model=st.sampled_from(sorted(RR_MODELS)),
+    split_q=st.integers(0, 2),
+    split_conj=st.integers(0, 2),
+    ram=st.integers(0, 4),
+    inert=st.integers(0, 1),
+    extra=st.integers(0, 2),
+    tilt=st.integers(-2, 2),
+)
+@example(model="odd", split_q=1, split_conj=0, ram=0, inert=0, extra=0, tilt=0)
+@example(model="even", split_q=2, split_conj=1, ram=0, inert=0, extra=0, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=1, inert=0, extra=0, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=2, inert=0, extra=1, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=3, inert=0, extra=0, tilt=0)
+@example(model="even", split_q=0, split_conj=0, ram=4, inert=0, extra=0, tilt=1)
+@example(model="even", split_q=0, split_conj=0, ram=0, inert=1, extra=0, tilt=-2)
+@example(model="odd", split_q=1, split_conj=1, ram=2, inert=1, extra=2, tilt=0)
+def test_riemann_roch_with_affine_parts(model, split_q, split_conj, ram, inert, extra, tilt):
+    curve, ram_p = RR_MODELS[model]
+    g = curve.genus
+    branch, q = classify_place(curve, poly(0, 1))
+    assert branch == SPLIT
+    split = ClosedPoint.affine(poly(0, 1), SPLIT, q)
+    assert classify_place(curve, ram_p)[0] == RAM
+    assert classify_place(curve, poly(-1, 1))[0] == INERT
+    affine = Divisor.make(
+        [
+            (split, split_q),
+            (split.conjugate(), split_conj),
+            (ClosedPoint.affine(ram_p, RAM), ram),
+            (ClosedPoint.affine(poly(-1, 1), INERT), inert),
+        ]
+    )
+    n = 2 * g - 1 - affine.degree + extra  # may be negative: zeros at infinity
+    if curve.parity == "even":
+        infinity = [(ClosedPoint.infinite(OO_PLUS), tilt), (ClosedPoint.infinite(OO_MINUS), n - tilt)]
+    else:
+        infinity = [(ClosedPoint.infinite(OO), n)]
+    D = affine + Divisor.make(infinity)
+    assert D.degree >= 2 * g - 1
+    assert rr_space(curve, D).dim == D.degree - g + 1
+
+
+def test_rr_space_rejects_places_not_on_the_curve():
+    curve = curve_new(poly(2, 0, 0, 0, 0, 0, 0, 1))  # y^2 = x^7 + 2
+    oo = (ClosedPoint.infinite(OO), 1)
+    for pt in (
+        ClosedPoint.affine(poly(0, 1), RAM),  # x is inert
+        ClosedPoint.affine(poly(-1, 1), SPLIT, poly(5)),  # x-1 is inert
+        ClosedPoint.affine(poly(1, 1), SPLIT, poly(5)),  # x+1 splits with y = +-1
+    ):
+        with pytest.raises(BadInput):
+            rr_space(curve, Divisor.make([(pt, 1), oo]))
+    for q in (poly(1), poly(-1)):
+        pt = ClosedPoint.affine(poly(1, 1), SPLIT, q)
+        assert rr_space(curve, Divisor.make([(pt, 1), oo])).dim == 1
+
+
+def test_divisor_checks_raise_verification_failed(monkeypatch):
+    x = poly(0, 1)
+    # the split place over x on y^2 = x^5 + 1: ord of x is 1 at each branch
+    with pytest.raises(VerificationFailed):
+        _split_valuations(C_X5, x, poly(1), x, UniPoly.zero(), 3)
+    with pytest.raises(VerificationFailed):
+        _split_valuations(C_X5, x, poly(1), UniPoly.zero(), x, 3)
+    with pytest.raises(VerificationFailed):
+        _split_valuations(C_X5, x, poly(1), poly(1), x, 3)
+    # u + v y with u^2 = v^2 f only exists on a model with square f
+    square = HyperCurve(poly(0, 0, 0, 0, 0, 0, 1), 2, "even", Fraction(1))
+    with pytest.raises(VerificationFailed):
+        divisor_of_function(square, CurveFunction.make(poly(0, 0, 0, 1), poly(-1)))
+
+    # an odd norm valuation at the inert place over x - 1
+    monkeypatch.setattr(
+        hyperell, "factor_over_Q", lambda a: Factorization(Fraction(1), ((poly(-1, 1), 1),))
+    )
+    with pytest.raises(VerificationFailed):
+        divisor_of_function(C_X5, CurveFunction.from_x_poly(poly(-1, 1)))
 
 
 def test_rr_space_rejects_negative_affine():

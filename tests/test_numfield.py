@@ -1,18 +1,35 @@
+import dataclasses
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import run_python
+from primpoints import numfield
 from primpoints.arith import UniPoly, factor_over_Q, poly
-from primpoints.errors import NotInert, ReduciblePolynomial, ZeroPolynomial
+from primpoints.errors import (
+    NotInert,
+    ReduciblePolynomial,
+    VerificationFailed,
+    ZeroPolynomial,
+)
+from primpoints.formats import parse_poly
 from primpoints.numfield import (
     NfPoly,
     absolute_minpoly,
     factor_over_nf,
+    field_report,
     is_primitive_field,
     nf_minpoly,
     nf_new,
     principal_subfields,
+)
+
+CORPUS_FILE = os.path.join(
+    os.path.dirname(__file__), "..", "fixtures", "primitivity_corpus.txt"
 )
 
 
@@ -149,6 +166,72 @@ def test_is_primitive_field_examples():
         assert not is_primitive_field(poly(-5, 1))
 
 
+def test_field_report_routes():
+    # imprimitive: the proper principal subfield degrees, sorted, duplicates kept
+    report = field_report(poly(1, 0, 0, 0, 1))  # x^4+1
+    assert not report.is_primitive
+    assert report.proper_subfield_degrees == (2, 2, 2)
+    assert report.principal_subfield_degrees == (2, 2, 2, 4)
+    assert field_report(poly(-2, 0, 0, 0, 0, 0, 1)).proper_subfield_degrees == (2, 3)
+    # primitive through the subfield search
+    report = field_report(poly(1, 1, 0, 0, 1))  # x^4+x+1
+    assert report.is_primitive and report.proper_subfield_degrees == ()
+    # prime degree: primitive without a subfield search, but still validated
+    report = field_report(poly(-1, -1, 0, 0, 0, 1))
+    assert report == numfield.SubfieldReport((), True)
+    with pytest.raises(ReduciblePolynomial):
+        field_report(poly(-1, 0, 0, 1))  # x^3-1
+    # degree 1: not primitive by convention, with a warning
+    with pytest.warns(UserWarning):
+        assert field_report(poly(-5, 1)) == numfield.SubfieldReport((), False)
+    with pytest.raises(ReduciblePolynomial):
+        field_report(poly(3))
+    with pytest.raises(ZeroPolynomial):
+        field_report(UniPoly.zero())
+
+
+def test_trager_degree_sum_is_verified(monkeypatch):
+    def lossy(a):
+        fact = factor_over_Q(a)
+        return dataclasses.replace(fact, factors=fact.factors[:-1])
+
+    K = nf_new(poly(-2, 0, 1))
+    monkeypatch.setattr(numfield, "factor_over_Q", lossy)
+    with pytest.raises(VerificationFailed):
+        factor_over_nf(K, NfPoly.from_rational(K, poly(-2, 0, 1)))
+
+
+def _sympy_is_primitive(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    x = sympy.symbols("x")
+    group, _ = galois_group(sympy.Poly([c for c in reversed(m.coeffs)], x, domain="QQ"))
+    return group.is_primitive()
+
+
+def test_primitivity_matches_sympy_galois_group_on_corpus():
+    pytest.importorskip("sympy")
+    literals = [
+        line.split(",")[0]
+        for line in open(CORPUS_FILE)
+        if line.strip() and not line.startswith("#")
+    ]
+    assert len(literals) == 42
+    for lit in literals:
+        m = parse_poly(lit)
+        assert field_report(m).is_primitive == _sympy_is_primitive(m), lit
+
+
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_quartic_primitivity_matches_sympy_galois_group(low):
+    pytest.importorskip("sympy")
+    m = UniPoly.make(low + [1])
+    assume(factor_over_Q(m).is_irreducible())
+    assert field_report(m).is_primitive == _sympy_is_primitive(m), str(m)
+
+
 def test_primitivity_matches_brute_force_oracle():
     for m, expected in CORPUS:
         if not factor_over_Q(m).is_irreducible():
@@ -190,6 +273,37 @@ def test_absolute_minpoly_not_inert():
         absolute_minpoly(poly(-1, 1), poly(0, 1), 0)  # y^2 = 1 splits
     with pytest.raises(NotInert):
         absolute_minpoly(poly(0, 1), poly(0, 1), 0)  # f = 0 mod p: ramified
+
+
+def test_absolute_minpoly_leaves_the_branch_test_to_classify_place(monkeypatch):
+    def no_trager(*args):
+        raise AssertionError("absolute_minpoly called factor_over_nf")
+
+    monkeypatch.setattr(numfield, "factor_over_nf", no_trager)
+    assert absolute_minpoly(poly(-2, 0, 1), poly(0, 1), 0) == poly(-2, 0, 0, 0, 1)
+    with pytest.raises(NotInert):
+        absolute_minpoly(poly(-1, 1), poly(0, 1), 0)  # split: y^2 = 1
+    with pytest.raises(NotInert):
+        absolute_minpoly(poly(-2, 0, 1), poly(-2, 0, 0, 0, 1), 0)  # split: y = +-x
+    with pytest.raises(NotInert):
+        absolute_minpoly(poly(0, 1), poly(0, 1), 0)  # ramified
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_absolute_minpoly_not_inert_under_optimize(optimize):
+    code = (
+        "from primpoints.arith import poly\n"
+        "from primpoints.errors import NotInert\n"
+        "from primpoints.numfield import absolute_minpoly\n"
+        "for p, f in ((poly(-2, 0, 1), poly(-2, 0, 0, 0, 1)), (poly(0, 1), poly(0, 1))):\n"
+        "    try:\n"
+        "        absolute_minpoly(p, f, 0)\n"
+        "    except NotInert:\n"
+        "        print('NotInert')\n"
+    )
+    done = run_python(["-c", code], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "NotInert\nNotInert\n"
 
 
 def test_absolute_minpoly_degree_and_irreducibility():

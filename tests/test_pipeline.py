@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_python
 from primpoints.arith import UniPoly, is_squarefree, poly
 from primpoints.errors import (
     BadInput,
@@ -84,6 +85,35 @@ def test_cs_bound_examples():
     assert cs_bound(4, 0, 1, 2, 2)  # genus-4 hyperelliptic cannot be bielliptic
     assert not cs_bound(3, 0, 1, 2, 2)  # genus 2, 3 exceptions exist
     assert cs_bound(1, 0, 0, 1, 1)
+
+
+def test_finiteness_preconditions_raise_bad_input():
+    with pytest.raises(BadInput):
+        FinitenessInput(6, Cover("gonal", 2), 1, True, False)
+    with pytest.raises(BadInput):
+        FinitenessInput(6, Cover("gonal", 1), 4, True, False)
+    for gprime in (0, None):
+        with pytest.raises(BadInput):
+            FinitenessInput(41, Cover("relative", 3, gprime), 4, True, False)
+    with pytest.raises(BadInput):
+        cs_bound(4, 0, 1, 0, 2)
+    with pytest.raises(BadInput):
+        cs_bound(4, -1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_finiteness_input_rejects_degree_one_under_optimize(optimize):
+    code = (
+        "from primpoints.errors import BadInput\n"
+        "from primpoints.pipeline import Cover, FinitenessInput\n"
+        "try:\n"
+        "    FinitenessInput(6, Cover('gonal', 2), 1, True, False)\n"
+        "except BadInput:\n"
+        "    print('BadInput')\n"
+    )
+    done = run_python(["-c", code], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "BadInput\n"
 
 
 def test_classify_row_x1_45():

@@ -12,7 +12,9 @@ and the discriminant, factor mod p (Cantor-Zassenhaus with a deterministic
 generator sequence), Hensel-lift the factorization to a Landau-Mignotte
 style coefficient bound, and recombine subsets.  Degrees in scope stay
 small enough (norms of degree-6 fields give degree 36) that subset
-recombination needs no lattice reduction.
+recombination needs no lattice reduction.  The distinct-degree stage of
+the mod-p factorizer alone gives the degree pattern mod p
+(`degree_patterns`), which `numfield` reads as a Frobenius cycle type.
 """
 
 from __future__ import annotations
@@ -495,10 +497,12 @@ class _DetRng:
         return self.state % n
 
 
-def _fp_factor_squarefree(f, p, rng) -> list:
-    """Monic irreducible factors of a monic squarefree f over F_p."""
-    factors = []
-    # distinct-degree stage
+def _fp_distinct_degree(f, p) -> list:
+    """Distinct-degree split of a monic squarefree f over F_p.
+
+    Returns [(g, d)] with g the product of all irreducible factors of f of
+    degree d, so g has (deg g)/d factors; d increases along the list.
+    """
     dd_parts = []
     h = [0, 1]
     d = 0
@@ -514,8 +518,14 @@ def _fp_factor_squarefree(f, p, rng) -> list:
                 h = _fp_divmod(h, rem, p)[1]
     if len(rem) > 1:
         dd_parts.append((rem, len(rem) - 1))
-    # equal-degree stage (Cantor-Zassenhaus, p odd)
-    for g, d in dd_parts:
+    return dd_parts
+
+
+def _fp_factor_squarefree(f, p, rng) -> list:
+    """Monic irreducible factors of a monic squarefree f over F_p."""
+    factors = []
+    # equal-degree stage (Cantor-Zassenhaus, p odd) on each distinct-degree part
+    for g, d in _fp_distinct_degree(f, p):
         work = [g]
         while work:
             cur = work.pop()
@@ -652,9 +662,11 @@ def _primes_above(limit_start):
             yield n
 
 
-def _good_primes(int_coeffs, count=3):
-    """Smallest primes > 20 keeping the model squarefree with full degree."""
-    found = []
+def _good_primes(int_coeffs):
+    """Primes > 20 keeping the model squarefree with full degree, in order.
+
+    Lazy and endless; callers take a prefix with `itertools.islice`.
+    """
     lc = int_coeffs[-1]
     deriv = [i * c for i, c in enumerate(int_coeffs)][1:]
     for p in _primes_above(20):
@@ -664,10 +676,22 @@ def _good_primes(int_coeffs, count=3):
         dp = _fp_trim([c % p for c in deriv])
         if not dp or len(_fp_gcd(fp, dp, p)) != 1:
             continue
-        found.append(p)
-        if len(found) == count:
-            return found
-    return found
+        yield p
+
+
+def degree_patterns(a: UniPoly, count: int):
+    """Yield (p, degrees) at the first `count` good primes of a's integer model.
+
+    `degrees` is the sorted tuple of the degrees of the irreducible factors
+    of a mod p, read off the distinct-degree split.  For an irreducible a
+    it is, by Dedekind's theorem, the cycle type of a Frobenius element of
+    the Galois group acting on the roots.
+    """
+    _, P = a.to_int_primitive()
+    for p in itertools.islice(_good_primes(P), count):
+        fp = _fp_monic(_fp_trim([c % p for c in P]), p)
+        parts = _fp_distinct_degree(fp, p)
+        yield p, tuple(d for g, d in parts for _ in range((len(g) - 1) // d))
 
 
 def _zassenhaus_irreducibles(s: UniPoly) -> list:
@@ -679,7 +703,7 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
     seed = reduce(lambda a, c: (a * 1000003 + c) % (1 << 61), P, n)
 
     best = None
-    for p in _good_primes(P):
+    for p in itertools.islice(_good_primes(P), 3):
         fp = _fp_monic(_fp_trim([c % p for c in P]), p)
         facs = _fp_factor_squarefree(fp, p, _DetRng(seed + p))
         if best is None or len(facs) < len(best[1]):

@@ -5,13 +5,24 @@ polynomial down to Q by the norm of a generic shift, factor over Q, and
 pull the factors back with gcds over K.
 
 This module is the only one that decides primitivity.  `field_report`
-validates m, applies the degree-1 convention (not primitive, with a
-warning) and the prime-degree shortcut (primitive, no subfield search),
-and otherwise reads the verdict off the principal subfields attached to
-the irreducible factors of m over K: a proper nontrivial subfield exists
-iff some principal subfield has degree strictly between 1 and [K:Q],
-because every maximal subfield is principal.  `is_primitive_field` is its
-bool view.
+validates m and tries four routes in order:
+
+1. degree 1: not primitive by convention, with a warning;
+2. prime degree (after `nf_new` proves m irreducible): primitive, since
+   no degree strictly between 1 and d divides d;
+3. Frobenius cycle types: K is primitive iff Gal(m) acts primitively on
+   the roots of m (the stabilizer lemma).  At a good prime p the degrees
+   of the factors of m mod p are the cycle type of a Frobenius element
+   (Dedekind), and a cycle type that fits no system of blocks of size b
+   rules b out (`permact.cycle_type_fits_blocks`).  Once every block size
+   b | d, 1 < b < d, is ruled out within `FROBENIUS_PRIME_BUDGET` good
+   primes, K is primitive.  The route never proves imprimitivity;
+4. principal subfields: the exact fallback.  A proper nontrivial subfield
+   exists iff some principal subfield, attached to an irreducible factor
+   of m over K, has degree strictly between 1 and [K:Q], because every
+   maximal subfield is principal.
+
+`is_primitive_field` is its bool view.
 
 Norms and characteristic polynomials are computed by exact evaluation /
 interpolation instead of symbolic bivariate resultants; with m monic the
@@ -27,6 +38,7 @@ from fractions import Fraction
 from . import linalg
 from .arith import (
     UniPoly,
+    degree_patterns,
     factor_over_Q,
     interpolate_values,
     is_prime,
@@ -41,6 +53,7 @@ from .errors import (
     VerificationFailed,
     ZeroPolynomial,
 )
+from .permact import cycle_type_fits_blocks
 
 
 @dataclass(frozen=True)
@@ -382,18 +395,34 @@ def _trager_squarefree(K: NumberField, a: NfPoly):
 # Principal subfields and primitivity
 
 
+DEGREE_ONE, PRIME_DEGREE, FROBENIUS, PRINCIPAL_SUBFIELDS = (
+    "degree-1",
+    "prime-degree",
+    "frobenius",
+    "principal-subfields",
+)
+
+# good primes tried by the Frobenius route before the exact fallback
+FROBENIUS_PRIME_BUDGET = 20
+
+
 @dataclass(frozen=True)
 class SubfieldReport:
     """Principal subfield degrees, the proper ones among them, and the verdict.
 
     `proper_subfield_degrees` lists the principal subfield degrees strictly
     between 1 and [K:Q], sorted, duplicates kept; it is empty whenever the
-    verdict did not need the subfield search.
+    verdict did not need the subfield search.  `route` names the route of
+    `field_report` that decided the verdict; on the Frobenius route
+    `frobenius_cycle_types` holds the certificate: (p, cycle type) pairs,
+    each ruling out at least one block size the earlier ones left open.
     """
 
     principal_subfield_degrees: tuple
     is_primitive: bool
     proper_subfield_degrees: tuple = ()
+    route: str = PRINCIPAL_SUBFIELDS
+    frobenius_cycle_types: tuple = ()
 
 
 def principal_subfields(K: NumberField) -> SubfieldReport:
@@ -436,13 +465,40 @@ def principal_subfields(K: NumberField) -> SubfieldReport:
     return SubfieldReport(tuple(degrees), not proper, proper)
 
 
+def frobenius_certificate(m: UniPoly):
+    """(p, cycle type) pairs proving Q[t]/(m) primitive, or None.
+
+    m must be irreducible of degree d.  A prime d leaves no block size
+    to rule out, so the certificate is empty.  Otherwise scans the first
+    `FROBENIUS_PRIME_BUDGET` good primes and keeps each one whose cycle type
+    rules out a block size b | d, 1 < b < d, still open; returns once none
+    is open.  No Frobenius element of an imprimitive field rules out the
+    size of its Galois-invariant blocks, so None is the only answer there.
+    """
+    d = m.degree
+    open_sizes = {b for b in range(2, d) if d % b == 0}
+    if not open_sizes:
+        return ()
+    used = []
+    for p, cycle_type in degree_patterns(m, FROBENIUS_PRIME_BUDGET):
+        ruled_out = {b for b in open_sizes if not cycle_type_fits_blocks(cycle_type, b)}
+        if ruled_out:
+            used.append((p, cycle_type))
+            open_sizes -= ruled_out
+            if not open_sizes:
+                return tuple(used)
+    return None
+
+
 def field_report(m: UniPoly) -> SubfieldReport:
     """Primitivity verdict for Q[t]/(m): the one place that decides it.
 
-    Degree 1 is not primitive by convention and warns (the notion
-    presupposes a nontrivial extension); a reducible m raises
+    The routes, in order: degree 1 is not primitive by convention and warns
+    (the notion presupposes a nontrivial extension); a reducible m raises
     ReduciblePolynomial; prime degree is primitive without a subfield
-    search; every other degree goes through `principal_subfields`.
+    search; a Frobenius certificate (`frobenius_certificate`) proves the
+    field primitive; every other field, imprimitive ones included, goes
+    through `principal_subfields`.
     """
     if m.is_zero:
         raise ZeroPolynomial("empty defining polynomial")
@@ -451,11 +507,14 @@ def field_report(m: UniPoly) -> SubfieldReport:
         raise ReduciblePolynomial("constant polynomial defines no field")
     if d == 1:
         warnings.warn("degree-1 field treated as not primitive by convention")
-        return SubfieldReport((), False)
+        return SubfieldReport((), False, route=DEGREE_ONE)
     K = nf_new(m)
     if is_prime(d):
         # no degree strictly between 1 and a prime divides it
-        return SubfieldReport((), True)
+        return SubfieldReport((), True, route=PRIME_DEGREE)
+    certificate = frobenius_certificate(K.min_poly)
+    if certificate is not None:
+        return SubfieldReport((), True, route=FROBENIUS, frobenius_cycle_types=certificate)
     return principal_subfields(K)
 
 

@@ -245,6 +245,47 @@ def is_primitive_action(G: PermGroup) -> bool:
     return minimal_blocks(G) is None
 
 
+def cycle_type_fits_blocks(cycle_type, block_size: int) -> bool:
+    """True iff a permutation of this cycle type can preserve blocks of size b.
+
+    Such a permutation permutes the blocks; each of its cycles on blocks,
+    of length l, covers l*b points whose cycle lengths are multiples of l.
+    So the cycle type must split into groups, each with an l dividing all
+    of its lengths and summing to l*b; conversely every such split is the
+    cycle type of an element of S_b wr S_(d/b).
+    """
+    if block_size < 1 or sum(cycle_type) % block_size:
+        raise BadInput(f"block size {block_size} does not divide {sum(cycle_type)}")
+    return _fits_blocks(tuple(sorted(cycle_type, reverse=True)), block_size)
+
+
+@lru_cache(maxsize=4096)
+def _fits_blocks(lengths: tuple, b: int) -> bool:
+    """`cycle_type_fits_blocks` on a descending tuple; the longest cycle
+    goes into a group first, the rest is split recursively."""
+    if not lengths:
+        return True
+    first, rest = lengths[0], lengths[1:]
+    for ell in range(1, first + 1):
+        if first % ell == 0:
+            for left in _remove_sum(rest, ell, ell * b - first):
+                if _fits_blocks(left, b):
+                    return True
+    return False
+
+
+def _remove_sum(lengths: tuple, ell: int, total: int):
+    """What remains of the descending `lengths` after removing a
+    sub-multiset of multiples of ell summing to total, once per sub-multiset."""
+    if total == 0:
+        yield lengths
+        return
+    for i, c in enumerate(lengths):
+        if c <= total and c % ell == 0 and (i == 0 or lengths[i - 1] != c):
+            for left in _remove_sum(lengths[i + 1:], ell, total - c):
+                yield lengths[:i] + left
+
+
 def _generating_subset(els: list, target_size: int, degree: int) -> list:
     """Greedy small generating set for a materialized subgroup."""
     gens = []

@@ -19,6 +19,7 @@ Mordell-Weil data is always an input, never computed here.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -332,14 +333,16 @@ class ClassificationReport:
 def classify_points(curve: HyperCurve, mw: MWSpec, d: int, jobs: int = 1):
     """Classify every divisor class of degree d over the finite group.
 
-    With jobs > 1 the per-class work runs in a process pool; results are
-    reassembled in canonical label order either way.
+    With jobs > 1 the per-class work runs in a process pool of
+    min(jobs, CPU count, number of classes) workers, serially when that is
+    1; results are reassembled in canonical label order either way.
     """
     entries = enumerate_classes(curve, mw, d)
-    if jobs > 1:
+    width = min(jobs, os.cpu_count() or 1, len(entries))
+    if width > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=width) as pool:
             verdicts = list(
                 pool.map(_classify_entry_star, [(curve, e, d) for e in entries])
             )

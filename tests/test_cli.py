@@ -94,6 +94,21 @@ def test_field_command_runs_the_subfield_search_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("lit", ["x^9+x+1", "x^10-x-1", "x^12-x-1"])
+def test_field_command_certifies_large_primitive_fields_by_frobenius(lit, capsys, monkeypatch):
+    def no_search(K):
+        raise AssertionError("the subfield search must not run")
+
+    monkeypatch.setattr(numfield, "principal_subfields", no_search)
+    assert main(["field", lit]) == 0
+    assert capsys.readouterr().out == "primitive\n"
+    assert main(["field", lit, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "primpoints.field/1",
+        "primitive": True,
+    }
+
+
 def test_rr_command(tmp_path, capsys):
     curve = tmp_path / "c.curve"
     curve.write_text("f: 1 0 0 0 0 0 1\n")

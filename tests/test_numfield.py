@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import run_python
 from primpoints import numfield
-from primpoints.arith import UniPoly, factor_over_Q, poly
+from primpoints.arith import (
+    UniPoly,
+    _DetRng,
+    _fp_factor_squarefree,
+    factor_over_Q,
+    is_prime,
+    poly,
+)
 from primpoints.errors import (
     NotInert,
     ReduciblePolynomial,
@@ -22,11 +29,13 @@ from primpoints.numfield import (
     absolute_minpoly,
     factor_over_nf,
     field_report,
+    frobenius_certificate,
     is_primitive_field,
     nf_minpoly,
     nf_new,
     principal_subfields,
 )
+from primpoints.permact import cycle_type_fits_blocks
 
 CORPUS_FILE = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "primitivity_corpus.txt"
@@ -172,18 +181,34 @@ def test_field_report_routes():
     assert not report.is_primitive
     assert report.proper_subfield_degrees == (2, 2, 2)
     assert report.principal_subfield_degrees == (2, 2, 2, 4)
+    assert report.route == numfield.PRINCIPAL_SUBFIELDS
+    assert report.frobenius_cycle_types == ()
     assert field_report(poly(-2, 0, 0, 0, 0, 0, 1)).proper_subfield_degrees == (2, 3)
-    # primitive through the subfield search
+    # primitive through a Frobenius certificate: a 3-cycle at p = 43 fits no
+    # pair of blocks of size 2
     report = field_report(poly(1, 1, 0, 0, 1))  # x^4+x+1
     assert report.is_primitive and report.proper_subfield_degrees == ()
+    assert report.route == numfield.FROBENIUS
+    assert report.frobenius_cycle_types == ((43, (1, 3)),)
+    # primitive through the subfield search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numfield, "FROBENIUS_PRIME_BUDGET", 0)
+        report = field_report(poly(1, 1, 0, 0, 1))  # x^4+x+1
+    assert report.is_primitive and report.proper_subfield_degrees == ()
+    assert report.route == numfield.PRINCIPAL_SUBFIELDS
+    assert report.principal_subfield_degrees == (1, 4)
     # prime degree: primitive without a subfield search, but still validated
     report = field_report(poly(-1, -1, 0, 0, 0, 1))
-    assert report == numfield.SubfieldReport((), True)
+    assert report == numfield.SubfieldReport((), True, route=numfield.PRIME_DEGREE)
     with pytest.raises(ReduciblePolynomial):
         field_report(poly(-1, 0, 0, 1))  # x^3-1
+    with pytest.raises(ReduciblePolynomial):
+        field_report(poly(-1, 0, 0, 0, 1))  # x^4-1: validated before the Frobenius route
     # degree 1: not primitive by convention, with a warning
     with pytest.warns(UserWarning):
-        assert field_report(poly(-5, 1)) == numfield.SubfieldReport((), False)
+        assert field_report(poly(-5, 1)) == numfield.SubfieldReport(
+            (), False, route=numfield.DEGREE_ONE
+        )
     with pytest.raises(ReduciblePolynomial):
         field_report(poly(3))
     with pytest.raises(ZeroPolynomial):
@@ -199,6 +224,90 @@ def test_trager_degree_sum_is_verified(monkeypatch):
     monkeypatch.setattr(numfield, "factor_over_Q", lossy)
     with pytest.raises(VerificationFailed):
         factor_over_nf(K, NfPoly.from_rational(K, poly(-2, 0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Frobenius certificates of primitivity
+
+
+def _composite_degree_corpus():
+    out = []
+    with open(CORPUS_FILE) as fh:
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                lit, tag, _ = line.strip().split(",")
+                m = parse_poly(lit)
+                if not is_prime(m.degree):
+                    out.append((lit, m, tag))
+    return out
+
+
+def test_frobenius_route_never_certifies_an_imprimitive_corpus_field():
+    imprimitive = 0
+    for lit, m, tag in _composite_degree_corpus():
+        K = nf_new(m)
+        exact = principal_subfields(K).is_primitive
+        assert exact == (tag == "primitive"), lit
+        certificate = frobenius_certificate(K.min_poly)
+        if exact:
+            assert certificate, lit
+        else:
+            imprimitive += 1
+            assert certificate is None, lit
+    assert imprimitive == 22
+
+
+@pytest.mark.parametrize("lit", ["x^8-2", "x^9-2", "x^10-3", "x^12-5"])
+def test_frobenius_route_never_certifies_power_subfields(lit):
+    # Eisenstein, so irreducible; theta^k generates a proper subfield for k | d
+    m = parse_poly(lit)
+    assert factor_over_Q(m).is_irreducible()
+    assert frobenius_certificate(m) is None
+
+
+@given(st.sampled_from([4, 6]).flatmap(
+    lambda d: st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+))
+@settings(max_examples=20, deadline=None)
+def test_frobenius_route_is_sound_on_quartics_and_sextics(low):
+    m = UniPoly.make(low + [1])
+    assume(factor_over_Q(m).is_irreducible())
+    if frobenius_certificate(m) is not None:
+        assert principal_subfields(nf_new(m)).is_primitive, str(m)
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 2)]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+)
+@settings(max_examples=6, deadline=None)
+def test_frobenius_route_never_certifies_composed_sextics(degrees, low):
+    # m = g(h(x)) irreducible: Q(h(theta)) is a subfield of degree deg g
+    dg, dh = degrees
+    g = UniPoly.make(low[:dg] + [1])
+    h = UniPoly.make(low[dg:dg + dh] + [1])
+    m = g.compose(h)
+    assume(factor_over_Q(m).is_irreducible())
+    assert frobenius_certificate(m) is None, str(m)
+    assert dg in principal_subfields(nf_new(m)).proper_subfield_degrees, str(m)
+
+
+def test_frobenius_certificate_is_checkable():
+    """Each (p, cycle type) is the degree pattern of the full factorization
+    mod p, and together they rule out every block size."""
+    m = parse_poly("x^12-x-1")
+    certificate = frobenius_certificate(m)
+    _, P = m.to_int_primitive()
+    sizes = {2, 3, 4, 6}
+    for p, ct in certificate:
+        factors = _fp_factor_squarefree([c % p for c in P], p, _DetRng(p))
+        assert tuple(sorted(len(f) - 1 for f in factors)) == ct
+        sizes -= {b for b in sizes if not cycle_type_fits_blocks(ct, b)}
+    assert not sizes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numfield, "FROBENIUS_PRIME_BUDGET", 1)
+        assert frobenius_certificate(m) is None  # (1, 3, 4, 4) at p = 23 leaves size 4
+    assert frobenius_certificate(parse_poly("x^7-x-1")) == ()
 
 
 def _sympy_is_primitive(m):

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from primpoints.errors import NotTransitive, ParseError
+from primpoints.errors import BadInput, NotTransitive, ParseError
 from primpoints.permact import (
     PermGroup,
     alternating_group,
     compose,
+    cycle_type_fits_blocks,
     cycles_literal,
     cyclic_group,
     dihedral_group,
@@ -19,6 +20,7 @@ from primpoints.permact import (
     symmetric_group,
     transitive_corpus,
     verify_stabilizer_lemma,
+    wreath_on_blocks,
 )
 
 
@@ -202,3 +204,58 @@ def test_corpus_complete_degree5():
     transitive_subs = [s for s in subs if len({g[0] for g in s}) == 5]
     classes = conjugacy_classes_of_subgroups(5, transitive_subs)
     assert sorted(len(c) for c in classes) == [5, 10, 20, 60, 120]
+
+
+# ---------------------------------------------------------------------------
+# cycle types that preserve a block system
+
+
+def cycle_type(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        if start not in seen:
+            length, nxt = 0, start
+            while nxt not in seen:
+                seen.add(nxt)
+                nxt = perm[nxt]
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_block_test_matches_wreath_product_cycle_types():
+    """Cycle types fitting blocks of size b are those of S_b wr S_(d/b)."""
+    checked = 0
+    for d in range(4, 10):
+        for b in range(2, d):
+            if d % b:
+                continue
+            k = d // b
+            gens = wreath_on_blocks(
+                symmetric_group(b).generators, k, b, symmetric_group(k).generators
+            )
+            wreath = PermGroup.make(d, gens)
+            types = {cycle_type(g) for g in elements(wreath)}
+            for ct in partitions(d):
+                assert cycle_type_fits_blocks(ct, b) == (tuple(sorted(ct)) in types), (ct, b)
+            checked += 1
+    assert checked == 6  # (d, b) = (4,2) (6,2) (6,3) (8,2) (8,4) (9,3)
+    s3 = symmetric_group(3).generators
+    assert group_order(PermGroup.make(9, wreath_on_blocks(s3, 3, 3, s3))) == 1296
+
+
+def test_block_test_rejects_sizes_not_dividing_the_degree():
+    with pytest.raises(BadInput):
+        cycle_type_fits_blocks((1, 5), 4)
+    with pytest.raises(BadInput):
+        cycle_type_fits_blocks((1, 5), 0)

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,35 @@ def test_classify_points_x0_71_degree4_head():
     counts = report.summary()
     assert counts["Primitive"] == 0
     assert sum(counts.values()) == 35
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records the width, maps in-process."""
+
+    widths = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,expected", [(4, [4]), (64, [35]), (1, []), (None, [])])
+def test_classify_points_caps_the_pool_width(monkeypatch, cpus, expected):
+    """--jobs 10**6 never asks for more workers than CPUs or classes."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "widths", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    report = classify_points(X0_71, MW_71, 4, jobs=10**6)
+    assert _SerialPool.widths == expected
+    assert report == classify_points(X0_71, MW_71, 4)
 
 
 def test_mwspec_validation():

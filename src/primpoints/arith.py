@@ -27,14 +27,6 @@ from math import gcd, isqrt
 
 from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
 
-# Exact rational scalar used everywhere: stored reduced, denominator > 0.
-Rational = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Rational."""
-    return Fraction(value)
-
 
 def rational_sqrt(a: Fraction):
     """Exact square root of a rational, or None if it is not a square."""
@@ -214,14 +206,6 @@ class UniPoly:
     def shift_x(self, a) -> "UniPoly":
         """self(x + a)."""
         return self.compose(UniPoly.make([a, 1]))
-
-    def reversed_coeffs(self, length=None) -> "UniPoly":
-        """x^n * self(1/x), padded to the given nominal degree n."""
-        n = (self.degree if self.degree is not None else 0) if length is None else length
-        out = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return UniPoly(tuple(_strip(out)))
 
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)

@@ -8,6 +8,9 @@ x-polynomials p and are classified by how y^2 = f behaves modulo p:
 * Ramified: p divides f; one place, y a uniformizer.
 * Inert: f is a non-square unit mod p; one place of degree 2 deg p.
 
+`classify_place` reads the branch off one quadratic norm over Q; p must be
+irreducible, which `rr_space` checks for the points of D.
+
 Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
 satisfy); odd-degree models carry a single ramified place.  Valuations at
@@ -31,6 +34,7 @@ from math import lcm
 from . import numfield
 from .arith import (
     UniPoly,
+    _poly_inverse_mod,
     factor_over_Q,
     hensel_sqrt,
     poly_gcd,
@@ -202,9 +206,6 @@ class Divisor:
 
     def is_infinity_supported(self) -> bool:
         return all(pt.kind == "inf" for pt, _ in self.terms)
-
-    def positive_part(self) -> "Divisor":
-        return Divisor(tuple((pt, m) for pt, m in self.terms if m > 0))
 
     def negative_part(self) -> "Divisor":
         """The poles, as an effective divisor."""
@@ -412,25 +413,33 @@ def classify_place(curve: HyperCurve, p: UniPoly):
     """Branch behaviour of y^2 = f over the monic irreducible p.
 
     Returns (SPLIT, q) with q the canonical square root of f mod p,
-    (RAM, None), or (INERT, None).
+    (RAM, None), or (INERT, None).  Above degree 1, an irreducible norm N of
+    y + c*x means inert; else a factor h of N vanishes on one branch only,
+    so h(y + c*x) = a + b*y mod (p, y^2 - f) gives the root q = -a/b,
+    accepted only after the exact check q^2 = f (mod p).
     """
     p = p.monic()
-    if (curve.f % p).is_zero:
+    f = curve.f % p
+    if f.is_zero:
         return (RAM, None)
     if p.degree == 1:
-        val = curve.f(-p.coeff(0))
-        root = rational_sqrt(val)
+        root = rational_sqrt(curve.f(-p.coeff(0)))
         if root is None:
             return (INERT, None)
         return (SPLIT, canonical_sqrt_rep(UniPoly.const(root), p))
-    K = numfield.nf_new(p)
-    fbar = K.element(curve.f)
-    zsq = numfield.NfPoly.make(K, [-fbar, K.zero(), K.one()])
-    _, factors = numfield.factor_over_nf(K, zsq)
-    roots = [(-h.coeff(0)).repr for h, _ in factors if h.degree == 1]
-    if not roots:
+    c, norm = numfield.shifted_norm(p, curve.f)
+    factors = factor_over_Q(norm).factors
+    if len(factors) == 1:
         return (INERT, None)
-    return (SPLIT, canonical_sqrt_rep(roots[0], p))
+    # Horner on a + b*y: (a + b*y)(c*x + y) = (a*c*x + b*f) + (a + b*c*x)*y
+    cx = UniPoly.make([0, c])
+    a = b = UniPoly.zero()
+    for coeff in reversed(factors[0][0].coeffs):
+        a, b = (a * cx + b * f + UniPoly.const(coeff)) % p, (a + b * cx) % p
+    q = (-a * _poly_inverse_mod(b, p)) % p
+    if not ((q * q - f) % p).is_zero:
+        raise VerificationFailed("root read off the norm is not a square root of f mod p")
+    return (SPLIT, canonical_sqrt_rep(q, p))
 
 
 def _valuation_at(p: UniPoly, a: UniPoly) -> int:
@@ -602,6 +611,7 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     h = UniPoly.one()
     congruences = []  # (p^r, a, b): a*U + b*V = 0 mod p^r
     for p, pts in sorted(by_p.items(), key=lambda kv: kv[0].sort_key()):
+        numfield.nf_new(p)  # rejects a constant or reducible point polynomial
         branch, q = classify_place(curve, p)
         place = ClosedPoint.affine(p, branch, q)
         for pt, _ in pts:
@@ -738,4 +748,4 @@ def point_field(curve: HyperCurve, pt: ClosedPoint) -> UniPoly:
         raise InfinitePlace("infinite places are rational points")
     if pt.branch in (SPLIT, RAM):
         return pt.p
-    return numfield.absolute_minpoly(pt.p, curve.f, 0)
+    return numfield.absolute_minpoly(pt.p, curve.f)

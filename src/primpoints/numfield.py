@@ -2,7 +2,9 @@
 
 Factorization over K uses Trager's norm method: push a squarefree
 polynomial down to Q by the norm of a generic shift, factor over Q, and
-pull the factors back with gcds over K.
+pull the factors back with gcds over K.  Only `principal_subfields` uses
+it: points y^2 = f over an x-polynomial p need just the quadratic norm of
+`shifted_norm`, for `hyperell.classify_place` and `absolute_minpoly`.
 
 This module is the only one that decides primitivity.  `field_report`
 validates m and tries four routes in order:
@@ -38,6 +40,7 @@ from fractions import Fraction
 from . import linalg
 from .arith import (
     UniPoly,
+    _poly_inverse_mod,
     degree_patterns,
     factor_over_Q,
     interpolate_values,
@@ -66,14 +69,11 @@ class NumberField:
     def degree(self) -> int:
         return self.min_poly.degree
 
-    def element(self, p: UniPoly) -> "NfElement":
-        return NfElement(self, p % self.min_poly)
-
     def const(self, c) -> "NfElement":
         return NfElement(self, UniPoly.const(c) if c else UniPoly.zero())
 
     def gen(self) -> "NfElement":
-        return self.element(UniPoly.x())
+        return NfElement(self, UniPoly.x() % self.min_poly)
 
     def zero(self) -> "NfElement":
         return NfElement(self, UniPoly.zero())
@@ -110,8 +110,6 @@ class NfElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "NfElement":
-        from .arith import _poly_inverse_mod
-
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         return NfElement(self.parent, _poly_inverse_mod(self.repr, self.parent.min_poly))
@@ -524,32 +522,37 @@ def is_primitive_field(m: UniPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Absolute field of a point (x, y) with p(x) = 0, y^2 = f(x), inert case
+# The quadratic norm of a point (x, y) with p(x) = 0, y^2 = f(x)
 
 
-def absolute_minpoly(p: UniPoly, f: UniPoly, shift_seed: int) -> UniPoly:
-    """Minimal polynomial over Q of y + c*x for the first good shift c.
+def shifted_norm(p: UniPoly, f: UniPoly):
+    """(c, N) for the first shift c = 0, 1, ... with N squarefree.
+
+    N(z) = Res_x(p, (z - c*x)^2 - f) is the characteristic polynomial of
+    y + c*x on Q[x, y]/(p, y^2 - f), for p monic irreducible and f a unit
+    mod p.  Squarefree, it is irreducible iff f is a non-square mod p.  The
+    full f is used: a constant f mod p would make some integrand vanish.
+    """
+    for c in range(50):
+        norm = interpolate_values(
+            2 * p.degree + 1, lambda z0: resultant(p, UniPoly.make([z0, -c]) ** 2 - f)
+        )
+        if poly_gcd(norm, norm.derivative()).degree == 0:
+            return c, norm
+    raise Degenerate("no admissible shift c below the search cap")
+
+
+def absolute_minpoly(p: UniPoly, f: UniPoly) -> UniPoly:
+    """Minimal polynomial over Q of y + c*x, c the shift of `shifted_norm`.
 
     For the inert case that `hyperell.classify_place` decides: p irreducible
-    and f a non-square unit mod p.  The result is monic irreducible of
-    degree 2*deg(p).  The candidate for c is prod_i ((z - c*x_i)^2 - f(x_i))
-    over the roots x_i of p, by evaluation/interpolation; c is accepted once
-    the candidate is squarefree.  A squarefree candidate is irreducible iff
-    f is a non-square mod p (if f is a square it is the product of the two
-    branch norms), so a reducible one raises NotInert, as does f = 0 mod p.
+    and f a non-square unit mod p; the result has degree 2*deg(p).  A split
+    (reducible norm) or ramified (f = 0 mod p) point raises NotInert.
     """
-    p = p.monic()
-    nf_new(p)  # rejects a reducible p
+    p = nf_new(p).min_poly  # rejects a reducible p
     if (f % p).is_zero:
         raise NotInert("f vanishes modulo p: ramified, use p itself")
-    target = 2 * p.degree
-    for c in range(shift_seed, shift_seed + 50):
-        cand = interpolate_values(
-            target + 1, lambda z0: resultant(p, UniPoly.make([z0, -c]) ** 2 - f)
-        )
-        if poly_gcd(cand, cand.derivative()).degree != 0:
-            continue
-        if not factor_over_Q(cand).is_irreducible():
-            raise NotInert("f is a square modulo p: split case, use p itself")
-        return cand
-    raise Degenerate("no admissible shift c below the search cap")
+    _, norm = shifted_norm(p, f)
+    if not factor_over_Q(norm).is_irreducible():
+        raise NotInert("f is a square modulo p: split case, use p itself")
+    return norm

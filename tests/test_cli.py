@@ -200,6 +200,24 @@ def test_rr_rejects_places_not_on_the_curve(tmp_path, optimize, divisor):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "divisor, factors",
+    [
+        ("1*(1; ram) + 3*oo", []),  # a constant defines no point
+        ("2*(x^2-1; inert) + 3*oo", ["factor: x-1 multiplicity 1", "factor: x+1 multiplicity 1"]),
+    ],
+)
+def test_rr_rejects_point_polynomials_that_are_not_irreducible(tmp_path, optimize, divisor, factors):
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 2 0 0 0 0 0 0 1\n")
+    done = _run_cli(["rr", str(curve), divisor], optimize)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("factor:")] == factors
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 def test_twists_rejects_small_degree(optimize):
     done = _run_cli(["twists", "x^5+1"], optimize)
     assert done.returncode == 4, done.stderr

@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import X0_71_COEFFS
-from primpoints import hyperell
-from primpoints.arith import Factorization, UniPoly, poly
+from conftest import X0_71_COEFFS, run_python
+from primpoints import hyperell, numfield
+from primpoints.arith import Factorization, UniPoly, factor_over_Q, poly
 from primpoints.errors import (
     BadInput,
     DegreeTooSmall,
@@ -453,3 +453,103 @@ def test_x0_71_ell_profile_head():
     assert rr_space_infty(X0_71, 5, 1).dim == 2
     assert rr_space_infty(X0_71, 6, 0).dim == 1
     assert rr_space_infty(X0_71, 7, -1).dim == 1
+
+
+# ---------------------------------------------------------------------------
+# classify_place against the Trager factorization of z^2 - f over Q[x]/(p)
+
+
+def _trager_classify_place(curve, p):
+    """The split/inert test as it was before the quadratic norm replaced it."""
+    p = p.monic()
+    if (curve.f % p).is_zero:
+        return (RAM, None)
+    K = numfield.nf_new(p)
+    fbar = numfield.NfElement(K, curve.f % K.min_poly)
+    zsq = numfield.NfPoly.make(K, [-fbar, K.zero(), K.one()])
+    _, factors = numfield.factor_over_nf(K, zsq)
+    roots = [(-h.coeff(0)).repr for h, _ in factors if h.degree == 1]
+    if not roots:
+        return (INERT, None)
+    return (SPLIT, hyperell.canonical_sqrt_rep(roots[0], p))
+
+
+@st.composite
+def irreducible_point_polys(draw):
+    d = draw(st.integers(2, 5))
+    p = UniPoly.make(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)) + [1])
+    assume(factor_over_Q(p).is_irreducible())
+    return p
+
+
+def _curve_or_reject(f):
+    try:
+        return curve_new(f)
+    except NotSquarefree:
+        assume(False)
+
+
+@given(
+    p=irreducible_point_polys(),
+    degree=st.sampled_from([5, 7]),
+    coeffs=st.lists(st.integers(-5, 5), min_size=7, max_size=7),
+    lc=st.integers(1, 3),
+)
+def test_classify_place_matches_trager_on_random_models(p, degree, coeffs, lc):
+    # odd degree, so the model needs no square leading coefficient
+    curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc]))
+    assert classify_place.__wrapped__(curve, p) == _trager_classify_place(curve, p)
+
+
+@given(
+    p=irreducible_point_polys(),
+    k=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+    r=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+@example(p=poly(-2, 0, 1), k=[3], r=[1, 0, 0, 0])  # f = 9 mod p: no root at c = 0
+def test_classify_place_matches_trager_on_square_residues(p, k, r):
+    # f = k^2 + p*r is a nonzero square mod p; a constant k forces a shift c >= 1
+    d = p.degree
+    k = UniPoly.make(k[:d])
+    assume(not k.is_zero)
+    r = UniPoly.make(r[: max(5, 2 * d - 1) - d] + [1])  # deg f odd, above deg k^2
+    curve = _curve_or_reject(k * k + p * r)
+    branch, q = classify_place.__wrapped__(curve, p)
+    assert branch == SPLIT
+    assert (branch, q) == _trager_classify_place(curve, p)
+    if k.degree == 0:
+        assert numfield.shifted_norm(p, curve.f)[0] >= 1
+
+
+SQRT2 = poly(-2, 0, 1)
+SPLIT_OVER_SQRT2 = curve_new(poly(1, -2, 1) + SQRT2 * poly(1, 0, 0, 1))  # f = (x-1)^2 mod p
+
+
+def test_classify_place_builds_no_number_field(monkeypatch):
+    def no_trager(*args):
+        raise AssertionError("classify_place went through the number field")
+
+    monkeypatch.setattr(numfield, "nf_new", no_trager)
+    monkeypatch.setattr(numfield, "factor_over_nf", no_trager)
+    assert classify_place.__wrapped__(SPLIT_OVER_SQRT2, SQRT2) == (SPLIT, poly(-1, 1))
+    assert classify_place.__wrapped__(C_X5, SQRT2) == (INERT, None)  # f = 4x + 1 mod p
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_classify_place_rejects_a_corrupted_root(optimize):
+    # twice b^-1 reads off 2q, and (2q)^2 = 4f is not f mod p
+    code = (
+        "from primpoints import arith, hyperell\n"
+        "from primpoints.arith import poly\n"
+        "from primpoints.errors import VerificationFailed\n"
+        "hyperell._poly_inverse_mod = lambda b, m: arith._poly_inverse_mod(b, m).scale(2)\n"
+        "p = poly(-2, 0, 1)\n"
+        "curve = hyperell.curve_new(poly(1, -2, 1) + p * poly(1, 0, 0, 1))\n"
+        "try:\n"
+        "    hyperell.classify_place(curve, p)\n"
+        "except VerificationFailed:\n"
+        "    print('VerificationFailed')\n"
+    )
+    done = run_python(["-c", code], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "VerificationFailed\n"

@@ -367,21 +367,21 @@ def test_x6_subfield_degrees():
 
 def test_absolute_minpoly_quadratic_point():
     # p = x-2, f = x+1: y^2 = 3
-    out = absolute_minpoly(poly(-2, 1), poly(1, 1), 0)
+    out = absolute_minpoly(poly(-2, 1), poly(1, 1))
     assert out == poly(-3, 0, 1)
 
 
 def test_absolute_minpoly_degree4():
     # p = x^2-2, f = x: y^2 = sqrt(2), so y^4 = 2
-    out = absolute_minpoly(poly(-2, 0, 1), poly(0, 1), 0)
+    out = absolute_minpoly(poly(-2, 0, 1), poly(0, 1))
     assert out == poly(-2, 0, 0, 0, 1)
 
 
 def test_absolute_minpoly_not_inert():
     with pytest.raises(NotInert):
-        absolute_minpoly(poly(-1, 1), poly(0, 1), 0)  # y^2 = 1 splits
+        absolute_minpoly(poly(-1, 1), poly(0, 1))  # y^2 = 1 splits
     with pytest.raises(NotInert):
-        absolute_minpoly(poly(0, 1), poly(0, 1), 0)  # f = 0 mod p: ramified
+        absolute_minpoly(poly(0, 1), poly(0, 1))  # f = 0 mod p: ramified
 
 
 def test_absolute_minpoly_leaves_the_branch_test_to_classify_place(monkeypatch):
@@ -389,13 +389,13 @@ def test_absolute_minpoly_leaves_the_branch_test_to_classify_place(monkeypatch):
         raise AssertionError("absolute_minpoly called factor_over_nf")
 
     monkeypatch.setattr(numfield, "factor_over_nf", no_trager)
-    assert absolute_minpoly(poly(-2, 0, 1), poly(0, 1), 0) == poly(-2, 0, 0, 0, 1)
+    assert absolute_minpoly(poly(-2, 0, 1), poly(0, 1)) == poly(-2, 0, 0, 0, 1)
     with pytest.raises(NotInert):
-        absolute_minpoly(poly(-1, 1), poly(0, 1), 0)  # split: y^2 = 1
+        absolute_minpoly(poly(-1, 1), poly(0, 1))  # split: y^2 = 1
     with pytest.raises(NotInert):
-        absolute_minpoly(poly(-2, 0, 1), poly(-2, 0, 0, 0, 1), 0)  # split: y = +-x
+        absolute_minpoly(poly(-2, 0, 1), poly(-2, 0, 0, 0, 1))  # split: y = +-x
     with pytest.raises(NotInert):
-        absolute_minpoly(poly(0, 1), poly(0, 1), 0)  # ramified
+        absolute_minpoly(poly(0, 1), poly(0, 1))  # ramified
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -406,7 +406,7 @@ def test_absolute_minpoly_not_inert_under_optimize(optimize):
         "from primpoints.numfield import absolute_minpoly\n"
         "for p, f in ((poly(-2, 0, 1), poly(-2, 0, 0, 0, 1)), (poly(0, 1), poly(0, 1))):\n"
         "    try:\n"
-        "        absolute_minpoly(p, f, 0)\n"
+        "        absolute_minpoly(p, f)\n"
         "    except NotInert:\n"
         "        print('NotInert')\n"
     )
@@ -417,6 +417,6 @@ def test_absolute_minpoly_not_inert_under_optimize(optimize):
 
 def test_absolute_minpoly_degree_and_irreducibility():
     # cubic point: p = x^3-2, f = x+3 (f(2^(1/3)) is not a square in the field)
-    out = absolute_minpoly(poly(-2, 0, 0, 1), poly(3, 1), 0)
+    out = absolute_minpoly(poly(-2, 0, 0, 1), poly(3, 1))
     assert out.degree == 6
     assert factor_over_Q(out).is_irreducible()

@@ -81,10 +81,6 @@ class NotPrimitive(PrimpointsError):
     pass
 
 
-class NotSeparable(PrimpointsError):
-    pass
-
-
 class ParseError(PrimpointsError):
     pass
 

@@ -9,7 +9,11 @@ x-polynomials p and are classified by how y^2 = f behaves modulo p:
 * Inert: f is a non-square unit mod p; one place of degree 2 deg p.
 
 `classify_place` reads the branch off one quadratic norm over Q; p must be
-irreducible, which `rr_space` checks for the points of D.
+irreducible, which `rr_space` checks for the points of D.  The zeros of a
+function u + v*y need no such test: `divisor_of_function` reads each place
+and order off u + v*y and its norm, and asks `classify_place` only where
+u + v*y is a unit times a power of p.  Both read a split root as -a/b from
+some a + b*y vanishing on the branch (`_branch_root`).
 
 Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
@@ -436,10 +440,21 @@ def classify_place(curve: HyperCurve, p: UniPoly):
     a = b = UniPoly.zero()
     for coeff in reversed(factors[0][0].coeffs):
         a, b = (a * cx + b * f + UniPoly.const(coeff)) % p, (a + b * cx) % p
+    return (SPLIT, canonical_sqrt_rep(_branch_root(a, b, p, f), p))
+
+
+def _branch_root(a: UniPoly, b: UniPoly, p: UniPoly, f: UniPoly) -> UniPoly:
+    """The root q = -a/b mod p of a + b*y, checked exactly: q^2 = f (mod p).
+
+    a + b*y vanishing on the branch y = q over p forces q to be a square
+    root of f there; b = 0 mod p or a failed check is an internal fault.
+    """
+    if (b % p).is_zero:
+        raise VerificationFailed("a + b*y has b = 0 mod p: no branch root to read off")
     q = (-a * _poly_inverse_mod(b, p)) % p
     if not ((q * q - f) % p).is_zero:
-        raise VerificationFailed("root read off the norm is not a square root of f mod p")
-    return (SPLIT, canonical_sqrt_rep(q, p))
+        raise VerificationFailed("root read off the function fails q^2 = f (mod p)")
+    return q
 
 
 def _valuation_at(p: UniPoly, a: UniPoly) -> int:
@@ -455,30 +470,38 @@ def _valuation_at(p: UniPoly, a: UniPoly) -> int:
             return count
 
 
-def _split_valuations(curve, p, q, u, v, mult_norm):
-    """ord of u + v y at the two split places (q-branch first)."""
-    if u.is_zero or v.is_zero:
-        val = _valuation_at(p, v if u.is_zero else u)
-        if 2 * val != mult_norm:
-            raise VerificationFailed("split valuations disagree with the norm")
-        return val, val
-    k = mult_norm + 1
-    qk = hensel_sqrt(curve.f, p, q, k)
-    plus = u + v * qk
-    minus = u - v * qk
-    val_plus = _valuation_at(p, plus) if not plus.is_zero else k
-    val_minus = _valuation_at(p, minus) if not minus.is_zero else k
-    if val_plus >= k:
-        val_plus = mult_norm - min(val_minus, mult_norm)
-    elif val_minus >= k:
-        val_minus = mult_norm - val_plus
-    if val_plus + val_minus != mult_norm:
-        raise VerificationFailed("split valuations lost mass")
-    return val_plus, val_minus
+def _zeros_over(curve, p, mult, u, v):
+    """(place, ord) of u + v*y over a factor p of its norm N, mult = v_p(N).
+
+    Ramified (p | f): ord = min(2 v_p(u), 2 v_p(v) + 1) = v_p(N).  Else with
+    k = min(v_p(u), v_p(v)), N = p^(2k) N' and u' + v'y = (u + v*y) / p^k:
+    mult = 2k makes u' + v'y a unit at every place over p, so each gets k
+    (`classify_place` says whether that is two split places or one inert).
+    mult > 2k makes u' + v'y vanish on the branch y = -u'/v' mod p only:
+    that branch gets mult - k and the other k.
+    """
+    if (curve.f % p).is_zero:
+        return [(ClosedPoint.affine(p, RAM), mult)]
+    k = min(_valuation_at(p, a) for a in (u, v) if not a.is_zero)
+    if mult < 2 * k:
+        raise VerificationFailed("norm valuation disagrees with the function")
+    if mult == 2 * k:
+        branch, q = classify_place(curve, p)
+        if branch == INERT:
+            return [(ClosedPoint.affine(p, INERT), k)]
+    else:
+        q = _branch_root(u // p**k, v // p**k, p, curve.f)
+    return [(ClosedPoint.affine(p, SPLIT, q), mult - k), (ClosedPoint.affine(p, SPLIT, (-q) % p), k)]
 
 
 def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
-    """The full principal divisor of w; total degree always 0."""
+    """The full principal divisor of w; total degree always 0.
+
+    Zeros come from the factors p of the norm u^2 - v^2 f, each place and
+    order read off u + v*y itself (`_zeros_over`); `classify_place` is asked
+    only where u + v*y is a unit times a power of p, and for the poles along
+    den.  Orders at infinity come from the expansions there.
+    """
     if w.is_zero:
         raise ZeroFunction("divisor of the zero function")
     u, v, den = w.u, w.v, w.den
@@ -494,22 +517,8 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
         raise VerificationFailed("u + v y vanished identically on the curve")
     if norm.degree > 0:
         for p, mult in factor_over_Q(norm).factors:
-            branch, q = classify_place(curve, p)
-            if branch == RAM:
-                vals = []
-                if not u.is_zero:
-                    vals.append(2 * _valuation_at(p, u))
-                if not v.is_zero:
-                    vals.append(2 * _valuation_at(p, v) + 1)
-                bump(ClosedPoint.affine(p, RAM), min(vals))
-            elif branch == INERT:
-                if mult % 2:
-                    raise VerificationFailed("inert norm valuation must be even")
-                bump(ClosedPoint.affine(p, INERT), mult // 2)
-            else:
-                vp, vm = _split_valuations(curve, p, q, u, v, mult)
-                bump(ClosedPoint.affine(p, SPLIT, q), vp)
-                bump(ClosedPoint.affine(p, SPLIT, (-q) % p), vm)
+            for pt, val in _zeros_over(curve, p, mult, u, v):
+                bump(pt, val)
 
     # denominator part: poles along den(x)
     if den.degree > 0:

@@ -530,13 +530,18 @@ def shifted_norm(p: UniPoly, f: UniPoly):
 
     N(z) = Res_x(p, (z - c*x)^2 - f) is the characteristic polynomial of
     y + c*x on Q[x, y]/(p, y^2 - f), for p monic irreducible and f a unit
-    mod p.  Squarefree, it is irreducible iff f is a non-square mod p.  The
-    full f is used: a constant f mod p would make some integrand vanish.
+    mod p.  Squarefree, it is irreducible iff f is a non-square mod p.  As p
+    is monic, Res(p, g) depends on g mod p only, so f is reduced once; an
+    integrand that vanishes identically has resultant 0.
     """
+    f = f % p
+
+    def value(c, z0):
+        g = UniPoly.make([z0, -c]) ** 2 - f
+        return Fraction(0) if g.is_zero else resultant(p, g)
+
     for c in range(50):
-        norm = interpolate_values(
-            2 * p.degree + 1, lambda z0: resultant(p, UniPoly.make([z0, -c]) ** 2 - f)
-        )
+        norm = interpolate_values(2 * p.degree + 1, lambda z0: value(c, z0))
         if poly_gcd(norm, norm.derivative()).degree == 0:
             return c, norm
     raise Degenerate("no admissible shift c below the search cap")

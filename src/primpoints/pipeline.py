@@ -31,7 +31,6 @@ from .errors import (
     ConstantFunction,
     DegreeTooSmall,
     NotPrimitive,
-    NotSeparable,
     NotSquarefree,
     UnsupportedDivisorShape,
 )
@@ -48,7 +47,7 @@ from .hyperell import (
     point_field,
     rr_space,
 )
-from .numfield import field_report, is_primitive_field, nf_minpoly, nf_new
+from .numfield import field_report, is_primitive_field
 
 # ---------------------------------------------------------------------------
 # Finiteness classification
@@ -366,55 +365,25 @@ def _classify_entry_star(args):
 def construct_primitive_curve(m: UniPoly, alpha_seed=0):
     """Build y^2 = h(x) of genus d-1 with a ramified degree-d point.
 
-    Given a primitive degree-d field Q[t]/(m), picks the first rational
-    shift a >= alpha_seed (integer steps) such that 2a avoids every sum of
-    two roots of m, sets phi = theta - a, and returns the curve with model
-    h(X) = minpoly(phi^2)(X^2) together with the ramified witness point
-    over minpoly(phi).
+    Given a primitive degree-d field Q[t]/(m), sets phi = theta - a with
+    a = alpha_seed and returns the curve with model h(X) = minpoly(phi^2)(X^2)
+    = (-1)^d p(X) p(-X), p = m(X + a) the minimal polynomial of phi, together
+    with the ramified witness point over p.  Any rational a works: phi_i^2 =
+    phi_j^2 for i != j would mean theta_i + theta_j = 2a, and the pairing
+    i -> j would be a Galois-stable system of blocks of size 2, which a
+    primitive field of degree d >= 3 does not have.  So h is squarefree.
     """
     d = m.degree
     if d is None or d < 3:
         raise NotPrimitive("need an irreducible polynomial of degree >= 3")
     if not is_primitive_field(m):
         raise NotPrimitive("defining polynomial generates an imprimitive field")
-    m = m.monic()
-    # polynomial with roots theta_i + theta_j (all ordered pairs)
-    pair_sums = _root_pair_sums(m)
     alpha = Fraction(alpha_seed)
-    for _ in range(d * d + 2):
-        if pair_sums(2 * alpha) != 0:
-            break
-        alpha += 1
-    else:
-        raise NotSeparable("no admissible shift found")
-    K = nf_new(m)
-    phi = K.gen() - K.const(alpha)
-    fsq = nf_minpoly(phi * phi)
-    assert fsq.degree == d, "phi^2 must generate the primitive field"
-    h = fsq.compose(UniPoly.make([0, 0, 1]))
-    if not is_squarefree(h):
-        raise NotSeparable("curve model unexpectedly inseparable")
+    p_phi = m.monic().shift_x(alpha)  # minimal polynomial of phi = theta - alpha
+    h = (p_phi * p_phi.compose(UniPoly.make([0, -1]))).scale((-1) ** d)
     curve = curve_new(h)
-    assert curve.genus == d - 1
-    p_phi = m.shift_x(alpha)  # minimal polynomial of phi = theta - alpha
-    assert (h % p_phi).is_zero
     witness = ClosedPoint.affine(p_phi, hyperell.RAM)
     return curve, witness, alpha
-
-
-def _root_pair_sums(m: UniPoly):
-    """Evaluator for the polynomial whose roots are all sums of two roots.
-
-    R(z) = prod_i m(z - theta_i); R(z0) = Res(m, m(z0 - x)) pointwise, so a
-    direct evaluation avoids building the full degree-d^2 polynomial.
-    """
-    from .arith import resultant
-
-    def evaluate(z0):
-        inner = m.compose(UniPoly.make([z0, -1]))
-        return resultant(m, inner)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +401,18 @@ IRRED_PRIMITIVE, IRRED_IMPRIMITIVE, FIBER_REDUCIBLE, DEGENERATE = (
 def specialize_fiber(curve: HyperCurve, w: CurveFunction, beta) -> str:
     """Classify the fiber of the map w over the rational value beta.
 
-    The fiber divisor is div(w - beta) plus the pole divisor of w; a fiber
-    with a repeated place (branch value) reports 'degenerate'.
+    The fiber divisor is the zero divisor of w - beta: div(w - beta) plus
+    its own negative part, since w - beta has exactly the poles of w.  A
+    fiber with a repeated place (branch value) reports 'degenerate'.
     """
     if w.is_constant or w.is_zero:
         raise ConstantFunction("fiber of a constant map")
-    beta = Fraction(beta)
-    poles = divisor_of_function(curve, w).negative_part()
-    d = poles.degree
-    shifted = w - CurveFunction.constant(beta)
-    fiber = divisor_of_function(curve, shifted) + poles
-    assert fiber.is_effective and fiber.degree == d
+    div = divisor_of_function(curve, w - CurveFunction.constant(Fraction(beta)))
+    fiber = div + div.negative_part()
     if any(mult >= 2 for _, mult in fiber.terms):
         return DEGENERATE
     terms = fiber.terms
-    if len(terms) == 1 and terms[0][0].kind == "affine" and terms[0][0].degree == d:
+    if len(terms) == 1 and terms[0][0].kind == "affine":
         minpoly = point_field(curve, terms[0][0])
         return IRRED_PRIMITIVE if is_primitive_field(minpoly) else IRRED_IMPRIMITIVE
     return FIBER_REDUCIBLE

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS, run_python
 from primpoints import hyperell, numfield
-from primpoints.arith import Factorization, UniPoly, factor_over_Q, poly
+from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, poly
 from primpoints.errors import (
     BadInput,
     DegreeTooSmall,
@@ -32,7 +32,7 @@ from primpoints.hyperell import (
     _assert_affine_membership,
     _assert_infinity_bounds,
     _series_sqrt,
-    _split_valuations,
+    _valuation_at,
     canonical_divisor,
     classify_place,
     curve_new,
@@ -391,25 +391,25 @@ def test_rr_space_rejects_places_not_on_the_curve():
 
 
 def test_divisor_checks_raise_verification_failed(monkeypatch):
-    x = poly(0, 1)
-    # the split place over x on y^2 = x^5 + 1: ord of x is 1 at each branch
-    with pytest.raises(VerificationFailed):
-        _split_valuations(C_X5, x, poly(1), x, UniPoly.zero(), 3)
-    with pytest.raises(VerificationFailed):
-        _split_valuations(C_X5, x, poly(1), UniPoly.zero(), x, 3)
-    with pytest.raises(VerificationFailed):
-        _split_valuations(C_X5, x, poly(1), poly(1), x, 3)
     # u + v y with u^2 = v^2 f only exists on a model with square f
     square = HyperCurve(poly(0, 0, 0, 0, 0, 0, 1), 2, "even", Fraction(1))
     with pytest.raises(VerificationFailed):
         divisor_of_function(square, CurveFunction.make(poly(0, 0, 0, 1), poly(-1)))
 
-    # an odd norm valuation at the inert place over x - 1
+    # a norm that claims x - 1 once; x - 1 is inert on y^2 = x^5 + 1 (f(1) = 2)
+    x1 = poly(-1, 1)
     monkeypatch.setattr(
-        hyperell, "factor_over_Q", lambda a: Factorization(Fraction(1), ((poly(-1, 1), 1),))
+        hyperell, "factor_over_Q", lambda a: Factorization(Fraction(1), ((x1, 1),))
     )
-    with pytest.raises(VerificationFailed):
-        divisor_of_function(C_X5, CurveFunction.from_x_poly(poly(-1, 1)))
+    # an odd norm valuation at the inert place: 1 + y would vanish on y = -1
+    with pytest.raises(VerificationFailed, match="fails q"):
+        divisor_of_function(C_X5, CurveFunction.make(poly(1), poly(1)))
+    # mult < 2k: x - 1 divides u once, so the norm (x - 1)^2 has valuation 2
+    with pytest.raises(VerificationFailed, match="norm valuation disagrees"):
+        divisor_of_function(C_X5, CurveFunction.from_x_poly(x1))
+    # mult > 2k = 0 but p | v': no branch root to read off
+    with pytest.raises(VerificationFailed, match="b = 0 mod p"):
+        divisor_of_function(C_X5, CurveFunction.make(poly(1), x1))
 
 
 def test_rr_space_rejects_negative_affine():
@@ -553,3 +553,142 @@ def test_classify_place_rejects_a_corrupted_root(optimize):
     done = run_python(["-c", code], optimize)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "VerificationFailed\n"
+
+
+# ---------------------------------------------------------------------------
+# divisor_of_function against the route that classified every factor
+
+
+def _hensel_split_valuations(curve, p, q, u, v, mult_norm):
+    """ord of u + v y at the two split places (q-branch first), by a lift."""
+    if u.is_zero or v.is_zero:
+        val = _valuation_at(p, v if u.is_zero else u)
+        assert 2 * val == mult_norm
+        return val, val
+    k = mult_norm + 1
+    qk = hensel_sqrt(curve.f, p, q, k)
+    plus, minus = u + v * qk, u - v * qk
+    val_plus = _valuation_at(p, plus) if not plus.is_zero else k
+    val_minus = _valuation_at(p, minus) if not minus.is_zero else k
+    if val_plus >= k:
+        val_plus = mult_norm - min(val_minus, mult_norm)
+    elif val_minus >= k:
+        val_minus = mult_norm - val_plus
+    assert val_plus + val_minus == mult_norm
+    return val_plus, val_minus
+
+
+def _classified_divisor(curve, w):
+    """div(w) with every norm factor classified and split orders Hensel-lifted.
+
+    The numerator route of `divisor_of_function` before it read places off
+    u + v y; the pole and infinity parts are as in `divisor_of_function`.
+    """
+    u, v, den = w.u, w.v, w.den
+    pairs = []
+    norm = u * u - v * v * curve.f
+    for p, mult in factor_over_Q(norm).factors if norm.degree > 0 else ():
+        branch, q = classify_place(curve, p)
+        if branch == RAM:
+            vals = [2 * _valuation_at(p, u)] if not u.is_zero else []
+            vals += [2 * _valuation_at(p, v) + 1] if not v.is_zero else []
+            pairs.append((ClosedPoint.affine(p, RAM), min(vals)))
+        elif branch == INERT:
+            assert mult % 2 == 0
+            pairs.append((ClosedPoint.affine(p, INERT), mult // 2))
+        else:
+            vp, vm = _hensel_split_valuations(curve, p, q, u, v, mult)
+            pairs += [(ClosedPoint.affine(p, SPLIT, q), vp)]
+            pairs += [(ClosedPoint.affine(p, SPLIT, (-q) % p), vm)]
+    for p, mult in factor_over_Q(den).factors if den.degree > 0 else ():
+        branch, q = classify_place(curve, p)
+        if branch == SPLIT:
+            pairs += [(ClosedPoint.affine(p, SPLIT, q), -mult)]
+            pairs += [(ClosedPoint.affine(p, SPLIT, (-q) % p), -mult)]
+        else:
+            pairs.append((ClosedPoint.affine(p, branch), -mult * (2 if branch == RAM else 1)))
+    if curve.parity == "even":
+        for place in (OO_PLUS, OO_MINUS):
+            val = hyperell._even_infinity_valuation(curve, u, v, place) + den.degree
+            pairs.append((ClosedPoint.infinite(place), val))
+    else:
+        val = hyperell._odd_infinity_valuation(u, v, curve.genus) + 2 * den.degree
+        pairs.append((ClosedPoint.infinite(OO), val))
+    return Divisor.make(pairs)
+
+
+# both parities; each f has factors, so ramified places of degree 1-4 occur
+READOFF_MODELS = [
+    C_X5,  # (x + 1)(x^4 - x^3 + x^2 - x + 1)
+    C_X6,  # (x^2 + 1)(x^4 - x^2 + 1)
+    curve_new(poly(-4, 0, 0, 0, 0, 0, 1)),  # (x^3 - 2)(x^3 + 2)
+    curve_new(poly(0, -1, 0, 0, 0, 1)),  # x (x - 1)(x + 1)(x^2 + 1)
+]
+COMMON_FACTORS = [poly(0, 1), poly(-1, 1), poly(2, 1), poly(-2, 0, 1), poly(1, 1, 1)]
+
+
+@st.composite
+def functions_on_models(draw):
+    curve = draw(st.sampled_from(READOFF_MODELS))
+    f = curve.f
+    # a product of powers of a + b y: zeros of high order on one branch, and
+    # through b = c*h zeros where v vanishes to a higher order than u
+    u, v = UniPoly.one(), UniPoly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(small_polys(1))
+        b = draw(st.sampled_from([UniPoly.one()] + COMMON_FACTORS)).scale(draw(st.integers(-3, 3)))
+        assume(not (a.is_zero and b.is_zero))
+        for _ in range(draw(st.integers(1, 3))):
+            u, v = u * a + v * b * f, u * b + v * a
+    # a common factor g^k of u and v: g a factor of f, a small polynomial,
+    # or a factor of the norm, which makes u + v y vanish to order > k
+    norm = u * u - v * v * f
+    g = draw(
+        st.sampled_from(
+            [p for p, _ in factor_over_Q(f).factors]
+            + COMMON_FACTORS
+            + ([p for p, _ in factor_over_Q(norm).factors] if norm.degree > 0 else [])
+        )
+    )
+    k = draw(st.integers(0, 2))
+    # the Hensel lift of the oracle works modulo p^(mult + 1): keep it small
+    mults = dict(factor_over_Q(norm).factors) if norm.degree > 0 else {}
+    mults[g] = mults.get(g, 0) + 2 * k
+    assume(max(p.degree * (m + 1) for p, m in mults.items()) <= 30)
+    den = draw(small_polys(2))
+    assume(not den.is_zero)
+    return curve, CurveFunction.make(u * g**k, v * g**k, den)
+
+
+@given(functions_on_models())
+@example((C_X5, CurveFunction.make(poly(1), poly(1))))  # 1 + y: order 5 at (0, -1)
+@example((C_X5, CurveFunction.make(poly(0, 0, 1), poly(0, 0, 1))))  # x^2 (1 + y): 7 and 2
+@example((SPLIT_OVER_SQRT2, CurveFunction.make(poly(2, -2, -1, 1), poly(2, 0, -1))))  # 2 and 1
+@example((SPLIT_OVER_SQRT2, CurveFunction.make(poly(-1, 1), poly(-1))))  # degree-2 read-off
+def test_divisor_of_function_matches_the_classified_route(curve_and_function):
+    curve, w = curve_and_function
+    assert divisor_of_function(curve, w) == _classified_divisor(curve, w)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_divisor_of_function_rejects_a_corrupted_root(optimize):
+    # twice v'^-1 reads off 2q, and (2q)^2 = 4f is not f mod p
+    code = (
+        "from primpoints import arith, hyperell\n"
+        "from primpoints.arith import poly\n"
+        "from primpoints.errors import VerificationFailed\n"
+        "hyperell._poly_inverse_mod = lambda b, m: arith._poly_inverse_mod(b, m).scale(2)\n"
+        "p = poly(-2, 0, 1)\n"
+        "for f, u, v in [\n"
+        "    (poly(1, 0, 0, 0, 0, 1), poly(1), poly(1)),\n"
+        "    (poly(1, -2, 1) + p * poly(1, 0, 0, 1), poly(-1, 1), poly(-1)),\n"
+        "]:\n"
+        "    w = hyperell.CurveFunction.make(u, v)\n"
+        "    try:\n"
+        "        hyperell.divisor_of_function(hyperell.curve_new(f), w)\n"
+        "    except VerificationFailed:\n"
+        "        print('VerificationFailed')\n"
+    )
+    done = run_python(["-c", code], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "VerificationFailed\n" * 2

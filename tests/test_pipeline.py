@@ -25,7 +25,8 @@ from primpoints.hyperell import (
     point_field,
     rr_space,
 )
-from primpoints.numfield import is_primitive_field
+from primpoints.formats import parse_poly
+from primpoints.numfield import is_primitive_field, nf_minpoly, nf_new
 from primpoints.pipeline import (
     DEGENERATE,
     IRRED_PRIMITIVE,
@@ -230,6 +231,32 @@ def test_construct_primitive_curve_quintic():
     assert curve.genus == 4 and curve.f.degree == 10
     assert witness.degree == 5
     assert is_primitive_field(point_field(curve, witness))
+
+
+CORPUS_FILE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "primitivity_corpus.txt")
+
+
+def _primitive_corpus_fields(degrees):
+    with open(CORPUS_FILE) as fh:
+        rows = [line.strip().split(",") for line in fh if not line.startswith("#")]
+    return [lit for lit, tag, _ in rows if tag == "primitive" and parse_poly(lit).degree in degrees]
+
+
+CONSTRUCTION_FIELDS = _primitive_corpus_fields((3, 4, 5)) + ["x^7-x-1"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -2])
+def test_construction_is_the_minimal_polynomial_of_phi_squared(seed):
+    # the model as the construction first built it: minpoly(phi^2)(x^2)
+    assert len(CONSTRUCTION_FIELDS) == 13  # with the fiber polynomials x^3-2, x^5-x-1
+    for lit in CONSTRUCTION_FIELDS:
+        m = parse_poly(lit)
+        curve, witness, alpha = construct_primitive_curve(m, seed)
+        assert alpha == seed
+        K = nf_new(m)
+        phi = K.gen() - K.const(alpha)
+        assert curve.f == nf_minpoly(phi * phi).compose(poly(0, 0, 1)), (lit, seed)
+        assert witness.p == m.shift_x(alpha)
 
 
 def test_construct_primitive_curve_rejects_imprimitive():

@@ -4,14 +4,20 @@ The tracer binds wrappers by name (`perfbench/tracer.TRACED`) and the
 runner fails a traced pass whose expected functions record no calls
 (`perfbench/run.EXPECTED_ON_PATH`).  A refactor that renames or deletes
 one of those functions breaks the traced benchmark; this test makes it
-fail here first.  Both files are read as source, not imported.
+fail here first.  Both files are read as source, not imported.  A
+refactor can also take an expected function off the path of a workload
+while keeping its name; the fiber-sample path is checked for that too.
 """
 
 import ast
 import importlib
 import os
+import sys
+from fractions import Fraction
 
 import pytest
+
+from primpoints import formats, hyperell, pipeline
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
@@ -28,6 +34,7 @@ def _literal(filename, name):
 
 
 TRACED = set(_literal("tracer.py", "TRACED"))
+FIBER_PATH = _literal("run.py", "EXPECTED_ON_PATH")["fiber-sample"]
 EXPECTED_ON_PATH = {
     name for names in _literal("run.py", "EXPECTED_ON_PATH").values() for name in names
 }
@@ -43,3 +50,27 @@ def test_traced_name_resolves_to_a_function(qualname):
 def test_expected_names_are_traced():
     # run.py reads the call count of each expected name from the traced totals
     assert EXPECTED_ON_PATH <= TRACED
+
+
+def test_one_fiber_calls_every_function_expected_on_the_fiber_path(monkeypatch):
+    # counting wrappers bound at every primpoints global, as the tracer binds
+    # its own; set-up and one fiber of x^3-2, as in the fiber-sample workload
+    calls = dict.fromkeys(FIBER_PATH, 0)
+    for qualname in FIBER_PATH:
+        mod_name, fn_name = qualname.split(".")
+        original = getattr(importlib.import_module(f"primpoints.{mod_name}"), fn_name)
+
+        def counting(*args, _name=qualname, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("primpoints."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    curve, witness, _ = pipeline.construct_primitive_curve(formats.parse_poly("x^3-2"), 0)
+    space = hyperell.rr_space(curve, hyperell.Divisor.make([(witness, 1)]))
+    w = next(b for b in space.basis if not b.is_constant)
+    pipeline.specialize_fiber(curve, w, Fraction(-37, 29))
+    assert all(calls.values()), calls

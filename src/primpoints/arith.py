@@ -616,6 +616,10 @@ def _symmetric(v, m):
     return v - m if v > m // 2 else v
 
 
+def _divides(a: int, b: int) -> bool:
+    return b % a == 0 if a else b == 0
+
+
 # ---------------------------------------------------------------------------
 # Factorization over Q
 
@@ -678,6 +682,20 @@ def degree_patterns(a: UniPoly, count: int):
         yield p, tuple(d for g, d in parts for _ in range((len(g) - 1) // d))
 
 
+def split_primes(a: UniPoly):
+    """Yield (p, roots) at the good primes of a's integer model where a mod p
+    splits into distinct linear factors; lazy and endless.
+
+    One x^p = x (mod a, p) test per prime; the sorted roots come from the
+    equal-degree stage only where it holds.
+    """
+    _, P = a.to_int_primitive()
+    for p in _good_primes(P):
+        fp = _fp_monic(_fp_trim([c % p for c in P]), p)
+        if _fp_powmod([0, 1], p, fp, p) == [0, 1]:
+            yield p, sorted(-f[0] % p for f in _fp_factor_squarefree(fp, p, _DetRng(p)))
+
+
 def _zassenhaus_irreducibles(s: UniPoly) -> list:
     """Monic irreducible factors over Q of a monic squarefree polynomial."""
     if s.degree <= 1:
@@ -718,10 +736,21 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
         lc_cur = current[-1]
         for size in range(1, len(pool) // 2 + 1):
             for combo in itertools.combinations(pool, size):
+                # a true factor g makes the candidate c = lc(current)/lc(g) * g,
+                # and c(a) divides lc(current) * current(a) at every integer a:
+                # a = 0 is tested on the constant terms alone, a = 1 once c is
+                # built, both before the trial division
+                const = lc_cur
+                for idx in combo:
+                    const = const * lifted[idx][0] % modulus
+                if not _divides(_symmetric(const, modulus), lc_cur * current[0]):
+                    continue
                 cand = [lc_cur % modulus]
                 for idx in combo:
                     cand = _fp_mul(cand, lifted[idx], modulus)
                 cand = [_symmetric(v, modulus) for v in cand]
+                if not _divides(sum(cand), lc_cur * sum(current)):
+                    continue
                 content = reduce(gcd, (abs(v) for v in cand if v), 0)
                 if content == 0:
                     continue

@@ -494,13 +494,34 @@ def _zeros_over(curve, p, mult, u, v):
     return [(ClosedPoint.affine(p, SPLIT, q), mult - k), (ClosedPoint.affine(p, SPLIT, (-q) % p), k)]
 
 
+@lru_cache(maxsize=256)
+def _poles_along(curve: HyperCurve, den: UniPoly):
+    """(place, -order) of 1/den(x) at every place over a factor of den.
+
+    Cached per (curve, den), as `classify_place` is per (curve, p): every
+    fiber of one map shares its den.
+    """
+    out = []
+    for p, mult in factor_over_Q(den).factors:
+        branch, q = classify_place(curve, p)
+        if branch == RAM:
+            out.append((ClosedPoint.affine(p, RAM), -2 * mult))
+        elif branch == INERT:
+            out.append((ClosedPoint.affine(p, INERT), -mult))
+        else:
+            out.append((ClosedPoint.affine(p, SPLIT, q), -mult))
+            out.append((ClosedPoint.affine(p, SPLIT, (-q) % p), -mult))
+    return tuple(out)
+
+
 def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
     """The full principal divisor of w; total degree always 0.
 
     Zeros come from the factors p of the norm u^2 - v^2 f, each place and
     order read off u + v*y itself (`_zeros_over`); `classify_place` is asked
     only where u + v*y is a unit times a power of p, and for the poles along
-    den.  Orders at infinity come from the expansions there.
+    den (`_poles_along`, once per den).  Orders at infinity come from the
+    expansions there.
     """
     if w.is_zero:
         raise ZeroFunction("divisor of the zero function")
@@ -522,15 +543,8 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
 
     # denominator part: poles along den(x)
     if den.degree > 0:
-        for p, mult in factor_over_Q(den).factors:
-            branch, q = classify_place(curve, p)
-            if branch == RAM:
-                bump(ClosedPoint.affine(p, RAM), -2 * mult)
-            elif branch == INERT:
-                bump(ClosedPoint.affine(p, INERT), -mult)
-            else:
-                bump(ClosedPoint.affine(p, SPLIT, q), -mult)
-                bump(ClosedPoint.affine(p, SPLIT, (-q) % p), -mult)
+        for pt, val in _poles_along(curve, den):
+            bump(pt, val)
 
     # infinite places
     dden = den.degree

@@ -1,10 +1,11 @@
 """Number fields K = Q[t]/(m), factorization over K, and primitivity.
 
-Factorization over K uses Trager's norm method: push a squarefree
+`factor_over_nf` factors over K by Trager's norm method: push a squarefree
 polynomial down to Q by the norm of a generic shift, factor over Q, and
-pull the factors back with gcds over K.  Only `principal_subfields` uses
+pull the factors back with gcds over K.  Nothing else in the package uses
 it: points y^2 = f over an x-polynomial p need just the quadratic norm of
-`shifted_norm`, for `hyperell.classify_place` and `absolute_minpoly`.
+`shifted_norm`, for `hyperell.classify_place` and `absolute_minpoly`, and
+principal subfields come from one norm over Q, with no arithmetic over K.
 
 This module is the only one that decides primitivity.  `field_report`
 validates m and tries four routes in order:
@@ -22,7 +23,9 @@ validates m and tries four routes in order:
 4. principal subfields: the exact fallback.  A proper nontrivial subfield
    exists iff some principal subfield, attached to an irreducible factor
    of m over K, has degree strictly between 1 and [K:Q], because every
-   maximal subfield is principal.
+   maximal subfield is principal.  Their degrees are read off the orbital
+   graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
+   theta_j + s*theta_i, labelled at a prime where m splits completely.
 
 `is_primitive_field` is its bool view.
 
@@ -34,6 +37,7 @@ two agree pointwise.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +49,10 @@ from .arith import (
     factor_over_Q,
     interpolate_values,
     is_prime,
+    is_squarefree,
     poly_gcd,
     resultant,
+    split_primes,
     squarefree_part,
 )
 from .errors import (
@@ -423,41 +429,96 @@ class SubfieldReport:
     frobenius_cycle_types: tuple = ()
 
 
+# shifts s of the pair norm; 0 and +-1 never give a squarefree norm of a
+# rational m, since the diagonal pairs or the pairs (i, j), (j, i) collide
+PAIR_NORM_SHIFTS = tuple(s for k in range(2, 26) for s in (k, -k))
+
+
+def _pair_norm(m: UniPoly, s: int) -> UniPoly:
+    """N_s(x) = Res_t(m(t), m(x - s*t)), the product of x - (theta_j + s*theta_i)
+    over all ordered pairs (i, j) of roots of the monic m."""
+    return interpolate_values(
+        m.degree ** 2 + 1, lambda x0: resultant(m, m.compose(UniPoly.make([x0, -s])))
+    )
+
+
+def _pair_labels(factors, roots, s: int, p: int) -> dict:
+    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 mod p}.
+
+    The d^2 pair values must be distinct mod p; a pair on no factor or on
+    several raises VerificationFailed.
+    """
+    residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
+    labels = {}
+    for i, ri in enumerate(roots):
+        for j, rj in enumerate(roots):
+            v = (rj + s * ri) % p
+            hits = []
+            for k, hp in enumerate(residues):
+                acc = 0
+                for c in reversed(hp):
+                    acc = (acc * v + c) % p
+                if not acc:
+                    hits.append(k)
+            if len(hits) != 1:
+                raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
+            labels[i, j] = hits[0]
+    return labels
+
+
+def _block_size(d: int, edges) -> int:
+    """Common size of the connected components of a graph on d vertices.
+
+    The components of an orbital graph are the blocks of one system, so
+    they all have one size; anything else raises VerificationFailed.
+    """
+    parent = list(range(d))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    sizes = set(Counter(find(i) for i in range(d)).values())
+    if len(sizes) != 1:
+        raise VerificationFailed("orbital graph components differ in size")
+    return sizes.pop()
+
+
 def principal_subfields(K: NumberField) -> SubfieldReport:
     """Principal subfield degrees of K, one per factor of min_poly over K.
 
-    The subfield attached to a factor h is the kernel of the Q-linear map
-    g(theta) -> (g(x) mod h) - g(theta); its Q-dimension is the subfield
-    degree.  K is primitive iff every kernel has dimension 1 or d.
+    Orbital graphs (Higman 1967; van Hoeij, Klueners and Novocin 2013): the
+    Q-factors of a squarefree pair norm N_s are the orbitals of Gal(m) on
+    ordered pairs of roots, one per factor of m over K, and the principal
+    subfield of that factor is fixed by the block its orbital graph
+    connects, so its degree is d / |component|.  The graph is read at the
+    first good prime p where m splits and the d^2 pair values r_j + s*r_i
+    are distinct, so N_s stays squarefree mod p.  Checked: each pair lies on
+    exactly one factor h, h gets exactly deg h pairs, and the components of
+    each graph have one size.  Such primes have density 1/|Gal(m)|
+    (Chebotarev), so the scan ends.  No arithmetic over K is needed.
     """
-    d = K.degree
-    m_over_K = NfPoly.from_rational(K, K.min_poly)
-    _, factors = factor_over_nf(K, m_over_K)
+    m, d = K.min_poly, K.degree
+    for s in PAIR_NORM_SHIFTS:
+        norm = _pair_norm(m, s)
+        if is_squarefree(norm):
+            break
+    else:
+        raise Degenerate("no squarefree pair norm found within the shift cap")
+    factors = [h for h, _ in factor_over_Q(norm).factors]
+    for p, roots in split_primes(m):
+        if len({(rj + s * ri) % p for ri in roots for rj in roots}) == d * d:
+            break
+    labels = _pair_labels(factors, roots, s, p)
     degrees = []
-    for h, mult in factors:
-        assert mult == 1
-        dh = h.degree
-        # residues x^i mod h, as NfPoly of degree < dh
-        x_pow = NfPoly.make(K, [K.one()])
-        x_poly = NfPoly.make(K, [K.zero(), K.one()])
-        theta_pow = K.one()
-        theta = K.gen()
-        rows_per_basis = []
-        for i in range(d):
-            rem = x_pow % h
-            diff = rem - NfPoly.make(K, [theta_pow])
-            vec = []
-            for j in range(dh):
-                vec.extend(diff.coeff(j).coords())
-            rows_per_basis.append(vec)
-            x_pow = x_pow * x_poly
-            theta_pow = theta_pow * theta
-        # columns of the map are rows_per_basis; kernel dim = d - rank
-        matrix = [
-            [rows_per_basis[i][r] for i in range(d)]
-            for r in range(d * dh)
-        ]
-        degrees.append(d - linalg.rank(matrix))
+    for k, h in enumerate(factors):
+        edges = [pair for pair, label in labels.items() if label == k]
+        if len(edges) != h.degree:
+            raise VerificationFailed("a pair-norm factor does not get deg h root pairs")
+        degrees.append(d // _block_size(d, edges))
     degrees.sort()
     proper = tuple(k for k in degrees if 1 < k < d)
     return SubfieldReport(tuple(degrees), not proper, proper)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from . import hyperell
@@ -275,7 +276,10 @@ class OrbitVerdict:
     skip_reason: str = None
 
 
-def _classify_entry(curve: HyperCurve, entry: ClassEntry, d: int) -> OrbitVerdict:
+def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> OrbitVerdict:
+    """First phase of one class: its final verdict, or, for the irreducible
+    effective divisor of a rigid class, a verdict with the point's minimal
+    polynomial and no outcome yet."""
     if entry.ell >= 2:
         return OrbitVerdict(
             entry.label,
@@ -295,19 +299,29 @@ def _classify_entry(curve: HyperCurve, entry: ClassEntry, d: int) -> OrbitVerdic
     )
     if not irreducible:
         return OrbitVerdict(entry.label, 1, REDUCIBLE, witness_divisor=eff)
-    pt = terms[0][0]
-    minpoly = point_field(curve, pt)
+    minpoly = point_field(curve, terms[0][0])
     assert minpoly.degree == d
-    report = field_report(minpoly)
-    proper = report.proper_subfield_degrees
-    return OrbitVerdict(
-        entry.label,
-        1,
-        PRIMITIVE if report.is_primitive else IMPRIMITIVE,
-        subfield_degree=proper[0] if proper else None,
-        witness_divisor=eff,
-        witness_minpoly=minpoly,
-    )
+    return OrbitVerdict(entry.label, 1, None, witness_divisor=eff, witness_minpoly=minpoly)
+
+
+def _classify_entries(curve: HyperCurve, entries, d: int, pmap) -> list:
+    """Both phases over one map (serial `map` or a pool's): each class to its
+    verdict or its point's field, then one `field_report` per distinct field."""
+    verdicts = list(pmap(partial(_rigid_point, curve, d), entries))
+    fields = list(dict.fromkeys(v.witness_minpoly for v in verdicts if v.outcome is None))
+    reports = dict(zip(fields, pmap(field_report, fields)))
+    out = []
+    for v in verdicts:
+        if v.outcome is None:
+            report = reports[v.witness_minpoly]
+            proper = report.proper_subfield_degrees
+            v = replace(
+                v,
+                outcome=PRIMITIVE if report.is_primitive else IMPRIMITIVE,
+                subfield_degree=proper[0] if proper else None,
+            )
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,9 +346,11 @@ class ClassificationReport:
 def classify_points(curve: HyperCurve, mw: MWSpec, d: int, jobs: int = 1):
     """Classify every divisor class of degree d over the finite group.
 
-    With jobs > 1 the per-class work runs in a process pool of
-    min(jobs, CPU count, number of classes) workers, serially when that is
-    1; results are reassembled in canonical label order either way.
+    Each distinct point field is decided once (classes a and -a of a
+    symmetric group share one).  With jobs > 1 both phases run in one
+    process pool of min(jobs, CPU count, number of classes) workers,
+    serially when that is 1; results are reassembled in canonical label
+    order either way.
     """
     entries = enumerate_classes(curve, mw, d)
     width = min(jobs, os.cpu_count() or 1, len(entries))
@@ -342,20 +358,14 @@ def classify_points(curve: HyperCurve, mw: MWSpec, d: int, jobs: int = 1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=width) as pool:
-            verdicts = list(
-                pool.map(_classify_entry_star, [(curve, e, d) for e in entries])
-            )
+            verdicts = _classify_entries(curve, entries, d, pool.map)
     else:
-        verdicts = [_classify_entry(curve, e, d) for e in entries]
+        verdicts = _classify_entries(curve, entries, d, map)
     verdicts.sort(key=lambda v: v.label)
     report = ClassificationReport(d, len(entries), tuple(verdicts))
     counts = report.summary()
     assert sum(counts.values()) == len(entries)
     return report
-
-
-def _classify_entry_star(args):
-    return _classify_entry(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,25 @@ def test_points_command_degree4_deterministic(tmp_path, capsys):
     assert text.count("class a=") == 35
 
 
+REFERENCE = os.path.join(FIXTURES, "..", "perfbench", "reference", "x0_71-points.txt")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_points_reports_are_the_same_at_every_width(d, tmp_path, capsys):
+    # text as in the committed benchmark reference, --json equal across widths
+    reference = open(REFERENCE, encoding="utf-8").read()
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.txt"
+        argv = ["points", fixture("x0_71.curve"), fixture("x0_71.mw"), str(d), str(out)]
+        code = main(argv + ["--jobs", jobs])
+        assert f"## d={d}\nexit={code}\n{capsys.readouterr().out}{out.read_text()}\n" in reference
+        assert main(argv + ["--jobs", jobs, "--json"]) == 0
+        docs.append((capsys.readouterr().out, out.read_text()))
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.slow
 def test_points_command_json(tmp_path, capsys):
     out = tmp_path / "r.json"

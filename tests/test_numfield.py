@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from primpoints import numfield
+from primpoints import linalg, numfield
 from primpoints.arith import (
     UniPoly,
     _DetRng,
@@ -359,6 +359,114 @@ def test_x6_subfield_degrees():
     report = principal_subfields(nf_new(poly(-2, 0, 0, 0, 0, 0, 1)))
     ks = set(report.principal_subfield_degrees)
     assert 2 in ks and 3 in ks
+
+
+# ---------------------------------------------------------------------------
+# Principal subfields from orbital graphs, against the route through Trager
+
+# the fields of the imprimitive degree-6 classes a = +-12, +-5, +-7 on X0(71)
+X0_71_IMPRIMITIVE_FIELDS = (
+    "x^6+2x^5+x^4-x^3-x^2-x+1",
+    "x^6+5/2*x^5+5/2*x^4-1/2*x^3-3/2*x^2-1/2*x+1/2",
+    "x^6+5x^5+7x^4-2x^3-9x^2-2x+4",
+)
+
+
+def _trager_principal_subfield_degrees(K):
+    """Test-only copy of the earlier route: factor m over K by Trager, then
+    per factor h the Q-dimension of the kernel of g(theta) -> (g(x) mod h) -
+    g(theta), which is the degree of its principal subfield."""
+    d = K.degree
+    _, factors = factor_over_nf(K, NfPoly.from_rational(K, K.min_poly))
+    degrees = []
+    for h, mult in factors:
+        assert mult == 1
+        x_pow = NfPoly.make(K, [K.one()])
+        x_poly = NfPoly.make(K, [K.zero(), K.one()])
+        theta_pow = K.one()
+        columns = []
+        for _ in range(d):
+            diff = x_pow % h - NfPoly.make(K, [theta_pow])
+            columns.append([c for j in range(h.degree) for c in diff.coeff(j).coords()])
+            x_pow = x_pow * x_poly
+            theta_pow = theta_pow * K.gen()
+        matrix = [[col[r] for col in columns] for r in range(d * h.degree)]
+        degrees.append(d - linalg.rank(matrix))
+    return tuple(sorted(degrees))
+
+
+@pytest.mark.parametrize(
+    "lit", [lit for lit, _, _ in _composite_degree_corpus()] + list(X0_71_IMPRIMITIVE_FIELDS)
+)
+def test_orbital_degrees_match_the_trager_route(lit):
+    K = nf_new(parse_poly(lit))
+    report = principal_subfields(K)
+    assert report.principal_subfield_degrees == _trager_principal_subfield_degrees(K)
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 2), (2, 2)]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+)
+@settings(max_examples=12, deadline=None)
+def test_orbital_degrees_match_the_trager_route_on_composed_fields(degrees, low):
+    # m = g(h(x)) irreducible: Q(h(theta)) is a subfield of degree deg g
+    dg, dh = degrees
+    m = UniPoly.make(low[:dg] + [1]).compose(UniPoly.make(low[dg:dg + dh] + [1]))
+    assume(factor_over_Q(m).is_irreducible())
+    K = nf_new(m)
+    report = principal_subfields(K)
+    assert dg in report.proper_subfield_degrees, str(m)
+    assert report.principal_subfield_degrees == _trager_principal_subfield_degrees(K), str(m)
+
+
+# one pair label flipped, two labels swapped (the counts still fit, the
+# orbital graph does not), then one pair-norm factor shifted by 1: each must
+# make `field` exit 5 with the message of the check that caught it
+CORRUPTED_ORBITALS = """
+import dataclasses
+from primpoints import cli, numfield
+from primpoints.arith import poly
+
+labels, factor = numfield._pair_labels, numfield.factor_over_Q
+
+def one_label_flipped(factors, *rest):
+    out = labels(factors, *rest)
+    out[0, 0] = (out[0, 0] + 1) % len(factors)
+    return out
+
+def two_labels_swapped(*args):
+    out = labels(*args)
+    out[0, 0], out[0, 1] = out[0, 1], out[0, 0]
+    return out
+
+def one_factor_shifted(a):
+    fact = factor(a)
+    if a.degree != 16:  # leave nf_new's factorization of m alone
+        return fact
+    (h, mult), *others = fact.factors
+    return dataclasses.replace(fact, factors=((h + poly(1), mult), *others))
+
+for name, corrupted in (
+    ("_pair_labels", one_label_flipped),
+    ("_pair_labels", two_labels_swapped),
+    ("factor_over_Q", one_factor_shifted),
+):
+    original = getattr(numfield, name)
+    setattr(numfield, name, corrupted)
+    print(cli.main(["field", "x^4-2"]))
+    setattr(numfield, name, original)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_orbitals_raise_verification_failed(optimize):
+    done = run_python(["-c", CORRUPTED_ORBITALS], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n5\n5\n"
+    assert "does not get deg h root pairs" in done.stderr
+    assert "orbital graph components differ in size" in done.stderr
+    assert "lies on no pair-norm factor or on several" in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import run_python
+from primpoints import numfield, pipeline
 from primpoints.arith import UniPoly, is_squarefree, poly
 from primpoints.errors import (
     BadInput,
@@ -203,6 +204,28 @@ def test_classify_points_caps_the_pool_width(monkeypatch, cpus, expected):
     report = classify_points(X0_71, MW_71, 4, jobs=10**6)
     assert _SerialPool.widths == expected
     assert report == classify_points(X0_71, MW_71, 4)
+
+
+def test_classify_points_decides_each_distinct_field_once(monkeypatch):
+    # the 28 irreducible degree-6 classes come in 14 pairs a, -a with one
+    # field each; 3 of those fields are imprimitive
+    calls = {"field_report": [], "principal_subfields": []}
+    for module, name in ((pipeline, "field_report"), (numfield, "principal_subfields")):
+        original = getattr(module, name)
+
+        def counting(arg, _name=name, _original=original):
+            calls[_name].append(arg)
+            return _original(arg)
+
+        monkeypatch.setattr(module, name, counting)
+    report = classify_points(X0_71, MW_71, 6)
+    assert len(calls["field_report"]) == 14 == len(set(calls["field_report"]))
+    assert len(calls["principal_subfields"]) == 3
+    by_label = {v.label[0]: v for v in report.verdicts}
+    for a in range(1, 18):
+        if by_label[a].witness_minpoly is not None:
+            assert by_label[a].witness_minpoly == by_label[-a].witness_minpoly
+            assert by_label[a].outcome == by_label[-a].outcome
 
 
 def test_mwspec_validation():

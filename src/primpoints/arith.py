@@ -6,14 +6,16 @@ coefficients, lowest degree first, with no trailing zeros.  The zero
 polynomial has an empty coefficient list and its degree is the sentinel
 ``None``, never a number.
 
-Factorization over Q takes the classical modular route: reduce a primitive
-integer model modulo a few small primes avoiding the leading coefficient
-and the discriminant, factor mod p (Cantor-Zassenhaus with a deterministic
-generator sequence), Hensel-lift the factorization to a Landau-Mignotte
-style coefficient bound, and recombine subsets.  Degrees in scope stay
-small enough (norms of degree-6 fields give degree 36) that subset
-recombination needs no lattice reduction.  The distinct-degree stage of
-the mod-p factorizer alone gives the degree pattern mod p
+Factorization over Q takes the classical modular route.  A primitive
+integer model is reduced once at each of up to three small primes avoiding
+the leading coefficient and the discriminant, and split there by degree
+(the distinct-degree stage of Cantor-Zassenhaus).  One factor at any prime
+proves it irreducible; otherwise only the first prime with the fewest
+factors runs the equal-degree stage (deterministic generator sequence).
+Its factors are Hensel-lifted to a Landau-Mignotte style coefficient bound
+and recombined by subsets; degrees in scope stay small enough (norms of
+degree-6 fields give degree 36) that this needs no lattice reduction.  The
+distinct-degree split alone gives the degree pattern mod p
 (`degree_patterns`), which `numfield` reads as a Frobenius cycle type.
 """
 
@@ -391,13 +393,20 @@ def interpolate_values(npoints: int, value) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # Polynomials modulo an integer m: a prime p, or a prime power p^k during
-# Hensel lifting.  Only the inverse-taking helpers need m prime.
+# Hensel lifting.  `_fp_reduce`, `_fp_add`, `_fp_sub` and `_fp_mul` work for
+# any m, and `_fp_divmod` whenever lc(b) is a unit mod m, as for the monic
+# divisors of the lifting; `_fp_monic`, `_fp_gcd`, `_fp_bezout` and the
+# splitting stages need m prime.
 
 
 def _fp_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+def _fp_reduce(a, m):
+    return _fp_trim([v % m for v in a])
 
 
 def _fp_add(a, b, p):
@@ -505,11 +514,19 @@ def _fp_distinct_degree(f, p) -> list:
     return dd_parts
 
 
-def _fp_factor_squarefree(f, p, rng) -> list:
-    """Monic irreducible factors of a monic squarefree f over F_p."""
+def _degree_pattern(parts) -> tuple:
+    """Sorted degrees of the irreducible factors behind a distinct-degree split."""
+    return tuple(d for g, d in parts for _ in range((len(g) - 1) // d))
+
+
+def _fp_equal_degree(parts, p, rng) -> list:
+    """Monic irreducible factors over F_p behind a distinct-degree split.
+
+    Cantor-Zassenhaus (p odd) on each (g, d) of `parts`, g a monic product
+    of distinct irreducibles of degree d; sorted by degree, then coefficients.
+    """
     factors = []
-    # equal-degree stage (Cantor-Zassenhaus, p odd) on each distinct-degree part
-    for g, d in _fp_distinct_degree(f, p):
+    for g, d in parts:
         work = [g]
         while work:
             cur = work.pop()
@@ -536,26 +553,6 @@ def _fp_factor_squarefree(f, p, rng) -> list:
 # Hensel lifting (integer coefficients modulo p^k)
 
 
-def _im_trimmed(a, m):
-    return _fp_trim([v % m for v in a])
-
-
-def _im_divmod_monic(a, b, m):
-    """Division by a monic polynomial; valid over Z/m."""
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _fp_trim(rem)
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
-        if c:
-            quot[i - db] = c
-            for j, bv in enumerate(b):
-                rem[i - db + j] = (rem[i - db + j] - c * bv) % m
-    return _fp_trim(quot), _fp_trim(rem)
-
-
 def _fp_bezout(g, h, p):
     """s, t with s*g + t*h = 1 mod p for coprime g, h."""
     r0, r1 = list(g), list(h)
@@ -574,21 +571,22 @@ def _hensel_pair(f, g, h, s, t, p, target_exp):
     """Lift f = g*h (mod p), s*g + t*h = 1 (mod p) to modulus p^target_exp.
 
     Quadratic lifting with both g and h monic, so every division below is
-    by a monic polynomial and stays valid over Z/p^k.
+    by a monic polynomial: `_fp_divmod` inverts lc = 1 and stays valid over
+    Z/p^k.
     """
     k = 1
     while k < target_exp:
         k = min(2 * k, target_exp)
         m = p ** k
-        fm = _im_trimmed(f, m)
+        fm = _fp_reduce(f, m)
         e = _fp_sub(fm, _fp_mul(g, h, m), m)
-        _, corr = _im_divmod_monic(_fp_mul(t, e, m), g, m)
+        _, corr = _fp_divmod(_fp_mul(t, e, m), g, m)
         g = _fp_add(g, corr, m)
-        h, rem = _im_divmod_monic(fm, g, m)
+        h, rem = _fp_divmod(fm, g, m)
         if rem:
             raise VerificationFailed("hensel pair step lost exact divisibility")
         b = _fp_sub(_fp_add(_fp_mul(s, g, m), _fp_mul(t, h, m), m), [1], m)
-        c, d = _im_divmod_monic(_fp_mul(s, b, m), h, m)
+        c, d = _fp_divmod(_fp_mul(s, b, m), h, m)
         s = _fp_sub(s, d, m)
         t = _fp_sub(_fp_sub(t, _fp_mul(t, b, m), m), _fp_mul(c, g, m), m)
     return g, h
@@ -597,7 +595,7 @@ def _hensel_pair(f, g, h, s, t, p, target_exp):
 def _hensel_tree(f, factors, p, target_exp):
     """Lift the monic factorization of monic f mod p to modulus p^target_exp."""
     if len(factors) == 1:
-        return [_im_trimmed(f, p ** target_exp)]
+        return [_fp_reduce(f, p ** target_exp)]
     mid = len(factors) // 2
     left, right = factors[:mid], factors[mid:]
     g = [1]
@@ -641,30 +639,21 @@ class Factorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-def _primes_above(limit_start):
-    """Infinite-ish generator of primes greater than limit_start."""
-    n = limit_start
-    while True:
-        n += 1
-        if is_prime(n):
-            yield n
+def _good_primes(P):
+    """Yield (p, fp) for the primes p > 20 that keep the integer model P
+    squarefree with full degree, in order; fp is P mod p made monic.
 
-
-def _good_primes(int_coeffs):
-    """Primes > 20 keeping the model squarefree with full degree, in order.
-
-    Lazy and endless; callers take a prefix with `itertools.islice`.
+    The one place that reduces a model mod p.  Lazy and endless; callers
+    take a prefix with `itertools.islice`.
     """
-    lc = int_coeffs[-1]
-    deriv = [i * c for i, c in enumerate(int_coeffs)][1:]
-    for p in _primes_above(20):
-        if lc % p == 0:
+    deriv = [i * c for i, c in enumerate(P)][1:]
+    for p in filter(is_prime, itertools.count(21)):
+        if P[-1] % p == 0:
             continue
-        fp = _fp_trim([c % p for c in int_coeffs])
-        dp = _fp_trim([c % p for c in deriv])
-        if not dp or len(_fp_gcd(fp, dp, p)) != 1:
-            continue
-        yield p
+        fp = _fp_reduce(P, p)
+        dp = _fp_reduce(deriv, p)
+        if dp and len(_fp_gcd(fp, dp, p)) == 1:
+            yield p, _fp_monic(fp, p)
 
 
 def degree_patterns(a: UniPoly, count: int):
@@ -676,24 +665,22 @@ def degree_patterns(a: UniPoly, count: int):
     the Galois group acting on the roots.
     """
     _, P = a.to_int_primitive()
-    for p in itertools.islice(_good_primes(P), count):
-        fp = _fp_monic(_fp_trim([c % p for c in P]), p)
-        parts = _fp_distinct_degree(fp, p)
-        yield p, tuple(d for g, d in parts for _ in range((len(g) - 1) // d))
+    for p, fp in itertools.islice(_good_primes(P), count):
+        yield p, _degree_pattern(_fp_distinct_degree(fp, p))
 
 
 def split_primes(a: UniPoly):
     """Yield (p, roots) at the good primes of a's integer model where a mod p
     splits into distinct linear factors; lazy and endless.
 
-    One x^p = x (mod a, p) test per prime; the sorted roots come from the
-    equal-degree stage only where it holds.
+    One x^p = x (mod a, p) test per prime; where it holds, a mod p is its
+    own distinct-degree split, and the equal-degree stage gives the sorted
+    roots.
     """
     _, P = a.to_int_primitive()
-    for p in _good_primes(P):
-        fp = _fp_monic(_fp_trim([c % p for c in P]), p)
+    for p, fp in _good_primes(P):
         if _fp_powmod([0, 1], p, fp, p) == [0, 1]:
-            yield p, sorted(-f[0] % p for f in _fp_factor_squarefree(fp, p, _DetRng(p)))
+            yield p, sorted(-f[0] % p for f in _fp_equal_degree([(fp, 1)], p, _DetRng(p)))
 
 
 def _zassenhaus_irreducibles(s: UniPoly) -> list:
@@ -704,17 +691,20 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
     n = len(P) - 1
     seed = reduce(lambda a, c: (a * 1000003 + c) % (1 << 61), P, n)
 
+    # the distinct-degree split alone picks the prime; a single factor at
+    # any prime proves s irreducible
     best = None
-    for p in itertools.islice(_good_primes(P), 3):
-        fp = _fp_monic(_fp_trim([c % p for c in P]), p)
-        facs = _fp_factor_squarefree(fp, p, _DetRng(seed + p))
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
+    for p, fp in itertools.islice(_good_primes(P), 3):
+        parts = _fp_distinct_degree(fp, p)
+        count = len(_degree_pattern(parts))
+        if count == 1:
+            return [s]
+        if best is None or count < best[0]:
+            best = (count, p, parts)
     if best is None:
         raise BadInput("no usable factorization prime found")
-    p, modular = best
-    if len(modular) == 1:
-        return [s]
+    _, p, parts = best
+    modular = _fp_equal_degree(parts, p, _DetRng(seed + p))
 
     height = max(abs(c) for c in P)
     lc = P[-1]
@@ -727,47 +717,44 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
     fhat = [c * pow(lc, -1, modulus) % modulus for c in P]
     lifted = _hensel_tree(fhat, modular, p, target_exp)
 
+    # subsets by size (von zur Gathen-Gerhard, Alg. 15.22): after a factor
+    # is removed the search stays at its size, since a smaller subset that
+    # divides the cofactor divided the old one too and was already tried
     result = []
     pool = list(range(len(lifted)))
     current = list(P)
-
-    def try_subsets():
-        nonlocal current, pool
+    size = 1
+    while 2 * size <= len(pool):
         lc_cur = current[-1]
-        for size in range(1, len(pool) // 2 + 1):
-            for combo in itertools.combinations(pool, size):
-                # a true factor g makes the candidate c = lc(current)/lc(g) * g,
-                # and c(a) divides lc(current) * current(a) at every integer a:
-                # a = 0 is tested on the constant terms alone, a = 1 once c is
-                # built, both before the trial division
-                const = lc_cur
-                for idx in combo:
-                    const = const * lifted[idx][0] % modulus
-                if not _divides(_symmetric(const, modulus), lc_cur * current[0]):
-                    continue
-                cand = [lc_cur % modulus]
-                for idx in combo:
-                    cand = _fp_mul(cand, lifted[idx], modulus)
-                cand = [_symmetric(v, modulus) for v in cand]
-                if not _divides(sum(cand), lc_cur * sum(current)):
-                    continue
-                content = reduce(gcd, (abs(v) for v in cand if v), 0)
-                if content == 0:
-                    continue
-                cand = [v // content for v in cand]
-                q, r = divmod(UniPoly.make(current), UniPoly.make(cand))
-                if r.is_zero:
-                    result.append(UniPoly.make(cand).monic())
-                    _, current_int = q.to_int_primitive()
-                    current = current_int
-                    pool = [i for i in pool if i not in combo]
-                    return True
-        return False
-
-    while pool and len(current) - 1 > 0:
-        if not try_subsets():
-            break
-    if len(current) - 1 > 0:
+        for combo in itertools.combinations(pool, size):
+            # a true factor g makes the candidate c = lc(current)/lc(g) * g,
+            # and c(a) divides lc(current) * current(a) at every integer a:
+            # a = 0 is tested on the constant terms alone, a = 1 once c is
+            # built, both before the trial division
+            const = lc_cur
+            for idx in combo:
+                const = const * lifted[idx][0] % modulus
+            if not _divides(_symmetric(const, modulus), lc_cur * current[0]):
+                continue
+            cand = [lc_cur % modulus]
+            for idx in combo:
+                cand = _fp_mul(cand, lifted[idx], modulus)
+            cand = [_symmetric(v, modulus) for v in cand]
+            if not _divides(sum(cand), lc_cur * sum(current)):
+                continue
+            content = reduce(gcd, (abs(v) for v in cand if v), 0)
+            if content == 0:
+                continue
+            cand = [v // content for v in cand]
+            q, r = divmod(UniPoly.make(current), UniPoly.make(cand))
+            if r.is_zero:
+                result.append(UniPoly.make(cand).monic())
+                _, current = q.to_int_primitive()
+                pool = [i for i in pool if i not in combo]
+                break
+        else:
+            size += 1
+    if len(current) > 1:
         result.append(UniPoly.make(current).monic())
     result.sort(key=UniPoly.sort_key)
     return result
@@ -784,15 +771,13 @@ def factor_over_Q(a: UniPoly) -> Factorization:
     unit = a.lc
     if a.degree == 0:
         return Factorization(unit, ())
-    out = []
-    for part, mult in squarefree_decomposition(a):
-        for irr in _zassenhaus_irreducibles(part):
-            out.append((irr, mult))
-    merged = {}
-    for f, m in out:
-        merged[f] = merged.get(f, 0) + m
-    factors = tuple(sorted(merged.items(), key=lambda fm: fm[0].sort_key()))
-    fact = Factorization(unit, factors)
+    # Yun's parts are pairwise coprime, so no irreducible occurs twice
+    factors = sorted(
+        ((irr, mult) for part, mult in squarefree_decomposition(a)
+         for irr in _zassenhaus_irreducibles(part)),
+        key=lambda fm: fm[0].sort_key(),
+    )
+    fact = Factorization(unit, tuple(factors))
     if fact.expand() != a:
         raise VerificationFailed("factorization failed exact re-multiplication")
     return fact

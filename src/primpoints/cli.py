@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import formats, hyperell, numfield, permact, pipeline
 from .errors import (
+    BadInput,
     ParseError,
     PrimpointsError,
     ReduciblePolynomial,
@@ -312,6 +313,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    if args.samples < 1 or args.height < 1:
+        raise BadInput("sample count and height bound must be at least 1")
     m = formats.parse_poly(args.poly)
     curve, witness, _ = pipeline.construct_primitive_curve(m, 0)
     D = hyperell.Divisor.make([(witness, 1)])

@@ -306,28 +306,19 @@ def _series_sqrt(coeffs, nterms, s0):
     return out
 
 
-@lru_cache(maxsize=64)
-def _y_series_exact(curve: HyperCurve, nterms: int):
-    assert curve.parity == EVEN
-    n = curve.f.degree
-    reversed_f = [curve.f.coeff(n - i) for i in range(n + 1)]
-    return tuple(_series_sqrt(reversed_f, nterms, curve.sqrt_lc))
-
-
 def _series_length(nterms: int) -> int:
     """Requests are rounded up so repeated valuations share one cached series."""
     return ((max(nterms, 1) + 63) // 64) * 64
 
 
-def _y_series(curve: HyperCurve, nterms: int):
-    """Coefficients S with y = +- t^{-(g+1)} * sum S[i] t^i at oo+-, even models."""
-    return _y_series_exact(curve, _series_length(nterms))
-
-
 @lru_cache(maxsize=64)
 def _y_series_scaled(curve: HyperCurve, nterms: int):
-    """(L, N) with N[i] = L * S[i] integers, S = _y_series(curve, nterms)."""
-    series = _y_series(curve, nterms)
+    """(L, N) with integers N[i], y = +- t^{-(g+1)} * sum (N[i] / L) t^i at
+    oo+-, even models; callers round nterms with `_series_length`."""
+    assert curve.parity == EVEN
+    n = curve.f.degree
+    reversed_f = [curve.f.coeff(n - i) for i in range(n + 1)]
+    series = _series_sqrt(reversed_f, nterms, curve.sqrt_lc)
     den = lcm(*(c.denominator for c in series))
     return den, tuple(c.numerator * (den // c.denominator) for c in series)
 
@@ -360,9 +351,9 @@ def expansion_at_infinity(curve: HyperCurve, place: str, precision: int) -> Infi
         if place not in (OO_PLUS, OO_MINUS):
             raise InfinitePlace(f"even model has places {OO_PLUS}, {OO_MINUS}")
         sign = 1 if place == OO_PLUS else -1
-        series = _y_series(curve, precision)[:precision]
+        L, N = _y_series_scaled(curve, _series_length(precision))
         return InfinityExpansion(
-            place, -(curve.genus + 1), tuple(sign * c for c in series)
+            place, -(curve.genus + 1), tuple(Fraction(sign * c, L) for c in N[:precision])
         )
     if place != OO:
         raise InfinitePlace("odd model has the single place oo")
@@ -383,14 +374,15 @@ def _even_infinity_valuation(curve, u, v, place) -> int:
     g = curve.genus
     M = max(du if du is not None else -(10 ** 9), (dv + g + 1) if dv is not None else -(10 ** 9))
     nterms = 2 * M + 2 + (dv + g + 2 if dv is not None else 0)
-    series = _y_series(curve, max(nterms, 2)) if dv is not None else ()
+    # L times the coefficient of t^e, so the series stays in integers
+    L, N = _y_series_scaled(curve, _series_length(nterms)) if dv is not None else (1, ())
     for e in range(-M, M + 1):
-        coeff = u.coeff(-e) if e <= 0 else Fraction(0)
+        coeff = L * u.coeff(-e) if e <= 0 else 0
         if dv is not None:
             for j in range(dv + 1):
                 idx = e + j + g + 1
                 if idx >= 0:
-                    coeff += sign * v.coeff(j) * series[idx]
+                    coeff += sign * v.coeff(j) * N[idx]
         if coeff:
             return e
     raise AssertionError("valuation window exhausted; function unexpectedly zero")

@@ -434,12 +434,14 @@ class SubfieldReport:
 PAIR_NORM_SHIFTS = tuple(s for k in range(2, 26) for s in (k, -k))
 
 
-def _pair_norm(m: UniPoly, s: int) -> UniPoly:
-    """N_s(x) = Res_t(m(t), m(x - s*t)), the product of x - (theta_j + s*theta_i)
-    over all ordered pairs (i, j) of roots of the monic m."""
-    return interpolate_values(
-        m.degree ** 2 + 1, lambda x0: resultant(m, m.compose(UniPoly.make([x0, -s])))
-    )
+def _squarefree_norm(shifts, npoints: int, value):
+    """(s, N) for the first s in `shifts` with N squarefree, N the polynomial
+    through (x0, value(s, x0)) at `npoints` points; Degenerate if none is."""
+    for s in shifts:
+        norm = interpolate_values(npoints, lambda x0: value(s, x0))
+        if is_squarefree(norm):
+            return s, norm
+    raise Degenerate("no squarefree norm found within the shift cap")
 
 
 def _pair_labels(factors, roots, s: int, p: int) -> dict:
@@ -502,12 +504,12 @@ def principal_subfields(K: NumberField) -> SubfieldReport:
     (Chebotarev), so the scan ends.  No arithmetic over K is needed.
     """
     m, d = K.min_poly, K.degree
-    for s in PAIR_NORM_SHIFTS:
-        norm = _pair_norm(m, s)
-        if is_squarefree(norm):
-            break
-    else:
-        raise Degenerate("no squarefree pair norm found within the shift cap")
+    # N_s(x) = Res_t(m(t), m(x - s*t)), the product of x - (theta_j + s*theta_i)
+    # over all ordered pairs (i, j) of roots of the monic m
+    s, norm = _squarefree_norm(
+        PAIR_NORM_SHIFTS, d * d + 1,
+        lambda s, x0: resultant(m, m.compose(UniPoly.make([x0, -s]))),
+    )
     factors = [h for h, _ in factor_over_Q(norm).factors]
     for p, roots in split_primes(m):
         if len({(rj + s * ri) % p for ri in roots for rj in roots}) == d * d:
@@ -601,11 +603,7 @@ def shifted_norm(p: UniPoly, f: UniPoly):
         g = UniPoly.make([z0, -c]) ** 2 - f
         return Fraction(0) if g.is_zero else resultant(p, g)
 
-    for c in range(50):
-        norm = interpolate_values(2 * p.degree + 1, lambda z0: value(c, z0))
-        if poly_gcd(norm, norm.derivative()).degree == 0:
-            return c, norm
-    raise Degenerate("no admissible shift c below the search cap")
+    return _squarefree_norm(range(50), 2 * p.degree + 1, value)
 
 
 def absolute_minpoly(p: UniPoly, f: UniPoly) -> UniPoly:

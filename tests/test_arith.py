@@ -1,13 +1,20 @@
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS
+from primpoints import arith
 from primpoints.arith import (
     Factorization,
     UniPoly,
+    _fp_mul,
+    _fp_reduce,
+    _good_primes,
+    _hensel_tree,
     factor_over_Q,
     hensel_sqrt,
     is_squarefree,
@@ -259,6 +266,59 @@ def test_factor_matches_sympy(parts):
     )
     got = sorted((g.coeffs, mult) for g, mult in factor_over_Q(product).factors)
     assert got == expected
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=3), min_size=2, max_size=4),
+       st.integers(2, 5))
+@settings(max_examples=40)
+def test_hensel_tree_lifts_a_monic_factorization(lows, k):
+    # monic integer factors g_i, lifted from their first good prime p to p^k:
+    # division by the monic g_i modulo p^k runs through _fp_divmod
+    factors = [low + [1] for low in lows]
+    product = reduce(lambda a, g: a * UniPoly.make(g), factors, UniPoly.one())
+    assume(is_squarefree(product))
+    _, P = product.to_int_primitive()
+    p, _ = next(_good_primes(P))
+    modulus = p ** k
+    modular = [_fp_reduce(g, p) for g in factors]
+    lifts = _hensel_tree(_fp_reduce(P, modulus), modular, p, k)
+    assert len(lifts) == len(factors)
+    for lift, g in zip(lifts, modular):
+        assert len(lift) == len(g) and lift[-1] == 1
+        assert _fp_reduce(lift, p) == g
+    assert reduce(lambda a, b: _fp_mul(a, b, modulus), lifts, [1]) == _fp_reduce(P, modulus)
+
+
+def _count_splitting_stages(monkeypatch):
+    calls = Counter()
+    for name in ("_fp_distinct_degree", "_fp_equal_degree"):
+        original = getattr(arith, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(arith, name, counting)
+    return calls
+
+
+def test_equal_degree_stage_runs_once_at_the_kept_prime(monkeypatch):
+    calls = _count_splitting_stages(monkeypatch)
+    # squarefree and reducible: three distinct-degree splits, one equal-degree
+    f = factor_over_Q(poly(-2, 0, 0, 0, 0, 0, 1) * poly(3, 1, 0, 0, 0, 0, 1))
+    assert len(f.factors) == 2
+    assert calls == {"_fp_distinct_degree": 3, "_fp_equal_degree": 1}
+    calls.clear()
+    # x^2 + 1 is irreducible mod 23, its first good prime: no equal-degree run
+    assert factor_over_Q(poly(1, 0, 1)).is_irreducible()
+    assert calls == {"_fp_distinct_degree": 1}
+
+
+def test_split_primes_runs_no_distinct_degree_split(monkeypatch):
+    calls = _count_splitting_stages(monkeypatch)
+    p, roots = next(arith.split_primes(poly(-2, 0, 0, 0, 1)))
+    assert len(set(roots)) == 4 and all((r ** 4 - 2) % p == 0 for r in roots)
+    assert calls == {"_fp_equal_degree": 1}
 
 
 def test_rational_roots_examples():

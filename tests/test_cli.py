@@ -225,6 +225,18 @@ def test_twists_rejects_small_degree(optimize):
     assert "hits=" not in done.stdout
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "bounds",
+    [["--samples", "0"], ["--height", "0"], ["--samples", "-3"], ["--height", "-1"]],
+)
+def test_fiber_rejects_empty_samples(optimize, bounds):
+    done = _run_cli(["fiber", "x^3-2", *bounds], optimize)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "primitive_fraction" not in done.stdout
+
+
 @pytest.mark.slow
 def test_points_command_degree4_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.txt"

@@ -12,12 +12,14 @@ from primpoints import linalg, numfield
 from primpoints.arith import (
     UniPoly,
     _DetRng,
-    _fp_factor_squarefree,
+    _fp_distinct_degree,
+    _fp_equal_degree,
     factor_over_Q,
     is_prime,
     poly,
 )
 from primpoints.errors import (
+    Degenerate,
     NotInert,
     ReduciblePolynomial,
     VerificationFailed,
@@ -165,6 +167,17 @@ def test_principal_subfields_examples():
     assert report41.is_primitive
 
 
+def test_squarefree_norm_search_raises_degenerate_when_the_shifts_run_out(monkeypatch):
+    with pytest.raises(Degenerate):
+        numfield._squarefree_norm((), 3, lambda s, x0: x0)
+    # (x - 2)^2 at every shift: none gives a squarefree norm
+    with pytest.raises(Degenerate):
+        numfield._squarefree_norm(range(3), 3, lambda s, x0: x0 ** 2 - 4 * x0 + 4)
+    monkeypatch.setattr(numfield, "PAIR_NORM_SHIFTS", ())
+    with pytest.raises(Degenerate):
+        principal_subfields(nf_new(poly(-2, 0, 0, 0, 1)))
+
+
 def test_is_primitive_field_examples():
     assert is_primitive_field(poly(-1, -1, 0, 0, 0, 1))  # x^5-x-1
     assert not is_primitive_field(poly(-2, 0, 0, 0, 1))  # x^4-2
@@ -300,7 +313,8 @@ def test_frobenius_certificate_is_checkable():
     _, P = m.to_int_primitive()
     sizes = {2, 3, 4, 6}
     for p, ct in certificate:
-        factors = _fp_factor_squarefree([c % p for c in P], p, _DetRng(p))
+        fp = [c % p for c in P]
+        factors = _fp_equal_degree(_fp_distinct_degree(fp, p), p, _DetRng(p))
         assert tuple(sorted(len(f) - 1 for f in factors)) == ct
         sizes -= {b for b in sizes if not cycle_type_fits_blocks(ct, b)}
     assert not sizes

@@ -9,9 +9,10 @@ polynomial has an empty coefficient list and its degree is the sentinel
 Factorization over Q takes the classical modular route.  A primitive
 integer model is reduced once at each of up to three small primes avoiding
 the leading coefficient and the discriminant, and split there by degree
-(the distinct-degree stage of Cantor-Zassenhaus).  One factor at any prime
-proves it irreducible; otherwise only the first prime with the fewest
-factors runs the equal-degree stage (deterministic generator sequence).
+(the distinct-degree stage of Cantor-Zassenhaus).  Degree patterns that
+admit no common factor degree prove it irreducible (Musser's degree-set
+intersection); otherwise only the first prime with the fewest factors runs
+the equal-degree stage (deterministic generator sequence).
 Its factors are Hensel-lifted to a Landau-Mignotte style coefficient bound
 and recombined by subsets; degrees in scope stay small enough (norms of
 degree-6 fields give degree 36) that this needs no lattice reduction.  The
@@ -656,31 +657,47 @@ def _good_primes(P):
             yield p, _fp_monic(fp, p)
 
 
+def _squarefree_model(a: UniPoly) -> list:
+    """The integer model of a, which must be squarefree of degree >= 1:
+    `_good_primes` finds no prime for any other model and would scan forever."""
+    if a.is_zero or a.degree < 1 or not is_squarefree(a):
+        raise BadInput("need a squarefree polynomial of degree at least 1")
+    return a.to_int_primitive()[1]
+
+
 def degree_patterns(a: UniPoly, count: int):
-    """Yield (p, degrees) at the first `count` good primes of a's integer model.
+    """(p, degrees) at the first `count` good primes of a's integer model, lazily.
 
     `degrees` is the sorted tuple of the degrees of the irreducible factors
     of a mod p, read off the distinct-degree split.  For an irreducible a
     it is, by Dedekind's theorem, the cycle type of a Frobenius element of
-    the Galois group acting on the roots.
+    the Galois group acting on the roots.  BadInput, at once, unless a is
+    squarefree of degree >= 1.
     """
-    _, P = a.to_int_primitive()
-    for p, fp in itertools.islice(_good_primes(P), count):
-        yield p, _degree_pattern(_fp_distinct_degree(fp, p))
+    P = _squarefree_model(a)
+    return ((p, _degree_pattern(_fp_distinct_degree(fp, p)))
+            for p, fp in itertools.islice(_good_primes(P), count))
 
 
 def split_primes(a: UniPoly):
-    """Yield (p, roots) at the good primes of a's integer model where a mod p
+    """(p, roots) at the good primes of a's integer model where a mod p
     splits into distinct linear factors; lazy and endless.
 
     One x^p = x (mod a, p) test per prime; where it holds, a mod p is its
     own distinct-degree split, and the equal-degree stage gives the sorted
-    roots.
+    roots.  BadInput, at once, unless a is squarefree of degree >= 1.
     """
-    _, P = a.to_int_primitive()
-    for p, fp in _good_primes(P):
-        if _fp_powmod([0, 1], p, fp, p) == [0, 1]:
-            yield p, sorted(-f[0] % p for f in _fp_equal_degree([(fp, 1)], p, _DetRng(p)))
+    P = _squarefree_model(a)
+    return ((p, sorted(-f[0] % p for f in _fp_equal_degree([(fp, 1)], p, _DetRng(p))))
+            for p, fp in _good_primes(P) if _fp_powmod([0, 1], p, fp, p) == [0, 1])
+
+
+def _subset_sums(degrees) -> set:
+    """Sums of the sub-multisets of `degrees`, 0 and the total included."""
+    sums = {0}
+    for d in degrees:
+        sums |= {s + d for s in sums}
+    return sums
 
 
 def _zassenhaus_irreducibles(s: UniPoly) -> list:
@@ -691,18 +708,20 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
     n = len(P) - 1
     seed = reduce(lambda a, c: (a * 1000003 + c) % (1 << 61), P, n)
 
-    # the distinct-degree split alone picks the prime; a single factor at
-    # any prime proves s irreducible
+    # the distinct-degree split alone picks the prime.  A factor over Q of
+    # degree 0 < e < n reduces to a product of factors mod every p, so e is
+    # a subset sum of each degree pattern; once no e is left, s is
+    # irreducible (Musser, JACM 1978).  A single factor at any prime leaves none.
+    allowed = set(range(1, n))
     best = None
     for p, fp in itertools.islice(_good_primes(P), 3):
         parts = _fp_distinct_degree(fp, p)
-        count = len(_degree_pattern(parts))
-        if count == 1:
+        pattern = _degree_pattern(parts)
+        allowed &= _subset_sums(pattern)
+        if not allowed:
             return [s]
-        if best is None or count < best[0]:
-            best = (count, p, parts)
-    if best is None:
-        raise BadInput("no usable factorization prime found")
+        if best is None or len(pattern) < best[0]:
+            best = (len(pattern), p, parts)
     _, p, parts = best
     modular = _fp_equal_degree(parts, p, _DetRng(seed + p))
 

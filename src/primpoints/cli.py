@@ -315,12 +315,17 @@ def cmd_construct(args) -> int:
 def cmd_fiber(args) -> int:
     if args.samples < 1 or args.height < 1:
         raise BadInput("sample count and height bound must be at least 1")
+    betas = _sample_betas(args.samples, args.height)
+    if len(betas) < args.samples:
+        raise BadInput(
+            f"only {len(betas)} distinct sample values have height at most "
+            f"{args.height}; {args.samples} were asked for"
+        )
     m = formats.parse_poly(args.poly)
     curve, witness, _ = pipeline.construct_primitive_curve(m, 0)
     D = hyperell.Divisor.make([(witness, 1)])
     space = hyperell.rr_space(curve, D)
     w = next(b for b in space.basis if not b.is_constant)
-    betas = _sample_betas(args.samples, args.height)
     report = pipeline.fiber_sample_report(curve, w, betas)
     if args.json:
         doc = {

@@ -491,7 +491,8 @@ def _poles_along(curve: HyperCurve, den: UniPoly):
     """(place, -order) of 1/den(x) at every place over a factor of den.
 
     Cached per (curve, den), as `classify_place` is per (curve, p): every
-    fiber of one map shares its den.
+    fiber of one map shares its den.  The polynomials of these places are
+    the irreducible factors of den, the one factorization of den.
     """
     out = []
     for p, mult in factor_over_Q(den).factors:
@@ -506,18 +507,41 @@ def _poles_along(curve: HyperCurve, den: UniPoly):
     return tuple(out)
 
 
+def _norm_factors(norm: UniPoly, known) -> list:
+    """factor_over_Q(norm).factors, factoring only what `known` leaves.
+
+    Each monic irreducible of `known` is divided out of norm exactly, with
+    its valuation; only the cofactor goes to `factor_over_Q`.
+    """
+    out = []
+    for p in known:
+        k = _valuation_at(p, norm)
+        if k:
+            norm = norm // p**k
+            out.append((p, k))
+    if norm.degree > 0:
+        out.extend(factor_over_Q(norm).factors)
+    out.sort(key=lambda fm: fm[0].sort_key())
+    return out
+
+
 def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
     """The full principal divisor of w; total degree always 0.
 
-    Zeros come from the factors p of the norm u^2 - v^2 f, each place and
-    order read off u + v*y itself (`_zeros_over`); `classify_place` is asked
-    only where u + v*y is a unit times a power of p, and for the poles along
-    den (`_poles_along`, once per den).  Orders at infinity come from the
-    expansions there.
+    Zeros come from the factors p of the norm N = u^2 - v^2 f, each place
+    and order read off u + v*y itself (`_zeros_over`); `classify_place` is
+    asked only where u + v*y is a unit times a power of p, and for the poles
+    along den (`_poles_along`, once per den).  The factors of den are divided
+    out of N first, so only the cofactor is factored.  A factor p of den
+    divides N wherever w has a pole of lower order than den at a place over
+    p, since u + v*y vanishes there: along the ramified point of a fiber map
+    of `specialize_fiber`, for every w - beta.  Orders at infinity come from
+    the expansions.
     """
     if w.is_zero:
         raise ZeroFunction("divisor of the zero function")
     u, v, den = w.u, w.v, w.den
+    poles = _poles_along(curve, den) if den.degree > 0 else ()
     terms = {}
 
     def bump(pt, mult):
@@ -529,14 +553,13 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
     if norm.is_zero:
         raise VerificationFailed("u + v y vanished identically on the curve")
     if norm.degree > 0:
-        for p, mult in factor_over_Q(norm).factors:
+        for p, mult in _norm_factors(norm, dict.fromkeys(pt.p for pt, _ in poles)):
             for pt, val in _zeros_over(curve, p, mult, u, v):
                 bump(pt, val)
 
     # denominator part: poles along den(x)
-    if den.degree > 0:
-        for pt, val in _poles_along(curve, den):
-            bump(pt, val)
+    for pt, val in poles:
+        bump(pt, val)
 
     # infinite places
     dden = den.degree
@@ -757,10 +780,16 @@ def decompose_effective(curve: HyperCurve, w: CurveFunction, base: Divisor) -> D
     return out
 
 
-def point_field(curve: HyperCurve, pt: ClosedPoint) -> UniPoly:
-    """Monic minimal polynomial of a generator of the residue field Q(P)."""
+def point_field(curve: HyperCurve, pt: ClosedPoint) -> numfield.NumberField:
+    """The residue field Q(P), without re-proving its polynomial irreducible.
+
+    A split or ramified place has Q(P) = Q[x]/(p), and p is irreducible for
+    every place the package builds: a factor from `factor_over_Q`, or a
+    point of D that `rr_space` checked.  An inert place has the field of
+    `absolute_minpoly`, which proves its norm irreducible.
+    """
     if pt.kind == "inf":
         raise InfinitePlace("infinite places are rational points")
     if pt.branch in (SPLIT, RAM):
-        return pt.p
-    return numfield.absolute_minpoly(pt.p, curve.f)
+        return numfield.NumberField(pt.p)
+    return numfield.NumberField(numfield.absolute_minpoly(pt.p, curve.f))

@@ -11,7 +11,8 @@ This module is the only one that decides primitivity.  `field_report`
 validates m and tries four routes in order:
 
 1. degree 1: not primitive by convention, with a warning;
-2. prime degree (after `nf_new` proves m irreducible): primitive, since
+2. prime degree (m proven irreducible, by `nf_new` or, for the field of
+   a place, already by the factorization that found it): primitive, since
    no degree strictly between 1 and d divides d;
 3. Frobenius cycle types: K is primitive iff Gal(m) acts primitively on
    the roots of m (the stabilizer lemma).  At a good prime p the degrees
@@ -551,25 +552,28 @@ def frobenius_certificate(m: UniPoly):
     return None
 
 
-def field_report(m: UniPoly) -> SubfieldReport:
+def field_report(m: UniPoly | NumberField) -> SubfieldReport:
     """Primitivity verdict for Q[t]/(m): the one place that decides it.
 
-    The routes, in order: degree 1 is not primitive by convention and warns
-    (the notion presupposes a nontrivial extension); a reducible m raises
-    ReduciblePolynomial; prime degree is primitive without a subfield
-    search; a Frobenius certificate (`frobenius_certificate`) proves the
-    field primitive; every other field, imprimitive ones included, goes
-    through `principal_subfields`.
+    m is a polynomial, which `nf_new` validates (a zero, constant or
+    reducible m raises), or a NumberField whose min_poly is already proven
+    irreducible, as `hyperell.point_field` builds for a place.  The routes,
+    in order: degree 1 is not primitive by convention and warns (the notion
+    presupposes a nontrivial extension); prime degree is primitive without
+    a subfield search; a Frobenius certificate (`frobenius_certificate`)
+    proves the field primitive; every other field, imprimitive ones
+    included, goes through `principal_subfields`.
     """
-    if m.is_zero:
+    if isinstance(m, NumberField):
+        K = m
+    elif m.is_zero:
         raise ZeroPolynomial("empty defining polynomial")
-    d = m.degree
-    if d == 0:
-        raise ReduciblePolynomial("constant polynomial defines no field")
+    else:
+        K = nf_new(m)
+    d = K.degree
     if d == 1:
         warnings.warn("degree-1 field treated as not primitive by convention")
         return SubfieldReport((), False, route=DEGREE_ONE)
-    K = nf_new(m)
     if is_prime(d):
         # no degree strictly between 1 and a prime divides it
         return SubfieldReport((), True, route=PRIME_DEGREE)
@@ -579,7 +583,7 @@ def field_report(m: UniPoly) -> SubfieldReport:
     return principal_subfields(K)
 
 
-def is_primitive_field(m: UniPoly) -> bool:
+def is_primitive_field(m: UniPoly | NumberField) -> bool:
     """True iff Q[t]/(m) has no subfield strictly between Q and itself."""
     return field_report(m).is_primitive
 

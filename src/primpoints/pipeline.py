@@ -276,19 +276,19 @@ class OrbitVerdict:
     skip_reason: str = None
 
 
-def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> OrbitVerdict:
-    """First phase of one class: its final verdict, or, for the irreducible
-    effective divisor of a rigid class, a verdict with the point's minimal
-    polynomial and no outcome yet."""
+def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
+    """First phase of one class: (its final verdict, None), or, for the
+    irreducible effective divisor of a rigid class, (a verdict with the
+    point's minimal polynomial and no outcome yet, the point's field)."""
     if entry.ell >= 2:
         return OrbitVerdict(
             entry.label,
             entry.ell,
             SKIPPED,
             skip_reason="positive-dimensional series on a gonal cover (m=2)",
-        )
+        ), None
     if entry.ell == 0:
-        return OrbitVerdict(entry.label, 0, NO_EFFECTIVE)
+        return OrbitVerdict(entry.label, 0, NO_EFFECTIVE), None
     w = entry.basis[0]
     eff = decompose_effective(curve, w, entry.divisor)
     assert eff.degree == d
@@ -298,22 +298,22 @@ def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> OrbitVerdict:
         and terms[0][0].kind == "affine"
     )
     if not irreducible:
-        return OrbitVerdict(entry.label, 1, REDUCIBLE, witness_divisor=eff)
-    minpoly = point_field(curve, terms[0][0])
-    assert minpoly.degree == d
-    return OrbitVerdict(entry.label, 1, None, witness_divisor=eff, witness_minpoly=minpoly)
+        return OrbitVerdict(entry.label, 1, REDUCIBLE, witness_divisor=eff), None
+    K = point_field(curve, terms[0][0])
+    assert K.degree == d
+    return OrbitVerdict(entry.label, 1, None, witness_divisor=eff, witness_minpoly=K.min_poly), K
 
 
 def _classify_entries(curve: HyperCurve, entries, d: int, pmap) -> list:
     """Both phases over one map (serial `map` or a pool's): each class to its
     verdict or its point's field, then one `field_report` per distinct field."""
-    verdicts = list(pmap(partial(_rigid_point, curve, d), entries))
-    fields = list(dict.fromkeys(v.witness_minpoly for v in verdicts if v.outcome is None))
+    pending = list(pmap(partial(_rigid_point, curve, d), entries))
+    fields = list(dict.fromkeys(K for _, K in pending if K is not None))
     reports = dict(zip(fields, pmap(field_report, fields)))
     out = []
-    for v in verdicts:
-        if v.outcome is None:
-            report = reports[v.witness_minpoly]
+    for v, K in pending:
+        if K is not None:
+            report = reports[K]
             proper = report.proper_subfield_degrees
             v = replace(
                 v,
@@ -423,8 +423,8 @@ def specialize_fiber(curve: HyperCurve, w: CurveFunction, beta) -> str:
         return DEGENERATE
     terms = fiber.terms
     if len(terms) == 1 and terms[0][0].kind == "affine":
-        minpoly = point_field(curve, terms[0][0])
-        return IRRED_PRIMITIVE if is_primitive_field(minpoly) else IRRED_IMPRIMITIVE
+        K = point_field(curve, terms[0][0])
+        return IRRED_PRIMITIVE if is_primitive_field(K) else IRRED_IMPRIMITIVE
     return FIBER_REDUCIBLE
 
 

@@ -314,6 +314,43 @@ def test_equal_degree_stage_runs_once_at_the_kept_prime(monkeypatch):
     assert calls == {"_fp_distinct_degree": 1}
 
 
+def test_degree_sets_that_share_no_degree_prove_irreducibility(monkeypatch):
+    calls = _count_splitting_stages(monkeypatch)
+    monkeypatch.setattr(arith, "_hensel_tree", None)  # any lift would fail
+    m = poly(9, -6, 0, 0, 0, 1)  # x^5 - 6x + 9
+    assert list(arith.degree_patterns(m, 3)) == [(23, (1, 4)), (31, (2, 3)), (41, (1, 4))]
+    calls.clear()
+    # a factor of degree 1 or 4 at 23, of degree 2 or 3 at 31: none over Q,
+    # so the split stops at 31, with no equal-degree stage and no lift
+    assert factor_over_Q(m).is_irreducible()
+    assert calls == {"_fp_distinct_degree": 2}
+
+
+@given(st.lists(polys(4, nonzero=True), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_degree_set_intersection_leaves_factorizations_unchanged(parts):
+    product = reduce(lambda a, b: a * b, parts)
+    assume(product.degree and product.degree > 0)
+    fact = factor_over_Q(product)
+    # the reference: without the intersection, only a single factor at
+    # some prime proves irreducibility
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(
+            arith, "_subset_sums",
+            lambda pattern: set(range(sum(pattern) + 1)) if len(pattern) > 1 else set(),
+        )
+        assert factor_over_Q(product) == fact
+
+
+@pytest.mark.parametrize("a", [poly(-1, 0, 1) ** 2, poly(3), UniPoly.zero()])
+def test_degree_patterns_and_split_primes_reject_models_without_good_primes(a):
+    # no prime keeps these squarefree with full degree: the scan never ends
+    with pytest.raises(BadInput):
+        arith.degree_patterns(a, 1)
+    with pytest.raises(BadInput):
+        arith.split_primes(a)
+
+
 def test_split_primes_runs_no_distinct_degree_split(monkeypatch):
     calls = _count_splitting_stages(monkeypatch)
     p, roots = next(arith.split_primes(poly(-2, 0, 0, 0, 1)))

@@ -228,7 +228,9 @@ def test_twists_rejects_small_degree(optimize):
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize(
     "bounds",
-    [["--samples", "0"], ["--height", "0"], ["--samples", "-3"], ["--height", "-1"]],
+    [["--samples", "0"], ["--height", "0"], ["--samples", "-3"], ["--height", "-1"],
+     # height 1 holds the one value beta = 1, height 2 also 1/2: no report on fewer
+     ["--samples", "3", "--height", "1"], ["--samples", "3", "--height", "2"]],
 )
 def test_fiber_rejects_empty_samples(optimize, bounds):
     done = _run_cli(["fiber", "x^3-2", *bounds], optimize)

@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS, run_python
-from primpoints import hyperell, numfield
+from primpoints import hyperell, numfield, pipeline
 from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, poly
 from primpoints.errors import (
     BadInput,
@@ -18,6 +18,7 @@ from primpoints.errors import (
     VerificationFailed,
     ZeroFunction,
 )
+from primpoints.formats import parse_poly
 from primpoints.hyperell import (
     INERT,
     OO,
@@ -433,13 +434,13 @@ def test_point_field():
     branch, q = classify_place(C_X6, poly(0, 1))
     assert branch == SPLIT
     pt = ClosedPoint.affine(poly(0, 1), SPLIT, q)
-    assert point_field(C_X6, pt) == poly(0, 1)
+    assert point_field(C_X6, pt).min_poly == poly(0, 1)
 
     # inert quadratic point: x = 1 on y^2 = x^5 + 1 gives y^2 = 2
     branch1, _ = classify_place(C_X5, poly(-1, 1))
     assert branch1 == INERT
     pt1 = ClosedPoint.affine(poly(-1, 1), INERT)
-    assert point_field(C_X5, pt1) == poly(-2, 0, 1)
+    assert point_field(C_X5, pt1).min_poly == poly(-2, 0, 1)
     assert pt1.degree == 2
 
     with pytest.raises(InfinitePlace):
@@ -692,3 +693,76 @@ def test_divisor_of_function_rejects_a_corrupted_root(optimize):
     done = run_python(["-c", code], optimize)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "VerificationFailed\n" * 2
+
+
+# ---------------------------------------------------------------------------
+# the norm of u + v*y is factored with den's factors split off first
+
+X3_MINUS_2 = READOFF_MODELS[2]  # y^2 = x^6 - 4, the curve of the x^3 - 2 fiber map
+COPRIME_DEN_FACTORS = [poly(0, 1), poly(-5, 1), poly(1, 0, 1), poly(1, 1, 1)]
+
+
+def _split_matches_factor_over_q(curve, w):
+    norm = w.u * w.u - w.v * w.v * curve.f
+    assume(norm.degree and norm.degree > 0)
+    known = [p for p, _ in factor_over_Q(w.den).factors] if w.den.degree > 0 else []
+    assert hyperell._norm_factors(norm, known) == list(factor_over_Q(norm).factors)
+
+
+@st.composite
+def functions_with_known_den(draw):
+    f = X3_MINUS_2.f
+    u, v = UniPoly.one(), UniPoly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(small_polys(2)), draw(small_polys(1))
+        assume(not (a.is_zero and b.is_zero))
+        for _ in range(draw(st.integers(1, 2))):
+            u, v = u * a + v * b * f, u * b + v * a
+    norm = u * u - v * v * f
+    assume(not norm.is_zero)
+    # den factors from the norm (they divide it), from f (ramified) and
+    # coprime ones, each once or twice
+    pool = ([p for p, _ in factor_over_Q(norm).factors] if norm.degree > 0 else []) + [
+        p for p, _ in factor_over_Q(f).factors
+    ] + COPRIME_DEN_FACTORS
+    den = UniPoly.one()
+    for _ in range(draw(st.integers(1, 3))):
+        den = den * draw(st.sampled_from(pool)) ** draw(st.integers(1, 2))
+    return CurveFunction.make(u, v, den)
+
+
+@given(functions_with_known_den())
+@example(CurveFunction.make(poly(0, 1), poly(1), poly(-5, 1)))  # den coprime to N
+@example(CurveFunction.make(poly(-2, 0, 0, 1), poly(1), poly(-2, 0, 0, 1) ** 2))  # v_p(N) = 1
+@example(CurveFunction.make(poly(-2, 0, 0, 1), poly(1), poly(-2, 0, 0, 1) * poly(1, 0, 1) ** 2))
+# (x^3 + x + y)^2 over den = its norm 2x^4 + x^2 + 4: v_p(N) = 2 at each factor
+@example(
+    CurveFunction.make(poly(0, 1, 0, 1) ** 2 + X3_MINUS_2.f, poly(0, 2, 0, 2), poly(4, 0, 1, 0, 2))
+)
+@settings(max_examples=40, deadline=None)
+def test_norm_factors_with_den_split_off_match_factor_over_q(w):
+    _split_matches_factor_over_q(X3_MINUS_2, w)
+
+
+# the three maps of the fiber-sample benchmark: y/p(x) on y^2 = -p(x)p(-x)
+FIBER_MAPS = {}
+
+
+def _fiber_map(lit):
+    if lit not in FIBER_MAPS:
+        curve, witness, _ = pipeline.construct_primitive_curve(parse_poly(lit), 0)
+        space = rr_space(curve, Divisor.make([(witness, 1)]))
+        FIBER_MAPS[lit] = curve, next(b for b in space.basis if not b.is_constant)
+    return FIBER_MAPS[lit]
+
+
+@given(
+    st.sampled_from(["x^3-2", "x^5-x-1", "x^7-x-1"]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+)
+@settings(max_examples=30, deadline=None)
+def test_fiber_norm_factors_with_den_split_off_match_factor_over_q(lit, beta):
+    curve, w = _fiber_map(lit)
+    fiber = w - CurveFunction.constant(beta)
+    assert fiber.den == w.den and w.den.degree == curve.genus + 1
+    _split_matches_factor_over_q(curve, fiber)

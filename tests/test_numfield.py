@@ -228,6 +228,19 @@ def test_field_report_routes():
         field_report(UniPoly.zero())
 
 
+@pytest.mark.parametrize("lit", ["x^4+1", "x^6-2", "x^4+x+1", "x^5-x-1", "x^8-2", "x^12-x-1"])
+def test_field_report_takes_a_proven_field_without_re_proving_it(lit, monkeypatch):
+    m = parse_poly(lit)
+    expected = field_report(m)
+
+    def no_proof(m):
+        raise AssertionError("a NumberField needs no second irreducibility proof")
+
+    monkeypatch.setattr(numfield, "nf_new", no_proof)
+    assert field_report(numfield.NumberField(m)) == expected
+    assert is_primitive_field(numfield.NumberField(m)) == expected.is_primitive
+
+
 def test_trager_degree_sum_is_verified(monkeypatch):
     def lossy(a):
         fact = factor_over_Q(a)

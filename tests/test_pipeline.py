@@ -1,10 +1,11 @@
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import run_python
-from primpoints import numfield, pipeline
+from primpoints import arith, numfield, pipeline
 from primpoints.arith import UniPoly, is_squarefree, poly
 from primpoints.errors import (
     BadInput,
@@ -324,6 +325,37 @@ def test_specialize_fiber_constant_rejected():
     curve, _, _ = build_fiber_map()
     with pytest.raises(ConstantFunction):
         specialize_fiber(curve, CurveFunction.constant(3), 0)
+
+
+def _record_calls(monkeypatch, module, name):
+    """Record the first argument of every call of module.name, at every
+    primpoints global bound to it."""
+    original, calls = getattr(module, name), []
+
+    def recording(arg, *args, **kwargs):
+        calls.append(arg)
+        return original(arg, *args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("primpoints."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recording)
+    return calls
+
+
+def test_a_fiber_factors_only_its_point_polynomial(monkeypatch):
+    # the norm of a fiber of x^7-x-1 is den times the degree-7 point
+    # polynomial: den comes off by exact division, and the field of the
+    # place needs no second proof of irreducibility
+    curve, witness, _ = construct_primitive_curve(parse_poly("x^7-x-1"))
+    space = rr_space(curve, Divisor.make([(witness, 1)]))
+    w = next(b for b in space.basis if not b.is_constant)
+    factored = _record_calls(monkeypatch, arith, "factor_over_Q")
+    fields = _record_calls(monkeypatch, numfield, "nf_new")
+    assert specialize_fiber(curve, w, Fraction(-37, 29)) == IRRED_PRIMITIVE
+    assert [a.degree for a in factored] == [7]
+    assert fields == []
 
 
 # ---------------------------------------------------------------------------

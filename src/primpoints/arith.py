@@ -18,6 +18,12 @@ and recombined by subsets; degrees in scope stay small enough (norms of
 degree-6 fields give degree 36) that this needs no lattice reduction.  The
 distinct-degree split alone gives the degree pattern mod p
 (`degree_patterns`), which `numfield` reads as a Frobenius cycle type.
+
+Squarefreeness is certified mod one prime first: a polynomial that stays
+squarefree mod a prime not dividing its leading coefficient is squarefree
+over Q, so `is_squarefree` and `squarefree_decomposition` run a gcd over Q
+only when that check fails.  The same modular kit also computes in
+F_{p^e} = F_p[t]/(G), with residues mod G as coefficients (`fpe_roots`).
 """
 
 from __future__ import annotations
@@ -313,17 +319,36 @@ def squarefree_part(a: UniPoly) -> UniPoly:
     return (a // g).monic()
 
 
+def _squarefree_mod_a_prime(a: UniPoly) -> bool:
+    """True if a, of degree >= 1, is squarefree mod one of the first three
+    primes p > 20 that do not divide the leading coefficient of its integer
+    model.
+
+    Then a is squarefree over Q: a repeated factor over Q stays a repeated
+    factor of positive degree mod such a p.  False proves nothing.
+    """
+    _, P = a.to_int_primitive()
+    primes = (p for p in filter(is_prime, itertools.count(21)) if P[-1] % p)
+    return any(_fp_squarefree(P, p) is not None for p in itertools.islice(primes, 3))
+
+
 def is_squarefree(a: UniPoly) -> bool:
     if a.is_zero:
         return False
     if a.degree == 0:
         return True
-    return poly_gcd(a, a.derivative()).degree == 0
+    return _squarefree_mod_a_prime(a) or poly_gcd(a, a.derivative()).degree == 0
 
 
 def squarefree_decomposition(a: UniPoly):
-    """Yun's algorithm: list of (monic squarefree g_i, i) with a = lc * prod g_i^i."""
+    """Yun's algorithm: list of (monic squarefree g_i, i) with a = lc * prod g_i^i.
+
+    An a that is squarefree mod a prime is its own decomposition, with no
+    gcd over Q.
+    """
     a = a.monic()
+    if a.degree and _squarefree_mod_a_prime(a):
+        return [(a, 1)]
     out = []
     g = poly_gcd(a, a.derivative())
     if g.degree == 0:
@@ -397,7 +422,8 @@ def interpolate_values(npoints: int, value) -> UniPoly:
 # Hensel lifting.  `_fp_reduce`, `_fp_add`, `_fp_sub` and `_fp_mul` work for
 # any m, and `_fp_divmod` whenever lc(b) is a unit mod m, as for the monic
 # divisors of the lifting; `_fp_monic`, `_fp_gcd`, `_fp_bezout` and the
-# splitting stages need m prime.
+# splitting stages need m prime.  `_fp_mul` and `_fp_divmod` reduce mod m
+# once per coefficient, not after every product.
 
 
 def _fp_trim(c):
@@ -433,8 +459,21 @@ def _fp_mul(a, b, p):
     for i, va in enumerate(a):
         if va:
             for j, vb in enumerate(b):
-                out[i + j] = (out[i + j] + va * vb) % p
-    return _fp_trim(out)
+                out[i + j] += va * vb
+    return _fp_reduce(out, p)
+
+
+def _fp_sqr(a, p):
+    """_fp_mul(a, a, p) with each cross product taken once."""
+    out = [0] * (2 * len(a) - 1) if a else []
+    for i, va in enumerate(a):
+        if va:
+            out[2 * i] += va * va
+            twice, k = 2 * va, 2 * i + 1
+            for vb in a[i + 1:]:
+                out[k] += twice * vb
+                k += 1
+    return _fp_reduce(out, p)
 
 
 def _fp_divmod(a, b, p):
@@ -445,14 +484,17 @@ def _fp_divmod(a, b, p):
     if len(rem) - 1 < db:
         return [], _fp_trim(rem)
     quot = [0] * (len(rem) - db)
+    low = b[:-1]  # rem[i] itself is dropped, not cleared
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
+        c = rem[i] % p
         if c:
             q = c * inv % p
             quot[i - db] = q
-            for j, bv in enumerate(b):
-                rem[i - db + j] = (rem[i - db + j] - q * bv) % p
-    return _fp_trim(quot), _fp_trim(rem)
+            k = i - db
+            for bv in low:
+                rem[k] -= q * bv
+                k += 1
+    return _fp_trim(quot), _fp_reduce(rem[:db], p)
 
 
 def _fp_monic(a, p):
@@ -475,7 +517,7 @@ def _fp_powmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+        base = _fp_divmod(_fp_sqr(base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -548,6 +590,120 @@ def _fp_equal_degree(parts, p, rng) -> list:
                     break
     factors.sort(key=lambda c: (len(c), c))
     return factors
+
+
+# ---------------------------------------------------------------------------
+# F_q = F_p[t]/(G), q = p^e, on the same kit: an element is its residue mod
+# G, and the field takes the place of the modulus p, so `_fp_mul`,
+# `_fp_divmod`, `_fp_gcd` and `_fp_powmod` run unchanged on polynomials with
+# `_FqElement` coefficients.
+
+
+class _Fq:
+    """F_p[t]/(G) for p an odd prime and G monic irreducible mod p."""
+
+    def __init__(self, p: int, G: list):
+        self.p, self.G = p, G
+
+    def __call__(self, residue) -> "_FqElement":
+        return _FqElement(self, tuple(_fp_divmod(_fp_reduce(residue, self.p), self.G, self.p)[1]))
+
+    def __rmod__(self, v: int) -> "_FqElement":
+        return self((v,))  # an integer the kit left in a coefficient
+
+
+class _FqElement:
+    __slots__ = ("field", "c")
+
+    def __init__(self, field: _Fq, c: tuple):
+        self.field, self.c = field, c  # c: the residue mod G, lowest first
+
+    def _lift(self, other) -> "_FqElement":
+        if isinstance(other, _FqElement):
+            return other
+        other %= self.field.p  # an integer: already reduced mod G once mod p
+        return _FqElement(self.field, (other,) if other else ())
+
+    def __add__(self, other):
+        return _FqElement(self.field, tuple(_fp_add(self.c, self._lift(other).c, self.field.p)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _FqElement(self.field, tuple(_fp_sub(self.c, self._lift(other).c, self.field.p)))
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __neg__(self):
+        return 0 - self
+
+    def __mul__(self, other):
+        F = self.field
+        product = _fp_mul(self.c, self._lift(other).c, F.p)
+        return _FqElement(F, tuple(_fp_divmod(product, F.G, F.p)[1]))
+
+    __rmul__ = __mul__
+
+    def __mod__(self, field):
+        return self  # already reduced; the kit reduces "mod p" after each step
+
+    def __pow__(self, n: int, field=None):
+        F = self.field
+        if n < 0:
+            return _FqElement(F, tuple(_fp_bezout(self.c, F.G, F.p)[0])) ** -n
+        return _FqElement(F, tuple(_fp_powmod(self.c, n, F.G, F.p)))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        return self.c == self._lift(other).c
+
+    def __hash__(self):
+        return hash(self.c)
+
+
+def _fq_root(g: list, F: _Fq, rng: _DetRng) -> _FqElement:
+    """One root of the monic g over F, a product of distinct linear factors
+    there: Cantor-Zassenhaus, keeping the smaller side of each split."""
+    half = (F.p ** (len(F.G) - 1) - 1) // 2
+    one = F((1,))
+    while len(g) > 2:
+        a = F([rng.next_below(F.p) for _ in range(len(F.G) - 1)])
+        s = _fp_sub(_fp_powmod([a, one], half, g, F), [one], F)
+        split = _fp_gcd(s, g, F)
+        if 0 < len(split) - 1 < len(g) - 1:
+            g = min(split, _fp_divmod(g, split, F)[0], key=len)
+    return -g[0]
+
+
+def fpe_roots(a: UniPoly, p: int, e: int) -> list:
+    """The roots of a in F_{p^e} = F_p[t]/(G), G the first monic irreducible
+    factor of degree e of a mod p.
+
+    p must be a good prime of a's integer model (`degree_patterns`) whose
+    degree pattern has lcm e and a part e; then every factor g of a mod p
+    splits over F_{p^e}.  Each g gives one root r, by t itself for G, by
+    its constant for a linear g and by `_fq_root` otherwise, and with it
+    its Frobenius orbit r, r^p, ..., so the deg(a) roots come out grouped
+    by factor and closed under x -> x^p.
+    """
+    rng = _DetRng(p)
+    fp = _fp_squarefree(a.to_int_primitive()[1], p)
+    factors = _fp_equal_degree(_fp_distinct_degree(fp, p), p, rng)
+    G = next(g for g in factors if len(g) - 1 == e)
+    F = _Fq(p, G)
+    roots = []
+    for g in factors:
+        if g == G:
+            r = F([0, 1])
+        else:
+            r = _fq_root([F((c,)) for c in g], F, rng)
+        for _ in range(len(g) - 1):
+            roots.append(r)
+            r = r ** p
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -640,21 +796,28 @@ class Factorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
+def _fp_squarefree(P, p):
+    """P mod p made monic if it is squarefree there, else None; p must not
+    divide the leading coefficient of the integer list P.
+
+    The one place that reduces a model mod p.
+    """
+    fp = _fp_reduce(P, p)
+    dp = _fp_reduce([i * c for i, c in enumerate(P)][1:], p)
+    return _fp_monic(fp, p) if dp and len(_fp_gcd(fp, dp, p)) == 1 else None
+
+
 def _good_primes(P):
     """Yield (p, fp) for the primes p > 20 that keep the integer model P
     squarefree with full degree, in order; fp is P mod p made monic.
 
-    The one place that reduces a model mod p.  Lazy and endless; callers
-    take a prefix with `itertools.islice`.
+    Lazy and endless; callers take a prefix with `itertools.islice`.
     """
-    deriv = [i * c for i, c in enumerate(P)][1:]
     for p in filter(is_prime, itertools.count(21)):
-        if P[-1] % p == 0:
-            continue
-        fp = _fp_reduce(P, p)
-        dp = _fp_reduce(deriv, p)
-        if dp and len(_fp_gcd(fp, dp, p)) == 1:
-            yield p, _fp_monic(fp, p)
+        if P[-1] % p:
+            fp = _fp_squarefree(P, p)
+            if fp is not None:
+                yield p, fp
 
 
 def _squarefree_model(a: UniPoly) -> list:
@@ -665,31 +828,18 @@ def _squarefree_model(a: UniPoly) -> list:
     return a.to_int_primitive()[1]
 
 
-def degree_patterns(a: UniPoly, count: int):
+def degree_patterns(a: UniPoly, count: int | None):
     """(p, degrees) at the first `count` good primes of a's integer model, lazily.
 
     `degrees` is the sorted tuple of the degrees of the irreducible factors
     of a mod p, read off the distinct-degree split.  For an irreducible a
     it is, by Dedekind's theorem, the cycle type of a Frobenius element of
-    the Galois group acting on the roots.  BadInput, at once, unless a is
-    squarefree of degree >= 1.
+    the Galois group acting on the roots.  A count of None never ends.
+    BadInput, at once, unless a is squarefree of degree >= 1.
     """
     P = _squarefree_model(a)
     return ((p, _degree_pattern(_fp_distinct_degree(fp, p)))
             for p, fp in itertools.islice(_good_primes(P), count))
-
-
-def split_primes(a: UniPoly):
-    """(p, roots) at the good primes of a's integer model where a mod p
-    splits into distinct linear factors; lazy and endless.
-
-    One x^p = x (mod a, p) test per prime; where it holds, a mod p is its
-    own distinct-degree split, and the equal-degree stage gives the sorted
-    roots.  BadInput, at once, unless a is squarefree of degree >= 1.
-    """
-    P = _squarefree_model(a)
-    return ((p, sorted(-f[0] % p for f in _fp_equal_degree([(fp, 1)], p, _DetRng(p))))
-            for p, fp in _good_primes(P) if _fp_powmod([0, 1], p, fp, p) == [0, 1])
 
 
 def _subset_sums(degrees) -> set:

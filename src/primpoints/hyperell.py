@@ -237,6 +237,8 @@ class CurveFunction:
         u = u.scale(1 / den.lc)
         v = v.scale(1 / den.lc)
         den = den.monic()
+        if den.degree == 0:
+            return CurveFunction(u, v, den)
         g = poly_gcd(poly_gcd(u, v), den)
         if g.degree and g.degree > 0:
             u, v, den = u // g, v // g, den // g
@@ -263,6 +265,10 @@ class CurveFunction:
         den = self.den * other.den
         u = self.u * other.den + other.u * self.den
         v = self.v * other.den + other.v * self.den
+        if self.den.degree == 0 or other.den.degree == 0:
+            # (a + a'y)/1 + (b + b'y)/den is reduced as it stands:
+            # gcd(a*den + b, a'*den + b', den) = gcd(b, b', den) = 1
+            return CurveFunction(u, v, den)
         return CurveFunction.make(u, v, den)
 
     def __sub__(self, other):

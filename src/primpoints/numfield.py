@@ -26,21 +26,27 @@ validates m and tries four routes in order:
    of m over K, has degree strictly between 1 and [K:Q], because every
    maximal subfield is principal.  Their degrees are read off the orbital
    graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
-   theta_j + s*theta_i, labelled at a prime where m splits completely.
+   theta_j + s*theta_i, labelled in F_{p^e} at one prime p of small
+   Frobenius order e, where all roots of m lie.  Routes 3 and 4 read one
+   lazy stream of degree patterns, so each prime is split once.
 
 `is_primitive_field` is its bool view.
 
-Norms and characteristic polynomials are computed by exact evaluation /
-interpolation instead of symbolic bivariate resultants; with m monic the
-two agree pointwise.
+The pair norm is a composed sum, built from power sums by Newton's
+identities.  The other norms and characteristic polynomials (Trager's, the
+quadratic norm of `shifted_norm`, `nf_minpoly`) are computed by exact
+evaluation / interpolation instead of symbolic bivariate resultants; with
+m monic the two agree pointwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from . import linalg
 from .arith import (
@@ -48,12 +54,12 @@ from .arith import (
     _poly_inverse_mod,
     degree_patterns,
     factor_over_Q,
+    fpe_roots,
     interpolate_values,
     is_prime,
     is_squarefree,
     poly_gcd,
     resultant,
-    split_primes,
     squarefree_part,
 )
 from .errors import (
@@ -445,22 +451,23 @@ def _squarefree_norm(shifts, npoints: int, value):
     raise Degenerate("no squarefree norm found within the shift cap")
 
 
-def _pair_labels(factors, roots, s: int, p: int) -> dict:
-    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 mod p}.
+def _pair_labels(factors, roots, s: int) -> dict:
+    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
 
-    The d^2 pair values must be distinct mod p; a pair on no factor or on
-    several raises VerificationFailed.
+    The roots are those of `fpe_roots`, and the d^2 pair values must be
+    distinct; a pair on no factor or on several raises VerificationFailed.
     """
+    p = roots[0].field.p
     residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
     labels = {}
     for i, ri in enumerate(roots):
         for j, rj in enumerate(roots):
-            v = (rj + s * ri) % p
+            v = rj + s * ri
             hits = []
             for k, hp in enumerate(residues):
                 acc = 0
                 for c in reversed(hp):
-                    acc = (acc * v + c) % p
+                    acc = acc * v + c
                 if not acc:
                     hits.append(k)
             if len(hits) != 1:
@@ -490,32 +497,108 @@ def _block_size(d: int, edges) -> int:
     return sizes.pop()
 
 
-def principal_subfields(K: NumberField) -> SubfieldReport:
+def pair_norm(m: UniPoly, s: int) -> UniPoly:
+    """N_s(x) = Res_t(m(t), m(x - s*t)), the product of x - (theta_j + s*theta_i)
+    over all ordered pairs (i, j) of roots of the monic m.
+
+    A composed sum (Bostan, Flajolet, Salvy and Schost, JSC 2006): N_s has
+    the power sums Q_k = sum_a C(k, a) s^a P_a P_(k-a), P_a those of m, and
+    Newton's identities turn power sums into coefficients and back.  Runs
+    on the monic integer model D^d m(x/D), whose roots D*theta are
+    algebraic integers, so every division is exact.
+    """
+    d, n = m.degree, m.degree ** 2
+    D = lcm(*(c.denominator for c in m.coeffs))
+    model = [int(m.coeffs[i] * D ** (d - i)) for i in range(d + 1)]
+    P = _newton(model, n)
+    Q = [sum(comb(k, a) * s ** a * P[a] * P[k - a] for a in range(k + 1)) for k in range(n + 1)]
+    # back from the power sums: k*c_(n-k) = -sum_(i<k) c_(n-i) Q_(k-i), c_n = 1
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[i] * Q[k - i] for i in range(k)) // k)
+    return UniPoly.make([Fraction(c, D ** (n - i)) for i, c in enumerate(reversed(coeffs))])
+
+
+def _newton(model: list, count: int) -> list:
+    """Power sums P_0..P_count of the roots of a monic integer polynomial."""
+    d = len(model) - 1
+    c = model[::-1]  # c[i] is the coefficient of x^(d-i)
+    P = [d]
+    for k in range(1, count + 1):
+        P.append(-(k * c[k] if k <= d else 0)
+                 - sum(c[i] * P[k - i] for i in range(1, min(k, d + 1))))
+    return P
+
+
+def _distinct_shift(roots, shifts):
+    """The first s in `shifts` whose d^2 pair values r_j + s*r_i are distinct."""
+    for s in shifts:
+        scaled = [s * r for r in roots]
+        if len({rj + sri for sri in scaled for rj in roots}) == len(roots) ** 2:
+            return s
+    return None
+
+
+def _pair_roots(m: UniPoly, patterns):
+    """(roots, s): the roots of m in F_{p^e} at one good prime p (`fpe_roots`),
+    and a shift s whose d^2 pair values are distinct there.
+
+    The primes among the first `FROBENIUS_PRIME_BUDGET` of `patterns`
+    whose pattern has a part of degree e = lcm(pattern) are tried by
+    smallest e, then smallest p, each with every shift.  A small prime can
+    make every shift collide (x^6 - 2 at p = 31, e = 1).  If all of them
+    do, s is fixed as the first shift with N_s squarefree over Q (else
+    Degenerate), which only the primes dividing its discriminant break,
+    and the stream is read on.
+    """
+    patterns = iter(patterns)
+    orders = sorted((lcm(*pattern), p)
+                    for p, pattern in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET)
+                    if lcm(*pattern) in pattern)
+    for e, p in orders:
+        roots = fpe_roots(m, p, e)
+        s = _distinct_shift(roots, PAIR_NORM_SHIFTS)
+        if s is not None:
+            return roots, s
+    s = next((s for s in PAIR_NORM_SHIFTS if is_squarefree(pair_norm(m, s))), None)
+    if s is None:
+        raise Degenerate("no squarefree pair norm within the shift cap")
+    for p, pattern in patterns:
+        e = lcm(*pattern)
+        if e in pattern:
+            roots = fpe_roots(m, p, e)
+            if _distinct_shift(roots, (s,)) is not None:
+                return roots, s
+
+
+def principal_subfields(K: NumberField, patterns=None) -> SubfieldReport:
     """Principal subfield degrees of K, one per factor of min_poly over K.
 
     Orbital graphs (Higman 1967; van Hoeij, Klueners and Novocin 2013): the
     Q-factors of a squarefree pair norm N_s are the orbitals of Gal(m) on
     ordered pairs of roots, one per factor of m over K, and the principal
     subfield of that factor is fixed by the block its orbital graph
-    connects, so its degree is d / |component|.  The graph is read at the
-    first good prime p where m splits and the d^2 pair values r_j + s*r_i
-    are distinct, so N_s stays squarefree mod p.  Checked: each pair lies on
-    exactly one factor h, h gets exactly deg h pairs, and the components of
-    each graph have one size.  Such primes have density 1/|Gal(m)|
-    (Chebotarev), so the scan ends.  No arithmetic over K is needed.
+    connects, so its degree is d / |component|.
+
+    The graph is read at one good prime p, among the first
+    `FROBENIUS_PRIME_BUDGET` of `patterns` (m's stream of degree patterns,
+    computed unless given) the one of smallest Frobenius order
+    e = lcm(pattern) whose pattern has a part e, ties to the smaller p.
+    All roots of m lie in F_{p^e} there (`fpe_roots`), and e = 1 is the
+    totally split case.  s is the first shift whose d^2 pair values
+    r_j + s*r_i are distinct in F_{p^e}; that proves N_s squarefree mod p,
+    hence over Q.  Where every shift collides, the next prime in that order
+    is tried, and past the budget the stream is read on (`_pair_roots`); a
+    Frobenius element of order 1 has density 1/|Gal(m)| (Chebotarev), so
+    the scan ends.  N_s itself is a composed sum (`pair_norm`).  Checked:
+    each pair lies on exactly one factor h, h gets exactly deg h pairs, and
+    the components of each graph have one size.  No arithmetic over K and
+    no resultant is needed.
     """
     m, d = K.min_poly, K.degree
-    # N_s(x) = Res_t(m(t), m(x - s*t)), the product of x - (theta_j + s*theta_i)
-    # over all ordered pairs (i, j) of roots of the monic m
-    s, norm = _squarefree_norm(
-        PAIR_NORM_SHIFTS, d * d + 1,
-        lambda s, x0: resultant(m, m.compose(UniPoly.make([x0, -s]))),
-    )
-    factors = [h for h, _ in factor_over_Q(norm).factors]
-    for p, roots in split_primes(m):
-        if len({(rj + s * ri) % p for ri in roots for rj in roots}) == d * d:
-            break
-    labels = _pair_labels(factors, roots, s, p)
+    roots, s = _pair_roots(m, degree_patterns(m, None) if patterns is None else patterns)
+    factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
+    labels = _pair_labels(factors, roots, s)
     degrees = []
     for k, h in enumerate(factors):
         edges = [pair for pair, label in labels.items() if label == k]
@@ -527,22 +610,25 @@ def principal_subfields(K: NumberField) -> SubfieldReport:
     return SubfieldReport(tuple(degrees), not proper, proper)
 
 
-def frobenius_certificate(m: UniPoly):
+def frobenius_certificate(m: UniPoly, patterns=None):
     """(p, cycle type) pairs proving Q[t]/(m) primitive, or None.
 
     m must be irreducible of degree d.  A prime d leaves no block size
-    to rule out, so the certificate is empty.  Otherwise scans the first
-    `FROBENIUS_PRIME_BUDGET` good primes and keeps each one whose cycle type
-    rules out a block size b | d, 1 < b < d, still open; returns once none
-    is open.  No Frobenius element of an imprimitive field rules out the
-    size of its Galois-invariant blocks, so None is the only answer there.
+    to rule out, so the certificate is empty.  Otherwise reads the first
+    `FROBENIUS_PRIME_BUDGET` of `patterns` (m's stream of degree patterns,
+    computed unless given) and keeps each one whose cycle type rules out a
+    block size b | d, 1 < b < d, still open; returns once none is open.  No
+    Frobenius element of an imprimitive field rules out the size of its
+    Galois-invariant blocks, so None is the only answer there.
     """
     d = m.degree
     open_sizes = {b for b in range(2, d) if d % b == 0}
     if not open_sizes:
         return ()
+    if patterns is None:
+        patterns = degree_patterns(m, None)
     used = []
-    for p, cycle_type in degree_patterns(m, FROBENIUS_PRIME_BUDGET):
+    for p, cycle_type in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET):
         ruled_out = {b for b in open_sizes if not cycle_type_fits_blocks(cycle_type, b)}
         if ruled_out:
             used.append((p, cycle_type))
@@ -577,10 +663,13 @@ def field_report(m: UniPoly | NumberField) -> SubfieldReport:
     if is_prime(d):
         # no degree strictly between 1 and a prime divides it
         return SubfieldReport((), True, route=PRIME_DEGREE)
-    certificate = frobenius_certificate(K.min_poly)
+    # one lazy stream of degree patterns for both routes: each prime is
+    # split once, and only as far as the routes read
+    for_certificate, for_subfields = itertools.tee(degree_patterns(K.min_poly, None))
+    certificate = frobenius_certificate(K.min_poly, for_certificate)
     if certificate is not None:
         return SubfieldReport((), True, route=FROBENIUS, frobenius_cycle_types=certificate)
-    return principal_subfields(K)
+    return principal_subfields(K, for_subfields)
 
 
 def is_primitive_field(m: UniPoly | NumberField) -> bool:

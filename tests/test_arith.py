@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from primpoints.arith import (
     squarefree_part,
 )
 from primpoints.errors import BadInput, RamifiedBranch, ZeroPolynomial
+from primpoints.formats import parse_poly
 
 X = UniPoly.x()
 
@@ -343,19 +345,104 @@ def test_degree_set_intersection_leaves_factorizations_unchanged(parts):
 
 
 @pytest.mark.parametrize("a", [poly(-1, 0, 1) ** 2, poly(3), UniPoly.zero()])
-def test_degree_patterns_and_split_primes_reject_models_without_good_primes(a):
+def test_degree_patterns_rejects_models_without_good_primes(a):
     # no prime keeps these squarefree with full degree: the scan never ends
     with pytest.raises(BadInput):
         arith.degree_patterns(a, 1)
-    with pytest.raises(BadInput):
-        arith.split_primes(a)
 
 
-def test_split_primes_runs_no_distinct_degree_split(monkeypatch):
-    calls = _count_splitting_stages(monkeypatch)
-    p, roots = next(arith.split_primes(poly(-2, 0, 0, 0, 1)))
-    assert len(set(roots)) == 4 and all((r ** 4 - 2) % p == 0 for r in roots)
-    assert calls == {"_fp_equal_degree": 1}
+# --- squarefreeness certified mod one prime ---------------------------------
+
+# squarefree over Q, but (x - 1)^2 mod 23, 29 and 31, the primes the fast
+# path tries
+COLLIDING = poly(-1, 1) * poly(-1 - 23 * 29 * 31, 1)
+
+
+def _count_poly_gcd(monkeypatch):
+    calls = []
+    original = arith.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(arith, "poly_gcd", counting)
+    return calls
+
+
+@given(
+    st.lists(st.tuples(polys(3, nonzero=True), st.integers(1, 3)), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_squarefree_decomposition_matches_sympy_sqf_list(parts, collide):
+    sympy = pytest.importorskip("sympy")
+    a = reduce(lambda acc, part: acc * part[0] ** part[1], parts, UniPoly.one())
+    if collide:
+        a = a * COLLIDING
+    assume(a.degree and a.degree > 0)
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)]
+    _, ref = sympy.Poly(coeffs, x, domain="QQ").sqf_list()
+    expected = sorted(
+        (mult, tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())))
+        for g, mult in ref
+    )
+    got = sorted((mult, g.coeffs) for g, mult in squarefree_decomposition(a))
+    assert got == expected
+    assert is_squarefree(a) == all(mult == 1 for mult, _ in expected)
+
+
+def test_squarefree_mod_a_prime_runs_no_gcd_over_Q(monkeypatch):
+    calls = _count_poly_gcd(monkeypatch)
+    f = UniPoly.make(X0_71_COEFFS)
+    assert is_squarefree(f) and squarefree_decomposition(f) == [(f.monic(), 1)]
+    assert calls == []
+    # 23 | lc, and (x - 1)(x - 24) is (x - 1)^2 mod 23 only: the fast path
+    # goes on to 29
+    assert is_squarefree(poly(-1, 0, 23 * 2)) and is_squarefree(poly(24, -25, 1))
+    assert calls == []
+    # not squarefree mod 23, 29 or 31: today's exact path decides
+    assert is_squarefree(COLLIDING) and len(calls) == 1
+    assert squarefree_decomposition(COLLIDING) == [(COLLIDING, 1)]
+    assert not is_squarefree(poly(-1, 1) ** 2 * poly(2, 1))
+
+
+# --- roots in F_{p^e} --------------------------------------------------------
+
+
+def _residue_value(a, r):
+    acc = 0
+    for c in reversed(a.to_int_primitive()[1]):
+        acc = acc * r + c
+    return acc
+
+
+@pytest.mark.parametrize(
+    "lit", ["x^4-2", "x^6-2", "x^6+x^3+1", "x^6+5/2*x^5+5/2*x^4-1/2*x^3-3/2*x^2-1/2*x+1/2"]
+)
+def test_fpe_roots_are_the_roots_of_m_closed_under_frobenius(lit):
+    m = parse_poly(lit)
+    orders = [(p, lcm(*pattern)) for p, pattern in arith.degree_patterns(m, 20)
+              if lcm(*pattern) in pattern]
+    assert len({e for _, e in orders}) >= 2
+    for p, e in orders:
+        roots = arith.fpe_roots(m, p, e)
+        field = roots[0].field
+        assert field.p == p and len(field.G) == e + 1
+        assert len(set(roots)) == m.degree
+        assert all(not _residue_value(m, r) for r in roots)
+        assert {r ** p for r in roots} == set(roots)
+
+
+def test_fq_elements_run_through_the_fp_kit():
+    # F_23[t]/(t^2 + 1): t * (-t) = 1, and x^2 + 1 = (x - t)(x + t) over it
+    field = arith._Fq(23, [1, 0, 1])
+    t = field([0, 1])
+    assert t * -t == 1 and t ** -1 == -t and t ** 23 == -t
+    one = field((1,))
+    assert arith._fp_divmod([one, field(()), one], [-t, one], field) == ([t, one], [])
+    assert arith._fq_root([one, field(()), one], field, arith._DetRng(23)) in (t, -t)
 
 
 def test_rational_roots_examples():

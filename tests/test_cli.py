@@ -84,9 +84,9 @@ def test_field_command_runs_the_subfield_search_once(capsys, monkeypatch):
     calls = []
     search = numfield.principal_subfields
 
-    def counted(K):
+    def counted(K, *patterns):
         calls.append(K.min_poly)
-        return search(K)
+        return search(K, *patterns)
 
     monkeypatch.setattr(numfield, "principal_subfields", counted)
     assert main(["field", "x^4-2"]) == 0

@@ -158,6 +158,35 @@ def test_principal_divisor_degree_zero(u, v, den):
         assert divisor_of_function(curve, w).degree == 0
 
 
+@given(small_polys(3), small_polys(2), small_polys(2), small_polys(3), small_polys(2))
+@settings(max_examples=25, deadline=None)
+def test_adding_a_function_with_denominator_1_keeps_the_sum_reduced(u, v, den, a, b):
+    assume(not den.is_zero)
+    w = CurveFunction.make(u, v, den)
+    polynomial = CurveFunction.make(a, b)
+    for total in (w + polynomial, polynomial + w, w - polynomial, polynomial - w):
+        assert total == CurveFunction.make(total.u, total.v, total.den)
+    assert w + polynomial == CurveFunction.make(w.u + a * w.den, w.v + b * w.den, w.den)
+
+
+def test_a_sum_of_two_fractions_is_still_reduced():
+    # 1/x + (x - 1)/x = 1: both denominators are x, so the sum needs its gcd
+    one_over_x = CurveFunction.make(poly(1), poly(), poly(0, 1))
+    rest = CurveFunction.make(poly(-1, 1), poly(), poly(0, 1))
+    assert one_over_x + rest == CurveFunction.constant(1)
+
+
+def test_one_fiber_shift_runs_no_poly_gcd(monkeypatch):
+    curve, witness, _ = pipeline.construct_primitive_curve(parse_poly("x^3-2"), 0)
+    w = next(b for b in rr_space(curve, Divisor.make([(witness, 1)])).basis if not b.is_constant)
+    assert w.den.degree > 0
+    calls = []
+    monkeypatch.setattr(hyperell, "poly_gcd", lambda a, b: calls.append((a, b)))
+    shifted = w - CurveFunction.constant(Fraction(-37, 29))
+    assert calls == []
+    assert shifted.den == w.den and shifted.u == w.u + w.den.scale(Fraction(37, 29))
+
+
 def test_rr_space_infty_basis_claims():
     # genus 2 even model: l(oo+ + oo- twice) = 3 with basis 1, x, x^2
     space = rr_space_infty(C_X6, 2, 2)

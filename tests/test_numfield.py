@@ -15,8 +15,10 @@ from primpoints.arith import (
     _fp_distinct_degree,
     _fp_equal_degree,
     factor_over_Q,
+    interpolate_values,
     is_prime,
     poly,
+    resultant,
 )
 from primpoints.errors import (
     Degenerate,
@@ -35,6 +37,7 @@ from primpoints.numfield import (
     is_primitive_field,
     nf_minpoly,
     nf_new,
+    pair_norm,
     principal_subfields,
 )
 from primpoints.permact import cycle_type_fits_blocks
@@ -447,15 +450,80 @@ def test_orbital_degrees_match_the_trager_route_on_composed_fields(degrees, low)
     assert report.principal_subfield_degrees == _trager_principal_subfield_degrees(K), str(m)
 
 
+@given(
+    st.sampled_from([(2, 4), (4, 2), (3, 3)]),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=7, max_size=7),
+)
+@settings(max_examples=4, deadline=None)
+def test_composed_fields_of_degree_8_and_9_list_deg_g(degrees, low):
+    dg, dh = degrees
+    m = UniPoly.make(low[:dg] + [1]).compose(UniPoly.make(low[dg:dg + dh] + [1]))
+    assume(factor_over_Q(m).is_irreducible())
+    assert dg in principal_subfields(nf_new(m)).proper_subfield_degrees, str(m)
+
+
+def _interpolated_pair_norm(m, s):
+    """Test-only copy of the earlier construction of N_s: d^2 + 1 resultants
+    Res_t(m(t), m(x0 - s*t)), then interpolation."""
+    return interpolate_values(
+        m.degree ** 2 + 1, lambda x0: resultant(m, m.compose(UniPoly.make([x0, -s])))
+    )
+
+
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=4),
+    st.sampled_from([1, 2, -2, 3, -5, 25]),
+)
+@settings(max_examples=20, deadline=None)
+def test_pair_norm_composed_sum_is_the_resultant_norm(low, s):
+    m = UniPoly.make(low + [1])
+    assert pair_norm(m, s) == _interpolated_pair_norm(m, s)
+
+
+def test_pair_roots_try_the_next_prime_when_every_shift_collides():
+    m = parse_poly("x^6-2")
+    # at p = 31 (e = 1), the smallest Frobenius order, every shift collides
+    split = [(p, pattern) for p, pattern in numfield.degree_patterns(m, 20) if pattern == (1,) * 6]
+    assert split[0][0] == 31
+    assert numfield._distinct_shift(numfield.fpe_roots(m, 31, 1), numfield.PAIR_NORM_SHIFTS) is None
+    # the next budgeted prime in (e, p) order: e = 2 at p = 23
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    assert (roots[0].field.p, len(roots[0].field.G) - 1, s) == (23, 2, 3)
+    # a budget of such primes only: s is fixed over Q, where s = 2 collides,
+    # and the stream is read on to a prime that keeps the pair values apart
+    stream = itertools.chain(
+        split[:1] * numfield.FROBENIUS_PRIME_BUDGET, numfield.degree_patterns(m, None)
+    )
+    roots, s = numfield._pair_roots(m, stream)
+    assert s == 3 and roots[0].field.p == 23
+    assert len({rj + s * ri for ri in roots for rj in roots}) == 36
+
+
+def test_field_report_splits_by_degree_once(monkeypatch):
+    calls = []
+    original = numfield.degree_patterns
+
+    def counting(a, count):
+        calls.append(a)
+        return original(a, count)
+
+    monkeypatch.setattr(numfield, "degree_patterns", counting)
+    assert field_report(poly(-2, 0, 0, 0, 0, 0, 1)).proper_subfield_degrees == (2, 3)
+    assert field_report(poly(-1, -1, 0, 0, 0, 0, 1)).route == numfield.FROBENIUS  # x^6-x-1
+    assert len(calls) == 2
+
+
 # one pair label flipped, two labels swapped (the counts still fit, the
-# orbital graph does not), then one pair-norm factor shifted by 1: each must
-# make `field` exit 5 with the message of the check that caught it
+# orbital graph does not), one pair-norm factor shifted by 1, then one root
+# in F_{p^e} moved by 1: each must make `field` exit 5 with the message of
+# the check that caught it
 CORRUPTED_ORBITALS = """
 import dataclasses
 from primpoints import cli, numfield
 from primpoints.arith import poly
 
 labels, factor = numfield._pair_labels, numfield.factor_over_Q
+roots_in_fpe = numfield.fpe_roots
 
 def one_label_flipped(factors, *rest):
     out = labels(factors, *rest)
@@ -474,10 +542,15 @@ def one_factor_shifted(a):
     (h, mult), *others = fact.factors
     return dataclasses.replace(fact, factors=((h + poly(1), mult), *others))
 
+def one_root_moved(*args):
+    roots = roots_in_fpe(*args)
+    return [roots[0] + 1, *roots[1:]]
+
 for name, corrupted in (
     ("_pair_labels", one_label_flipped),
     ("_pair_labels", two_labels_swapped),
     ("factor_over_Q", one_factor_shifted),
+    ("fpe_roots", one_root_moved),
 ):
     original = getattr(numfield, name)
     setattr(numfield, name, corrupted)
@@ -490,7 +563,7 @@ for name, corrupted in (
 def test_corrupted_orbitals_raise_verification_failed(optimize):
     done = run_python(["-c", CORRUPTED_ORBITALS], optimize)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "5\n5\n5\n"
+    assert done.stdout == "5\n5\n5\n5\n"
     assert "does not get deg h root pairs" in done.stderr
     assert "orbital graph components differ in size" in done.stderr
     assert "lies on no pair-norm factor or on several" in done.stderr

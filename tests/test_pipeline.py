@@ -214,9 +214,9 @@ def test_classify_points_decides_each_distinct_field_once(monkeypatch):
     for module, name in ((pipeline, "field_report"), (numfield, "principal_subfields")):
         original = getattr(module, name)
 
-        def counting(arg, _name=name, _original=original):
+        def counting(arg, *patterns, _name=name, _original=original):
             calls[_name].append(arg)
-            return _original(arg)
+            return _original(arg, *patterns)
 
         monkeypatch.setattr(module, name, counting)
     report = classify_points(X0_71, MW_71, 6)

@@ -463,19 +463,6 @@ def _fp_mul(a, b, p):
     return _fp_reduce(out, p)
 
 
-def _fp_sqr(a, p):
-    """_fp_mul(a, a, p) with each cross product taken once."""
-    out = [0] * (2 * len(a) - 1) if a else []
-    for i, va in enumerate(a):
-        if va:
-            out[2 * i] += va * va
-            twice, k = 2 * va, 2 * i + 1
-            for vb in a[i + 1:]:
-                out[k] += twice * vb
-                k += 1
-    return _fp_reduce(out, p)
-
-
 def _fp_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("division by zero polynomial mod p")
@@ -484,17 +471,14 @@ def _fp_divmod(a, b, p):
     if len(rem) - 1 < db:
         return [], _fp_trim(rem)
     quot = [0] * (len(rem) - db)
-    low = b[:-1]  # rem[i] itself is dropped, not cleared
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
         if c:
             q = c * inv % p
             quot[i - db] = q
-            k = i - db
-            for bv in low:
-                rem[k] -= q * bv
-                k += 1
-    return _fp_trim(quot), _fp_reduce(rem[:db], p)
+            for j, bv in enumerate(b):
+                rem[i - db + j] -= q * bv
+    return _fp_trim(quot), _fp_reduce(rem, p)
 
 
 def _fp_monic(a, p):
@@ -517,7 +501,7 @@ def _fp_powmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_sqr(base, p), mod, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 

@@ -543,19 +543,25 @@ def _pair_roots(m: UniPoly, patterns):
     """(roots, s): the roots of m in F_{p^e} at one good prime p (`fpe_roots`),
     and a shift s whose d^2 pair values are distinct there.
 
-    The primes among the first `FROBENIUS_PRIME_BUDGET` of `patterns`
-    whose pattern has a part of degree e = lcm(pattern) are tried by
-    smallest e, then smallest p, each with every shift.  A small prime can
-    make every shift collide (x^6 - 2 at p = 31, e = 1).  If all of them
-    do, s is fixed as the first shift with N_s squarefree over Q (else
+    A prime serves if its pattern has a part of degree e = lcm(pattern),
+    so that the roots lie in F_{p^e}, and p^e >= d^2, since a smaller field
+    cannot hold d^2 distinct values.  The serving primes among the first
+    `FROBENIUS_PRIME_BUDGET` of `patterns` are tried by smallest e, then
+    smallest p, each with every shift.  If every shift collides at all of
+    them, s is fixed as the first shift with N_s squarefree over Q (else
     Degenerate), which only the primes dividing its discriminant break,
-    and the stream is read on.
+    and the stream, which must be endless, is read on.
     """
+    d2 = m.degree ** 2
+
+    def serving(stream):
+        for p, pattern in stream:
+            e = lcm(*pattern)
+            if e in pattern and p ** e >= d2:
+                yield e, p
+
     patterns = iter(patterns)
-    orders = sorted((lcm(*pattern), p)
-                    for p, pattern in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET)
-                    if lcm(*pattern) in pattern)
-    for e, p in orders:
+    for e, p in sorted(serving(itertools.islice(patterns, FROBENIUS_PRIME_BUDGET))):
         roots = fpe_roots(m, p, e)
         s = _distinct_shift(roots, PAIR_NORM_SHIFTS)
         if s is not None:
@@ -563,15 +569,14 @@ def _pair_roots(m: UniPoly, patterns):
     s = next((s for s in PAIR_NORM_SHIFTS if is_squarefree(pair_norm(m, s))), None)
     if s is None:
         raise Degenerate("no squarefree pair norm within the shift cap")
-    for p, pattern in patterns:
-        e = lcm(*pattern)
-        if e in pattern:
-            roots = fpe_roots(m, p, e)
-            if _distinct_shift(roots, (s,)) is not None:
-                return roots, s
+    for e, p in serving(patterns):
+        roots = fpe_roots(m, p, e)
+        if _distinct_shift(roots, (s,)) is not None:
+            return roots, s
+    raise Degenerate("the degree patterns ran out before a prime kept the pair values apart")
 
 
-def principal_subfields(K: NumberField, patterns=None) -> SubfieldReport:
+def principal_subfields(K: NumberField, patterns) -> SubfieldReport:
     """Principal subfield degrees of K, one per factor of min_poly over K.
 
     Orbital graphs (Higman 1967; van Hoeij, Klueners and Novocin 2013): the
@@ -581,13 +586,14 @@ def principal_subfields(K: NumberField, patterns=None) -> SubfieldReport:
     connects, so its degree is d / |component|.
 
     The graph is read at one good prime p, among the first
-    `FROBENIUS_PRIME_BUDGET` of `patterns` (m's stream of degree patterns,
-    computed unless given) the one of smallest Frobenius order
-    e = lcm(pattern) whose pattern has a part e, ties to the smaller p.
-    All roots of m lie in F_{p^e} there (`fpe_roots`), and e = 1 is the
-    totally split case.  s is the first shift whose d^2 pair values
-    r_j + s*r_i are distinct in F_{p^e}; that proves N_s squarefree mod p,
-    hence over Q.  Where every shift collides, the next prime in that order
+    `FROBENIUS_PRIME_BUDGET` of `patterns` (m's endless stream of degree
+    patterns, `degree_patterns(m, None)`) the one of smallest Frobenius
+    order e = lcm(pattern) whose pattern has a part e and with p^e >= d^2,
+    ties to the smaller p.  All roots of m lie in F_{p^e} there
+    (`fpe_roots`), and e = 1 is the totally split case.  s is the first
+    shift whose d^2 pair values r_j + s*r_i are distinct in F_{p^e}; that
+    proves N_s squarefree mod p, hence over Q, and no smaller field could
+    hold them.  Where every shift collides, the next prime in that order
     is tried, and past the budget the stream is read on (`_pair_roots`); a
     Frobenius element of order 1 has density 1/|Gal(m)| (Chebotarev), so
     the scan ends.  N_s itself is a composed sum (`pair_norm`).  Checked:
@@ -596,7 +602,7 @@ def principal_subfields(K: NumberField, patterns=None) -> SubfieldReport:
     no resultant is needed.
     """
     m, d = K.min_poly, K.degree
-    roots, s = _pair_roots(m, degree_patterns(m, None) if patterns is None else patterns)
+    roots, s = _pair_roots(m, patterns)
     factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
     labels = _pair_labels(factors, roots, s)
     degrees = []
@@ -610,13 +616,13 @@ def principal_subfields(K: NumberField, patterns=None) -> SubfieldReport:
     return SubfieldReport(tuple(degrees), not proper, proper)
 
 
-def frobenius_certificate(m: UniPoly, patterns=None):
+def frobenius_certificate(m: UniPoly, patterns):
     """(p, cycle type) pairs proving Q[t]/(m) primitive, or None.
 
     m must be irreducible of degree d.  A prime d leaves no block size
     to rule out, so the certificate is empty.  Otherwise reads the first
     `FROBENIUS_PRIME_BUDGET` of `patterns` (m's stream of degree patterns,
-    computed unless given) and keeps each one whose cycle type rules out a
+    `degree_patterns`) and keeps each one whose cycle type rules out a
     block size b | d, 1 < b < d, still open; returns once none is open.  No
     Frobenius element of an imprimitive field rules out the size of its
     Galois-invariant blocks, so None is the only answer there.
@@ -625,8 +631,6 @@ def frobenius_certificate(m: UniPoly, patterns=None):
     open_sizes = {b for b in range(2, d) if d % b == 0}
     if not open_sizes:
         return ()
-    if patterns is None:
-        patterns = degree_patterns(m, None)
     used = []
     for p, cycle_type in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET):
         ruled_out = {b for b in open_sizes if not cycle_type_fits_blocks(cycle_type, b)}

@@ -47,6 +47,16 @@ CORPUS_FILE = os.path.join(
 )
 
 
+def subfields_of(K):
+    """principal_subfields on K's own endless stream of degree patterns."""
+    return principal_subfields(K, numfield.degree_patterns(K.min_poly, None))
+
+
+def certificate_of(m):
+    """frobenius_certificate on m's own stream of degree patterns."""
+    return frobenius_certificate(m, numfield.degree_patterns(m, None))
+
+
 def test_nf_new():
     K = nf_new(poly(-2, 0, 1))
     assert K.degree == 2
@@ -158,15 +168,15 @@ CORPUS = [
 
 
 def test_principal_subfields_examples():
-    report = principal_subfields(nf_new(poly(-2, 0, 0, 0, 1)))
+    report = subfields_of(nf_new(poly(-2, 0, 0, 0, 1)))
     assert not report.is_primitive
     assert 2 in report.principal_subfield_degrees
     assert all(k in (1, 2, 4) for k in report.principal_subfield_degrees)
 
-    report3 = principal_subfields(nf_new(poly(-2, 0, 0, 1)))
+    report3 = subfields_of(nf_new(poly(-2, 0, 0, 1)))
     assert report3.is_primitive
 
-    report41 = principal_subfields(nf_new(poly(1, 1, 0, 0, 1)))
+    report41 = subfields_of(nf_new(poly(1, 1, 0, 0, 1)))
     assert report41.is_primitive
 
 
@@ -178,7 +188,7 @@ def test_squarefree_norm_search_raises_degenerate_when_the_shifts_run_out(monkey
         numfield._squarefree_norm(range(3), 3, lambda s, x0: x0 ** 2 - 4 * x0 + 4)
     monkeypatch.setattr(numfield, "PAIR_NORM_SHIFTS", ())
     with pytest.raises(Degenerate):
-        principal_subfields(nf_new(poly(-2, 0, 0, 0, 1)))
+        subfields_of(nf_new(poly(-2, 0, 0, 0, 1)))
 
 
 def test_is_primitive_field_examples():
@@ -275,9 +285,9 @@ def test_frobenius_route_never_certifies_an_imprimitive_corpus_field():
     imprimitive = 0
     for lit, m, tag in _composite_degree_corpus():
         K = nf_new(m)
-        exact = principal_subfields(K).is_primitive
+        exact = subfields_of(K).is_primitive
         assert exact == (tag == "primitive"), lit
-        certificate = frobenius_certificate(K.min_poly)
+        certificate = certificate_of(K.min_poly)
         if exact:
             assert certificate, lit
         else:
@@ -291,7 +301,7 @@ def test_frobenius_route_never_certifies_power_subfields(lit):
     # Eisenstein, so irreducible; theta^k generates a proper subfield for k | d
     m = parse_poly(lit)
     assert factor_over_Q(m).is_irreducible()
-    assert frobenius_certificate(m) is None
+    assert certificate_of(m) is None
 
 
 @given(st.sampled_from([4, 6]).flatmap(
@@ -301,8 +311,8 @@ def test_frobenius_route_never_certifies_power_subfields(lit):
 def test_frobenius_route_is_sound_on_quartics_and_sextics(low):
     m = UniPoly.make(low + [1])
     assume(factor_over_Q(m).is_irreducible())
-    if frobenius_certificate(m) is not None:
-        assert principal_subfields(nf_new(m)).is_primitive, str(m)
+    if certificate_of(m) is not None:
+        assert subfields_of(nf_new(m)).is_primitive, str(m)
 
 
 @given(
@@ -317,15 +327,15 @@ def test_frobenius_route_never_certifies_composed_sextics(degrees, low):
     h = UniPoly.make(low[dg:dg + dh] + [1])
     m = g.compose(h)
     assume(factor_over_Q(m).is_irreducible())
-    assert frobenius_certificate(m) is None, str(m)
-    assert dg in principal_subfields(nf_new(m)).proper_subfield_degrees, str(m)
+    assert certificate_of(m) is None, str(m)
+    assert dg in subfields_of(nf_new(m)).proper_subfield_degrees, str(m)
 
 
 def test_frobenius_certificate_is_checkable():
     """Each (p, cycle type) is the degree pattern of the full factorization
     mod p, and together they rule out every block size."""
     m = parse_poly("x^12-x-1")
-    certificate = frobenius_certificate(m)
+    certificate = certificate_of(m)
     _, P = m.to_int_primitive()
     sizes = {2, 3, 4, 6}
     for p, ct in certificate:
@@ -336,8 +346,8 @@ def test_frobenius_certificate_is_checkable():
     assert not sizes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numfield, "FROBENIUS_PRIME_BUDGET", 1)
-        assert frobenius_certificate(m) is None  # (1, 3, 4, 4) at p = 23 leaves size 4
-    assert frobenius_certificate(parse_poly("x^7-x-1")) == ()
+        assert certificate_of(m) is None  # (1, 3, 4, 4) at p = 23 leaves size 4
+    assert certificate_of(parse_poly("x^7-x-1")) == ()
 
 
 def _sympy_is_primitive(m):
@@ -380,13 +390,13 @@ def test_primitivity_matches_brute_force_oracle():
             K = nf_new(m)
             oracle = brute_force_proper_subfield_degrees(K)
             assert (not oracle) == expected, str(m)
-            report = principal_subfields(K)
+            report = subfields_of(K)
             for k in oracle:
                 assert k in report.principal_subfield_degrees
 
 
 def test_x6_subfield_degrees():
-    report = principal_subfields(nf_new(poly(-2, 0, 0, 0, 0, 0, 1)))
+    report = subfields_of(nf_new(poly(-2, 0, 0, 0, 0, 0, 1)))
     ks = set(report.principal_subfield_degrees)
     assert 2 in ks and 3 in ks
 
@@ -430,7 +440,7 @@ def _trager_principal_subfield_degrees(K):
 )
 def test_orbital_degrees_match_the_trager_route(lit):
     K = nf_new(parse_poly(lit))
-    report = principal_subfields(K)
+    report = subfields_of(K)
     assert report.principal_subfield_degrees == _trager_principal_subfield_degrees(K)
 
 
@@ -445,7 +455,7 @@ def test_orbital_degrees_match_the_trager_route_on_composed_fields(degrees, low)
     m = UniPoly.make(low[:dg] + [1]).compose(UniPoly.make(low[dg:dg + dh] + [1]))
     assume(factor_over_Q(m).is_irreducible())
     K = nf_new(m)
-    report = principal_subfields(K)
+    report = subfields_of(K)
     assert dg in report.proper_subfield_degrees, str(m)
     assert report.principal_subfield_degrees == _trager_principal_subfield_degrees(K), str(m)
 
@@ -459,7 +469,7 @@ def test_composed_fields_of_degree_8_and_9_list_deg_g(degrees, low):
     dg, dh = degrees
     m = UniPoly.make(low[:dg] + [1]).compose(UniPoly.make(low[dg:dg + dh] + [1]))
     assume(factor_over_Q(m).is_irreducible())
-    assert dg in principal_subfields(nf_new(m)).proper_subfield_degrees, str(m)
+    assert dg in subfields_of(nf_new(m)).proper_subfield_degrees, str(m)
 
 
 def _interpolated_pair_norm(m, s):
@@ -480,23 +490,33 @@ def test_pair_norm_composed_sum_is_the_resultant_norm(low, s):
     assert pair_norm(m, s) == _interpolated_pair_norm(m, s)
 
 
-def test_pair_roots_try_the_next_prime_when_every_shift_collides():
+def test_pair_roots_skip_fields_smaller_than_the_pair_count(monkeypatch):
     m = parse_poly("x^6-2")
-    # at p = 31 (e = 1), the smallest Frobenius order, every shift collides
+    # p = 31 splits m (e = 1), but F_31 cannot hold 36 distinct pair values
     split = [(p, pattern) for p, pattern in numfield.degree_patterns(m, 20) if pattern == (1,) * 6]
     assert split[0][0] == 31
     assert numfield._distinct_shift(numfield.fpe_roots(m, 31, 1), numfield.PAIR_NORM_SHIFTS) is None
-    # the next budgeted prime in (e, p) order: e = 2 at p = 23
+    calls = []
+    original = numfield.fpe_roots
+
+    def counted(a, p, e):
+        calls.append((p, e))
+        return original(a, p, e)
+
+    monkeypatch.setattr(numfield, "fpe_roots", counted)
+    # so the first prime tried is e = 2 at p = 23, and it serves
     roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    assert calls == [(23, 2)]
     assert (roots[0].field.p, len(roots[0].field.G) - 1, s) == (23, 2, 3)
     # a budget of such primes only: s is fixed over Q, where s = 2 collides,
     # and the stream is read on to a prime that keeps the pair values apart
-    stream = itertools.chain(
-        split[:1] * numfield.FROBENIUS_PRIME_BUDGET, numfield.degree_patterns(m, None)
-    )
-    roots, s = numfield._pair_roots(m, stream)
+    budget = split[:1] * numfield.FROBENIUS_PRIME_BUDGET
+    roots, s = numfield._pair_roots(m, itertools.chain(budget, numfield.degree_patterns(m, None)))
     assert s == 3 and roots[0].field.p == 23
     assert len({rj + s * ri for ri in roots for rj in roots}) == 36
+    # a stream that ends first is a Degenerate, not a failed unpacking
+    with pytest.raises(Degenerate):
+        numfield._pair_roots(m, budget)
 
 
 def test_field_report_splits_by_degree_once(monkeypatch):

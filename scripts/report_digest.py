@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""One sha256 per report of a fixed set of CLI runs, for byte-identity checks.
+
+Each run is a fresh `primpoints` interpreter on the checkout's own `src/`
+and `fixtures/`.  A digest covers the exit code, stdout, stderr and, for
+`points`, the report file, so two checkouts that print the same lines
+produce identical reports.  The set:
+
+* `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
+* `field` on the fields of fixtures/primitivity_corpus.txt and on the
+  three imprimitive sextics of X0(71) at d = 6;
+* `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1;
+* `rr` on divisors with affine parts, split, ramified and inert, on even
+  and odd models, with one-sided and negative bounds at infinity.
+
+Usage: python3 scripts/report_digest.py [CHECKOUT] > digests.txt
+CHECKOUT defaults to the checkout holding this script.  Run it on two
+checkouts and diff the outputs.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
+X0_71_SEXTICS = (
+    "x^6+2x^5+x^4-x^3-x^2-x+1",
+    "x^6+5x^5+7x^4-2x^3-9x^2-2x+4",
+    "x^6+5/2*x^5+5/2*x^4-1/2*x^3-3/2*x^2-1/2*x+1/2",
+)
+FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
+# curve coefficients (lowest degree first) and divisors with affine parts
+RR_CASES = (
+    ("1 0 0 0 0 0 1", "2*(x; split; 1) + 1*(x; split; -1) + 1*oo+ + 0*oo-"),
+    ("1 0 0 0 0 0 1", "3*(x^2+1; ram) + 2*oo+ + -1*oo-"),
+    ("1 0 0 0 0 0 1", "1*(x-1; inert) + 1*(x; split; 1) + 3*oo+ + 1*oo-"),
+    ("1 0 0 0 0 1", "2*(x; split; 1) + 2*(x+1; ram) + 3*oo"),
+    ("1 0 0 0 0 1", "1*(x-1; inert) + 1*(x; split; -1) + 4*oo"),
+    ("-4 0 0 0 0 0 1", "1*(x^3-2; ram)"),
+    ("-11 4 40 30 -70 -122 1 148 111 -26 -77 -38 -2 4 1", "1*(x; inert) + 4*oo+ + 2*oo-"),
+)
+
+
+def run(root, argv, report=None):
+    """sha256 over the exit code, stdout, stderr and the report file."""
+    code = "import sys; from primpoints.cli import main; sys.exit(main(sys.argv[1:]))"
+    if report is not None and os.path.exists(report):
+        os.remove(report)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        cwd=root,
+    )
+    digest = hashlib.sha256()
+    for part in (str(done.returncode).encode(), done.stdout, done.stderr):
+        digest.update(len(part).to_bytes(8, "big") + part)
+    if report is not None and os.path.exists(report):
+        with open(report, "rb") as fh:
+            digest.update(fh.read())
+    return done.returncode, digest.hexdigest()
+
+
+def corpus_fields(root):
+    with open(os.path.join(root, "fixtures", "primitivity_corpus.txt")) as fh:
+        return [line.split(",")[0] for line in fh if line.strip() and not line.startswith("#")]
+
+
+def runs(root, scratch):
+    curve = os.path.join(root, "fixtures", "x0_71.curve")
+    mw = os.path.join(root, "fixtures", "x0_71.mw")
+    for d in (3, 4, 5, 6):
+        for fmt in ((), ("--json",)):
+            for width in ("1", "2"):
+                report = os.path.join(scratch, "report")
+                argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
+                yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
+    for lit in (*corpus_fields(root), *X0_71_SEXTICS):
+        yield f"field {lit}", ["field", lit], None
+    for lit in FIBER_POLYS:
+        yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None
+    for k, (coeffs, divisor) in enumerate(RR_CASES):
+        path = os.path.join(scratch, f"rr{k}.curve")
+        with open(path, "w") as fh:
+            fh.write(f"f: {coeffs}\n")
+        yield f"rr [{coeffs}] {divisor}", ["rr", path, divisor], None
+
+
+def main():
+    root = os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else HERE
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, argv, report in runs(root, scratch):
+            code, digest = run(root, argv, report)
+            print(f"{digest}  exit={code}  {label}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

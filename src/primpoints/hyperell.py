@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from . import numfield
 from .arith import (
@@ -371,24 +372,28 @@ def expansion_at_infinity(curve: HyperCurve, place: str, precision: int) -> Infi
 
 
 def _even_infinity_valuation(curve, u, v, place) -> int:
-    """ord at oo+/oo- of u(x) + v(x) y on an even model (den excluded)."""
-    sign = 1 if place == OO_PLUS else -1
-    du = u.degree if not u.is_zero else None
-    dv = v.degree if not v.is_zero else None
-    if du is None and dv is None:
+    """ord at oo+/oo- of u(x) + v(x) y on an even model (den excluded).
+
+    u and v are scaled once to integers by their common denominator, with
+    the place's sign folded into v; a positive scale leaves the first
+    nonzero coefficient where it was.
+    """
+    if u.is_zero and v.is_zero:
         raise ZeroFunction("valuation of the zero function")
     g = curve.genus
-    M = max(du if du is not None else -(10 ** 9), (dv + g + 1) if dv is not None else -(10 ** 9))
-    nterms = 2 * M + 2 + (dv + g + 2 if dv is not None else 0)
+    s = lcm(*(c.denominator for c in u.coeffs + v.coeffs))
+    ui = [c.numerator * (s // c.denominator) for c in u.coeffs]
+    sign = s if place == OO_PLUS else -s
+    vi = [c.numerator * (sign // c.denominator) for c in v.coeffs]
+    dv = len(vi) - 1
+    M = max(len(ui) - 1, dv + g + 1 if vi else -1)
+    nterms = 2 * M + 2 + (dv + g + 2 if vi else 0)
     # L times the coefficient of t^e, so the series stays in integers
-    L, N = _y_series_scaled(curve, _series_length(nterms)) if dv is not None else (1, ())
+    L, N = _y_series_scaled(curve, _series_length(nterms)) if vi else (1, ())
     for e in range(-M, M + 1):
-        coeff = L * u.coeff(-e) if e <= 0 else 0
-        if dv is not None:
-            for j in range(dv + 1):
-                idx = e + j + g + 1
-                if idx >= 0:
-                    coeff += sign * v.coeff(j) * N[idx]
+        coeff = L * ui[-e] if -len(ui) < e <= 0 else 0
+        lo = max(0, -(e + g + 1))
+        coeff += sum(map(mul, vi[lo:], N[e + g + 1 + lo : e + g + 2 + dv]))
         if coeff:
             return e
     raise AssertionError("valuation window exhausted; function unexpectedly zero")
@@ -640,11 +645,62 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
 
     The effective affine part grants pole permissions, realized by a
     denominator h built from the defining polynomials and linear
-    conditions modulo their powers; a negative affine part raises
-    UnsupportedDivisorShape.  Each basis element is (U + V y) / h for a
-    kernel vector (U, V) of the pole and congruence conditions.
+    conditions modulo their powers (`_affine_conditions`); a negative
+    affine part raises UnsupportedDivisorShape.  Each basis element is
+    (U + V y) / h for a kernel vector (U, V) of the pole and congruence
+    conditions.
+
+    The pole conditions at infinity are solved for U first
+    (`_infinity_conditions`); the U coefficients they fix are substituted
+    into the congruence rows, and the kernel is taken over the free U
+    columns and V.  A fixed column is a pivot of the full system, written
+    in terms of V, which comes after it, so the free columns are those of
+    the full system, in the same order, and the expanded vectors are the
+    reduced-echelon basis the full system gives.
     """
     affine = D.affine_terms()
+    h, congruences = _affine_conditions(curve, affine)
+    dh = h.degree
+    if curve.parity == EVEN:
+        n_plus = D.infinite_coefficient(OO_PLUS)
+        n_minus = D.infinite_coefficient(OO_MINUS)
+        Bu = Bv = max(max(n_plus, n_minus) + dh + curve.genus + 2, -1)
+        L, fixed, v_rows = _infinity_conditions(curve, n_plus + dh, n_minus + dh, Bu)
+    else:
+        # odd model: infinity bounds are pure degree caps
+        n_eff = D.infinite_coefficient(OO) + 2 * dh
+        Bu = max(n_eff // 2, -1)
+        Bv = max((n_eff - (2 * curve.genus + 1)) // 2, -1)
+        L, fixed, v_rows = 1, {}, []
+    free = [k for k in range(Bu + 1) if k not in fixed]
+    rows = [[0] * len(free) + row for row in v_rows]
+    for row in _congruence_rows(congruences, Bu, Bv):
+        # U_k = (c . V) / L for a fixed k: the row times L, over (free U, V)
+        v_part = [L * a for a in row[Bu + 1 :]]
+        for k, c in fixed.items():
+            if row[k] and c:
+                v_part = [a + row[k] * w for a, w in zip(v_part, c)]
+        rows.append([L * row[k] for k in free] + v_part)
+    basis = []
+    for vec in kernel_basis(rows, len(free) + Bv + 1):
+        V = vec[len(free) :]
+        den = lcm(*(a.denominator for a in V))
+        scaled = [a.numerator * (den // a.denominator) for a in V]
+        U = dict(zip(free, vec))
+        U.update((k, Fraction(sum(map(mul, c, scaled)), L * den)) for k, c in fixed.items())
+        w = CurveFunction.make(UniPoly.make([U[k] for k in range(Bu + 1)]), UniPoly.make(V), h)
+        if curve.parity == EVEN:
+            _assert_infinity_bounds(curve, w, n_plus, n_minus)
+        basis.append(w)
+    if affine:
+        for w in basis:
+            _assert_affine_membership(curve, w, D)
+    return RRSpace(D, tuple(basis), len(basis))
+
+
+def _affine_conditions(curve, affine):
+    """(h, congruences): the denominator and the conditions a*U + b*V = 0
+    mod m, one (m, a, b) each, that grant the affine pole permissions."""
     if any(m < 0 for _, m in affine):
         raise UnsupportedDivisorShape("negative affine divisor part")
 
@@ -699,58 +755,39 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
                     congruences.append((p**ru, UniPoly.one(), UniPoly.zero()))
                 if rv > 0:
                     congruences.append((p**rv, UniPoly.zero(), UniPoly.one()))
-
-    dh = h.degree
-    if curve.parity == EVEN:
-        n_plus = D.infinite_coefficient(OO_PLUS)
-        n_minus = D.infinite_coefficient(OO_MINUS)
-        Bu = Bv = max(max(n_plus, n_minus) + dh + curve.genus + 2, -1)
-        rows = _infinity_rows(curve, n_plus + dh, n_minus + dh, Bu)
-    else:
-        # odd model: infinity bounds are pure degree caps
-        n_eff = D.infinite_coefficient(OO) + 2 * dh
-        Bu = max(n_eff // 2, -1)
-        Bv = max((n_eff - (2 * curve.genus + 1)) // 2, -1)
-        rows = []
-    rows.extend(_congruence_rows(congruences, Bu, Bv))
-    basis = []
-    for vec in kernel_basis(rows, (Bu + 1) + (Bv + 1)):
-        w = CurveFunction.make(UniPoly.make(vec[: Bu + 1]), UniPoly.make(vec[Bu + 1 :]), h)
-        if curve.parity == EVEN:
-            _assert_infinity_bounds(curve, w, n_plus, n_minus)
-        basis.append(w)
-    if affine:
-        for w in basis:
-            _assert_affine_membership(curve, w, D)
-    return RRSpace(D, tuple(basis), len(basis))
+    return h, congruences
 
 
-def _infinity_rows(curve, bound_plus, bound_minus, B):
-    """Integer rows of the pole conditions at oo+ and oo- on U + V y.
+def _infinity_conditions(curve, bound_plus, bound_minus, B):
+    """(L, fixed, rows): the pole conditions at oo+ and oo- on U + V y,
+    i, j <= B in the span {x^i} + {x^j y}, solved for U where they fix it.
 
-    The candidate span is {x^i} + {x^j y} with i, j <= B (columns 0..B carry
-    U, columns B+1.. carry V).  One row per Laurent coefficient below the
-    allowed pole order at oo+ and at oo- forbids it.
+    With y from `_y_series_scaled`, L times the coefficient of t^e at oo+-
+    is L U_{-e} +- W_e . V, W_e = (N[e + j + g + 1])_j.  Where both places
+    forbid t^e, U_{-e} = 0 and W_e . V = 0; where only the place of sign
+    s does, U_{-e} = -s (W_e . V) / L and V is left free; where column -e
+    does not exist, W_e . V = 0.  `fixed` maps each fixed k to c with
+    U_k = (c . V) / L, c empty for U_k = 0; `rows` are the conditions on
+    V alone.
     """
     if B < 0:
-        return []
+        return 1, {}, []
     g = curve.genus
-    ncols = 2 * (B + 1)
-    low = -(B + g + 1)
     nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
-    den, nums = _y_series_scaled(curve, _series_length(nterms))
-    rows = []
-    for sign, bound in ((1, bound_plus), (-1, bound_minus)):
-        for e in range(low, -bound):
-            # the coefficient of t^e in x^j y is +-S[e + j + g + 1]
-            row = [0] * ncols
-            if e <= 0 and -e <= B:
-                row[-e] = den
-            start = max(0, -(e + g + 1))
-            window = nums[e + g + 1 + start : e + g + 2 + B]
-            row[B + 1 + start :] = window if sign == 1 else [-v for v in window]
-            rows.append(row)
-    return rows
+    L, N = _y_series_scaled(curve, _series_length(nterms))
+    fixed, rows = {}, []
+    for e in range(-(B + g + 1), max(-bound_plus, -bound_minus)):
+        start = max(0, -(e + g + 1))
+        W = [0] * start + list(N[e + g + 1 + start : e + g + 2 + B])
+        plus, minus = e < -bound_plus, e < -bound_minus
+        if not 0 <= -e <= B:
+            rows.append(W)
+        elif plus and minus:
+            fixed[-e] = ()
+            rows.append(W)
+        else:
+            fixed[-e] = [-w for w in W] if plus else W
+    return L, fixed, rows
 
 
 def _congruence_rows(congruences, Bu, Bv):

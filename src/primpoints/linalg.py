@@ -3,10 +3,10 @@
 Matrices are lists of rows of rationals (Fractions or ints).  Kernels are
 the cost centre of divisor-class enumeration (every l(D) is one), so they
 never run Fraction elimination.  Each row is scaled to a primitive integer
-row, the matrix is brought to reduced row-echelon form modulo primes below
-2^31, and the kernel basis is rebuilt from the residues by Chinese
-remaindering and rational reconstruction.  Nothing leaves this module
-unproved:
+row, the matrix is brought to row-echelon form modulo primes below 2^31,
+each free column's kernel vector is read off by back substitution, and the
+basis is rebuilt from the residues by Chinese remaindering and rational
+reconstruction.  Nothing leaves this module unproved:
 
 * full rank mod p proves the kernel is {0}, since rank mod p <= rank over Q;
 * k = ncols - rank mod p vectors that the exact integer product M v sends
@@ -26,9 +26,11 @@ VerificationFailed is raised instead of looping.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .arith import is_prime
 from .errors import VerificationFailed
@@ -76,8 +78,9 @@ def _int_rows(rows):
     return out
 
 
-def _rref_mod(rows, ncols, p):
-    """(pivot columns, pivot rows) of the reduced row-echelon form mod p."""
+def _echelon_mod(rows, ncols, p):
+    """(pivot columns, pivot rows) of a row-echelon form mod p: each pivot
+    scaled to 1, zeros below it."""
     work = [[v % p for v in row] for row in rows]
     nrows = len(work)
     pivots = []
@@ -97,15 +100,27 @@ def _rref_mod(rows, ncols, p):
         pivots.append(col)
         if rk + 1 == nrows:
             break
-    rk = len(pivots)
-    if rk < ncols:  # a full-rank result needs no back substitution
-        for r in range(rk - 1, 0, -1):
-            prow, col = work[r], pivots[r]
-            for i in range(r):
-                f = work[i][col]
-                if f:
-                    work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
-    return pivots, work[:rk]
+    return pivots, work[:len(pivots)]
+
+
+def _back_substitute(pivots, echelon, ncols, p):
+    """Per free column fc, the residues at the pivot columns of the kernel
+    vector with 1 at fc, 0 at the other free columns: x_pc = -sum over
+    c > pc of row[c] * x_c, walking the pivot rows bottom-up, and x_pc = 0
+    for pc > fc.  These are the entries -row[fc] of the reduced form."""
+    taken = set(pivots)
+    out = []
+    for fc in range(ncols):
+        if fc in taken:
+            continue
+        x = [0] * (fc + 1)
+        x[fc] = 1
+        column = [0] * len(pivots)
+        for r in range(bisect(pivots, fc) - 1, -1, -1):
+            pc = pivots[r]
+            x[pc] = column[r] = -sum(map(mul, echelon[r][pc + 1 : fc + 1], x[pc + 1 :])) % p
+        out.append(column)
+    return out
 
 
 def _beats(pivots, other):
@@ -165,14 +180,11 @@ def _kernel(rows, ncols):
     pivots = limit = None
     tried = 1
     for p in _primes():
-        pivots_p, reduced = _rref_mod(rows, ncols, p)
+        pivots_p, echelon = _echelon_mod(rows, ncols, p)
         if len(pivots_p) == ncols:
             return []
         tried *= p
-        taken = set(pivots_p)
-        residues_p = [
-            [-row[fc] % p for row in reduced] for fc in range(ncols) if fc not in taken
-        ]
+        residues_p = _back_substitute(pivots_p, echelon, ncols, p)
         if pivots is None or _beats(pivots_p, pivots):
             pivots, residues, modulus = pivots_p, residues_p, p
         elif pivots_p == pivots:

@@ -455,13 +455,23 @@ def _pair_labels(factors, roots, s: int) -> dict:
     """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
 
     The roots are those of `fpe_roots`, and the d^2 pair values must be
-    distinct; a pair on no factor or on several raises VerificationFailed.
+    distinct.  Frobenius permutes the roots (sigma, read off r^p) and
+    h(v^p) = h(v)^p, so the pairs of one orbit of (i, j) -> (sigma i,
+    sigma j) lie on one factor: one pair per orbit is evaluated and its
+    label given to the whole orbit.  A root whose p-th power is not a
+    root, or a pair on no factor or on several, raises VerificationFailed.
     """
     p = roots[0].field.p
+    index = {r: i for i, r in enumerate(roots)}
+    sigma = [index.get(r ** p) for r in roots]
+    if None in sigma:
+        raise VerificationFailed("the p-th power of a root in F_{p^e} is not a root")
     residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
     labels = {}
     for i, ri in enumerate(roots):
         for j, rj in enumerate(roots):
+            if (i, j) in labels:
+                continue
             v = rj + s * ri
             hits = []
             for k, hp in enumerate(residues):
@@ -472,7 +482,10 @@ def _pair_labels(factors, roots, s: int) -> dict:
                     hits.append(k)
             if len(hits) != 1:
                 raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
-            labels[i, j] = hits[0]
+            a, b = i, j
+            while (a, b) not in labels:
+                labels[a, b] = hits[0]
+                a, b = sigma[a], sigma[b]
     return labels
 
 

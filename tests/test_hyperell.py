@@ -1,3 +1,5 @@
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from primpoints.errors import (
     VerificationFailed,
     ZeroFunction,
 )
-from primpoints.formats import parse_poly
+from primpoints.formats import parse_coeff_text, parse_poly
 from primpoints.hyperell import (
     INERT,
     OO,
@@ -44,6 +46,9 @@ from primpoints.hyperell import (
     rr_space,
     rr_space_infty,
 )
+from primpoints.linalg import kernel_basis
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 X0_71 = curve_new(UniPoly.make(X0_71_COEFFS))
 C_X6 = curve_new(poly(1, 0, 0, 0, 0, 0, 1))  # y^2 = x^6 + 1, genus 2 even
@@ -362,7 +367,9 @@ RR_MODELS = {
 }
 
 
-@given(
+# a divisor with one place of each kind, an optional tilt between oo+ and
+# oo-, and degree at least 2g - 1
+AFFINE_DIVISORS = dict(
     model=st.sampled_from(sorted(RR_MODELS)),
     split_q=st.integers(0, 2),
     split_conj=st.integers(0, 2),
@@ -371,15 +378,9 @@ RR_MODELS = {
     extra=st.integers(0, 2),
     tilt=st.integers(-2, 2),
 )
-@example(model="odd", split_q=1, split_conj=0, ram=0, inert=0, extra=0, tilt=0)
-@example(model="even", split_q=2, split_conj=1, ram=0, inert=0, extra=0, tilt=0)
-@example(model="odd", split_q=0, split_conj=0, ram=1, inert=0, extra=0, tilt=0)
-@example(model="odd", split_q=0, split_conj=0, ram=2, inert=0, extra=1, tilt=0)
-@example(model="odd", split_q=0, split_conj=0, ram=3, inert=0, extra=0, tilt=0)
-@example(model="even", split_q=0, split_conj=0, ram=4, inert=0, extra=0, tilt=1)
-@example(model="even", split_q=0, split_conj=0, ram=0, inert=1, extra=0, tilt=-2)
-@example(model="odd", split_q=1, split_conj=1, ram=2, inert=1, extra=2, tilt=0)
-def test_riemann_roch_with_affine_parts(model, split_q, split_conj, ram, inert, extra, tilt):
+
+
+def affine_divisor(model, split_q, split_conj, ram, inert, extra, tilt):
     curve, ram_p = RR_MODELS[model]
     g = curve.genus
     branch, q = classify_place(curve, poly(0, 1))
@@ -400,9 +401,136 @@ def test_riemann_roch_with_affine_parts(model, split_q, split_conj, ram, inert, 
         infinity = [(ClosedPoint.infinite(OO_PLUS), tilt), (ClosedPoint.infinite(OO_MINUS), n - tilt)]
     else:
         infinity = [(ClosedPoint.infinite(OO), n)]
-    D = affine + Divisor.make(infinity)
+    return curve, affine + Divisor.make(infinity)
+
+
+@given(**AFFINE_DIVISORS)
+@example(model="odd", split_q=1, split_conj=0, ram=0, inert=0, extra=0, tilt=0)
+@example(model="even", split_q=2, split_conj=1, ram=0, inert=0, extra=0, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=1, inert=0, extra=0, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=2, inert=0, extra=1, tilt=0)
+@example(model="odd", split_q=0, split_conj=0, ram=3, inert=0, extra=0, tilt=0)
+@example(model="even", split_q=0, split_conj=0, ram=4, inert=0, extra=0, tilt=1)
+@example(model="even", split_q=0, split_conj=0, ram=0, inert=1, extra=0, tilt=-2)
+@example(model="odd", split_q=1, split_conj=1, ram=2, inert=1, extra=2, tilt=0)
+def test_riemann_roch_with_affine_parts(model, split_q, split_conj, ram, inert, extra, tilt):
+    curve, D = affine_divisor(model, split_q, split_conj, ram, inert, extra, tilt)
+    g = curve.genus
     assert D.degree >= 2 * g - 1
     assert rr_space(curve, D).dim == D.degree - g + 1
+
+
+# ---------------------------------------------------------------------------
+# rr_space against one kernel over every U and V column
+
+
+def _infinity_rows(curve, bound_plus, bound_minus, B):
+    """Integer rows of the pole conditions at oo+ and oo- on U + V y.
+
+    The candidate span is {x^i} + {x^j y} with i, j <= B (columns 0..B carry
+    U, columns B+1.. carry V).  One row per Laurent coefficient below the
+    allowed pole order at oo+ and at oo- forbids it.
+    """
+    if B < 0:
+        return []
+    g = curve.genus
+    ncols = 2 * (B + 1)
+    low = -(B + g + 1)
+    nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
+    den, nums = hyperell._y_series_scaled(curve, hyperell._series_length(nterms))
+    rows = []
+    for sign, bound in ((1, bound_plus), (-1, bound_minus)):
+        for e in range(low, -bound):
+            # the coefficient of t^e in x^j y is +-S[e + j + g + 1]
+            row = [0] * ncols
+            if e <= 0 and -e <= B:
+                row[-e] = den
+            start = max(0, -(e + g + 1))
+            window = nums[e + g + 1 + start : e + g + 2 + B]
+            row[B + 1 + start :] = window if sign == 1 else [-v for v in window]
+            rows.append(row)
+    return rows
+
+
+def full_kernel_basis(curve, D):
+    """The basis of L(D) from every pole condition as a row and one kernel
+    over all U and V columns, as rr_space built it before it solved the
+    conditions at infinity for U."""
+    h, congruences = hyperell._affine_conditions(curve, D.affine_terms())
+    dh = h.degree
+    if curve.parity == "even":
+        n_plus = D.infinite_coefficient(OO_PLUS)
+        n_minus = D.infinite_coefficient(OO_MINUS)
+        Bu = Bv = max(max(n_plus, n_minus) + dh + curve.genus + 2, -1)
+        rows = _infinity_rows(curve, n_plus + dh, n_minus + dh, Bu)
+    else:
+        n_eff = D.infinite_coefficient(OO) + 2 * dh
+        Bu = max(n_eff // 2, -1)
+        Bv = max((n_eff - (2 * curve.genus + 1)) // 2, -1)
+        rows = []
+    rows += hyperell._congruence_rows(congruences, Bu, Bv)
+    return tuple(
+        CurveFunction.make(UniPoly.make(vec[: Bu + 1]), UniPoly.make(vec[Bu + 1 :]), h)
+        for vec in kernel_basis(rows, Bu + Bv + 2)
+    )
+
+
+def test_rr_space_matches_the_full_kernel_over_the_sweep_window():
+    # every D of the Riemann-Roch criterion's window -2g <= n <= 2g + 4 on
+    # the sweep curves: one-sided ranges, and B < 0 from genus 3 on
+    with open(os.path.join(FIXTURES, "rr_sweep_curves.txt")) as fh:
+        lines = [line.split(":") for line in fh if line.strip() and not line.startswith("#")]
+    assert len(lines) == 8
+    for label, coeffs in lines:
+        curve = curve_new(parse_coeff_text(coeffs))
+        g = curve.genus
+        span = range(-2 * g, 2 * g + 5)
+        places = [ClosedPoint.infinite(place) for place in curve.infinite_places]
+        for bounds in itertools.product(span, repeat=len(places)):
+            D = Divisor.make(zip(places, bounds))
+            assert rr_space(curve, D).basis == full_kernel_basis(curve, D), (label, bounds)
+
+
+@given(**AFFINE_DIVISORS)
+@settings(max_examples=15, deadline=None)
+@example(model="even", split_q=2, split_conj=1, ram=0, inert=0, extra=0, tilt=-2)
+@example(model="even", split_q=0, split_conj=1, ram=3, inert=1, extra=2, tilt=2)
+@example(model="odd", split_q=1, split_conj=1, ram=2, inert=1, extra=2, tilt=0)
+def test_rr_space_matches_the_full_kernel_with_affine_parts(
+    model, split_q, split_conj, ram, inert, extra, tilt
+):
+    curve, D = affine_divisor(model, split_q, split_conj, ram, inert, extra, tilt)
+    assert rr_space(curve, D).basis == full_kernel_basis(curve, D)
+
+
+# the U coefficient fixed last by one place alone, with its sign flipped:
+# the basis element then keeps a pole that place forbids, and the
+# valuation recheck must make `rr` exit 5
+FLIPPED_FIXED_COLUMN = """
+import sys
+from primpoints import cli, hyperell
+
+conditions = hyperell._infinity_conditions
+
+def flipped(*args):
+    L, fixed, rows = conditions(*args)
+    k = max(k for k, c in fixed.items() if c)
+    fixed[k] = [-w for w in fixed[k]]
+    return L, fixed, rows
+
+hyperell._infinity_conditions = flipped
+print(cli.main(["rr", sys.argv[1], "4*oo+ + 0*oo-"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_flipped_fixed_column_fails_the_pole_recheck(tmp_path, optimize):
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 1 0 0 0 0 0 1\n")  # y^2 = x^6 + 1
+    done = run_python(["-c", FLIPPED_FIXED_COLUMN, str(curve)], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
+    assert "basis element violates pole bounds" in done.stderr
 
 
 def test_rr_space_rejects_places_not_on_the_curve():

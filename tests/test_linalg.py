@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primpoints import linalg
@@ -150,29 +150,87 @@ def test_singular_mod_first_prime_only(rows):
         assert linalg.det(rows) == ref_det(rows) != 0
 
 
-def _counting_rref(monkeypatch):
+# --- back substitution against Gauss-Jordan mod p ---------------------------
+
+
+def gauss_jordan_residues(rows, ncols, p):
+    """(pivots, residues) from the reduced row-echelon form mod p: per free
+    column fc, -row[fc] of each pivot row, as the kernel read them before
+    back substitution."""
+    work = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        pivot = next((i for i in range(rk, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        inv = pow(work[rk][col], -1, p)
+        work[rk] = prow = [v * inv % p for v in work[rk]]
+        for i in range(len(work)):
+            if i != rk and work[i][col]:
+                f = work[i][col]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
+        pivots.append(col)
+    residues = [[-work[r][fc] % p for r in range(len(pivots))]
+                for fc in range(ncols) if fc not in pivots]
+    return pivots, residues
+
+
+@st.composite
+def echelon_cases(draw):
+    """n - k random integer rows on n columns, a zero column and a repeated
+    row at will, and a prime that may be small enough to lose rank."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(3, n)))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(n - k)]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[zero] = 0
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows, n, draw(st.sampled_from([7, 101, P0]))
+
+
+@given(echelon_cases())
+@settings(max_examples=40, deadline=None)
+@example(([[1, 2], [3, 4]], 2, P0))  # no free column
+@example(([[1, 2, 3], [4, 5, 6]], 3, P0))  # one
+@example(([[0, 1, 2, 3], [0, 2, 1, 1]], 4, P0))  # two, one of them a zero column
+@example(([[1, 2, 3, 4, 5], [0, 1, 1, 1, 1], [1, 2, 3, 4, 5]], 5, P0))  # three, a repeated row
+@example(([[1, 2, 3], [4, 5, 6]], 3, 3))  # rank lost mod 3
+def test_back_substitution_matches_gauss_jordan(case):
+    rows, n, p = case
+    pivots, residues = gauss_jordan_residues(rows, n, p)
+    pivots_e, echelon = linalg._echelon_mod(rows, n, p)
+    assert pivots_e == pivots
+    assert linalg._back_substitute(pivots, echelon, n, p) == residues
+
+
+def _counting_echelon(monkeypatch):
     calls = []
-    original = linalg._rref_mod
+    original = linalg._echelon_mod
 
     def counted(rows, ncols, p):
         calls.append(p)
         return original(rows, ncols, p)
 
-    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    monkeypatch.setattr(linalg, "_echelon_mod", counted)
     return calls
 
 
 def test_huge_kernel_entries_force_crt(monkeypatch):
     a, b = 3**40, 2**63 + 5  # coprime, both beyond 2^62
     rows = [[a, b, 0], [0, 1, 1]]
-    calls = _counting_rref(monkeypatch)
+    calls = _counting_echelon(monkeypatch)
     basis = linalg.kernel_basis(rows, 3)
     assert basis == ref_kernel(rows, 3) == [[Fraction(b, a), Fraction(-1), Fraction(1)]]
     assert len(calls) > 2 and calls == list(linalg._PRIMES[: len(calls)])
 
 
 def test_full_rank_needs_one_prime(monkeypatch):
-    calls = _counting_rref(monkeypatch)
+    calls = _counting_echelon(monkeypatch)
     assert linalg.kernel_basis([[2, 1], [1, 1]], 2) == []
     assert calls == [P0]
 
@@ -210,19 +268,19 @@ def test_prime_sequence_is_fixed_and_extends_lazily():
 
 def check_corrupted_kernel_raises():
     """A modular result missing a pivot must be rejected, not returned."""
-    original = linalg._rref_mod
+    original = linalg._echelon_mod
 
     def corrupted(rows, ncols, p):
-        pivots, reduced = original(rows, ncols, p)
-        return pivots[:-1], reduced[:-1]
+        pivots, echelon = original(rows, ncols, p)
+        return pivots[:-1], echelon[:-1]
 
-    linalg._rref_mod = corrupted
+    linalg._echelon_mod = corrupted
     try:
         linalg.kernel_basis([[1, 2, 3], [4, 5, 6]], 3)
     except VerificationFailed:
         return
     finally:
-        linalg._rref_mod = original
+        linalg._echelon_mod = original
     raise AssertionError("a corrupted modular kernel was accepted")
 
 

@@ -589,6 +589,45 @@ def test_corrupted_orbitals_raise_verification_failed(optimize):
     assert "lies on no pair-norm factor or on several" in done.stderr
 
 
+def _labels_of_every_pair(factors, roots, s):
+    """{(i, j): the factors vanishing at r_j + s*r_i}, every pair evaluated."""
+    p = roots[0].field.p
+    residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
+    out = {}
+    for i, ri in enumerate(roots):
+        for j, rj in enumerate(roots):
+            v = rj + s * ri
+            hits = []
+            for k, hp in enumerate(residues):
+                acc = 0
+                for c in reversed(hp):
+                    acc = acc * v + c
+                if not acc:
+                    hits.append(k)
+            out[i, j] = hits
+    return out
+
+
+@pytest.mark.parametrize("lit", ["x^4-2", "x^6-2", "x^6+2x^5+x^4-x^3-x^2-x+1"])
+def test_pair_labels_per_frobenius_orbit_match_every_pair(lit):
+    m = parse_poly(lit)
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
+    labels = numfield._pair_labels(factors, roots, s)
+    assert {pair: [k] for pair, k in labels.items()} == _labels_of_every_pair(factors, roots, s)
+
+
+def test_pair_labels_reject_roots_not_closed_under_frobenius():
+    m = parse_poly("x^6-2")  # its roots lie in F_{23^2}, four of them outside F_23
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    p = roots[0].field.p
+    k = next(i for i, r in enumerate(roots) if r ** p != r)
+    roots[k] = roots[k] + 1
+    factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
+    with pytest.raises(VerificationFailed, match="p-th power of a root"):
+        numfield._pair_labels(factors, roots, s)
+
+
 # ---------------------------------------------------------------------------
 # absolute minimal polynomial of (x, y) with p(x)=0, y^2=f(x)
 

@@ -3,15 +3,23 @@
 
 Each run is a fresh `primpoints` interpreter on the checkout's own `src/`
 and `fixtures/`.  A digest covers the exit code, stdout, stderr and, for
-`points`, the report file, so two checkouts that print the same lines
-produce identical reports.  The set:
+`points` and `classify`, the report file (its path in the output is
+masked), so two checkouts that print the same lines produce identical
+reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
 * `field` on the fields of fixtures/primitivity_corpus.txt and on the
   three imprimitive sextics of X0(71) at d = 6;
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1;
 * `rr` on divisors with affine parts, split, ramified and inert, on even
-  and odd models, with one-sided and negative bounds at infinity.
+  and odd models, with one-sided and negative bounds at infinity;
+* `perm`, text and --json, on the generators of every group of the
+  checkout's transitive corpus (read through its own `transitive_corpus`
+  and `cycles_literal`), on an intransitive group and on bad cycles and
+  degrees;
+* `classify` on fixtures/table1.csv, text and --json;
+* `construct` on x^3-2 and x^5-x-1;
+* `twists x^6+1 --max-r 30 --height 20`.
 
 Usage: python3 scripts/report_digest.py [CHECKOUT] > digests.txt
 CHECKOUT defaults to the checkout holding this script.  Run it on two
@@ -32,6 +40,16 @@ X0_71_SEXTICS = (
     "x^6+5/2*x^5+5/2*x^4-1/2*x^3-3/2*x^2-1/2*x+1/2",
 )
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
+CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
+# an intransitive group, then cycles or degrees that are no permutation
+PERM_INPUTS = (
+    ("(0 1)", "(2 3)"),
+    ("()", "--degree", "0"),
+    ("()", "--degree", "-2"),
+    ("(0 1)(1 2)",),
+    ("()()",),
+    ("(-1 2)",),
+)
 # curve coefficients (lowest degree first) and divisors with affine parts
 RR_CASES = (
     ("1 0 0 0 0 0 1", "2*(x; split; 1) + 1*(x; split; -1) + 1*oo+ + 0*oo-"),
@@ -44,19 +62,27 @@ RR_CASES = (
 )
 
 
-def run(root, argv, report=None):
-    """sha256 over the exit code, stdout, stderr and the report file."""
-    code = "import sys; from primpoints.cli import main; sys.exit(main(sys.argv[1:]))"
-    if report is not None and os.path.exists(report):
-        os.remove(report)
-    done = subprocess.run(
+def python(root, code, *argv):
+    """Run code in a fresh interpreter on the checkout's own `src/`."""
+    return subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         cwd=root,
     )
+
+
+def run(root, argv, report=None):
+    """sha256 over the exit code, stdout, stderr and the report file."""
+    code = "import sys; from primpoints.cli import main; sys.exit(main(sys.argv[1:]))"
+    if report is not None and os.path.exists(report):
+        os.remove(report)
+    done = python(root, code, *argv)
+    out, err = done.stdout, done.stderr
+    if report is not None:
+        out, err = (part.replace(report.encode(), b"<report>") for part in (out, err))
     digest = hashlib.sha256()
-    for part in (str(done.returncode).encode(), done.stdout, done.stderr):
+    for part in (str(done.returncode).encode(), out, err):
         digest.update(len(part).to_bytes(8, "big") + part)
     if report is not None and os.path.exists(report):
         with open(report, "rb") as fh:
@@ -67,6 +93,20 @@ def run(root, argv, report=None):
 def corpus_fields(root):
     with open(os.path.join(root, "fixtures", "primitivity_corpus.txt")) as fh:
         return [line.split(",")[0] for line in fh if line.strip() and not line.startswith("#")]
+
+
+def corpus_groups(root):
+    """(name, degree, generators in cycle notation) of the checkout's corpus."""
+    code = (
+        "from primpoints.permact import cycles_literal, transitive_corpus\n"
+        "for name, G, _ in transitive_corpus(7):\n"
+        "    print(name, G.degree, *map(cycles_literal, G.generators), sep='\\t')"
+    )
+    done = python(root, code)
+    done.check_returncode()
+    for line in done.stdout.decode().splitlines():
+        name, degree, *gens = line.split("\t")
+        yield name, degree, gens
 
 
 def runs(root, scratch):
@@ -87,6 +127,19 @@ def runs(root, scratch):
         with open(path, "w") as fh:
             fh.write(f"f: {coeffs}\n")
         yield f"rr [{coeffs}] {divisor}", ["rr", path, divisor], None
+    for name, degree, gens in corpus_groups(root):
+        for fmt in ((), ("--json",)):
+            argv = ["perm", *gens, "--degree", degree, *fmt]
+            yield f"perm {name} {' '.join(fmt) or 'text'}", argv, None
+    for args in PERM_INPUTS:
+        yield f"perm {' '.join(args)}", ["perm", *args], None
+    for fmt in ((), ("--json",)):
+        report = os.path.join(scratch, "report")
+        argv = ["classify", os.path.join(root, "fixtures", "table1.csv"), report, *fmt]
+        yield f"classify table1 {' '.join(fmt) or 'text'}", argv, report
+    for lit in CONSTRUCT_POLYS:
+        yield f"construct {lit}", ["construct", lit], None
+    yield "twists x^6+1", ["twists", "x^6+1", "--max-r", "30", "--height", "20"], None
 
 
 def main():

@@ -120,7 +120,7 @@ def build_parser():
 
     p = sub.add_parser("perm", help="primitivity of a permutation group from cycles")
     p.add_argument("generators", nargs="+")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_positive_int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_perm)
 

@@ -24,13 +24,6 @@ def compose(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def inverse(a):
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
 def identity(n):
     return tuple(range(n))
 
@@ -44,6 +37,8 @@ class PermGroup:
 
     @staticmethod
     def make(degree, generators) -> "PermGroup":
+        if degree < 1:
+            raise BadInput(f"degree must be at least 1, got {degree}")
         gens = []
         for g in generators:
             g = tuple(g)
@@ -61,6 +56,8 @@ def parse_cycles(text: str, degree=None) -> tuple:
     Points may be separated by spaces or commas; the degree defaults to
     1 + the largest point mentioned.
     """
+    if degree is not None and degree < 1:
+        raise ParseError(f"degree must be at least 1, got {degree}")
     text = text.strip()
     if text in ("", "()"):
         if degree is None:
@@ -86,7 +83,7 @@ def parse_cycles(text: str, degree=None) -> tuple:
     if depth:
         raise ParseError("unbalanced parenthesis in cycle notation")
     parsed = []
-    maxpt = -1
+    seen = set()
     for raw in cycles:
         pts = [p for p in "".join(raw).replace(",", " ").split() if p]
         try:
@@ -95,9 +92,17 @@ def parse_cycles(text: str, degree=None) -> tuple:
             raise ParseError(f"bad point in cycle: {exc}") from exc
         if len(set(pts)) != len(pts):
             raise ParseError("repeated point inside a cycle")
+        for p in pts:
+            if p < 0:
+                raise ParseError(f"negative point {p} in cycle")
+            if p in seen:
+                raise ParseError(f"point {p} appears in two cycles")
+            seen.add(p)
         parsed.append(pts)
-        maxpt = max(maxpt, max(pts, default=-1))
+    maxpt = max(seen, default=-1)
     n = degree if degree is not None else maxpt + 1
+    if n < 1:
+        raise ParseError("cycles name no point; give a degree")
     if maxpt >= n:
         raise ParseError("cycle mentions a point outside 0..degree-1")
     out = list(range(n))
@@ -326,15 +331,6 @@ def verify_stabilizer_lemma(G: PermGroup) -> bool:
     return exists_intermediate == (not is_primitive_action(G))
 
 
-# ---------------------------------------------------------------------------
-# Transitive group corpus, degrees 2..7
-#
-# Degrees up to 5 can be regenerated exhaustively in-repo (tests do); the
-# degree 6 and 7 lists follow the classical transitive-group tables, each
-# entry built from a structural recipe (cyclic, dihedral, wreath, coset
-# action, linear group) and re-verified for transitivity and order.
-
-
 def cyclic_group(n: int) -> PermGroup:
     return PermGroup.make(n, [tuple((i + 1) % n for i in range(n))])
 
@@ -366,52 +362,6 @@ def alternating_group(n: int) -> PermGroup:
     return PermGroup.make(n, [three, rot])
 
 
-def frobenius_group(p: int, k: int) -> PermGroup:
-    """Subgroup x -> a*x + b of the affine line over F_p with |a| = k."""
-    # find a generator of the order-k subgroup of F_p^*
-    gen = None
-    for a in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p):
-            x = x * a % p
-            seen.add(x)
-            if x == 1:
-                break
-        if len(seen) == p - 1:
-            gen = a
-            break
-    assert gen is not None
-    a = pow(gen, (p - 1) // k, p)
-    translation = tuple((i + 1) % p for i in range(p))
-    scaling = tuple(i * a % p for i in range(p))
-    return PermGroup.make(p, [translation, scaling])
-
-
-def coset_action(G: PermGroup, subgroup_gens) -> PermGroup:
-    """Action of G on the right cosets of the subgroup, relabelled 0..k-1."""
-    els = sorted(elements(G))
-    H = sorted(elements(PermGroup.make(G.degree, subgroup_gens)))
-    hset = set(H)
-    cosets = []
-    seen = set()
-    for g in els:
-        if g in seen:
-            continue
-        coset = frozenset(compose(h, g) for h in hset)
-        seen.update(coset)
-        cosets.append(coset)
-    index = {}
-    for i, coset in enumerate(cosets):
-        for g in coset:
-            index[g] = i
-    new_gens = []
-    reps = [min(c) for c in cosets]
-    for gen in G.generators:
-        new_gens.append(tuple(index[compose(rep, gen)] for rep in reps))
-    return PermGroup.make(len(cosets), new_gens)
-
-
 def wreath_on_blocks(inner_gens, block_count: int, block_size: int, top_gens):
     """Generators of (inner wr top) acting on block_count*block_size points."""
     n = block_count * block_size
@@ -431,169 +381,62 @@ def wreath_on_blocks(inner_gens, block_count: int, block_size: int, top_gens):
     return gens
 
 
-def _index_two_transitive_subgroups(G: PermGroup):
-    """Transitive index-2 subgroups of G, via the quotient by squares."""
-    els = sorted(elements(G))
-    sq_gens = sorted({compose(g, g) for g in els})
-    # normal closure of squares contains the commutator subgroup here
-    S = set(elements(PermGroup.make(G.degree, sq_gens)))
-    while True:
-        grown = set(S)
-        for g in G.generators:
-            gi = inverse(g)
-            for s in list(S):
-                conj = compose(compose(g, s), gi)
-                if conj not in grown:
-                    grown.add(conj)
-        extended = elements(PermGroup.make(G.degree, sorted(grown)))
-        if len(extended) == len(S):
-            break
-        S = set(extended)
-    out = []
-    seen_orders = set()
-    for g in els:
-        if g in S:
-            continue
-        candidate = sorted(S | {compose(g, s) for s in S})
-        if len(candidate) * 2 != len(els):
-            continue
-        Gsub = PermGroup.make(G.degree, _generating_subset(candidate, len(candidate), G.degree))
-        key = frozenset(candidate)
-        if key in seen_orders:
-            continue
-        seen_orders.add(key)
-        if is_transitive(Gsub):
-            out.append(Gsub)
-    return out
+# ---------------------------------------------------------------------------
+# Transitive groups of degree 2..7, one per conjugacy class, after Butler
+# and McKay, "The transitive groups of degree up to eleven", Comm. Algebra
+# 11 (1983): (name, degree, order, generators in cycle notation).
 
-
-def gl3_f2_on_points() -> PermGroup:
-    """GL(3, 2) acting on the 7 nonzero vectors of F_2^3."""
-    vectors = [v for v in range(1, 8)]  # bitmask encoding (b0, b1, b2)
-
-    def apply(matrix, v):
-        bits = [(v >> i) & 1 for i in range(3)]
-        out = 0
-        for i in range(3):
-            s = sum(matrix[i][j] * bits[j] for j in range(3)) % 2
-            out |= s << i
-        return out
-
-    gens_m = [
-        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],  # elementary transvection
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],  # basis rotation
-    ]
-    gens = []
-    for m in gens_m:
-        imgs = [apply(m, v) for v in vectors]
-        gens.append(tuple(vectors.index(w) for w in imgs))
-    return PermGroup.make(7, gens)
-
-
-def psl2_5() -> PermGroup:
-    """PSL(2,5) on the projective line over F_5, points ordered 0..4, oo."""
-    pts = [0, 1, 2, 3, 4, "oo"]
-
-    def mobius_add1(z):
-        return "oo" if z == "oo" else (z + 1) % 5
-
-    def mobius_neg_inv(z):
-        if z == "oo":
-            return 0
-        if z == 0:
-            return "oo"
-        return (-pow(z, -1, 5)) % 5
-
-    g1 = tuple(pts.index(mobius_add1(z)) for z in pts)
-    g2 = tuple(pts.index(mobius_neg_inv(z)) for z in pts)
-    return PermGroup.make(6, [g1, g2])
-
-
-def pgl2_5() -> PermGroup:
-    base = psl2_5()
-    pts = [0, 1, 2, 3, 4, "oo"]
-
-    def mobius_double(z):
-        return "oo" if z == "oo" else (2 * z) % 5
-
-    g3 = tuple(pts.index(mobius_double(z)) for z in pts)
-    return PermGroup.make(6, list(base.generators) + [g3])
+TRANSITIVE_GROUPS = (
+    ("S2", 2, 2, ("(0 1)",)),
+    ("C3", 3, 3, ("(0 1 2)",)),
+    ("S3", 3, 6, ("(0 1 2)", "(0 1)")),
+    ("C4", 4, 4, ("(0 1 2 3)",)),
+    ("V4", 4, 4, ("(0 1)(2 3)", "(0 2)(1 3)")),
+    ("D4", 4, 8, ("(0 1 2 3)", "(1 3)")),
+    ("A4", 4, 12, ("(0 1 2)", "(1 2 3)")),
+    ("S4", 4, 24, ("(0 1 2 3)", "(0 1)")),
+    ("C5", 5, 5, ("(0 1 2 3 4)",)),
+    ("D5", 5, 10, ("(0 1 2 3 4)", "(1 4)(2 3)")),
+    ("F20", 5, 20, ("(0 1 2 3 4)", "(1 2 4 3)")),
+    ("A5", 5, 60, ("(0 1 2)", "(0 1 2 3 4)")),
+    ("S5", 5, 120, ("(0 1 2 3 4)", "(0 1)")),
+    ("C6", 6, 6, ("(0 1 2 3 4 5)",)),
+    ("S3(regular)", 6, 6, ("(0 3 4)(1 5 2)", "(0 2)(1 4)(3 5)")),
+    ("D6", 6, 12, ("(0 1 2 3 4 5)", "(1 5)(2 4)")),
+    ("A4(6)", 6, 12, ("(0 2 3)(1 5 4)", "(0 1 2)(3 4 5)")),
+    ("C3wrC2", 6, 18, ("(0 1 2)", "(3 4 5)", "(0 3)(1 4)(2 5)")),
+    ("C2wrC3", 6, 24, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)")),
+    ("S4(6c)", 6, 24, ("(1 2 4 3)", "(0 4)(1 5)(2 3)")),
+    ("S4(6d)", 6, 24, ("(0 2 5 3)(1 4)", "(1 3)(2 4)")),
+    ("(S3xS3):2 half A", 6, 36,
+     ("(3 4 5)", "(1 2)(4 5)", "(0 1)(4 5)", "(0 3)(1 4)(2 5)")),
+    ("(S3xS3):2 half B", 6, 36,
+     ("(3 4 5)", "(1 2)(4 5)", "(0 1)(4 5)", "(0 3)(1 4 2 5)")),
+    ("C2wrS3", 6, 48, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)", "(0 2)(1 3)")),
+    ("PSL(2,5)", 6, 60, ("(0 1 2 3 4)", "(0 5)(1 4)")),
+    ("S3wrC2", 6, 72, ("(0 1 2)", "(3 4 5)", "(0 1)", "(3 4)", "(0 3)(1 4)(2 5)")),
+    ("PGL(2,5)", 6, 120, ("(0 1 2 3 4)", "(0 5)(1 4)", "(1 2 4 3)")),
+    ("A6", 6, 360, ("(0 1 2)", "(1 2 3 4 5)")),
+    ("S6", 6, 720, ("(0 1 2 3 4 5)", "(0 1)")),
+    ("C7", 7, 7, ("(0 1 2 3 4 5 6)",)),
+    ("D7", 7, 14, ("(0 1 2 3 4 5 6)", "(1 6)(2 5)(3 4)")),
+    ("F21", 7, 21, ("(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)")),
+    ("F42", 7, 42, ("(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)")),
+    ("GL(3,2)", 7, 168, ("(1 2)(5 6)", "(0 1 3)(2 5 4)")),
+    ("A7", 7, 2520, ("(0 1 2)", "(0 1 2 3 4 5 6)")),
+    ("S7", 7, 5040, ("(0 1 2 3 4 5 6)", "(0 1)")),
+)
 
 
 def transitive_corpus(max_degree: int = 7):
-    """Named transitive groups of each degree 2..max_degree.
+    """(name, group, order) for every entry of degree at most max_degree.
 
-    Complete up to conjugacy for every degree covered; degrees up to 5 are
-    cross-checked exhaustively by the tests.
+    Complete up to conjugacy for every degree covered; the tests check
+    each entry's transitivity and order, and completeness up to degree 5
+    by exhaustion.
     """
-    corpus = []
-
-    def add(name, G, order):
-        assert is_transitive(G), name
-        assert group_order(G) == order, (name, group_order(G), order)
-        corpus.append((name, G, order))
-
-    if max_degree >= 2:
-        add("S2", symmetric_group(2), 2)
-    if max_degree >= 3:
-        add("C3", cyclic_group(3), 3)
-        add("S3", symmetric_group(3), 6)
-    if max_degree >= 4:
-        add("C4", cyclic_group(4), 4)
-        add("V4", PermGroup.make(4, [(1, 0, 3, 2), (2, 3, 0, 1)]), 4)
-        add("D4", dihedral_group(4), 8)
-        add("A4", alternating_group(4), 12)
-        add("S4", symmetric_group(4), 24)
-    if max_degree >= 5:
-        add("C5", cyclic_group(5), 5)
-        add("D5", dihedral_group(5), 10)
-        add("F20", frobenius_group(5, 4), 20)
-        add("A5", alternating_group(5), 60)
-        add("S5", symmetric_group(5), 120)
-    if max_degree >= 6:
-        s3 = symmetric_group(3)
-        add("C6", cyclic_group(6), 6)
-        add("S3(regular)", coset_action(s3, []), 6)
-        add("D6", dihedral_group(6), 12)
-        add("A4(6)", coset_action(alternating_group(4), [(1, 0, 3, 2)]), 12)
-        add(
-            "C3wrC2",
-            PermGroup.make(6, wreath_on_blocks([(1, 2, 0)], 2, 3, [(1, 0)])),
-            18,
-        )
-        add(
-            "C2wrC3",
-            PermGroup.make(6, wreath_on_blocks([(1, 0)], 3, 2, [(1, 2, 0)])),
-            24,
-        )
-        add("S4(6c)", coset_action(symmetric_group(4), [(1, 2, 3, 0)]), 24)
-        add("S4(6d)", coset_action(symmetric_group(4), [(1, 0, 2, 3), (0, 1, 3, 2)]), 24)
-        s3wr2 = PermGroup.make(
-            6, wreath_on_blocks([(1, 2, 0), (1, 0, 2)], 2, 3, [(1, 0)])
-        )
-        halves = _index_two_transitive_subgroups(s3wr2)
-        assert len(halves) == 2, "expected two transitive order-36 subgroups"
-        halves.sort(key=lambda H: sorted(elements(H))[1])
-        add("(S3xS3):2 half A", halves[0], 36)
-        add("(S3xS3):2 half B", halves[1], 36)
-        add(
-            "C2wrS3",
-            PermGroup.make(
-                6, wreath_on_blocks([(1, 0)], 3, 2, [(1, 2, 0), (1, 0, 2)])
-            ),
-            48,
-        )
-        add("PSL(2,5)", psl2_5(), 60)
-        add("S3wrC2", s3wr2, 72)
-        add("PGL(2,5)", pgl2_5(), 120)
-        add("A6", alternating_group(6), 360)
-        add("S6", symmetric_group(6), 720)
-    if max_degree >= 7:
-        add("C7", cyclic_group(7), 7)
-        add("D7", dihedral_group(7), 14)
-        add("F21", frobenius_group(7, 3), 21)
-        add("F42", frobenius_group(7, 6), 42)
-        add("GL(3,2)", gl3_f2_on_points(), 168)
-        add("A7", alternating_group(7), 2520)
-        add("S7", symmetric_group(7), 5040)
-    return corpus
+    return [
+        (name, PermGroup.make(degree, [parse_cycles(g, degree) for g in gens]), order)
+        for name, degree, order, gens in TRANSITIVE_GROUPS
+        if degree <= max_degree
+    ]

@@ -239,6 +239,25 @@ def test_fiber_rejects_empty_samples(optimize, bounds):
     assert "primitive_fraction" not in done.stdout
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["()", "--degree", "0"], 2),
+        (["()", "--degree", "-2"], 2),
+        (["(0 1)(1 2)"], 2),  # point 1 in two cycles
+        (["()()"], 2),  # no point and no degree
+        (["(-1 2)"], 2),
+        (["(0 1)", "--degree", "4"], 4),  # not transitive
+    ],
+)
+def test_perm_rejects_bad_input(optimize, argv, expected):
+    done = _run_cli(["perm", *argv], optimize)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.slow
 def test_points_command_degree4_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.txt"

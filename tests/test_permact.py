@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,15 @@ def test_parse_cycles():
         parse_cycles("(0 1")
     with pytest.raises(ParseError):
         parse_cycles("(0 0 1)")
+    with pytest.raises(ParseError, match="point 1 appears in two cycles"):
+        parse_cycles("(0 1)(1 2)")
+    with pytest.raises(ParseError):
+        parse_cycles("(-1 2)")
+    for text, degree in (("()", 0), ("(0)", -2), ("()()", None)):
+        with pytest.raises(ParseError):
+            parse_cycles(text, degree)
+    with pytest.raises(BadInput):
+        PermGroup.make(0, [])
     perm = parse_cycles("(0 3)(1 4 2)")
     assert parse_cycles(cycles_literal(perm)) == perm
 
@@ -114,10 +124,16 @@ def test_corpus_counts_and_structure():
         6: 16,
         7: 7,
     }
-    # distinct as subgroups; same-order groups distinguished by invariants
-    for d, groups in by_degree.items():
-        sets = [frozenset(elements(G)) for _, G, _ in groups]
-        assert len(set(sets)) == len(sets)
+    for name, G, order in corpus:
+        assert is_transitive(G), name
+        assert group_order(G) == order, name
+    # Conjugate subgroups of S_d share the counts of cycle types over the
+    # group, so distinct invariants prove the entries pairwise non-conjugate.
+    invariants = {
+        (G.degree, order, frozenset(Counter(cycle_type(g) for g in elements(G)).items()))
+        for _, G, order in corpus
+    }
+    assert len(invariants) == len(corpus) == 36
 
 
 def test_corpus_primitivity_matches_exhaustion():

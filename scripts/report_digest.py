@@ -8,11 +8,16 @@ masked), so two checkouts that print the same lines produce identical
 reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
-* `field` on the fields of fixtures/primitivity_corpus.txt and on the
-  three imprimitive sextics of X0(71) at d = 6;
+* `field` on the fields of fixtures/primitivity_corpus.txt, on the
+  three imprimitive sextics of X0(71) at d = 6, on the composed fields
+  g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
+  checkout's own `UniPoly.compose`), and on the degree-1 x-5;
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1;
 * `rr` on divisors with affine parts, split, ramified and inert, on even
-  and odd models, with one-sided and negative bounds at infinity;
+  and odd models, with one-sided and negative bounds at infinity; on
+  degree-2 split points whose two multiplicities differ by 2 or 3, either
+  way round; on ramified multiplicities 4 and 5; and on places at
+  infinity that the model does not have;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
   and `cycles_literal`), on an intransitive group and on bad cycles and
@@ -39,6 +44,16 @@ X0_71_SEXTICS = (
     "x^6+5x^5+7x^4-2x^3-9x^2-2x+4",
     "x^6+5/2*x^5+5/2*x^4-1/2*x^3-3/2*x^2-1/2*x+1/2",
 )
+# (g, h) of the composed fields g(h(x)), degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4, 2*6
+COMPOSED = (
+    ("x^2+x+3", "x^4+x^3-x+1"),
+    ("x^4+x^3-x+1", "x^2+x+2"),
+    ("x^3-x-1", "x^3+x+1"),
+    ("x^2+x+3", "x^5-x-1"),
+    ("x^5-x-1", "x^2+x+2"),
+    ("x^3-x-1", "x^4+x^3-x+1"),
+    ("x^2+x+3", "x^6+x+1"),
+)
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
 # an intransitive group, then cycles or degrees that are no permutation
@@ -59,6 +74,20 @@ RR_CASES = (
     ("1 0 0 0 0 1", "1*(x-1; inert) + 1*(x; split; -1) + 4*oo"),
     ("-4 0 0 0 0 0 1", "1*(x^3-2; ram)"),
     ("-11 4 40 30 -70 -122 1 148 111 -26 -77 -38 -2 4 1", "1*(x; inert) + 4*oo+ + 2*oo-"),
+    # x^2-2 splits on y^2 = x^6 + 1 with y = +-3, x^2-2x+2 on y^2 = x^5 + 1
+    # with y = +-(2x-3): the condition sits on the side of the smaller
+    # multiplicity, lifted past p
+    ("1 0 0 0 0 0 1", "3*(x^2-2; split; -3) + 1*(x^2-2; split; 3) + 2*oo+ + 1*oo-"),
+    ("1 0 0 0 0 0 1", "1*(x^2-2; split; -3) + 3*(x^2-2; split; 3) + 2*oo+ + 1*oo-"),
+    ("1 0 0 0 0 0 1", "4*(x^2-2; split; -3) + 1*(x^2-2; split; 3) + 1*oo+ + 1*oo-"),
+    ("1 0 0 0 0 0 1", "3*(x^2-2; split; 3) + 1*oo+ + -1*oo-"),
+    ("1 0 0 0 0 1", "4*(x^2-2x+2; split; 2x-3) + 1*(x^2-2x+2; split; -2x+3) + 2*oo"),
+    ("1 0 0 0 0 1", "2*(x^2-2x+2; split; 2x-3) + 4*(x^2-2x+2; split; -2x+3) + 1*oo"),
+    ("1 0 0 0 0 0 1", "4*(x^2+1; ram) + 1*oo+"),
+    ("1 0 0 0 0 0 1", "5*(x^2+1; ram) + 2*oo+ + -1*oo-"),
+    # places at infinity the model does not have
+    ("1 0 0 0 0 1", "3*oo+"),
+    ("1 0 0 0 0 0 1", "3*oo"),
 )
 
 
@@ -95,6 +124,19 @@ def corpus_fields(root):
         return [line.split(",")[0] for line in fh if line.strip() and not line.startswith("#")]
 
 
+def composed_fields(root):
+    """The literals of g(h(x)) for the pairs of COMPOSED."""
+    code = (
+        "import sys\n"
+        "from primpoints.formats import parse_poly\n"
+        "for g, h in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    print(parse_poly(g).compose(parse_poly(h)).literal())"
+    )
+    done = python(root, code, *(lit for pair in COMPOSED for lit in pair))
+    done.check_returncode()
+    return done.stdout.decode().split()
+
+
 def corpus_groups(root):
     """(name, degree, generators in cycle notation) of the checkout's corpus."""
     code = (
@@ -118,7 +160,7 @@ def runs(root, scratch):
                 report = os.path.join(scratch, "report")
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
-    for lit in (*corpus_fields(root), *X0_71_SEXTICS):
+    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import formats, hyperell, numfield, permact, pipeline
@@ -257,7 +258,12 @@ def cmd_points(args) -> int:
 
 
 def cmd_field(args) -> int:
-    report = numfield.field_report(formats.parse_poly(args.poly))
+    # each warning as one fixed line: Python's own names a file and line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = numfield.field_report(formats.parse_poly(args.poly))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     data = {"schema": "primpoints.field/1", "primitive": report.is_primitive}
     proper = list(report.proper_subfield_degrees)
     if report.is_primitive:

@@ -330,47 +330,6 @@ def _y_series_scaled(curve: HyperCurve, nterms: int):
     return den, tuple(c.numerator * (den // c.denominator) for c in series)
 
 
-@lru_cache(maxsize=64)
-def _y_series_odd(curve: HyperCurve, nterms: int):
-    """Coefficients S with y = c^{g+1} tau^{-(2g+1)} sum S[i] tau^i, x = c/tau^2."""
-    assert curve.parity == ODD
-    n = curve.f.degree
-    c = curve.f.lc
-    coeffs = [Fraction(0)] * (2 * n + 1)
-    for i in range(n + 1):
-        coeffs[2 * (n - i)] = curve.f.coeff(i) * c ** (i - (n + 1))
-    return tuple(_series_sqrt(coeffs, nterms, Fraction(1)))
-
-
-@dataclass(frozen=True)
-class InfinityExpansion:
-    """Truncated expansion y = sum coeffs[i] * t^(lead_exponent + i)."""
-
-    place: str
-    lead_exponent: int
-    coeffs: tuple
-
-
-def expansion_at_infinity(curve: HyperCurve, place: str, precision: int) -> InfinityExpansion:
-    if precision < 1:
-        raise ZeroFunction("precision must be positive")
-    if curve.parity == EVEN:
-        if place not in (OO_PLUS, OO_MINUS):
-            raise InfinitePlace(f"even model has places {OO_PLUS}, {OO_MINUS}")
-        sign = 1 if place == OO_PLUS else -1
-        L, N = _y_series_scaled(curve, _series_length(precision))
-        return InfinityExpansion(
-            place, -(curve.genus + 1), tuple(Fraction(sign * c, L) for c in N[:precision])
-        )
-    if place != OO:
-        raise InfinitePlace("odd model has the single place oo")
-    series = _y_series_odd(curve, precision)
-    scale = curve.f.lc ** (curve.genus + 1)
-    return InfinityExpansion(
-        place, -(2 * curve.genus + 1), tuple(scale * c for c in series)
-    )
-
-
 def _even_infinity_valuation(curve, u, v, place) -> int:
     """ord at oo+/oo- of u(x) + v(x) y on an even model (den excluded).
 
@@ -656,8 +615,13 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     columns and V.  A fixed column is a pivot of the full system, written
     in terms of V, which comes after it, so the free columns are those of
     the full system, in the same order, and the expanded vectors are the
-    reduced-echelon basis the full system gives.
+    reduced-echelon basis the full system gives.  A place at infinity that
+    the model does not have raises InfinitePlace.
     """
+    for pt, _ in D.terms:
+        if pt.kind == "inf" and pt.place not in curve.infinite_places:
+            places = ", ".join(curve.infinite_places)
+            raise InfinitePlace(f"{pt.place} is not a place of the curve: its places at infinity are {places}")
     affine = D.affine_terms()
     h, congruences = _affine_conditions(curve, affine)
     dh = h.degree
@@ -699,8 +663,11 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
 
 
 def _affine_conditions(curve, affine):
-    """(h, congruences): the denominator and the conditions a*U + b*V = 0
-    mod m, one (m, a, b) each, that grant the affine pole permissions."""
+    """(h, congruences): the denominator and the conditions U + b*V = 0
+    mod m, at most one (m, b) per point polynomial, that grant the affine
+    pole permissions: a split pair gets one of order |a+ - a-| on the side
+    of the smaller multiplicity, a ramified point of odd multiplicity
+    U = 0 mod p, and an inert point none."""
     if any(m < 0 for _, m in affine):
         raise UnsupportedDivisorShape("negative affine divisor part")
 
@@ -709,7 +676,7 @@ def _affine_conditions(curve, affine):
     for pt, mult in affine:
         by_p.setdefault(pt.p, []).append((pt, mult))
     h = UniPoly.one()
-    congruences = []  # (p^r, a, b): a*U + b*V = 0 mod p^r
+    congruences = []
     for p, pts in sorted(by_p.items(), key=lambda kv: kv[0].sort_key()):
         numfield.nf_new(p)  # rejects a constant or reducible point polynomial
         branch, q = classify_place(curve, p)
@@ -722,39 +689,20 @@ def _affine_conditions(curve, affine):
                     f"{p.literal()} is {branch}{residue} there"
                 )
         if branch == SPLIT:
-            a_plus = a_minus = 0
-            for pt, mult in pts:
-                if pt.q == q:
-                    a_plus = mult
-                else:
-                    a_minus = mult
-            c = max(a_plus, a_minus)
-            h = h * p**c
-            r_plus, r_minus = c - a_plus, c - a_minus
-            lift = max(r_plus, r_minus)
-            if lift > 0:
-                qk = hensel_sqrt(curve.f, p, q, lift)
-                if r_plus > 0:
-                    congruences.append((p**r_plus, UniPoly.one(), qk))
-                if r_minus > 0:
-                    congruences.append((p**r_minus, UniPoly.one(), -qk))
+            a_plus = sum(mult for pt, mult in pts if pt.q == q)
+            a_minus = sum(mult for pt, mult in pts if pt.q != q)
+            h = h * p ** max(a_plus, a_minus)
+            r = abs(a_plus - a_minus)
+            if r:
+                qr = hensel_sqrt(curve.f, p, q, r)
+                congruences.append((p**r, qr if a_plus < a_minus else -qr))
         elif branch == INERT:
-            (pt, a) = pts[0]
-            c = a
-            h = h * p**c
-            # pole permission is exact here: no residual condition
-        else:  # ramified
-            (pt, a) = pts[0]
-            c = (a + 1) // 2
-            h = h * p**c
-            r = 2 * c - a
-            if r > 0:
-                ru = (r + 1) // 2
-                rv = r // 2
-                if ru > 0:
-                    congruences.append((p**ru, UniPoly.one(), UniPoly.zero()))
-                if rv > 0:
-                    congruences.append((p**rv, UniPoly.zero(), UniPoly.one()))
+            h = h * p ** pts[0][1]
+        else:
+            a = pts[0][1]
+            h = h * p ** ((a + 1) // 2)
+            if a % 2:
+                congruences.append((p, UniPoly.zero()))
     return h, congruences
 
 
@@ -791,18 +739,17 @@ def _infinity_conditions(curve, bound_plus, bound_minus, B):
 
 
 def _congruence_rows(congruences, Bu, Bv):
-    """Rows forcing a*U + b*V = 0 mod m for each condition (m, a, b).
+    """Rows forcing U + b*V = 0 mod m for each condition (m, b).
 
-    U fills columns 0..Bu and V columns Bu+1..; (a, b) is (1, +-q_k), (1, 0)
-    or (0, 1).  Each condition gives one row per coefficient of the residue.
+    U fills columns 0..Bu and V columns Bu+1..; b is +-q_r or 0.  Each
+    condition gives one row per coefficient of the residue.
     """
     rows = []
-    for modulus, a, b in congruences:
+    for modulus, b in congruences:
         x_pows = [UniPoly.one()]
         for _ in range(max(Bu, Bv)):
             x_pows.append((x_pows[-1] * UniPoly.x()) % modulus)
-        residues = [(a * xp) % modulus for xp in x_pows[: Bu + 1]]
-        residues += [(b * xp) % modulus for xp in x_pows[: Bv + 1]]
+        residues = x_pows[: Bu + 1] + [(b * xp) % modulus for xp in x_pows[: Bv + 1]]
         rows.extend([res.coeff(r) for res in residues] for r in range(modulus.degree))
     return rows
 

@@ -441,16 +441,6 @@ class SubfieldReport:
 PAIR_NORM_SHIFTS = tuple(s for k in range(2, 26) for s in (k, -k))
 
 
-def _squarefree_norm(shifts, npoints: int, value):
-    """(s, N) for the first s in `shifts` with N squarefree, N the polynomial
-    through (x0, value(s, x0)) at `npoints` points; Degenerate if none is."""
-    for s in shifts:
-        norm = interpolate_values(npoints, lambda x0: value(s, x0))
-        if is_squarefree(norm):
-            return s, norm
-    raise Degenerate("no squarefree norm found within the shift cap")
-
-
 def _pair_labels(factors, roots, s: int) -> dict:
     """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
 
@@ -699,7 +689,8 @@ def is_primitive_field(m: UniPoly | NumberField) -> bool:
 
 
 def shifted_norm(p: UniPoly, f: UniPoly):
-    """(c, N) for the first shift c = 0, 1, ... with N squarefree.
+    """(c, N) for the first shift c = 0, 1, ..., 49 with N squarefree, else
+    Degenerate.
 
     N(z) = Res_x(p, (z - c*x)^2 - f) is the characteristic polynomial of
     y + c*x on Q[x, y]/(p, y^2 - f), for p monic irreducible and f a unit
@@ -708,12 +699,15 @@ def shifted_norm(p: UniPoly, f: UniPoly):
     integrand that vanishes identically has resultant 0.
     """
     f = f % p
+    for c in range(50):
+        def value(z0):
+            g = UniPoly.make([z0, -c]) ** 2 - f
+            return Fraction(0) if g.is_zero else resultant(p, g)
 
-    def value(c, z0):
-        g = UniPoly.make([z0, -c]) ** 2 - f
-        return Fraction(0) if g.is_zero else resultant(p, g)
-
-    return _squarefree_norm(range(50), 2 * p.degree + 1, value)
+        norm = interpolate_values(2 * p.degree + 1, value)
+        if is_squarefree(norm):
+            return c, norm
+    raise Degenerate("no squarefree norm found within the shift cap")
 
 
 def absolute_minpoly(p: UniPoly, f: UniPoly) -> UniPoly:

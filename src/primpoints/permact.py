@@ -199,22 +199,15 @@ def _pair_blocks(gens, n, a, b):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        parent[ry] = rx
-        return rx, ry
-
     queue = [(a, b)]
-    union(a, b)
+    parent[b] = a
     while queue:
         x, y = queue.pop()
         for g in gens:
-            gx, gy = g[x], g[y]
-            if find(gx) != find(gy):
-                union(gx, gy)
-                queue.append((gx, gy))
+            rx, ry = find(g[x]), find(g[y])
+            if rx != ry:
+                parent[ry] = rx
+                queue.append((g[x], g[y]))
     blocks = {}
     for i in range(n):
         blocks.setdefault(find(i), []).append(i)
@@ -291,43 +284,36 @@ def _remove_sum(lengths: tuple, ell: int, total: int):
                 yield lengths[:i] + left
 
 
-def _generating_subset(els: list, target_size: int, degree: int) -> list:
-    """Greedy small generating set for a materialized subgroup."""
-    gens = []
-    have = {identity(degree)}
-    for g in els:
-        if g in have:
-            continue
-        gens.append(g)
-        have = set(elements(PermGroup.make(degree, gens), cap=target_size + 1))
-        if len(have) == target_size:
-            break
-    return gens or [identity(degree)]
-
-
 def verify_stabilizer_lemma(G: PermGroup) -> bool:
     """Machine check: imprimitive iff the point stabilizer is non-maximal.
 
-    Materializes G, takes Stab(0), and scans subgroups generated by
-    Stab(0) plus one extra element; such a subgroup H satisfies
-    |H| = |Stab(0)| * |orbit_H(0)|, so H is a proper intermediate subgroup
+    Every subgroup above Stab(0) is a union of its cosets, and <Stab(0), g>
+    depends only on the coset of g, that is on g(0); so one coset
+    representative t_b per point b of the orbit of 0 stands for all of G.
+    Stab(0) is generated by the Schreier generators t_{s(b)}^-1 s t_b
+    (Seress, *Permutation Group Algorithms*, 2003).  H = <Stab(0), t_b> has
+    |H| = |Stab(0)| * |orbit_H(0)|, so it is a proper intermediate subgroup
     exactly when 1 < |orbit_H(0)| < degree.  The outcome is compared with
     the independent block-system computation.
     """
     if not is_transitive(G):
         raise NotTransitive("the stabilizer lemma concerns transitive actions")
-    els = sorted(elements(G))
     n = G.degree
-    stab = [g for g in els if g[0] == 0]
-    stab_gens = _generating_subset(stab, len(stab), n)
-    exists_intermediate = False
-    for g in els:
-        if g[0] == 0:
-            continue
-        orb = orbit(tuple(stab_gens) + (g,), 0)
-        if 1 < len(orb) < n:
-            exists_intermediate = True
-            break
+    transversal = {0: identity(n)}
+    frontier = [0]
+    while frontier:
+        b = frontier.pop()
+        for s in G.generators:
+            if s[b] not in transversal:
+                transversal[s[b]] = compose(s, transversal[b])
+                frontier.append(s[b])
+    inverse = {b: tuple(sorted(range(n), key=t.__getitem__)) for b, t in transversal.items()}
+    stab_gens = tuple(
+        compose(inverse[s[b]], compose(s, t)) for b, t in transversal.items() for s in G.generators
+    )
+    exists_intermediate = any(
+        1 < len(orbit(stab_gens + (t,), 0)) < n for b, t in transversal.items() if b
+    )
     return exists_intermediate == (not is_primitive_action(G))
 
 

@@ -80,6 +80,14 @@ def test_field_command(capsys):
     assert doc["primitive"] is False and doc["subfield_degrees"] == [2]
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_field_degree_one_warns_in_one_fixed_line(optimize):
+    done = _run_cli(["field", "x-5"], optimize)
+    assert done.returncode == 0
+    assert done.stdout == "imprimitive (degree 1 convention)\n"
+    assert done.stderr == "warning: degree-1 field treated as not primitive by convention\n"
+
+
 def test_field_command_runs_the_subfield_search_once(capsys, monkeypatch):
     calls = []
     search = numfield.principal_subfields
@@ -118,6 +126,28 @@ def test_rr_command(tmp_path, capsys):
     assert main(["rr", str(curve), "2*oo+ + 2*oo-", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ell"] == 3 and len(doc["basis"]) == 3
+
+
+def test_points_on_two_cyclic_factors_match_the_cyclic_run(tmp_path):
+    # Z/35 = Z/5 x Z/7 with generators 7*(oo+ - oo-) and 5*(oo+ - oo-):
+    # class (a, b) is class 7a + 5b (mod 35) of the one-factor run
+    mw = tmp_path / "z5xz7.mw"
+    mw.write_text("order 5\ngen 7*oo+ + -7*oo-\norder 7\ngen 5*oo+ + -5*oo-\nbase 1*oo+ + 1*oo-\n")
+    out = tmp_path / "report.txt"
+
+    def classes(mw_path, d):
+        assert main(["points", fixture("x0_71.curve"), mw_path, str(d), str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return {line.split()[1]: line.split(maxsplit=2)[2] for line in lines if line.startswith("class ")}
+
+    for d in (3, 4, 5, 6):
+        cyclic = classes(fixture("x0_71.mw"), d)
+        pairs = classes(str(mw), d)
+        assert len(pairs) == len(cyclic) == 35
+        for label, rest in pairs.items():
+            a, b = map(int, label[3:-1].split(","))
+            k = (7 * a + 5 * b + 17) % 35 - 17
+            assert rest == cyclic[f"a={k}"], (d, label)
 
 
 def test_rr_rejects_negative_affine(tmp_path):
@@ -168,6 +198,10 @@ def _run_cli(args, optimize):
     [
         ("order 35\ngen 1*oo+\nbase 1*oo+ + 1*oo-\n", 3),  # generator of degree 1
         ("order 0\ngen 0\nbase 1*oo+ + 1*oo-\n", 4),  # empty cyclic factor
+        ("order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo+ + -1*oo-\n", 3),  # base not effective
+        ("order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x; inert)\n", 3),  # base not at infinity
+        ("order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo\n", 4),  # oo is no place of X0(71)
+        ("order 35\ngen 1*oo + -1*oo-\nbase 1*oo+ + 1*oo-\n", 4),  # nor in a generator
     ],
 )
 def test_bad_mw_file_exit_code(tmp_path, optimize, mw_text, expected):
@@ -196,6 +230,25 @@ def test_rr_rejects_places_not_on_the_curve(tmp_path, optimize, divisor):
     assert done.returncode == 4, done.stderr
     assert "Traceback" not in done.stderr
     assert "is not a place of the curve" in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "coeffs, divisor, places",
+    [
+        ("1 0 0 0 0 1", "3*oo+", "oo"),  # an odd model has the single place oo
+        ("1 0 0 0 0 0 1", "3*oo", "oo+, oo-"),  # an even model has oo+ and oo-
+        ("1 0 0 0 0 0 1", "1*(x; split; 1) + 2*oo", "oo+, oo-"),
+    ],
+)
+def test_rr_rejects_infinite_places_the_model_lacks(tmp_path, optimize, coeffs, divisor, places):
+    curve = tmp_path / "c.curve"
+    curve.write_text(f"f: {coeffs}\n")
+    done = _run_cli(["rr", str(curve), divisor], optimize)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"its places at infinity are {places}" in done.stderr
     assert done.stdout == ""
 
 

@@ -34,6 +34,7 @@ from primpoints.hyperell import (
     HyperCurve,
     _assert_affine_membership,
     _assert_infinity_bounds,
+    _even_infinity_valuation,
     _series_sqrt,
     _valuation_at,
     canonical_divisor,
@@ -41,7 +42,6 @@ from primpoints.hyperell import (
     curve_new,
     decompose_effective,
     divisor_of_function,
-    expansion_at_infinity,
     point_field,
     rr_space,
     rr_space_infty,
@@ -92,18 +92,17 @@ def test_series_sqrt_binomial_oracle():
 
 
 def test_x0_71_leading_expansion():
-    exp = expansion_at_infinity(X0_71, OO_PLUS, 4)
-    assert exp.lead_exponent == -7  # pole order g + 1 = 7
-    assert exp.coeffs[0] == 1
-    exp_minus = expansion_at_infinity(X0_71, OO_MINUS, 4)
-    assert exp_minus.coeffs[0] == -1
-
-
-def test_odd_expansion_pole_order():
-    exp = expansion_at_infinity(C_X5, OO, 3)
-    assert exp.lead_exponent == -5
-    with pytest.raises(InfinitePlace):
-        expansion_at_infinity(C_X5, OO_PLUS, 3)
+    # y = +-(sqrt(lc) t^-(g+1) + ...) at oo+-, t = 1/x: pole order g + 1 = 7
+    L, N = hyperell._y_series_scaled(X0_71, hyperell._series_length(4))
+    assert Fraction(N[0], L) == X0_71.sqrt_lc == 1
+    one, x7 = UniPoly.one(), UniPoly.make([0] * 7 + [1])
+    for place in (OO_PLUS, OO_MINUS):
+        assert _even_infinity_valuation(X0_71, UniPoly.zero(), one, place) == -7
+    # y - x^7 loses the pole at oo+ only, y + x^7 at oo- only
+    assert _even_infinity_valuation(X0_71, -x7, one, OO_PLUS) > -7
+    assert _even_infinity_valuation(X0_71, -x7, one, OO_MINUS) == -7
+    assert _even_infinity_valuation(X0_71, x7, one, OO_MINUS) > -7
+    assert _even_infinity_valuation(X0_71, x7, one, OO_PLUS) == -7
 
 
 def test_divisor_of_x_on_odd_curve():

@@ -181,14 +181,13 @@ def test_principal_subfields_examples():
 
 
 def test_squarefree_norm_search_raises_degenerate_when_the_shifts_run_out(monkeypatch):
-    with pytest.raises(Degenerate):
-        numfield._squarefree_norm((), 3, lambda s, x0: x0)
-    # (x - 2)^2 at every shift: none gives a squarefree norm
-    with pytest.raises(Degenerate):
-        numfield._squarefree_norm(range(3), 3, lambda s, x0: x0 ** 2 - 4 * x0 + 4)
     monkeypatch.setattr(numfield, "PAIR_NORM_SHIFTS", ())
     with pytest.raises(Degenerate):
         subfields_of(nf_new(poly(-2, 0, 0, 0, 1)))
+    # no shift of the quadratic norm passes the squarefreeness test
+    monkeypatch.setattr(numfield, "is_squarefree", lambda norm: False)
+    with pytest.raises(Degenerate):
+        numfield.shifted_norm(poly(1, 0, 1), poly(1, 0, 0, 0, 0, 1))
 
 
 def test_is_primitive_field_examples():

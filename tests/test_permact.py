@@ -1,8 +1,10 @@
 import itertools
+import os
 from collections import Counter
 
 import pytest
 
+from conftest import run_python
 from primpoints.errors import BadInput, NotTransitive, ParseError
 from primpoints.permact import (
     PermGroup,
@@ -145,6 +147,44 @@ def test_corpus_primitivity_matches_exhaustion():
 def test_stabilizer_lemma_on_corpus():
     for name, G, _ in transitive_corpus(7):
         assert verify_stabilizer_lemma(G), name
+
+
+def _beyond_corpus():
+    """(name, group, primitive?) for groups of degree 8 and 9, past the corpus."""
+    s2, s3, s4 = (symmetric_group(n).generators for n in (2, 3, 4))
+    return [
+        ("S8", symmetric_group(8), True),
+        ("A8", alternating_group(8), True),
+        ("S9", symmetric_group(9), True),
+        ("A9", alternating_group(9), True),
+        ("C9", cyclic_group(9), False),
+        ("D9", dihedral_group(9), False),
+        ("S2wrS4", PermGroup.make(8, wreath_on_blocks(s2, 4, 2, s4)), False),
+        ("S3wrS3", PermGroup.make(9, wreath_on_blocks(s3, 3, 3, s3)), False),
+    ]
+
+
+def test_stabilizer_lemma_beyond_the_corpus():
+    for name, G, primitive in _beyond_corpus():
+        assert verify_stabilizer_lemma(G), name
+        assert is_primitive_action(G) == primitive, name
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_stabilizer_lemma_under_optimize(optimize):
+    # the lemma check compares verdicts with ==, not assert, so -O keeps it
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from test_permact import _beyond_corpus\n"
+        "from primpoints.permact import *\n"
+        "corpus = [G for _, G, _ in transitive_corpus(7)]\n"
+        "print(sum(map(verify_stabilizer_lemma, corpus)))\n"
+        "print(sum(verify_stabilizer_lemma(G) and is_primitive_action(G) == primitive\n"
+        "          for _, G, primitive in _beyond_corpus()))\n"
+    )
+    done = run_python(["-c", code], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "36\n8\n"
 
 
 def test_primitive_subgroup_implies_primitive_group():

@@ -85,6 +85,17 @@ def test_classify_finiteness_monotone_in_genus():
         assert classify_finiteness(inp).degree_d_finite == PRIMITIVE_ONLY
 
 
+def test_classify_finiteness_unknown_branches():
+    # gonal: g <= (m - 1)(d - 1) leaves the degree open
+    verdict = classify_finiteness(FinitenessInput(3, Cover("gonal", 2), 4, True, False))
+    assert verdict == pipeline.FinitenessVerdict(UNKNOWN, ("genus bound fails: 3 <= 3",))
+    # relative: the genus bound holds, but the Mordell-Weil group is not finite
+    verdict = classify_finiteness(FinitenessInput(41, Cover("relative", 3, 9), 4, False, False))
+    assert verdict == pipeline.FinitenessVerdict(
+        UNKNOWN, ("relative cover bound holds: 41 > 33", "needs finite mordell-weil group")
+    )
+
+
 def test_cs_bound_examples():
     assert cs_bound(4, 0, 1, 2, 2)  # genus-4 hyperelliptic cannot be bielliptic
     assert not cs_bound(3, 0, 1, 2, 2)  # genus 2, 3 exceptions exist

@@ -20,8 +20,8 @@ reports.  The set:
   infinity that the model does not have;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
-  and `cycles_literal`), on an intransitive group and on bad cycles and
-  degrees;
+  and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group
+  and on bad cycles and degrees;
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
 * `twists x^6+1 --max-r 30 --height 20`.
@@ -56,6 +56,12 @@ COMPOSED = (
 )
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
+# primitive groups of order above 10^6
+LARGE_GROUPS = (
+    ("S10", ("(0 1 2 3 4 5 6 7 8 9)", "(0 1)")),
+    ("A10", ("(0 1 2)", "(1 2 3 4 5 6 7 8 9)")),
+    ("S12", ("(0 1 2 3 4 5 6 7 8 9 10 11)", "(0 1)")),
+)
 # an intransitive group, then cycles or degrees that are no permutation
 PERM_INPUTS = (
     ("(0 1)", "(2 3)"),
@@ -173,6 +179,9 @@ def runs(root, scratch):
         for fmt in ((), ("--json",)):
             argv = ["perm", *gens, "--degree", degree, *fmt]
             yield f"perm {name} {' '.join(fmt) or 'text'}", argv, None
+    for name, gens in LARGE_GROUPS:
+        for fmt in ((), ("--json",)):
+            yield f"perm {name} {' '.join(fmt) or 'text'}", ["perm", *gens, *fmt], None
     for args in PERM_INPUTS:
         yield f"perm {' '.join(args)}", ["perm", *args], None
     for fmt in ((), ("--json",)):

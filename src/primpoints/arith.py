@@ -936,18 +936,6 @@ def factor_over_Q(a: UniPoly) -> Factorization:
     return fact
 
 
-def rational_roots(a: UniPoly) -> list:
-    """All rational roots with multiplicity, via the linear factors."""
-    if a.is_zero:
-        raise ZeroPolynomial("roots of the zero polynomial")
-    roots = []
-    for f, mult in factor_over_Q(a).factors:
-        if f.degree == 1:
-            roots.extend([-f.coeffs[0]] * mult)
-    roots.sort()
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # Hensel square-root lifting modulo powers of an irreducible polynomial
 

@@ -41,10 +41,6 @@ class NotTransitive(PrimpointsError):
     pass
 
 
-class GroupTooLarge(PrimpointsError):
-    pass
-
-
 class NotSquarefree(PrimpointsError):
     pass
 

@@ -42,9 +42,9 @@ from .arith import (
     _poly_inverse_mod,
     factor_over_Q,
     hensel_sqrt,
+    is_squarefree,
     poly_gcd,
     rational_sqrt,
-    squarefree_part,
 )
 from .errors import (
     BadInput,
@@ -79,7 +79,7 @@ def curve_new(f: UniPoly) -> HyperCurve:
     """Validate a model y^2 = f(x) and compute genus and infinite places."""
     if f.is_zero or f.degree < 5:
         raise DegreeTooSmall("need deg f >= 5 for a genus >= 2 model")
-    if squarefree_part(f) != f.monic():
+    if not is_squarefree(f):
         raise NotSquarefree("model polynomial has repeated roots")
     n = f.degree
     genus = (n + 1) // 2 - 1

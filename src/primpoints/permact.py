@@ -4,9 +4,8 @@ Permutations are index tuples on {0, ..., n-1}; composition is "apply
 right, then left": compose(a, b)[i] = a[b[i]].  That convention is fixed
 here once and used everywhere.
 
-Groups are materialized by breadth-first closure under a hard order cap;
-this module targets desk-scale verification of small actions, not
-large-group algorithms.
+Groups are never materialized: orders come from a stabilizer chain
+(Schreier-Sims), each level built from one orbit transversal.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadInput, GroupTooLarge, NotTransitive, ParseError
-
-ORDER_CAP = 10**6
+from .errors import BadInput, NotTransitive, ParseError
 
 
 def compose(a, b):
@@ -131,48 +128,73 @@ def cycles_literal(perm) -> str:
     return "".join(out) or "()"
 
 
-@lru_cache(maxsize=256)
-def elements(G: PermGroup, cap: int = ORDER_CAP) -> frozenset:
-    """Materialize the group by breadth-first closure; capped."""
-    els = {identity(G.degree)}
-    frontier = [g for g in G.generators if g not in els]
-    els.update(frontier)
+def orbit_transversal(gens, point: int, degree: int) -> dict:
+    """The orbit of point, with one t_b in <gens> per orbit point b, t_b(point) = b."""
+    transversal = {point: identity(degree)}
+    frontier = [point]
     while frontier:
-        new = []
-        for g in G.generators:
-            for h in frontier:
-                prod = compose(g, h)
-                if prod not in els:
-                    els.add(prod)
-                    new.append(prod)
-                    if len(els) > cap:
-                        raise GroupTooLarge(f"group order exceeds cap {cap}")
-        frontier = new
-    return frozenset(els)
+        b = frontier.pop()
+        for s in gens:
+            if s[b] not in transversal:
+                transversal[s[b]] = compose(s, transversal[b])
+                frontier.append(s[b])
+    return transversal
+
+
+def schreier_generators(gens, transversal: dict) -> tuple:
+    """Generators t_{s(b)}^-1 s t_b of the stabilizer of the transversal's
+    point in <gens> (Schreier's lemma; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4)."""
+    inverse = {b: _inverse(t) for b, t in transversal.items()}
+    return tuple(
+        compose(inverse[s[b]], compose(s, t)) for b, t in transversal.items() for s in gens
+    )
+
+
+def _inverse(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _sims_filter(gens, degree: int) -> tuple:
+    """At most degree*(degree-1)/2 generators of <gens>, none the identity.
+
+    Sims' filter: slot (i, j) keeps one element fixing 0..i-1 and sending
+    i to j; a generator is divided by the slot of its first moved point
+    until it is the identity or fills an empty slot.
+    """
+    slots = {}
+    for g in gens:
+        while True:
+            i = next((i for i in range(degree) if g[i] != i), None)
+            if i is None:
+                break
+            h = slots.get((i, g[i]))
+            if h is None:
+                slots[(i, g[i])] = g
+                break
+            g = compose(_inverse(h), g)
+    return tuple(slots.values())
 
 
 def group_order(G: PermGroup) -> int:
-    return len(elements(G))
+    """|G| by Schreier-Sims over the base 0, 1, ..., degree-1.
 
-
-def orbit(gens, point: int) -> frozenset:
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g[p]
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    Level i holds generators of the pointwise stabilizer of 0..i-1; its
+    orbit of i is one factor of the order, and its Schreier generators,
+    filtered, generate the next level.  Exact, with no random element.
+    """
+    order = 1
+    gens = G.generators
+    for base in range(G.degree):
+        transversal = orbit_transversal(gens, base, G.degree)
+        order *= len(transversal)
+        gens = _sims_filter(schreier_generators(gens, transversal), G.degree)
+    return order
 
 
 def is_transitive(G: PermGroup) -> bool:
     """True iff the orbit of 0 is the whole domain."""
-    return len(orbit(G.generators, 0)) == G.degree
+    return len(orbit_transversal(G.generators, 0, G.degree)) == G.degree
 
 
 @dataclass(frozen=True)
@@ -289,30 +311,19 @@ def verify_stabilizer_lemma(G: PermGroup) -> bool:
 
     Every subgroup above Stab(0) is a union of its cosets, and <Stab(0), g>
     depends only on the coset of g, that is on g(0); so one coset
-    representative t_b per point b of the orbit of 0 stands for all of G.
-    Stab(0) is generated by the Schreier generators t_{s(b)}^-1 s t_b
-    (Seress, *Permutation Group Algorithms*, 2003).  H = <Stab(0), t_b> has
+    representative t_b per point b of the orbit of 0 stands for all of G,
+    and the Schreier generators generate Stab(0).  H = <Stab(0), t_b> has
     |H| = |Stab(0)| * |orbit_H(0)|, so it is a proper intermediate subgroup
     exactly when 1 < |orbit_H(0)| < degree.  The outcome is compared with
     the independent block-system computation.
     """
-    if not is_transitive(G):
-        raise NotTransitive("the stabilizer lemma concerns transitive actions")
     n = G.degree
-    transversal = {0: identity(n)}
-    frontier = [0]
-    while frontier:
-        b = frontier.pop()
-        for s in G.generators:
-            if s[b] not in transversal:
-                transversal[s[b]] = compose(s, transversal[b])
-                frontier.append(s[b])
-    inverse = {b: tuple(sorted(range(n), key=t.__getitem__)) for b, t in transversal.items()}
-    stab_gens = tuple(
-        compose(inverse[s[b]], compose(s, t)) for b, t in transversal.items() for s in G.generators
-    )
+    transversal = orbit_transversal(G.generators, 0, n)
+    if len(transversal) != n:
+        raise NotTransitive("the stabilizer lemma concerns transitive actions")
+    stab_gens = schreier_generators(G.generators, transversal)
     exists_intermediate = any(
-        1 < len(orbit(stab_gens + (t,), 0)) < n for b, t in transversal.items() if b
+        1 < len(orbit_transversal(stab_gens + (t,), 0, n)) < n for t in transversal.values()
     )
     return exists_intermediate == (not is_primitive_action(G))
 

@@ -22,7 +22,6 @@ from primpoints.arith import (
     lagrange_interpolate,
     poly,
     poly_gcd,
-    rational_roots,
     resultant,
     squarefree_decomposition,
     squarefree_part,
@@ -159,6 +158,18 @@ def test_resultant_zero_iff_common_factor(a, b):
 
 
 # --- factorization ---------------------------------------------------------
+
+
+def rational_roots(a: UniPoly) -> list:
+    """All rational roots with multiplicity, via the linear factors."""
+    if a.is_zero:
+        raise ZeroPolynomial("roots of the zero polynomial")
+    roots = []
+    for f, mult in factor_over_Q(a).factors:
+        if f.degree == 1:
+            roots.extend([-f.coeffs[0]] * mult)
+    roots.sort()
+    return roots
 
 
 def quadratic_factor_exists(p):

@@ -311,6 +311,21 @@ def test_perm_rejects_bad_input(optimize, argv, expected):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        (["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"], 3628800),  # S_10
+        (["(0 1 2)", "(1 2 3 4 5 6 7 8 9)"], 1814400),  # A_10
+        (["(0 1 2 3 4 5 6 7 8 9 10 11)", "(0 1)"], 479001600),  # S_12
+    ],
+)
+def test_perm_orders_large_primitive_groups(optimize, gens, order):
+    done = _run_cli(["perm", *gens], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"order={order}\nprimitive\n"
+
+
 @pytest.mark.slow
 def test_points_command_degree4_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.txt"

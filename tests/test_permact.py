@@ -1,8 +1,11 @@
 import itertools
 import os
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 from primpoints.errors import BadInput, NotTransitive, ParseError
@@ -13,18 +16,38 @@ from primpoints.permact import (
     cycle_type_fits_blocks,
     cycles_literal,
     cyclic_group,
+    _sims_filter,
     dihedral_group,
-    elements,
     group_order,
+    identity,
     is_primitive_action,
     is_transitive,
     minimal_blocks,
+    orbit_transversal,
     parse_cycles,
     symmetric_group,
     transitive_corpus,
     verify_stabilizer_lemma,
     wreath_on_blocks,
 )
+
+
+@lru_cache(maxsize=256)
+def elements(G: PermGroup) -> frozenset:
+    """Oracle for small groups: every element, by breadth-first closure."""
+    els = {identity(G.degree)}
+    frontier = [g for g in G.generators if g not in els]
+    els.update(frontier)
+    while frontier:
+        new = []
+        for g in G.generators:
+            for h in frontier:
+                prod = compose(g, h)
+                if prod not in els:
+                    els.add(prod)
+                    new.append(prod)
+        frontier = new
+    return frozenset(els)
 
 
 def test_parse_cycles():
@@ -168,6 +191,36 @@ def test_stabilizer_lemma_beyond_the_corpus():
     for name, G, primitive in _beyond_corpus():
         assert verify_stabilizer_lemma(G), name
         assert is_primitive_action(G) == primitive, name
+
+
+def test_group_order_beyond_the_corpus():
+    orders = {"S8": 40320, "A8": 20160, "S9": 362880, "A9": 181440, "C9": 9, "D9": 18,
+              "S2wrS4": 384, "S3wrS3": 1296}
+    for name, G, _ in _beyond_corpus():
+        assert group_order(G) == orders[name], name
+
+
+@st.composite
+def perm_groups(draw, max_degree=7):
+    """Groups on at most max_degree points from up to three random permutations."""
+    n = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+    return PermGroup.make(n, gens)
+
+
+@settings(max_examples=40)
+@given(perm_groups())
+@example(PermGroup.make(1, []))
+@example(PermGroup.make(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)]))  # orbits {0 1}, {2 3 4}
+def test_group_order_matches_the_closure(G):
+    n = G.degree
+    assert group_order(G) == len(elements(G))
+    for point in range(n):
+        transversal = orbit_transversal(G.generators, point, n)
+        assert all(t[point] == b and t in elements(G) for b, t in transversal.items())
+    kept = _sims_filter(G.generators, n)
+    assert len(kept) <= n * (n - 1) // 2
+    assert elements(PermGroup.make(n, kept)) == elements(G)
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -16,15 +16,17 @@ reports.  The set:
 * `rr` on divisors with affine parts, split, ramified and inert, on even
   and odd models, with one-sided and negative bounds at infinity; on
   degree-2 split points whose two multiplicities differ by 2 or 3, either
-  way round; on ramified multiplicities 4 and 5; and on places at
-  infinity that the model does not have;
+  way round; on ramified multiplicities 4 and 5; on places at infinity
+  that the model does not have, also with multiplicity 0; and on
+  y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
   and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group
   and on bad cycles and degrees;
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
-* `twists x^6+1 --max-r 30 --height 20`.
+* `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
+  --height 50` on x^7-x-1 and 2x^6-3x+5/7.
 
 Usage: python3 scripts/report_digest.py [CHECKOUT] > digests.txt
 CHECKOUT defaults to the checkout holding this script.  Run it on two
@@ -56,6 +58,7 @@ COMPOSED = (
 )
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
+TWIST_POLYS = ("x^7-x-1", "2x^6-3x+5/7")
 # primitive groups of order above 10^6
 LARGE_GROUPS = (
     ("S10", ("(0 1 2 3 4 5 6 7 8 9)", "(0 1)")),
@@ -94,6 +97,12 @@ RR_CASES = (
     # places at infinity the model does not have
     ("1 0 0 0 0 1", "3*oo+"),
     ("1 0 0 0 0 0 1", "3*oo"),
+    # ... also with multiplicity 0
+    ("1 0 0 0 0 0 1", "3*oo+ + 0*oo"),
+    ("1 0 0 0 0 1", "3*oo + 0*oo-"),
+    # y^2 = 4/9*x^6 + 7/5*x + 1: the series of y at infinity has k = 45 and a = 30
+    ("1 7/5 0 0 0 0 4/9", "1*(x; split; 1) + 3*oo+ + 2*oo-"),
+    ("1 7/5 0 0 0 0 4/9", "5*oo+ + -1*oo-"),
 )
 
 
@@ -191,6 +200,8 @@ def runs(root, scratch):
     for lit in CONSTRUCT_POLYS:
         yield f"construct {lit}", ["construct", lit], None
     yield "twists x^6+1", ["twists", "x^6+1", "--max-r", "30", "--height", "20"], None
+    for lit in TWIST_POLYS:
+        yield f"twists {lit}", ["twists", lit, "--max-r", "100", "--height", "50"], None
 
 
 def main():

@@ -245,8 +245,10 @@ def _points_report_json(curve, label, report) -> dict:
 
 def cmd_points(args) -> int:
     f, label = formats.parse_curve_file(_read(args.curve_file))
-    mw = formats.parse_mw_file(_read(args.mw_file))
+    mw_text = _read(args.mw_file)
+    mw = formats.parse_mw_file(mw_text)
     curve = hyperell.curve_new(f)
+    hyperell.require_infinite_places(curve, formats.infinite_places_named(mw_text))
     report = pipeline.classify_points(curve, mw, args.degree, jobs=args.jobs)
     if args.json:
         _write(args.report_out, _json_dump(_points_report_json(curve, label, report)))
@@ -281,6 +283,7 @@ def cmd_rr(args) -> int:
     f, _ = formats.parse_curve_file(_read(args.curve_file))
     curve = hyperell.curve_new(f)
     D = formats.parse_divisor(args.divisor)
+    hyperell.require_infinite_places(curve, formats.infinite_places_named(args.divisor))
     space = hyperell.rr_space(curve, D)
     if args.json:
         doc = {

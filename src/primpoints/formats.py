@@ -115,6 +115,14 @@ def parse_divisor(text: str) -> Divisor:
     return Divisor.make(pairs)
 
 
+def infinite_places_named(text: str) -> set:
+    """Every place at infinity that a divisor literal or an MW file names,
+    with a zero multiplicity too: `Divisor.make` drops such a term, so the
+    parsed divisors cannot show it.  Comment lines are skipped."""
+    lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+    return set(re.findall(r"\boo[+-]?", "\n".join(lines)))
+
+
 def _split_top_level(text: str):
     terms = []
     depth = 0

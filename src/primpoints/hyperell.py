@@ -18,8 +18,8 @@ some a + b*y vanishing on the branch (`_branch_root`).
 Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
 satisfy); odd-degree models carry a single ramified place.  Valuations at
-infinity come from exact truncated expansions of y in t = 1/x for even
-models and from a parity argument for odd ones.
+infinity come from an exact truncated expansion of y in t = 1/x, in
+integers, for even models and from the degree of the norm for odd ones.
 
 Riemann-Roch spaces are cut out of the candidate span {x^i} + {x^j y} by
 exact linear algebra on expansion coefficients (pole conditions at
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import numfield
@@ -68,7 +68,6 @@ class HyperCurve:
     f: UniPoly
     genus: int
     parity: str
-    sqrt_lc: Fraction  # positive square root of lc(f) for even models, else lc
 
     @property
     def infinite_places(self):
@@ -84,15 +83,9 @@ def curve_new(f: UniPoly) -> HyperCurve:
     n = f.degree
     genus = (n + 1) // 2 - 1
     parity = ODD if n % 2 else EVEN
-    if parity == EVEN:
-        s = rational_sqrt(f.lc)
-        if s is None:
-            raise IrrationalInfinitePlaces(
-                "even-degree model needs a square leading coefficient"
-            )
-    else:
-        s = f.lc
-    return HyperCurve(f, genus, parity, s)
+    if parity == EVEN and rational_sqrt(f.lc) is None:
+        raise IrrationalInfinitePlaces("even-degree model needs a square leading coefficient")
+    return HyperCurve(f, genus, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +294,6 @@ class CurveFunction:
 # Expansions at infinity
 
 
-def _series_sqrt(coeffs, nterms, s0):
-    """Power series sqrt of sum coeffs[i] t^i with constant term s0^2."""
-    out = [Fraction(s0)]
-    inv2s = 1 / (2 * Fraction(s0))
-    for n in range(1, nterms):
-        acc = coeffs[n] if n < len(coeffs) else Fraction(0)
-        for i in range(1, n):
-            acc -= out[i] * out[n - i]
-        out.append(acc * inv2s)
-    return out
-
-
 def _series_length(nterms: int) -> int:
     """Requests are rounded up so repeated valuations share one cached series."""
     return ((max(nterms, 1) + 63) // 64) * 64
@@ -321,13 +302,27 @@ def _series_length(nterms: int) -> int:
 @lru_cache(maxsize=64)
 def _y_series_scaled(curve: HyperCurve, nterms: int):
     """(L, N) with integers N[i], y = +- t^{-(g+1)} * sum (N[i] / L) t^i at
-    oo+-, even models; callers round nterms with `_series_length`."""
+    oo+-, even models; callers round nterms with `_series_length`.
+
+    With k the lcm of the denominators of f, A = k^2 t^n f(1/t) is integral
+    with A_0 = a^2, and sqrt(A) = a + sum_{j>0} S_j t^j / (2a)^(2j-1) for the
+    integers S_j = A_j (2a)^(2j-2) - sum_{0<i<j} S_i S_{j-i}.  Over the
+    common denominator k (2a)^(2m), m = nterms - 1, the gcd is divided out,
+    so L is the least common denominator.
+    """
     assert curve.parity == EVEN
     n = curve.f.degree
-    reversed_f = [curve.f.coeff(n - i) for i in range(n + 1)]
-    series = _series_sqrt(reversed_f, nterms, curve.sqrt_lc)
-    den = lcm(*(c.denominator for c in series))
-    return den, tuple(c.numerator * (den // c.denominator) for c in series)
+    k = lcm(*(c.denominator for c in curve.f.coeffs))
+    A = [int(curve.f.coeff(n - i) * k * k) for i in range(n + 1)]
+    a2 = 2 * isqrt(A[0])
+    S = [0]
+    for j in range(1, nterms):
+        head = A[j] * a2 ** (2 * j - 2) if j <= n else 0
+        S.append(head - sum(map(mul, S[1:j], S[j - 1 : 0 : -1])))
+    m = nterms - 1
+    N = [a2 ** (2 * m + 1) // 2] + [S[j] * a2 ** (2 * (m - j) + 1) for j in range(1, nterms)]
+    g = gcd(k * a2 ** (2 * m), *N)
+    return k * a2 ** (2 * m) // g, tuple(c // g for c in N)
 
 
 def _even_infinity_valuation(curve, u, v, place) -> int:
@@ -358,18 +353,6 @@ def _even_infinity_valuation(curve, u, v, place) -> int:
     raise AssertionError("valuation window exhausted; function unexpectedly zero")
 
 
-def _odd_infinity_valuation(u, v, genus) -> int:
-    """ord at oo of u + v y on an odd model: parities never cancel."""
-    vals = []
-    if not u.is_zero:
-        vals.append(-2 * u.degree)
-    if not v.is_zero:
-        vals.append(-2 * v.degree - (2 * genus + 1))
-    if not vals:
-        raise ZeroFunction("valuation of the zero function")
-    return min(vals)
-
-
 # ---------------------------------------------------------------------------
 # Branch classification and principal divisors
 
@@ -379,20 +362,16 @@ def classify_place(curve: HyperCurve, p: UniPoly):
     """Branch behaviour of y^2 = f over the monic irreducible p.
 
     Returns (SPLIT, q) with q the canonical square root of f mod p,
-    (RAM, None), or (INERT, None).  Above degree 1, an irreducible norm N of
-    y + c*x means inert; else a factor h of N vanishes on one branch only,
-    so h(y + c*x) = a + b*y mod (p, y^2 - f) gives the root q = -a/b,
-    accepted only after the exact check q^2 = f (mod p).
+    (RAM, None), or (INERT, None).  An irreducible norm N of y + c*x means
+    inert (for p = x - r, c = 0 and N = z^2 - f(r)); else a factor h of N
+    vanishes on one branch only, so h(y + c*x) = a + b*y mod (p, y^2 - f)
+    gives the root q = -a/b, accepted only after the exact check q^2 = f
+    (mod p).
     """
     p = p.monic()
     f = curve.f % p
     if f.is_zero:
         return (RAM, None)
-    if p.degree == 1:
-        root = rational_sqrt(curve.f(-p.coeff(0)))
-        if root is None:
-            return (INERT, None)
-        return (SPLIT, canonical_sqrt_rep(UniPoly.const(root), p))
     c, norm = numfield.shifted_norm(p, curve.f)
     factors = factor_over_Q(norm).factors
     if len(factors) == 1:
@@ -453,7 +432,8 @@ def _zeros_over(curve, p, mult, u, v):
             return [(ClosedPoint.affine(p, INERT), k)]
     else:
         q = _branch_root(u // p**k, v // p**k, p, curve.f)
-    return [(ClosedPoint.affine(p, SPLIT, q), mult - k), (ClosedPoint.affine(p, SPLIT, (-q) % p), k)]
+    place = ClosedPoint.affine(p, SPLIT, q)
+    return [(place, mult - k), (place.conjugate(), k)]
 
 
 @lru_cache(maxsize=256)
@@ -467,13 +447,11 @@ def _poles_along(curve: HyperCurve, den: UniPoly):
     out = []
     for p, mult in factor_over_Q(den).factors:
         branch, q = classify_place(curve, p)
-        if branch == RAM:
-            out.append((ClosedPoint.affine(p, RAM), -2 * mult))
-        elif branch == INERT:
-            out.append((ClosedPoint.affine(p, INERT), -mult))
+        place = ClosedPoint.affine(p, branch, q)
+        if branch == SPLIT:
+            out += [(place, -mult), (place.conjugate(), -mult)]
         else:
-            out.append((ClosedPoint.affine(p, SPLIT, q), -mult))
-            out.append((ClosedPoint.affine(p, SPLIT, (-q) % p), -mult))
+            out.append((place, -2 * mult if branch == RAM else -mult))
     return tuple(out)
 
 
@@ -506,7 +484,7 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
     divides N wherever w has a pole of lower order than den at a place over
     p, since u + v*y vanishes there: along the ramified point of a fiber map
     of `specialize_fiber`, for every w - beta.  Orders at infinity come from
-    the expansions.
+    the expansion of y on an even model and from deg N on an odd one.
     """
     if w.is_zero:
         raise ZeroFunction("divisor of the zero function")
@@ -538,8 +516,9 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
             val = _even_infinity_valuation(curve, u, v, place) + dden
             bump(ClosedPoint.infinite(place), val)
     else:
-        val = _odd_infinity_valuation(u, v, curve.genus) + 2 * dden
-        bump(ClosedPoint.infinite(OO), val)
+        # u and v*y have orders of unlike parity at oo, and u - v*y has the
+        # order of u + v*y there, so the norm has twice it
+        bump(ClosedPoint.infinite(OO), 2 * dden - norm.degree)
 
     out = Divisor.make(terms.items())
     if out.degree != 0:
@@ -599,6 +578,15 @@ def _assert_infinity_bounds(curve, w, n_plus, n_minus):
         raise VerificationFailed("basis element violates pole bounds")
 
 
+def require_infinite_places(curve: HyperCurve, places) -> None:
+    """Raise InfinitePlace for the first of oo+, oo-, oo in places that the
+    model does not have."""
+    for place in (OO_PLUS, OO_MINUS, OO):
+        if place in places and place not in curve.infinite_places:
+            names = ", ".join(curve.infinite_places)
+            raise InfinitePlace(f"{place} is not a place of the curve: its places at infinity are {names}")
+
+
 def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     """L(D) for divisors whose negative part is supported at infinity.
 
@@ -618,10 +606,7 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     reduced-echelon basis the full system gives.  A place at infinity that
     the model does not have raises InfinitePlace.
     """
-    for pt, _ in D.terms:
-        if pt.kind == "inf" and pt.place not in curve.infinite_places:
-            places = ", ".join(curve.infinite_places)
-            raise InfinitePlace(f"{pt.place} is not a place of the curve: its places at infinity are {places}")
+    require_infinite_places(curve, {pt.place for pt, _ in D.terms if pt.kind == "inf"})
     affine = D.affine_terms()
     h, congruences = _affine_conditions(curve, affine)
     dh = h.degree

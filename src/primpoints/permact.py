@@ -236,20 +236,18 @@ def _pair_blocks(gens, n, a, b):
     return [frozenset(b) for b in blocks.values()]
 
 
-def minimal_blocks(G: PermGroup, seed: int = 0):
-    """A finest nontrivial G-stable partition through seed, or None.
+def minimal_blocks(G: PermGroup):
+    """A finest nontrivial G-stable partition, or None.
 
-    Scans pair fusions (seed, b); among the nontrivial systems produced,
+    Scans pair fusions (0, b); among the nontrivial systems produced,
     returns the one with the smallest block size (smallest b on ties).
     """
     if not is_transitive(G):
         raise NotTransitive("block systems need a transitive action")
     n = G.degree
     best = None
-    for b in range(n):
-        if b == seed:
-            continue
-        blocks = _pair_blocks(G.generators, n, seed, b)
+    for b in range(1, n):
+        blocks = _pair_blocks(G.generators, n, 0, b)
         sizes = {len(blk) for blk in blocks}
         if len(blocks) == 1 or sizes == {1}:
             continue

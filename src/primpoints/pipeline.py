@@ -23,10 +23,10 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 
 from . import hyperell
-from .arith import UniPoly, is_prime, is_squarefree, rational_sqrt
+from .arith import UniPoly, is_prime, is_squarefree
 from .errors import (
     BadInput,
     ConstantFunction,
@@ -34,6 +34,7 @@ from .errors import (
     NotPrimitive,
     NotSquarefree,
     UnsupportedDivisorShape,
+    VerificationFailed,
 )
 from .hyperell import (
     OO,
@@ -86,39 +87,26 @@ class FinitenessVerdict:
 
 
 def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
-    """Verdict for one (curve, degree) pair from the cover inequalities."""
+    """Verdict for one (curve, degree) pair from the cover inequalities.
+
+    The genus bound is Castelnuovo-Severi for the cover (base genus 0 for a
+    gonal one) and a degree-d map to the line.
+    """
     m, d, g = inp.cover.m, inp.d, inp.g
-    trace = []
-    if inp.cover.kind == "gonal":
-        if d == m:
-            return FinitenessVerdict(UNKNOWN, ("degree equals gonality",))
-        bound = (m - 1) * (d - 1)
-        if g <= bound:
-            return FinitenessVerdict(
-                UNKNOWN, (f"genus bound fails: {g} <= {bound}",)
-            )
-        trace.append(f"gonality bound holds: {g} > {bound}")
-        if inp.jq_finite:
-            trace.append("mordell-weil group finite")
-        elif d <= g - 1 and inp.j_simple:
-            trace.append(f"jacobian simple and d <= g-1 ({d} <= {g - 1})")
-        else:
-            return FinitenessVerdict(
-                UNKNOWN, tuple(trace + ["no arithmetic hypothesis applies"])
-            )
-    else:
-        gp = inp.cover.gprime
-        bound = m * gp + (m - 1) * (d - 1)
-        if g <= bound:
-            return FinitenessVerdict(
-                UNKNOWN, (f"genus bound fails: {g} <= {bound}",)
-            )
-        trace.append(f"relative cover bound holds: {g} > {bound}")
-        if not inp.jq_finite:
-            return FinitenessVerdict(
-                UNKNOWN, tuple(trace + ["needs finite mordell-weil group"])
-            )
+    gonal = inp.cover.kind == "gonal"
+    if gonal and d == m:
+        return FinitenessVerdict(UNKNOWN, ("degree equals gonality",))
+    bound = _cs_genus_bound(0 if gonal else inp.cover.gprime, 0, m, d)
+    if g <= bound:
+        return FinitenessVerdict(UNKNOWN, (f"genus bound fails: {g} <= {bound}",))
+    trace = [f"{'gonality' if gonal else 'relative cover'} bound holds: {g} > {bound}"]
+    if inp.jq_finite:
         trace.append("mordell-weil group finite")
+    elif gonal and d <= g - 1 and inp.j_simple:
+        trace.append(f"jacobian simple and d <= g-1 ({d} <= {g - 1})")
+    else:
+        missing = "no arithmetic hypothesis applies" if gonal else "needs finite mordell-weil group"
+        return FinitenessVerdict(UNKNOWN, (*trace, missing))
     if gcd(d, m) == 1:
         trace.append(f"gcd({d},{m}) = 1")
         return FinitenessVerdict(YES, tuple(trace))
@@ -129,12 +117,17 @@ def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
     return FinitenessVerdict(PRIMITIVE_ONLY, tuple(trace))
 
 
+def _cs_genus_bound(gY: int, gZ: int, m: int, n: int) -> int:
+    """m*gY + n*gZ + (m-1)(n-1), the Castelnuovo-Severi genus bound."""
+    return m * gY + n * gZ + (m - 1) * (n - 1)
+
+
 def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
     """True iff gX > m*gY + n*gZ + (m-1)(n-1), forcing a common factorization
     of any pair of independent covers of those degrees."""
     if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
         raise BadInput("cover degrees must be positive and genera non-negative")
-    return gX > m * gY + n * gZ + (m - 1) * (n - 1)
+    return gX > _cs_genus_bound(gY, gZ, m, n)
 
 
 @dataclass(frozen=True)
@@ -496,16 +489,20 @@ def twist_census(f: UniPoly, M: int, height_bound: int) -> TwistCensusResult:
         for p in range(-height_bound, height_bound + 1):
             if gcd(abs(p), q) == 1:
                 xs.append(Fraction(p, q))
-    values = [(x, f(x)) for x in xs]
+    # f(x) = a/b: r*y^2 = f(x) has y = isqrt(r*a*b) / (|r|*b) iff r*a*b is a
+    # nonzero square
+    values = [(x, v.numerator * v.denominator, v.denominator) for x, v in zip(xs, map(f, xs))]
     hits = []
     for r in _squarefree_ints(M):
-        for x, val in values:
-            if val == 0 or (val > 0) != (r > 0):
+        for x, ab, b in values:
+            rab = r * ab
+            if rab <= 0:
                 continue
-            ratio = val / r
-            root = rational_sqrt(ratio)
-            if root is not None and root != 0:
-                assert Fraction(r) * root * root == val
-                hits.append(TwistHit(r, x, root))
+            s = isqrt(rab)
+            if s * s == rab:
+                hit = TwistHit(r, x, Fraction(s, abs(r) * b))
+                if r * hit.y * hit.y != f(hit.x):
+                    raise VerificationFailed(f"twist witness fails r*y^2 = f(x) at r={r}, x={x}")
+                hits.append(hit)
                 break
     return TwistCensusResult(M, height_bound, tuple(hits))

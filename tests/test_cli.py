@@ -202,6 +202,8 @@ def _run_cli(args, optimize):
         ("order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x; inert)\n", 3),  # base not at infinity
         ("order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo\n", 4),  # oo is no place of X0(71)
         ("order 35\ngen 1*oo + -1*oo-\nbase 1*oo+ + 1*oo-\n", 4),  # nor in a generator
+        ("order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo- + 0*oo\n", 4),  # nor with multiplicity 0
+        ("order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 1*oo+ + 1*oo-\n", 4),
     ],
 )
 def test_bad_mw_file_exit_code(tmp_path, optimize, mw_text, expected):
@@ -240,6 +242,8 @@ def test_rr_rejects_places_not_on_the_curve(tmp_path, optimize, divisor):
         ("1 0 0 0 0 1", "3*oo+", "oo"),  # an odd model has the single place oo
         ("1 0 0 0 0 0 1", "3*oo", "oo+, oo-"),  # an even model has oo+ and oo-
         ("1 0 0 0 0 0 1", "1*(x; split; 1) + 2*oo", "oo+, oo-"),
+        ("1 0 0 0 0 0 1", "3*oo+ + 0*oo", "oo+, oo-"),  # a zero multiplicity names oo too
+        ("1 0 0 0 0 1", "3*oo + 0*oo-", "oo"),
     ],
 )
 def test_rr_rejects_infinite_places_the_model_lacks(tmp_path, optimize, coeffs, divisor, places):
@@ -250,6 +254,34 @@ def test_rr_rejects_infinite_places_the_model_lacks(tmp_path, optimize, coeffs, 
     assert "Traceback" not in done.stderr
     assert f"its places at infinity are {places}" in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_rr_accepts_a_zero_multiplicity_at_a_place_of_the_model(tmp_path, optimize):
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 1 0 0 0 0 0 1\n")
+    done = _run_cli(["rr", str(curve), "3*oo+ + 0*oo-"], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ell=2\n")
+
+
+# every hit's y scaled by 2: the exact check r*y^2 = f(x) must make `twists`
+# exit 5, also under python -O
+CORRUPTED_TWIST_HIT = """
+from primpoints import cli, pipeline
+
+hit = pipeline.TwistHit
+pipeline.TwistHit = lambda r, x, y: hit(r, x, 2 * y)
+print(cli.main(["twists", "x^6+1", "--max-r", "3", "--height", "2"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_corrupted_twist_hit_exits_5(optimize):
+    done = run_python(["-c", CORRUPTED_TWIST_HIT], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
+    assert "twist witness fails r*y^2 = f(x)" in done.stderr
 
 
 @pytest.mark.parametrize("optimize", [False, True])

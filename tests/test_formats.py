@@ -8,6 +8,7 @@ from primpoints.arith import UniPoly, poly
 from primpoints.errors import ParseError
 from primpoints.formats import (
     curve_file_text,
+    infinite_places_named,
     mw_file_text,
     parse_coeff_text,
     parse_cover_csv,
@@ -79,6 +80,14 @@ def test_divisor_parse_errors():
         parse_divisor("1*(x^2-2)")  # missing branch
     with pytest.raises(ParseError):
         parse_divisor("1*(x^2-2; weird)")
+
+
+def test_infinite_places_named_keeps_zero_multiplicities():
+    assert infinite_places_named("3*oo+ + 0*oo") == {"oo+", "oo"}
+    assert parse_divisor("3*oo+ + 0*oo") == parse_divisor("3*oo+")
+    assert infinite_places_named("1*(x; split; 1) + 0*oo-") == {"oo-"}
+    mw = "# oo is no place of X0(71)\norder 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n"
+    assert infinite_places_named(mw) == {"oo+", "oo-"}
 
 
 def test_curve_file_roundtrip():

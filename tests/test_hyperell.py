@@ -1,6 +1,7 @@
 import itertools
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS, run_python
 from primpoints import hyperell, numfield, pipeline
-from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, poly
+from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, poly, rational_sqrt
 from primpoints.errors import (
     BadInput,
     DegreeTooSmall,
@@ -35,7 +36,6 @@ from primpoints.hyperell import (
     _assert_affine_membership,
     _assert_infinity_bounds,
     _even_infinity_valuation,
-    _series_sqrt,
     _valuation_at,
     canonical_divisor,
     classify_place,
@@ -72,6 +72,31 @@ def test_curve_new_errors():
         curve_new(poly(1, 0, 0, 0, 0, 0, 2))  # lc 2 is not a square
 
 
+def _series_sqrt(coeffs, nterms, s0):
+    """Power series sqrt of sum coeffs[i] t^i with constant term s0^2.
+
+    Test-only copy of the Fraction recurrence that `_y_series_scaled` used
+    before it ran in integers; `_fraction_y_series` is its old body.
+    """
+    out = [Fraction(s0)]
+    inv2s = 1 / (2 * Fraction(s0))
+    for n in range(1, nterms):
+        acc = coeffs[n] if n < len(coeffs) else Fraction(0)
+        for i in range(1, n):
+            acc -= out[i] * out[n - i]
+        out.append(acc * inv2s)
+    return out
+
+
+def _fraction_y_series(curve, nterms):
+    """(L, N) of `_y_series_scaled` from the Fraction series and one lcm pass."""
+    n = curve.f.degree
+    reversed_f = [curve.f.coeff(n - i) for i in range(n + 1)]
+    series = _series_sqrt(reversed_f, nterms, rational_sqrt(curve.f.lc))
+    den = lcm(*(c.denominator for c in series))
+    return den, tuple(c.numerator * (den // c.denominator) for c in series)
+
+
 def test_series_sqrt_binomial_oracle():
     # sqrt(1 + t^2) = 1 + t^2/2 - t^4/8 + t^6/16 - ...
     s = _series_sqrt([Fraction(1), Fraction(0), Fraction(1)], 8, 1)
@@ -94,7 +119,7 @@ def test_series_sqrt_binomial_oracle():
 def test_x0_71_leading_expansion():
     # y = +-(sqrt(lc) t^-(g+1) + ...) at oo+-, t = 1/x: pole order g + 1 = 7
     L, N = hyperell._y_series_scaled(X0_71, hyperell._series_length(4))
-    assert Fraction(N[0], L) == X0_71.sqrt_lc == 1
+    assert Fraction(N[0], L) == 1  # the leading coefficient of X0(71) is 1
     one, x7 = UniPoly.one(), UniPoly.make([0] * 7 + [1])
     for place in (OO_PLUS, OO_MINUS):
         assert _even_infinity_valuation(X0_71, UniPoly.zero(), one, place) == -7
@@ -103,6 +128,23 @@ def test_x0_71_leading_expansion():
     assert _even_infinity_valuation(X0_71, -x7, one, OO_MINUS) == -7
     assert _even_infinity_valuation(X0_71, x7, one, OO_MINUS) > -7
     assert _even_infinity_valuation(X0_71, x7, one, OO_PLUS) == -7
+
+
+@st.composite
+def even_models_with_square_lc(draw):
+    """Even models with rational coefficients and a square lc other than 1."""
+    n = draw(st.sampled_from([6, 8]))
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    root = draw(st.fractions(min_value=1, max_value=20, max_denominator=15).filter(lambda r: r != 1))
+    return _curve_or_reject(UniPoly.make(draw(st.lists(fracs, min_size=n, max_size=n)) + [root * root]))
+
+
+@given(curve=even_models_with_square_lc(), nterms=st.sampled_from([64, 128]))
+@example(curve=curve_new(parse_poly("4/9*x^6+7/5*x+1")), nterms=64)
+@example(curve=curve_new(UniPoly.make([1, 1] + [0] * 4 + [123456789**2])), nterms=128)
+@settings(max_examples=20, deadline=None)
+def test_integer_series_matches_the_fraction_series(curve, nterms):
+    assert hyperell._y_series_scaled.__wrapped__(curve, nterms) == _fraction_y_series(curve, nterms)
 
 
 def test_divisor_of_x_on_odd_curve():
@@ -549,7 +591,7 @@ def test_rr_space_rejects_places_not_on_the_curve():
 
 def test_divisor_checks_raise_verification_failed(monkeypatch):
     # u + v y with u^2 = v^2 f only exists on a model with square f
-    square = HyperCurve(poly(0, 0, 0, 0, 0, 0, 1), 2, "even", Fraction(1))
+    square = HyperCurve(poly(0, 0, 0, 0, 0, 0, 1), 2, "even")
     with pytest.raises(VerificationFailed):
         divisor_of_function(square, CurveFunction.make(poly(0, 0, 0, 1), poly(-1)))
 
@@ -678,6 +720,33 @@ def test_classify_place_matches_trager_on_square_residues(p, k, r):
         assert numfield.shifted_norm(p, curve.f)[0] >= 1
 
 
+def _linear_classify_place(curve, p):
+    """Test-only copy of the degree-1 route `classify_place` took before
+    the quadratic norm decided every p: f(r) a rational square or not."""
+    if (curve.f % p).is_zero:
+        return (RAM, None)
+    root = rational_sqrt(curve.f(-p.coeff(0)))
+    if root is None:
+        return (INERT, None)
+    return (SPLIT, hyperell.canonical_sqrt_rep(UniPoly.const(root), p))
+
+
+@given(
+    r=st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    k=st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    coeffs=st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+    square=st.booleans(),
+)
+@example(r=Fraction(0), k=Fraction(3), coeffs=[0] * 5, square=False)
+def test_classify_place_on_linear_points_matches_the_rational_root(r, k, coeffs, square):
+    # with square set, f = k^2 + (x - r) g, so f(r) = k^2 and x - r splits or ramifies
+    p = poly(-r, 1)
+    g = UniPoly.make(coeffs + [1])
+    f = UniPoly.const(k * k) + p * g if square else UniPoly.const(k) + p * g
+    curve = _curve_or_reject(f)
+    assert classify_place.__wrapped__(curve, p) == _linear_classify_place(curve, p)
+
+
 SQRT2 = poly(-2, 0, 1)
 SPLIT_OVER_SQRT2 = curve_new(poly(1, -2, 1) + SQRT2 * poly(1, 0, 0, 1))  # f = (x-1)^2 mod p
 
@@ -769,9 +838,25 @@ def _classified_divisor(curve, w):
             val = hyperell._even_infinity_valuation(curve, u, v, place) + den.degree
             pairs.append((ClosedPoint.infinite(place), val))
     else:
-        val = hyperell._odd_infinity_valuation(u, v, curve.genus) + 2 * den.degree
+        val = _odd_infinity_valuation(u, v, curve.genus) + 2 * den.degree
         pairs.append((ClosedPoint.infinite(OO), val))
     return Divisor.make(pairs)
+
+
+def _odd_infinity_valuation(u, v, genus) -> int:
+    """ord at oo of u + v y on an odd model: parities never cancel.
+
+    Test-only copy of the helper `divisor_of_function` used before it read
+    the order off the degree of the norm.
+    """
+    vals = []
+    if not u.is_zero:
+        vals.append(-2 * u.degree)
+    if not v.is_zero:
+        vals.append(-2 * v.degree - (2 * genus + 1))
+    if not vals:
+        raise ZeroFunction("valuation of the zero function")
+    return min(vals)
 
 
 # both parities; each f has factors, so ramified places of degree 1-4 occur

@@ -1,12 +1,14 @@
+import itertools
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import run_python
 from primpoints import arith, numfield, pipeline
-from primpoints.arith import UniPoly, is_squarefree, poly
+from primpoints.arith import UniPoly, is_squarefree, poly, rational_sqrt
 from primpoints.errors import (
     BadInput,
     ConstantFunction,
@@ -100,6 +102,18 @@ def test_cs_bound_examples():
     assert cs_bound(4, 0, 1, 2, 2)  # genus-4 hyperelliptic cannot be bielliptic
     assert not cs_bound(3, 0, 1, 2, 2)  # genus 2, 3 exceptions exist
     assert cs_bound(1, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("kind", ["gonal", "relative"])
+def test_classify_finiteness_genus_bound_is_castelnuovo_severi(kind):
+    # the cover and a degree-d map to the line; a gonal cover has base genus 0
+    for g, m, gprime, d in itertools.product(range(1, 30), range(2, 6), range(1, 4), range(2, 9)):
+        if kind == "gonal" and (d == m or gprime > 1):
+            continue
+        cover = Cover(kind, m, gprime if kind == "relative" else None)
+        trace = classify_finiteness(FinitenessInput(g, cover, d, True, False)).reason
+        holds = cs_bound(g, gprime if kind == "relative" else 0, 0, m, d)
+        assert trace[0].startswith("genus bound fails") != holds
 
 
 def test_finiteness_preconditions_raise_bad_input():
@@ -398,6 +412,30 @@ def test_twist_census_sign_obstruction():
     f = poly(-1, 0, 0, 0, 0, 0, -1)
     result = twist_census(f, 5, 4)
     assert all(hit.r < 0 for hit in result.hits)
+
+
+def _fraction_twist_hits(f, M, height_bound):
+    """Test-only copy of the census loop before it ran in integers: one
+    Fraction division and `rational_sqrt` per (r, x)."""
+    xs = [Fraction(p, q) for q in range(1, height_bound + 1)
+          for p in range(-height_bound, height_bound + 1) if gcd(abs(p), q) == 1]
+    values = [(x, f(x)) for x in xs]
+    hits = []
+    for r in pipeline._squarefree_ints(M):
+        for x, val in values:
+            if val == 0 or (val > 0) != (r > 0):
+                continue
+            root = rational_sqrt(val / r)
+            if root is not None and root != 0:
+                hits.append(pipeline.TwistHit(r, x, root))
+                break
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("lit", ["x^6+1", "x^7-x-1", "2x^6-3x+5/7", "-3/4*x^6+x^3-1/9"])
+def test_twist_census_matches_the_fraction_route(lit):
+    f = parse_poly(lit)
+    assert twist_census(f, 100, 20).hits == _fraction_twist_hits(f, 100, 20)
 
 
 def test_twist_census_preconditions():

@@ -11,7 +11,8 @@ reports.  The set:
 * `field` on the fields of fixtures/primitivity_corpus.txt, on the
   three imprimitive sextics of X0(71) at d = 6, on the composed fields
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
-  checkout's own `UniPoly.compose`), and on the degree-1 x-5;
+  checkout's own `UniPoly.compose`), on the degree-1 x-5, and on the
+  reducible x^4-1 (exit 4, with one `factor:` line per factor);
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1;
 * `rr` on divisors with affine parts, split, ramified and inert, on even
   and odd models, with one-sided and negative bounds at infinity; on
@@ -26,7 +27,12 @@ reports.  The set:
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
 * `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
-  --height 50` on x^7-x-1 and 2x^6-3x+5/7.
+  --height 50` on x^7-x-1 and 2x^6-3x+5/7;
+* `--help`, at the top level and of each subcommand, which pins every
+  usage line.
+
+Every run sees COLUMNS=80, so argparse wraps its help and usage lines the
+same way whatever terminal the script is started from.
 
 Usage: python3 scripts/report_digest.py [CHECKOUT] > digests.txt
 CHECKOUT defaults to the checkout holding this script.  Run it on two
@@ -59,6 +65,7 @@ COMPOSED = (
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
 TWIST_POLYS = ("x^7-x-1", "2x^6-3x+5/7")
+COMMANDS = ("classify", "points", "field", "rr", "construct", "fiber", "twists", "perm")
 # primitive groups of order above 10^6
 LARGE_GROUPS = (
     ("S10", ("(0 1 2 3 4 5 6 7 8 9)", "(0 1)")),
@@ -111,7 +118,7 @@ def python(root, code, *argv):
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), COLUMNS="80"),
         cwd=root,
     )
 
@@ -175,7 +182,7 @@ def runs(root, scratch):
                 report = os.path.join(scratch, "report")
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
-    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5"):
+    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None
@@ -202,6 +209,9 @@ def runs(root, scratch):
     yield "twists x^6+1", ["twists", "x^6+1", "--max-r", "30", "--height", "20"], None
     for lit in TWIST_POLYS:
         yield f"twists {lit}", ["twists", lit, "--max-r", "100", "--height", "50"], None
+    yield "--help", ["--help"], None
+    for command in COMMANDS:
+        yield f"{command} --help", [command, "--help"], None
 
 
 def main():

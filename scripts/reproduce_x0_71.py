@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from primpoints.cli import _points_report_text  # noqa: E402
+from primpoints.cli import points_report  # noqa: E402
 from primpoints.formats import parse_curve_file, parse_mw_file  # noqa: E402
 from primpoints.hyperell import curve_new  # noqa: E402
 from primpoints.pipeline import classify_points  # noqa: E402
@@ -39,7 +39,8 @@ def main():
     for degree in (int(d) for d in args.degrees.split(",")):
         started = time.time()
         report = classify_points(curve, mw, degree, jobs=args.jobs)
-        print(_points_report_text(curve, label, report))
+        _, lines = points_report(curve, label, report)
+        print("\n".join(lines) + "\n")
         print(f"# degree {degree} took {time.time() - started:.1f}s\n")
 
 

@@ -184,8 +184,9 @@ class UniPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def monic(self) -> "UniPoly":
@@ -501,8 +502,9 @@ def _fp_powmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
         e >>= 1
+        if e:
+            base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
     return result
 
 

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 I/O or parse failure, 3 unsupported divisor or
 group shape, 4 domain precondition violation, 5 internal verification
 failed.  Every subcommand accepts --json for a machine-readable document
 carrying a versioned schema tag; all reports are byte-deterministic for
-fixed inputs and flags, regardless of the parallelism width.
+fixed inputs and flags, regardless of the parallelism width.  Each
+subcommand builds its JSON document and its text lines once and hands
+both to `_emit`, the one place that reads --json.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from .errors import (
 
 EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_DOMAIN, EXIT_VERIFY = 0, 2, 3, 4, 5
 
+# in the order of the text report's summary line
 _OUTCOME_TEXT = {
+    pipeline.NO_EFFECTIVE: "no_effective",
     pipeline.SKIPPED: "skipped_positive_dim",
     pipeline.REDUCIBLE: "reducible",
     pipeline.IMPRIMITIVE: "imprimitive",
     pipeline.PRIMITIVE: "primitive",
-    pipeline.NO_EFFECTIVE: "no_effective",
 }
 
 
@@ -71,60 +74,51 @@ def build_parser():
     )
     sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("classify", help="finiteness verdicts for a cover table CSV")
-    p.add_argument("csv_in")
-    p.add_argument("csv_out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
+    def command(name, func, help, *arguments):
+        """A subparser: each argument a name or (name, options), then --json."""
+        p = sub.add_parser(name, help=help)
+        for arg in arguments:
+            dest, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(dest, **options)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("points", help="classify degree-d divisor classes on a curve")
-    p.add_argument("curve_file")
-    p.add_argument("mw_file")
-    p.add_argument("degree", type=int)
-    p.add_argument("report_out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
+    command(
+        "classify", cmd_classify, "finiteness verdicts for a cover table CSV",
+        "csv_in", "csv_out",
+    )
+    # --jobs follows --json, as it always has on the usage line
+    command(
+        "points", cmd_points, "classify degree-d divisor classes on a curve",
+        "curve_file", "mw_file", ("degree", dict(type=int)), "report_out",
+    ).add_argument(
         "--jobs", type=_positive_int, default=1, help="parallel class evaluation width"
     )
-    p.set_defaults(func=cmd_points)
-
-    p = sub.add_parser("field", help="primitivity of the field cut out by a polynomial")
-    p.add_argument("poly")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("rr", help="dimension and basis of L(D) for a divisor literal")
-    p.add_argument("curve_file")
-    p.add_argument("divisor")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rr)
-
-    p = sub.add_parser("construct", help="curve of genus d-1 with a ramified primitive point")
-    p.add_argument("poly")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("fiber", help="fiber specialization sampling report")
-    p.add_argument("poly")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--height", type=int, default=50)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("twists", help="quadratic twist census with exact verification")
-    p.add_argument("poly")
-    p.add_argument("--max-r", type=int, default=100)
-    p.add_argument("--height", type=int, default=50)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_twists)
-
-    p = sub.add_parser("perm", help="primitivity of a permutation group from cycles")
-    p.add_argument("generators", nargs="+")
-    p.add_argument("--degree", type=_positive_int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_perm)
-
+    command("field", cmd_field, "primitivity of the field cut out by a polynomial", "poly")
+    command(
+        "rr", cmd_rr, "dimension and basis of L(D) for a divisor literal",
+        "curve_file", "divisor",
+    )
+    command(
+        "construct", cmd_construct, "curve of genus d-1 with a ramified primitive point",
+        "poly", ("--seed", dict(type=int, default=0)),
+    )
+    command(
+        "fiber", cmd_fiber, "fiber specialization sampling report",
+        "poly", ("--samples", dict(type=int, default=20)),
+        ("--height", dict(type=int, default=50)),
+    )
+    command(
+        "twists", cmd_twists, "quadratic twist census with exact verification",
+        "poly", ("--max-r", dict(type=int, default=100)),
+        ("--height", dict(type=int, default=50)),
+    )
+    command(
+        "perm", cmd_perm, "primitivity of a permutation group from cycles",
+        ("generators", dict(nargs="+")),
+        ("--degree", dict(type=_positive_int, default=None)),
+    )
     return parser
 
 
@@ -143,32 +137,31 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str):
+def _emit(args, doc, lines, path=None):
+    """The one report path: under --json the JSON document, else the text
+    lines, written to the report file at `path` or else to stdout."""
+    if args.json:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(line + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _json_dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_classify(args) -> int:
     rows = formats.parse_cover_csv(_read(args.csv_in))
-    results = []
-    for row in rows:
-        finite, prim = pipeline.classify_row(row)
-        results.append((row.label, finite, prim))
-    if args.json:
-        doc = {
-            "schema": "primpoints.classify/1",
-            "rows": [
-                {"label": label, "finite_d": finite, "primitive_only_d": prim}
-                for label, finite, prim in results
-            ],
-        }
-        _write(args.csv_out, _json_dump(doc))
-    else:
-        _write(args.csv_out, formats.verdict_csv_text(results))
+    results = [(row.label, *pipeline.classify_row(row)) for row in rows]
+    doc = {
+        "schema": "primpoints.classify/1",
+        "rows": [
+            {"label": label, "finite_d": finite, "primitive_only_d": prim}
+            for label, finite, prim in results
+        ],
+    }
+    _emit(args, doc, formats.verdict_csv_text(results).splitlines(), args.csv_out)
     print(f"classified {len(results)} rows -> {args.csv_out}")
     return EXIT_OK
 
@@ -179,44 +172,10 @@ def _label_text(label) -> str:
     return "(" + ",".join(str(c) for c in label) + ")"
 
 
-def _points_report_text(curve, label, report) -> str:
-    lines = []
-    lines.append(f"curve: {label or 'y^2 = ' + curve.f.literal()}")
-    lines.append(f"model: {curve.f.literal()}")
-    lines.append(f"genus: {curve.genus}")
-    lines.append(f"degree: {report.degree}")
-    lines.append(f"group_order: {report.group_order}")
-    for v in report.verdicts:
-        parts = [
-            f"a={_label_text(v.label)}",
-            f"ell={v.ell}",
-            f"outcome={_OUTCOME_TEXT[v.outcome]}",
-        ]
-        if v.subfield_degree is not None:
-            parts.append(f"subfield_degree={v.subfield_degree}")
-        if v.witness_minpoly is not None:
-            parts.append(f"minpoly={v.witness_minpoly.literal()}")
-        lines.append("class " + " ".join(parts))
+def points_report(curve, label, report):
+    """The JSON document and the text lines of one `points` report."""
     counts = report.summary()
-    lines.append(
-        "summary: "
-        + " ".join(
-            f"{_OUTCOME_TEXT[key]}={counts[key]}"
-            for key in (
-                pipeline.NO_EFFECTIVE,
-                pipeline.SKIPPED,
-                pipeline.REDUCIBLE,
-                pipeline.IMPRIMITIVE,
-                pipeline.PRIMITIVE,
-            )
-        )
-    )
-    lines.append(f"primitive_orbits={counts[pipeline.PRIMITIVE]}")
-    return "\n".join(lines) + "\n"
-
-
-def _points_report_json(curve, label, report) -> dict:
-    return {
+    doc = {
         "schema": "primpoints.points/1",
         "curve_label": label,
         "model": curve.f.literal(),
@@ -236,11 +195,23 @@ def _points_report_json(curve, label, report) -> dict:
             }
             for v in report.verdicts
         ],
-        "summary": {
-            _OUTCOME_TEXT[k]: n for k, n in sorted(report.summary().items())
-        },
-        "primitive_orbits": report.summary()[pipeline.PRIMITIVE],
+        "summary": {text: counts[key] for key, text in _OUTCOME_TEXT.items()},
+        "primitive_orbits": counts[pipeline.PRIMITIVE],
     }
+    lines = [
+        f"curve: {label or 'y^2 = ' + doc['model']}",
+        f"model: {doc['model']}",
+        f"genus: {curve.genus}",
+        f"degree: {report.degree}",
+        f"group_order: {report.group_order}",
+    ]
+    for c in doc["classes"]:
+        parts = [f"a={_label_text(c['label'])}", f"ell={c['ell']}", f"outcome={c['outcome']}"]
+        parts += [f"{key}={c[key]}" for key in ("subfield_degree", "minpoly") if c[key] is not None]
+        lines.append("class " + " ".join(parts))
+    lines.append("summary: " + " ".join(f"{k}={n}" for k, n in doc["summary"].items()))
+    lines.append(f"primitive_orbits={doc['primitive_orbits']}")
+    return doc, lines
 
 
 def cmd_points(args) -> int:
@@ -250,12 +221,9 @@ def cmd_points(args) -> int:
     curve = hyperell.curve_new(f)
     hyperell.require_infinite_places(curve, formats.infinite_places_named(mw_text))
     report = pipeline.classify_points(curve, mw, args.degree, jobs=args.jobs)
-    if args.json:
-        _write(args.report_out, _json_dump(_points_report_json(curve, label, report)))
-    else:
-        _write(args.report_out, _points_report_text(curve, label, report))
-    counts = report.summary()
-    print(f"primitive_orbits={counts[pipeline.PRIMITIVE]}")
+    doc, lines = points_report(curve, label, report)
+    _emit(args, doc, lines, args.report_out)
+    print(f"primitive_orbits={doc['primitive_orbits']}")
     return EXIT_OK
 
 
@@ -266,16 +234,16 @@ def cmd_field(args) -> int:
         report = numfield.field_report(formats.parse_poly(args.poly))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    data = {"schema": "primpoints.field/1", "primitive": report.is_primitive}
+    doc = {"schema": "primpoints.field/1", "primitive": report.is_primitive}
     proper = list(report.proper_subfield_degrees)
     if report.is_primitive:
-        text = "primitive"
+        line = "primitive"
     elif proper:
-        text = f"imprimitive (subfield degree {proper[0]})"
-        data["subfield_degrees"] = proper
+        line = f"imprimitive (subfield degree {proper[0]})"
+        doc["subfield_degrees"] = proper
     else:
-        text = "imprimitive (degree 1 convention)"
-    print(_json_dump(data) if args.json else text, end="" if args.json else "\n")
+        line = "imprimitive (degree 1 convention)"
+    _emit(args, doc, [line])
     return EXIT_OK
 
 
@@ -285,39 +253,34 @@ def cmd_rr(args) -> int:
     D = formats.parse_divisor(args.divisor)
     hyperell.require_infinite_places(curve, formats.infinite_places_named(args.divisor))
     space = hyperell.rr_space(curve, D)
-    if args.json:
-        doc = {
-            "schema": "primpoints.rr/1",
-            "divisor": D.literal(),
-            "ell": space.dim,
-            "basis": [w.literal() for w in space.basis],
-        }
-        print(_json_dump(doc), end="")
-    else:
-        print(f"ell={space.dim}")
-        for w in space.basis:
-            print(f"basis: {w.literal()}")
+    doc = {
+        "schema": "primpoints.rr/1",
+        "divisor": D.literal(),
+        "ell": space.dim,
+        "basis": [w.literal() for w in space.basis],
+    }
+    _emit(args, doc, [f"ell={space.dim}", *(f"basis: {w}" for w in doc["basis"])])
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
     m = formats.parse_poly(args.poly)
     curve, witness, alpha = pipeline.construct_primitive_curve(m, args.seed)
-    if args.json:
-        doc = {
-            "schema": "primpoints.construct/1",
-            "model": curve.f.literal(),
-            "genus": curve.genus,
-            "witness_point": witness.literal(),
-            "witness_degree": witness.degree,
-            "shift": str(alpha),
-        }
-        print(_json_dump(doc), end="")
-    else:
-        print(f"model: y^2 = {curve.f.literal()}")
-        print(f"genus: {curve.genus}")
-        print(f"witness: {witness.literal()} degree {witness.degree}")
-        print(f"shift: {alpha}")
+    doc = {
+        "schema": "primpoints.construct/1",
+        "model": curve.f.literal(),
+        "genus": curve.genus,
+        "witness_point": witness.literal(),
+        "witness_degree": witness.degree,
+        "shift": str(alpha),
+    }
+    lines = [
+        f"model: y^2 = {doc['model']}",
+        f"genus: {curve.genus}",
+        f"witness: {doc['witness_point']} degree {witness.degree}",
+        f"shift: {doc['shift']}",
+    ]
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
@@ -336,26 +299,22 @@ def cmd_fiber(args) -> int:
     space = hyperell.rr_space(curve, D)
     w = next(b for b in space.basis if not b.is_constant)
     report = pipeline.fiber_sample_report(curve, w, betas)
-    if args.json:
-        doc = {
-            "schema": "primpoints.fiber/1",
-            "model": curve.f.literal(),
-            "map": w.literal(),
-            "outcomes": [
-                {"beta": str(beta), "outcome": outcome}
-                for beta, outcome in report["outcomes"]
-            ],
-            "primitive_fraction": str(report["primitive_fraction"]),
-        }
-        print(_json_dump(doc), end="")
-    else:
-        print(f"model: y^2 = {curve.f.literal()}")
-        print(f"map: {w.literal()}")
-        for beta, outcome in report["outcomes"]:
-            print(f"beta={beta} outcome={outcome}")
-        print(
-            f"primitive_fraction: {report['primitive']}/{report['total']}"
-        )
+    doc = {
+        "schema": "primpoints.fiber/1",
+        "model": curve.f.literal(),
+        "map": w.literal(),
+        "outcomes": [
+            {"beta": str(beta), "outcome": outcome} for beta, outcome in report["outcomes"]
+        ],
+        "primitive_fraction": str(report["primitive_fraction"]),
+    }
+    lines = [
+        f"model: y^2 = {doc['model']}",
+        f"map: {doc['map']}",
+        *(f"beta={o['beta']} outcome={o['outcome']}" for o in doc["outcomes"]),
+        f"primitive_fraction: {report['primitive']}/{report['total']}",
+    ]
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
@@ -381,21 +340,15 @@ def _sample_betas(count: int, height: int):
 def cmd_twists(args) -> int:
     f = formats.parse_poly(args.poly)
     result = pipeline.twist_census(f, args.max_r, args.height)
-    if args.json:
-        doc = {
-            "schema": "primpoints.twists/1",
-            "model": f.literal(),
-            "max_r": result.M,
-            "height_bound": result.height_bound,
-            "hits": [
-                {"r": h.r, "x": str(h.x), "y": str(h.y)} for h in result.hits
-            ],
-        }
-        print(_json_dump(doc), end="")
-    else:
-        for h in result.hits:
-            print(f"r={h.r} x={h.x} y={h.y}")
-        print(f"hits={len(result.hits)}")
+    doc = {
+        "schema": "primpoints.twists/1",
+        "model": f.literal(),
+        "max_r": result.M,
+        "height_bound": result.height_bound,
+        "hits": [{"r": h.r, "x": str(h.x), "y": str(h.y)} for h in result.hits],
+    }
+    lines = [f"r={h['r']} x={h['x']} y={h['y']}" for h in doc["hits"]]
+    _emit(args, doc, [*lines, f"hits={len(lines)}"])
     return EXIT_OK
 
 
@@ -408,26 +361,20 @@ def cmd_perm(args) -> int:
         print("not transitive", file=sys.stderr)
         return EXIT_DOMAIN
     blocks = permact.minimal_blocks(G)
-    primitive = blocks is None
-    if args.json:
-        doc = {
-            "schema": "primpoints.perm/1",
-            "degree": degree,
-            "order": permact.group_order(G),
-            "primitive": primitive,
-            "blocks": [sorted(b) for b in blocks.partition] if blocks else None,
-        }
-        print(_json_dump(doc), end="")
+    partition = [sorted(b) for b in blocks.partition] if blocks else None
+    doc = {
+        "schema": "primpoints.perm/1",
+        "degree": degree,
+        "order": permact.group_order(G),
+        "primitive": partition is None,
+        "blocks": partition,
+    }
+    if partition is None:
+        verdict = "primitive"
     else:
-        print(f"order={permact.group_order(G)}")
-        if primitive:
-            print("primitive")
-        else:
-            rendered = " ".join(
-                "{" + " ".join(str(x) for x in sorted(b)) + "}"
-                for b in blocks.partition
-            )
-            print(f"imprimitive blocks: {rendered}")
+        rendered = " ".join("{" + " ".join(map(str, b)) + "}" for b in partition)
+        verdict = f"imprimitive blocks: {rendered}"
+    _emit(args, doc, [f"order={doc['order']}", verdict])
     return EXIT_OK
 
 

@@ -398,17 +398,14 @@ def _branch_root(a: UniPoly, b: UniPoly, p: UniPoly, f: UniPoly) -> UniPoly:
     return q
 
 
-def _valuation_at(p: UniPoly, a: UniPoly) -> int:
-    """Exponent of p in a; a nonzero."""
-    count = 0
+def _valuation_at(p: UniPoly, a: UniPoly) -> tuple:
+    """(k, a / p^k) with k the exponent of p in a; a nonzero."""
+    k = 0
     while True:
         q, r = divmod(a, p)
         if not r.is_zero:
-            return count
-        a = q
-        count += 1
-        if a.is_zero:
-            return count
+            return k, a
+        a, k = q, k + 1
 
 
 def _zeros_over(curve, p, mult, u, v):
@@ -423,7 +420,8 @@ def _zeros_over(curve, p, mult, u, v):
     """
     if (curve.f % p).is_zero:
         return [(ClosedPoint.affine(p, RAM), mult)]
-    k = min(_valuation_at(p, a) for a in (u, v) if not a.is_zero)
+    sides = [_valuation_at(p, a) if not a.is_zero else (None, a) for a in (u, v)]
+    k = min(val for val, _ in sides if val is not None)
     if mult < 2 * k:
         raise VerificationFailed("norm valuation disagrees with the function")
     if mult == 2 * k:
@@ -431,7 +429,9 @@ def _zeros_over(curve, p, mult, u, v):
         if branch == INERT:
             return [(ClosedPoint.affine(p, INERT), k)]
     else:
-        q = _branch_root(u // p**k, v // p**k, p, curve.f)
+        # a side of order above k is 0 mod p once divided by p^k
+        a, b = (cof if val == k else UniPoly.zero() for val, cof in sides)
+        q = _branch_root(a, b, p, curve.f)
     place = ClosedPoint.affine(p, SPLIT, q)
     return [(place, mult - k), (place.conjugate(), k)]
 
@@ -463,9 +463,8 @@ def _norm_factors(norm: UniPoly, known) -> list:
     """
     out = []
     for p in known:
-        k = _valuation_at(p, norm)
+        k, norm = _valuation_at(p, norm)
         if k:
-            norm = norm // p**k
             out.append((p, k))
     if norm.degree > 0:
         out.extend(factor_over_Q(norm).factors)

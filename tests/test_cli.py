@@ -5,10 +5,11 @@ import pytest
 
 from conftest import run_python
 from primpoints import hyperell, numfield
-from primpoints.cli import main
+from primpoints.cli import build_parser, main
 from primpoints.errors import VerificationFailed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
 def fixture(name):
@@ -409,3 +410,41 @@ def test_points_command_json(tmp_path, capsys):
     assert doc["schema"] == "primpoints.points/1"
     assert doc["group_order"] == 35
     assert doc["primitive_orbits"] == 0
+
+
+# one small run per subcommand; REPORT stands for the report file argument
+JSON_RUNS = [
+    ("classify", [fixture("table1.csv"), "REPORT"]),
+    ("points", [fixture("x0_71.curve"), fixture("x0_71.mw"), "3", "REPORT"]),
+    ("field", ["x^4-2"]),
+    ("rr", [fixture("x0_71.curve"), "2*oo+ + 2*oo-"]),
+    ("construct", ["x^3-2"]),
+    ("fiber", ["x^3-2", "--samples", "3", "--height", "10"]),
+    ("twists", ["x^6+1", "--max-r", "3", "--height", "2"]),
+    ("perm", ["(0 1 2 3)", "(0 2)"]),
+]
+
+
+def test_the_json_runs_cover_every_subcommand():
+    usage = build_parser().format_usage()
+    listed = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert sorted(listed) == sorted(command for command, _ in JSON_RUNS)
+
+
+@pytest.mark.parametrize("command, argv", JSON_RUNS, ids=[c for c, _ in JSON_RUNS])
+def test_every_subcommand_writes_a_json_document_with_its_schema(command, argv, tmp_path, capsys):
+    report = tmp_path / "report"
+    argv = [str(report) if arg == "REPORT" else arg for arg in argv]
+    assert main([command, *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(report.read_text() if report.exists() else out)
+    assert doc["schema"] == f"primpoints.{command}/1"
+
+
+def test_reproduce_script_prints_the_points_report(tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "3", str(out)]) == 0
+    done = run_python([os.path.join(SCRIPTS, "reproduce_x0_71.py"), "--degrees", "3"], False)
+    assert done.returncode == 0, done.stderr
+    report, sep, _ = done.stdout.partition("\n# degree 3 took ")
+    assert sep and report == out.read_text()

@@ -788,14 +788,14 @@ def test_classify_place_rejects_a_corrupted_root(optimize):
 def _hensel_split_valuations(curve, p, q, u, v, mult_norm):
     """ord of u + v y at the two split places (q-branch first), by a lift."""
     if u.is_zero or v.is_zero:
-        val = _valuation_at(p, v if u.is_zero else u)
+        val = _valuation_at(p, v if u.is_zero else u)[0]
         assert 2 * val == mult_norm
         return val, val
     k = mult_norm + 1
     qk = hensel_sqrt(curve.f, p, q, k)
     plus, minus = u + v * qk, u - v * qk
-    val_plus = _valuation_at(p, plus) if not plus.is_zero else k
-    val_minus = _valuation_at(p, minus) if not minus.is_zero else k
+    val_plus = _valuation_at(p, plus)[0] if not plus.is_zero else k
+    val_minus = _valuation_at(p, minus)[0] if not minus.is_zero else k
     if val_plus >= k:
         val_plus = mult_norm - min(val_minus, mult_norm)
     elif val_minus >= k:
@@ -816,8 +816,8 @@ def _classified_divisor(curve, w):
     for p, mult in factor_over_Q(norm).factors if norm.degree > 0 else ():
         branch, q = classify_place(curve, p)
         if branch == RAM:
-            vals = [2 * _valuation_at(p, u)] if not u.is_zero else []
-            vals += [2 * _valuation_at(p, v) + 1] if not v.is_zero else []
+            vals = [2 * _valuation_at(p, u)[0]] if not u.is_zero else []
+            vals += [2 * _valuation_at(p, v)[0] + 1] if not v.is_zero else []
             pairs.append((ClosedPoint.affine(p, RAM), min(vals)))
         elif branch == INERT:
             assert mult % 2 == 0

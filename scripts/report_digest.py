@@ -8,6 +8,11 @@ masked), so two checkouts that print the same lines produce identical
 reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
+  and at d = 3 with Mordell-Weil files that each break one rule (an order
+  0, a generator of degree 1 or off infinity, a base that is not effective,
+  is 0 or is off infinity, `oo` in the base, `0*oo` in a generator), with
+  one whose generator names `oo` and whose base is malformed, and at d = 1
+  with a base of degree 0;
 * `field` on the fields of fixtures/primitivity_corpus.txt, on the
   three imprimitive sextics of X0(71) at d = 6, on the composed fields
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
@@ -18,7 +23,8 @@ reports.  The set:
   and odd models, with one-sided and negative bounds at infinity; on
   degree-2 split points whose two multiplicities differ by 2 or 3, either
   way round; on ramified multiplicities 4 and 5; on places at infinity
-  that the model does not have, also with multiplicity 0; and on
+  that the model does not have, also with multiplicity 0 and also before
+  a term that does not parse; and on
   y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
@@ -107,9 +113,26 @@ RR_CASES = (
     # ... also with multiplicity 0
     ("1 0 0 0 0 0 1", "3*oo+ + 0*oo"),
     ("1 0 0 0 0 1", "3*oo + 0*oo-"),
+    # ... also before a term that does not parse
+    ("1 0 0 0 0 0 1", "3*oo+ + 0*oo + junk"),
     # y^2 = 4/9*x^6 + 7/5*x + 1: the series of y at infinity has k = 45 and a = 30
     ("1 7/5 0 0 0 0 4/9", "1*(x; split; 1) + 3*oo+ + 2*oo-"),
     ("1 7/5 0 0 0 0 4/9", "5*oo+ + -1*oo-"),
+)
+
+# (what is wrong, Mordell-Weil file, degree) for `points` on X0(71): one
+# broken rule each, then two faults in one input
+BAD_MW = (
+    ("order 0", "order 0\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n", 3),
+    ("gen of degree 1", "order 35\ngen 1*oo+\nbase 1*oo+ + 1*oo-\n", 3),
+    ("gen off infinity", "order 35\ngen 1*(x; inert) + -2*oo+\nbase 1*oo+ + 1*oo-\n", 3),
+    ("base not effective", "order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo+ + -1*oo-\n", 3),
+    ("base 0", "order 35\ngen 1*oo+ + -1*oo-\nbase 0\n", 3),
+    ("base off infinity", "order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x; inert)\n", 3),
+    ("oo in base", "order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo\n", 3),
+    ("0*oo in gen", "order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 1*oo+ + 1*oo-\n", 3),
+    ("oo in gen, malformed base", "order 35\ngen 1*oo + -1*oo-\nbase 1*oo+ + x\n", 3),
+    ("base 0", "order 35\ngen 1*oo+ + -1*oo-\nbase 0\n", 1),
 )
 
 
@@ -182,6 +205,12 @@ def runs(root, scratch):
                 report = os.path.join(scratch, "report")
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
+    for k, (fault, text, d) in enumerate(BAD_MW):
+        path = os.path.join(scratch, f"bad{k}.mw")
+        with open(path, "w") as fh:
+            fh.write(text)
+        report = os.path.join(scratch, "report")
+        yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report
     for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:

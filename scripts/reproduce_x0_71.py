@@ -32,9 +32,9 @@ def main():
 
     with open(os.path.join(FIXTURES, "x0_71.curve")) as fh:
         f, label = parse_curve_file(fh.read())
-    with open(os.path.join(FIXTURES, "x0_71.mw")) as fh:
-        mw = parse_mw_file(fh.read())
     curve = curve_new(f)
+    with open(os.path.join(FIXTURES, "x0_71.mw")) as fh:
+        mw = parse_mw_file(fh.read(), curve)
 
     for degree in (int(d) for d in args.degrees.split(",")):
         started = time.time()

@@ -217,9 +217,8 @@ def points_report(curve, label, report):
 def cmd_points(args) -> int:
     f, label = formats.parse_curve_file(_read(args.curve_file))
     mw_text = _read(args.mw_file)
-    mw = formats.parse_mw_file(mw_text)
     curve = hyperell.curve_new(f)
-    hyperell.require_infinite_places(curve, formats.infinite_places_named(mw_text))
+    mw = formats.parse_mw_file(mw_text, curve)
     report = pipeline.classify_points(curve, mw, args.degree, jobs=args.jobs)
     doc, lines = points_report(curve, label, report)
     _emit(args, doc, lines, args.report_out)
@@ -250,8 +249,7 @@ def cmd_field(args) -> int:
 def cmd_rr(args) -> int:
     f, _ = formats.parse_curve_file(_read(args.curve_file))
     curve = hyperell.curve_new(f)
-    D = formats.parse_divisor(args.divisor)
-    hyperell.require_infinite_places(curve, formats.infinite_places_named(args.divisor))
+    D = formats.parse_divisor(args.divisor, curve)
     space = hyperell.rr_space(curve, D)
     doc = {
         "schema": "primpoints.rr/1",

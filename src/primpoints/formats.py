@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .arith import UniPoly
 from .errors import ParseError
-from .hyperell import INERT, OO, OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor
+from .hyperell import INERT, OO, OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor, HyperCurve
+from .hyperell import require_infinite_places
 from .pipeline import Cover, CoverRow, MWSpec
 
 _TERM_RE = re.compile(
@@ -96,7 +97,9 @@ def _parse_poly_literal(text: str) -> UniPoly:
 # Divisor literals
 
 
-def parse_divisor(text: str) -> Divisor:
+def parse_divisor(text: str, curve: HyperCurve = None) -> Divisor:
+    """The divisor of a literal; with a curve, each place at infinity must
+    be one of the curve's (InfinitePlace otherwise)."""
     text = text.strip()
     if text == "0":
         return Divisor.zero()
@@ -111,16 +114,8 @@ def parse_divisor(text: str) -> Divisor:
             mult = int(mult_text)
         except ValueError as exc:
             raise ParseError(f"bad multiplicity {mult_text!r}") from exc
-        pairs.append((_parse_point(point_text.strip()), mult))
+        pairs.append((_parse_point(point_text.strip(), curve), mult))
     return Divisor.make(pairs)
-
-
-def infinite_places_named(text: str) -> set:
-    """Every place at infinity that a divisor literal or an MW file names,
-    with a zero multiplicity too: `Divisor.make` drops such a term, so the
-    parsed divisors cannot show it.  Comment lines are skipped."""
-    lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
-    return set(re.findall(r"\boo[+-]?", "\n".join(lines)))
 
 
 def _split_top_level(text: str):
@@ -145,8 +140,11 @@ def _split_top_level(text: str):
     return terms
 
 
-def _parse_point(text: str) -> ClosedPoint:
+def _parse_point(text: str, curve: HyperCurve = None) -> ClosedPoint:
     if text in (OO_PLUS, OO_MINUS, OO):
+        # here, before `Divisor.make` drops a term of multiplicity 0
+        if curve is not None:
+            require_infinite_places(curve, (text,))
         return ClosedPoint.infinite(text)
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"bad point literal {text!r}")
@@ -194,8 +192,9 @@ def curve_file_text(f: UniPoly, label=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_mw_file(text: str) -> MWSpec:
-    """'order n' / 'gen <divisor>' lines in pairs, plus one 'base <divisor>'."""
+def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
+    """'order n' / 'gen <divisor>' lines in pairs, plus one 'base <divisor>';
+    with a curve, its divisors are read as `parse_divisor` reads them."""
     orders = []
     gens = []
     base = None
@@ -209,9 +208,9 @@ def parse_mw_file(text: str) -> MWSpec:
             except ValueError as exc:
                 raise ParseError(f"mw file line {lineno}: bad order") from exc
         elif line.startswith("gen "):
-            gens.append(parse_divisor(line[4:]))
+            gens.append(parse_divisor(line[4:], curve))
         elif line.startswith("base "):
-            base = parse_divisor(line[5:])
+            base = parse_divisor(line[5:], curve)
         else:
             raise ParseError(f"mw file line {lineno}: unknown directive {line!r}")
     if len(orders) != len(gens):

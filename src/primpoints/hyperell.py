@@ -350,7 +350,7 @@ def _even_infinity_valuation(curve, u, v, place) -> int:
         coeff += sum(map(mul, vi[lo:], N[e + g + 1 + lo : e + g + 2 + dv]))
         if coeff:
             return e
-    raise AssertionError("valuation window exhausted; function unexpectedly zero")
+    raise VerificationFailed("valuation window exhausted; function unexpectedly zero")
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +526,11 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
 
 
 def canonical_divisor(curve: HyperCurve) -> Divisor:
-    """Divisor of dx/y: degree 2g - 2, supported at infinity."""
-    g = curve.genus
-    if curve.parity == EVEN:
-        return Divisor.make(
-            [
-                (ClosedPoint.infinite(OO_PLUS), g - 1),
-                (ClosedPoint.infinite(OO_MINUS), g - 1),
-            ]
-        )
-    return Divisor.make([(ClosedPoint.infinite(OO), 2 * g - 2)])
+    """Divisor of dx/y: degree 2g - 2, shared equally by the places at
+    infinity."""
+    places = curve.infinite_places
+    mult = (2 * curve.genus - 2) // len(places)
+    return Divisor.make([(ClosedPoint.infinite(place), mult) for place in places])
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +549,11 @@ def rr_space_infty(curve: HyperCurve, n_plus: int, n_minus: int = None) -> RRSpa
 
     Negative bounds demand vanishing to that order at the place.
     """
-    if curve.parity == ODD:
-        if n_minus is not None:
-            raise UnsupportedDivisorShape("odd models take a single bound")
-        pairs = [(ClosedPoint.infinite(OO), n_plus)]
-    else:
-        if n_minus is None:
-            raise UnsupportedDivisorShape("even models need bounds at both places")
-        pairs = [
-            (ClosedPoint.infinite(OO_PLUS), n_plus),
-            (ClosedPoint.infinite(OO_MINUS), n_minus),
-        ]
+    bounds = (n_plus,) if n_minus is None else (n_plus, n_minus)
+    if len(bounds) != len(curve.infinite_places):
+        names = ", ".join(curve.infinite_places)
+        raise UnsupportedDivisorShape(f"one bound per place at infinity: {names}")
+    pairs = zip(map(ClosedPoint.infinite, curve.infinite_places), bounds)
     return rr_space(curve, Divisor.make(pairs))
 
 
@@ -755,12 +744,14 @@ def decompose_effective(curve: HyperCurve, w: CurveFunction, base: Divisor) -> D
 
 
 def point_field(curve: HyperCurve, pt: ClosedPoint) -> numfield.NumberField:
-    """The residue field Q(P), without re-proving its polynomial irreducible.
+    """The residue field Q(P).
 
-    A split or ramified place has Q(P) = Q[x]/(p), and p is irreducible for
-    every place the package builds: a factor from `factor_over_Q`, or a
-    point of D that `rr_space` checked.  An inert place has the field of
-    `absolute_minpoly`, which proves its norm irreducible.
+    A split or ramified place has Q(P) = Q[x]/(p), with no second proof
+    that p is irreducible: it is for every place the package builds, a
+    factor from `factor_over_Q` or a point of D that `rr_space` checked.
+    An inert place has the field of `absolute_minpoly`, which proves both
+    again: it factors p (`nf_new`), and rebuilds and factors the quadratic
+    norm that `classify_place` already factored.
     """
     if pt.kind == "inf":
         raise InfinitePlace("infinite places are rational points")

@@ -28,7 +28,10 @@ validates m and tries four routes in order:
    graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
    theta_j + s*theta_i, labelled in F_{p^e} at one prime p of small
    Frobenius order e, where all roots of m lie.  Routes 3 and 4 read one
-   lazy stream of degree patterns, so each prime is split once.
+   lazy stream of degree patterns, but a prime is still split more than
+   once: on x^6 - 2, m is reduced mod 23 and certified squarefree five
+   times, and split by degree three times, in the factorization of
+   `nf_new`, in the stream and in `fpe_roots` at the prime route 4 picks.
 
 `is_primitive_field` is its bool view.
 
@@ -670,8 +673,8 @@ def field_report(m: UniPoly | NumberField) -> SubfieldReport:
     if is_prime(d):
         # no degree strictly between 1 and a prime divides it
         return SubfieldReport((), True, route=PRIME_DEGREE)
-    # one lazy stream of degree patterns for both routes: each prime is
-    # split once, and only as far as the routes read
+    # one lazy stream of degree patterns for both routes, split only as far
+    # as the routes read
     for_certificate, for_subfields = itertools.tee(degree_patterns(K.min_poly, None))
     certificate = frobenius_certificate(K.min_poly, for_certificate)
     if certificate is not None:

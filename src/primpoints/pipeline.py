@@ -37,8 +37,6 @@ from .errors import (
     VerificationFailed,
 )
 from .hyperell import (
-    OO,
-    OO_PLUS,
     ClosedPoint,
     CurveFunction,
     Divisor,
@@ -165,8 +163,9 @@ class MWSpec:
     """Finite Mordell-Weil description: cyclic factors plus a base divisor.
 
     Each factor is (order, generator) with the generator a degree-0 divisor
-    supported at the infinite places; the base divisor shifts classes into
-    degree d.
+    supported at the infinite places; the base divisor, effective of degree
+    at least 1 at infinity, shifts classes into degree d.  Every shape is
+    checked here, so an MWSpec is valid once it exists.
     """
 
     cyclic_factors: tuple  # of (order, Divisor)
@@ -178,6 +177,13 @@ class MWSpec:
                 raise BadInput(f"cyclic factor order must be at least 1, got {order}")
             if gen.degree != 0:
                 raise UnsupportedDivisorShape("generators must have degree 0")
+        for _, gen in self.cyclic_factors:
+            if not gen.is_infinity_supported():
+                raise UnsupportedDivisorShape("generators must live at infinity")
+        if self.base.degree <= 0 or not self.base.is_effective:
+            raise UnsupportedDivisorShape("base divisor must be effective of degree >= 1")
+        if not self.base.is_infinity_supported():
+            raise UnsupportedDivisorShape("base divisor must live at infinity")
 
     @property
     def order(self) -> int:
@@ -196,19 +202,14 @@ def _coefficient_range(order: int):
 def _shift_divisor(curve: HyperCurve, mw: MWSpec, d: int) -> Divisor:
     """Degree-d effective shift divisor at infinity.
 
-    Uses floor(d / deg base) copies of the base plus a remainder at oo+
-    (or oo for odd models), so odd degrees work on even models too.
+    Uses floor(d / deg base) copies of the base plus a remainder at the
+    first place at infinity (oo+, or oo for odd models), so odd degrees work
+    on even models too.
     """
-    base_deg = mw.base.degree
-    if base_deg <= 0 or not mw.base.is_effective:
-        raise UnsupportedDivisorShape("base divisor must be effective of degree >= 1")
-    if not mw.base.is_infinity_supported():
-        raise UnsupportedDivisorShape("base divisor must live at infinity")
-    q, r = divmod(d, base_deg)
+    q, r = divmod(d, mw.base.degree)
     shift = mw.base.scale(q)
     if r:
-        place = OO_PLUS if curve.parity == hyperell.EVEN else OO
-        shift = shift + Divisor.make([(ClosedPoint.infinite(place), r)])
+        shift = shift + Divisor.make([(ClosedPoint.infinite(curve.infinite_places[0]), r)])
     assert shift.degree == d
     return shift
 
@@ -229,9 +230,6 @@ def enumerate_classes(curve: HyperCurve, mw: MWSpec, d: int):
     """
     if d < 2:
         raise UnsupportedDivisorShape("degree must be at least 2")
-    for _, gen in mw.cyclic_factors:
-        if not gen.is_infinity_supported():
-            raise UnsupportedDivisorShape("generators must live at infinity")
     shift = _shift_divisor(curve, mw, d)
     ranges = [_coefficient_range(order) for order, _ in mw.cyclic_factors]
     entries = []

@@ -205,6 +205,8 @@ def _run_cli(args, optimize):
         ("order 35\ngen 1*oo + -1*oo-\nbase 1*oo+ + 1*oo-\n", 4),  # nor in a generator
         ("order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo- + 0*oo\n", 4),  # nor with multiplicity 0
         ("order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 1*oo+ + 1*oo-\n", 4),
+        ("order 35\ngen 1*(x; inert) + -2*oo+\nbase 1*oo+ + 1*oo-\n", 3),  # gen off infinity
+        ("order 35\ngen 1*oo+ + -1*oo-\nbase 0\n", 3),  # base of degree 0
     ],
 )
 def test_bad_mw_file_exit_code(tmp_path, optimize, mw_text, expected):
@@ -245,6 +247,8 @@ def test_rr_rejects_places_not_on_the_curve(tmp_path, optimize, divisor):
         ("1 0 0 0 0 0 1", "1*(x; split; 1) + 2*oo", "oo+, oo-"),
         ("1 0 0 0 0 0 1", "3*oo+ + 0*oo", "oo+, oo-"),  # a zero multiplicity names oo too
         ("1 0 0 0 0 1", "3*oo + 0*oo-", "oo"),
+        # each place is checked as it is read, so before a later syntax error
+        ("1 0 0 0 0 0 1", "3*oo+ + 0*oo + junk", "oo+, oo-"),
     ],
 )
 def test_rr_rejects_infinite_places_the_model_lacks(tmp_path, optimize, coeffs, divisor, places):
@@ -264,6 +268,37 @@ def test_rr_accepts_a_zero_multiplicity_at_a_place_of_the_model(tmp_path, optimi
     done = _run_cli(["rr", str(curve), "3*oo+ + 0*oo-"], optimize)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ell=2\n")
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_bad_base_is_reported_before_a_degree_below_2(tmp_path, optimize):
+    mw = tmp_path / "bad.mw"
+    mw.write_text("order 35\ngen 1*oo+ + -1*oo-\nbase 0\n")
+    done = _run_cli(["points", fixture("x0_71.curve"), str(mw), "1", str(tmp_path / "r")], optimize)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "unsupported shape: base divisor must be effective of degree >= 1\n"
+
+
+# a zero series of y at infinity: the order of a basis element at oo+ finds
+# no nonzero coefficient, which must make `rr` exit 5, also under python -O
+ZERO_SERIES_AT_INFINITY = """
+import sys
+from primpoints import cli, hyperell
+
+hyperell._y_series_scaled = lambda curve, nterms: (1, (0,) * nterms)
+print(cli.main(["rr", sys.argv[1], "4*oo+ + 4*oo-"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_an_exhausted_valuation_window_exits_5(tmp_path, optimize):
+    curve = tmp_path / "c.curve"
+    curve.write_text("f: 1 0 0 0 0 0 1\n")
+    done = run_python(["-c", ZERO_SERIES_AT_INFINITY, str(curve)], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
+    assert "Traceback" not in done.stderr
+    assert "valuation window exhausted" in done.stderr
 
 
 # every hit's y scaled by 2: the exact check r*y^2 = f(x) must make `twists`
@@ -448,3 +483,19 @@ def test_reproduce_script_prints_the_points_report(tmp_path, capsys):
     assert done.returncode == 0, done.stderr
     report, sep, _ = done.stdout.partition("\n# degree 3 took ")
     assert sep and report == out.read_text()
+
+
+def test_reproduce_script_rejects_a_place_the_model_lacks(tmp_path):
+    """The script reads the MW file against its curve, as `points` does."""
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "fixtures").mkdir()
+    script = tmp_path / "scripts" / "reproduce_x0_71.py"
+    script.write_text(open(os.path.join(SCRIPTS, "reproduce_x0_71.py")).read())
+    (tmp_path / "fixtures" / "x0_71.curve").write_text(open(fixture("x0_71.curve")).read())
+    (tmp_path / "fixtures" / "x0_71.mw").write_text(
+        "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo- + 0*oo\n"
+    )
+    done = run_python([str(script), "--degrees", "3"], False)
+    assert done.returncode != 0
+    assert "is not a place of the curve" in done.stderr
+    assert "primitive_orbits" not in done.stdout

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primpoints.arith import UniPoly, poly
-from primpoints.errors import ParseError
+from conftest import X0_71_COEFFS
+from primpoints.errors import InfinitePlace, ParseError
 from primpoints.formats import (
     curve_file_text,
-    infinite_places_named,
     mw_file_text,
     parse_coeff_text,
     parse_cover_csv,
@@ -19,7 +19,7 @@ from primpoints.formats import (
     poly_coeff_text,
     verdict_csv_text,
 )
-from primpoints.hyperell import OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor
+from primpoints.hyperell import OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor, curve_new
 
 
 def test_parse_poly_literal():
@@ -82,12 +82,52 @@ def test_divisor_parse_errors():
         parse_divisor("1*(x^2-2; weird)")
 
 
-def test_infinite_places_named_keeps_zero_multiplicities():
-    assert infinite_places_named("3*oo+ + 0*oo") == {"oo+", "oo"}
-    assert parse_divisor("3*oo+ + 0*oo") == parse_divisor("3*oo+")
-    assert infinite_places_named("1*(x; split; 1) + 0*oo-") == {"oo-"}
-    mw = "# oo is no place of X0(71)\norder 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n"
-    assert infinite_places_named(mw) == {"oo+", "oo-"}
+EVEN_MODEL = curve_new(poly(1, 0, 0, 0, 0, 0, 1))  # places oo+ and oo- at infinity
+ODD_MODEL = curve_new(poly(1, 0, 0, 0, 0, 1))  # the single place oo
+MODELS = {"even": EVEN_MODEL, "odd": ODD_MODEL}
+X0_71 = curve_new(UniPoly.make(X0_71_COEFFS))
+X0_71_MW = "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n"
+
+
+# (model, literal, the divisor it parses to without a curve)
+LACKING_PLACES = [
+    ("even", "3*oo", "3*oo"),
+    ("even", "3*oo+ + 0*oo", "3*oo+"),
+    ("even", "0*oo + 1*(x; split; 1)", "1*(x; split; 1)"),
+    ("odd", "3*oo+", "3*oo+"),
+    ("odd", "3*oo + 0*oo-", "3*oo"),
+    ("odd", "1*(x; split; 1) + 0*oo-", "1*(x; split; 1)"),
+]
+
+
+@pytest.mark.parametrize("model, text, parsed", LACKING_PLACES)
+def test_parse_divisor_rejects_each_infinite_place_the_model_lacks(model, text, parsed):
+    with pytest.raises(InfinitePlace, match="is not a place of the curve"):
+        parse_divisor(text, MODELS[model])
+    assert parse_divisor(text).literal() == parsed
+
+
+@pytest.mark.parametrize("model, text, _", LACKING_PLACES)
+def test_parse_mw_file_rejects_each_infinite_place_the_model_lacks(model, text, _):
+    curve = MODELS[model]
+    places = " + ".join(f"1*{place}" for place in curve.infinite_places)
+    for mw in (f"order 1\ngen 0\nbase {text}\n", f"order 2\ngen {text}\nbase {places}\n"):
+        with pytest.raises(InfinitePlace, match="is not a place of the curve"):
+            parse_mw_file(mw, curve)
+
+
+def test_parse_mw_file_without_a_curve_keeps_places_the_model_lacks():
+    mw = parse_mw_file("order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 2*oo\n")
+    assert mw == parse_mw_file("order 35\ngen 1*oo+ + -1*oo-\nbase 2*oo\n")
+    assert mw.base.literal() == "2*oo"
+
+
+def test_parsing_against_a_curve_accepts_its_own_places():
+    assert parse_divisor("3*oo+ + 0*oo-", EVEN_MODEL) == parse_divisor("3*oo+")
+    assert parse_divisor("3*oo + -1*oo", ODD_MODEL) == parse_divisor("2*oo")
+    # a comment names no place
+    mw = "# oo is no place of X0(71)\n" + X0_71_MW
+    assert parse_mw_file(mw, X0_71) == parse_mw_file(X0_71_MW)
 
 
 def test_curve_file_roundtrip():

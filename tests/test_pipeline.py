@@ -259,6 +259,16 @@ def test_mwspec_validation():
         MWSpec(((35, D_INF),), D_INF)  # generator must have degree 0
     with pytest.raises(BadInput):
         MWSpec(((0, Divisor.zero()),), D_INF)
+    # every shape is checked when the spec is built, not when it is used
+    inert = ClosedPoint.affine(poly(0, 1), "inert")  # f(0) = -11 on X0(71)
+    off_infinity = Divisor.make([(inert, 1), (ClosedPoint.infinite(OO_PLUS), -2)])
+    with pytest.raises(UnsupportedDivisorShape, match="generators must live at infinity"):
+        MWSpec(((35, off_infinity),), D_INF)
+    for base in (D0, Divisor.zero()):
+        with pytest.raises(UnsupportedDivisorShape, match="effective of degree >= 1"):
+            MWSpec(((35, D0),), base)
+    with pytest.raises(UnsupportedDivisorShape, match="base divisor must live at infinity"):
+        MWSpec(((35, D0),), Divisor.make([(inert, 1)]))
 
 
 # ---------------------------------------------------------------------------

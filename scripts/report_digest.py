@@ -4,8 +4,8 @@
 Each run is a fresh `primpoints` interpreter on the checkout's own `src/`
 and `fixtures/`.  A digest covers the exit code, stdout, stderr and, for
 `points` and `classify`, the report file (its path in the output is
-masked), so two checkouts that print the same lines produce identical
-reports.  The set:
+masked, as is the scratch directory that holds the input files), so two
+checkouts that print the same lines produce identical reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
   and at d = 3 with Mordell-Weil files that each break one rule (an order
@@ -35,7 +35,16 @@ reports.  The set:
 * `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
   --height 50` on x^7-x-1 and 2x^6-3x+5/7;
 * `--help`, at the top level and of each subcommand, which pins every
-  usage line.
+  usage line;
+* `classify` on cover tables whose one row each breaks one rule: m = 1,
+  kinds `weird`, `Gonal` and empty, gprime missing or 0 on a relative
+  cover, g = 0, ranges `1-4`, `4-3` and `2`, m `two`, the boolean `maybe`,
+  and a short row;
+* a zero denominator in a polynomial literal for `field`, `construct`,
+  `fiber` and `twists`, in a divisor literal and in the curve file for
+  `rr`, and in the base of a Mordell-Weil file for `points`;
+* a file holding the byte 0xff as the curve file of `rr` and `points`,
+  the Mordell-Weil file of `points` and the cover table of `classify`.
 
 Every run sees COLUMNS=80, so argparse wraps its help and usage lines the
 same way whatever terminal the script is started from.
@@ -135,6 +144,30 @@ BAD_MW = (
     ("base 0", "order 35\ngen 1*oo+ + -1*oo-\nbase 0\n", 1),
 )
 
+COVER_HEADER = "label,g,cover_kind,m,gprime,jq_finite,j_simple,d_range\n"
+# (what is wrong, row) for `classify`: one broken rule per cover table
+BAD_COVER_ROWS = (
+    ("m = 1", "x,5,gonal,1,,true,false,2-4"),
+    ("kind weird", "x,5,weird,2,1,true,false,2-4"),
+    ("kind Gonal", "x,5,Gonal,2,,true,false,2-4"),
+    ("kind empty", "x,5,,2,,true,false,2-4"),
+    ("gprime missing", "x,41,relative,3,,true,false,2-5"),
+    ("gprime 0", "x,41,relative,3,0,true,false,2-5"),
+    ("g = 0", "x,0,gonal,2,,true,false,2-4"),
+    ("range 1-4", "x,5,gonal,2,,true,false,1-4"),
+    ("range 4-3", "x,5,gonal,2,,true,false,4-3"),
+    ("range 2", "x,5,gonal,2,,true,false,2"),
+    ("m two", "x,5,gonal,two,,true,false,2-4"),
+    ("boolean maybe", "x,5,gonal,2,,maybe,false,2-4"),
+    ("short row", "x,5,gonal,2,,true,false"),
+)
+ZERO_DENOMINATOR_LITERALS = (
+    ("field", "x^2+1/0"),
+    ("construct", "x^3-1/0"),
+    ("fiber", "x^3+0/0"),
+    ("twists", "1/0*x^6+1"),
+)
+
 
 def python(root, code, *argv):
     """Run code in a fresh interpreter on the checkout's own `src/`."""
@@ -146,15 +179,16 @@ def python(root, code, *argv):
     )
 
 
-def run(root, argv, report=None):
+def run(root, argv, report, scratch):
     """sha256 over the exit code, stdout, stderr and the report file."""
     code = "import sys; from primpoints.cli import main; sys.exit(main(sys.argv[1:]))"
     if report is not None and os.path.exists(report):
         os.remove(report)
     done = python(root, code, *argv)
     out, err = done.stdout, done.stderr
-    if report is not None:
-        out, err = (part.replace(report.encode(), b"<report>") for part in (out, err))
+    for path, mask in ((report, b"<report>"), (scratch, b"<scratch>")):
+        if path is not None:
+            out, err = (part.replace(path.encode(), mask) for part in (out, err))
     digest = hashlib.sha256()
     for part in (str(done.returncode).encode(), out, err):
         digest.update(len(part).to_bytes(8, "big") + part)
@@ -196,29 +230,32 @@ def corpus_groups(root):
         yield name, degree, gens
 
 
+def scratch_file(scratch, name, content):
+    """The path of a new file in the scratch directory holding `content`."""
+    path = os.path.join(scratch, name)
+    with open(path, "wb" if isinstance(content, bytes) else "w") as fh:
+        fh.write(content)
+    return path
+
+
 def runs(root, scratch):
     curve = os.path.join(root, "fixtures", "x0_71.curve")
     mw = os.path.join(root, "fixtures", "x0_71.mw")
+    report = os.path.join(scratch, "report")
     for d in (3, 4, 5, 6):
         for fmt in ((), ("--json",)):
             for width in ("1", "2"):
-                report = os.path.join(scratch, "report")
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
     for k, (fault, text, d) in enumerate(BAD_MW):
-        path = os.path.join(scratch, f"bad{k}.mw")
-        with open(path, "w") as fh:
-            fh.write(text)
-        report = os.path.join(scratch, "report")
+        path = scratch_file(scratch, f"bad{k}.mw", text)
         yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report
     for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None
     for k, (coeffs, divisor) in enumerate(RR_CASES):
-        path = os.path.join(scratch, f"rr{k}.curve")
-        with open(path, "w") as fh:
-            fh.write(f"f: {coeffs}\n")
+        path = scratch_file(scratch, f"rr{k}.curve", f"f: {coeffs}\n")
         yield f"rr [{coeffs}] {divisor}", ["rr", path, divisor], None
     for name, degree, gens in corpus_groups(root):
         for fmt in ((), ("--json",)):
@@ -230,7 +267,6 @@ def runs(root, scratch):
     for args in PERM_INPUTS:
         yield f"perm {' '.join(args)}", ["perm", *args], None
     for fmt in ((), ("--json",)):
-        report = os.path.join(scratch, "report")
         argv = ["classify", os.path.join(root, "fixtures", "table1.csv"), report, *fmt]
         yield f"classify table1 {' '.join(fmt) or 'text'}", argv, report
     for lit in CONSTRUCT_POLYS:
@@ -241,13 +277,34 @@ def runs(root, scratch):
     yield "--help", ["--help"], None
     for command in COMMANDS:
         yield f"{command} --help", [command, "--help"], None
+    for k, (fault, row) in enumerate(BAD_COVER_ROWS):
+        path = scratch_file(scratch, f"bad{k}.csv", COVER_HEADER + row + "\n")
+        yield f"classify bad row ({fault})", ["classify", path, report], report
+    for command, lit in ZERO_DENOMINATOR_LITERALS:
+        yield f"{command} {lit}", [command, lit], None
+    sextic = scratch_file(scratch, "sextic.curve", "f: 1 0 0 0 0 0 1\n")
+    yield "rr zero denominator in a divisor", ["rr", sextic, "1*(x-1/0; ram)"], None
+    zero_curve = scratch_file(scratch, "zero.curve", "f: x^6+1/0\n")
+    yield "rr zero denominator in a curve file", ["rr", zero_curve, "1*oo+"], None
+    zero_mw = scratch_file(
+        scratch, "zero.mw", "order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x-1/0; ram)\n"
+    )
+    yield "points zero denominator in an mw file", ["points", curve, zero_mw, "3", report], report
+    undecodable = scratch_file(scratch, "undecodable", b"\xff\n")
+    for label, argv in (
+        ("rr curve", ["rr", undecodable, "1*oo+"]),
+        ("points curve", ["points", undecodable, mw, "3", report]),
+        ("points mw", ["points", curve, undecodable, "3", report]),
+        ("classify csv", ["classify", undecodable, report]),
+    ):
+        yield f"{label} holds the byte 0xff", argv, report
 
 
 def main():
     root = os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else HERE
     with tempfile.TemporaryDirectory() as scratch:
         for label, argv, report in runs(root, scratch):
-            code, digest = run(root, argv, report)
+            code, digest = run(root, argv, report, scratch)
             print(f"{digest}  exit={code}  {label}", flush=True)
 
 

@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from primpoints.cli import points_report  # noqa: E402
+from primpoints.cli import points_report, run_guarded  # noqa: E402
 from primpoints.formats import parse_curve_file, parse_mw_file  # noqa: E402
 from primpoints.hyperell import curve_new  # noqa: E402
 from primpoints.pipeline import classify_points  # noqa: E402
@@ -45,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

@@ -16,6 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from primpoints.cli import run_guarded  # noqa: E402
 from primpoints.formats import parse_poly  # noqa: E402
 from primpoints.pipeline import twist_census  # noqa: E402
 
@@ -42,4 +43,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

@@ -664,20 +664,19 @@ def _fq_root(g: list, F: _Fq, rng: _DetRng) -> _FqElement:
     return -g[0]
 
 
-def fpe_roots(a: UniPoly, p: int, e: int) -> list:
+def fpe_roots(p: int, parts, e: int) -> list:
     """The roots of a in F_{p^e} = F_p[t]/(G), G the first monic irreducible
-    factor of degree e of a mod p.
+    factor of degree e of a mod p, from `parts`, the split of a mod p at a
+    good prime p that `degree_patterns` yields with its pattern.
 
-    p must be a good prime of a's integer model (`degree_patterns`) whose
-    degree pattern has lcm e and a part e; then every factor g of a mod p
-    splits over F_{p^e}.  Each g gives one root r, by t itself for G, by
+    The pattern must have lcm e and a part e; then every factor g of a mod
+    p splits over F_{p^e}.  Each g gives one root r, by t itself for G, by
     its constant for a linear g and by `_fq_root` otherwise, and with it
     its Frobenius orbit r, r^p, ..., so the deg(a) roots come out grouped
     by factor and closed under x -> x^p.
     """
     rng = _DetRng(p)
-    fp = _fp_squarefree(a.to_int_primitive()[1], p)
-    factors = _fp_equal_degree(_fp_distinct_degree(fp, p), p, rng)
+    factors = _fp_equal_degree(parts, p, rng)
     G = next(g for g in factors if len(g) - 1 == e)
     F = _Fq(p, G)
     roots = []
@@ -794,16 +793,16 @@ def _fp_squarefree(P, p):
 
 
 def _good_primes(P):
-    """Yield (p, fp) for the primes p > 20 that keep the integer model P
-    squarefree with full degree, in order; fp is P mod p made monic.
-
-    Lazy and endless; callers take a prefix with `itertools.islice`.
+    """Yield (p, parts) for the primes p > 20 that keep the integer model P
+    squarefree with full degree, in order; parts is the distinct-degree
+    split of P mod p.  Lazy and endless; callers take a prefix with
+    `itertools.islice`.
     """
     for p in filter(is_prime, itertools.count(21)):
         if P[-1] % p:
             fp = _fp_squarefree(P, p)
             if fp is not None:
-                yield p, fp
+                yield p, _fp_distinct_degree(fp, p)
 
 
 def _squarefree_model(a: UniPoly) -> list:
@@ -815,17 +814,17 @@ def _squarefree_model(a: UniPoly) -> list:
 
 
 def degree_patterns(a: UniPoly, count: int | None):
-    """(p, degrees) at the first `count` good primes of a's integer model, lazily.
+    """(p, degrees, parts) at the first `count` good primes of a's model, lazily.
 
-    `degrees` is the sorted tuple of the degrees of the irreducible factors
-    of a mod p, read off the distinct-degree split.  For an irreducible a
-    it is, by Dedekind's theorem, the cycle type of a Frobenius element of
-    the Galois group acting on the roots.  A count of None never ends.
-    BadInput, at once, unless a is squarefree of degree >= 1.
+    `parts` is the distinct-degree split of a mod p, as `fpe_roots` takes
+    it, and `degrees` the sorted degrees of the irreducible factors behind
+    it: for an irreducible a, by Dedekind's theorem, the cycle type of a
+    Frobenius element of the Galois group acting on the roots.  A count of
+    None never ends.  BadInput, at once, unless a is squarefree of degree >= 1.
     """
     P = _squarefree_model(a)
-    return ((p, _degree_pattern(_fp_distinct_degree(fp, p)))
-            for p, fp in itertools.islice(_good_primes(P), count))
+    return ((p, _degree_pattern(parts), parts)
+            for p, parts in itertools.islice(_good_primes(P), count))
 
 
 def _subset_sums(degrees) -> set:
@@ -850,8 +849,7 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
     # irreducible (Musser, JACM 1978).  A single factor at any prime leaves none.
     allowed = set(range(1, n))
     best = None
-    for p, fp in itertools.islice(_good_primes(P), 3):
-        parts = _fp_distinct_degree(fp, p)
+    for p, parts in itertools.islice(_good_primes(P), 3):
         pattern = _degree_pattern(parts)
         allowed &= _subset_sums(pattern)
         if not allowed:

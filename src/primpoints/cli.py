@@ -42,8 +42,15 @@ _OUTCOME_TEXT = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    return run_guarded(args.func, args)
+
+
+def run_guarded(func, *args):
+    """func(*args); a package or I/O error it raises becomes its message on
+    stderr and its exit code instead.  The one map from errors to exit
+    codes, for the subcommands and for the scripts in `scripts/`."""
     try:
-        return args.func(args)
+        return func(*args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -134,7 +141,11 @@ def _positive_int(text: str) -> int:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at byte {exc.start}"
+            raise ParseError(f"{path} is not UTF-8 text ({reason})") from exc
 
 
 def _emit(args, doc, lines, path=None):

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .arith import UniPoly
-from .errors import ParseError
+from .errors import BadInput, ParseError
 from .hyperell import INERT, OO, OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor, HyperCurve
 from .hyperell import require_infinite_places
 from .pipeline import Cover, CoverRow, MWSpec
@@ -37,12 +37,18 @@ def parse_poly(text: str) -> UniPoly:
     return parse_coeff_text(text)
 
 
-def parse_coeff_text(text: str) -> UniPoly:
-    """Whitespace-separated rationals, lowest degree first."""
+def _rational(token: str) -> Fraction:
+    """One coefficient token of either notation, `p` or `p/q`; a zero
+    denominator is a ParseError like any other bad token."""
     try:
-        coeffs = [Fraction(tok) for tok in text.split()]
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient: {exc}") from exc
+
+
+def parse_coeff_text(text: str) -> UniPoly:
+    """Whitespace-separated rationals, lowest degree first."""
+    coeffs = [_rational(tok) for tok in text.split()]
     if not coeffs:
         raise ParseError("empty coefficient list")
     return UniPoly.make(coeffs)
@@ -81,7 +87,7 @@ def _parse_poly_literal(text: str) -> UniPoly:
         elif coef_text == "-":
             coef = Fraction(-1)
         else:
-            coef = Fraction(coef_text)
+            coef = _rational(coef_text)
         if m.group("x"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
@@ -253,15 +259,9 @@ def parse_cover_csv(text: str):
     for lineno, record in enumerate(reader, 2):
         try:
             kind = record["cover_kind"].strip()
-            if kind not in ("gonal", "relative"):
-                raise ValueError(f"cover_kind must be gonal|relative, got {kind!r}")
             m = int(record["m"])
-            if m < 2:
-                raise ValueError("m must be >= 2")
             gprime_text = record["gprime"].strip()
             gprime = int(gprime_text) if gprime_text else None
-            if kind == "relative" and (gprime is None or gprime < 1):
-                raise ValueError("relative cover needs gprime >= 1")
             lo, hi = record["d_range"].split("-")
             row = CoverRow(
                 record["label"].strip(),
@@ -271,9 +271,7 @@ def parse_cover_csv(text: str):
                 _parse_bool(record["j_simple"]),
                 (int(lo), int(hi)),
             )
-            if row.g < 1 or row.d_range[0] < 2 or row.d_range[1] < row.d_range[0]:
-                raise ValueError("bad genus or degree range")
-        except (KeyError, ValueError, AttributeError) as exc:
+        except (KeyError, ValueError, AttributeError, BadInput) as exc:
             raise ParseError(f"cover CSV line {lineno}: {exc}") from exc
         rows.append(row)
     return rows

@@ -28,10 +28,10 @@ validates m and tries four routes in order:
    graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
    theta_j + s*theta_i, labelled in F_{p^e} at one prime p of small
    Frobenius order e, where all roots of m lie.  Routes 3 and 4 read one
-   lazy stream of degree patterns, but a prime is still split more than
-   once: on x^6 - 2, m is reduced mod 23 and certified squarefree five
-   times, and split by degree three times, in the factorization of
-   `nf_new`, in the stream and in `fpe_roots` at the prime route 4 picks.
+   lazy stream of degree patterns with their distinct-degree splits, and
+   `fpe_roots` takes the split at the prime route 4 picks, so no prime of
+   m is split twice there; a polynomial m is first proven irreducible by
+   the factorization in `nf_new`, at its own first primes.
 
 `is_primitive_field` is its bool view.
 
@@ -561,22 +561,22 @@ def _pair_roots(m: UniPoly, patterns):
     d2 = m.degree ** 2
 
     def serving(stream):
-        for p, pattern in stream:
+        for p, pattern, parts in stream:
             e = lcm(*pattern)
             if e in pattern and p ** e >= d2:
-                yield e, p
+                yield e, p, parts
 
     patterns = iter(patterns)
-    for e, p in sorted(serving(itertools.islice(patterns, FROBENIUS_PRIME_BUDGET))):
-        roots = fpe_roots(m, p, e)
+    for e, p, parts in sorted(serving(itertools.islice(patterns, FROBENIUS_PRIME_BUDGET))):
+        roots = fpe_roots(p, parts, e)
         s = _distinct_shift(roots, PAIR_NORM_SHIFTS)
         if s is not None:
             return roots, s
     s = next((s for s in PAIR_NORM_SHIFTS if is_squarefree(pair_norm(m, s))), None)
     if s is None:
         raise Degenerate("no squarefree pair norm within the shift cap")
-    for e, p in serving(patterns):
-        roots = fpe_roots(m, p, e)
+    for e, p, parts in serving(patterns):
+        roots = fpe_roots(p, parts, e)
         if _distinct_shift(roots, (s,)) is not None:
             return roots, s
     raise Degenerate("the degree patterns ran out before a prime kept the pair values apart")
@@ -638,7 +638,7 @@ def frobenius_certificate(m: UniPoly, patterns):
     if not open_sizes:
         return ()
     used = []
-    for p, cycle_type in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET):
+    for p, cycle_type, _ in itertools.islice(patterns, FROBENIUS_PRIME_BUDGET):
         ruled_out = {b for b in open_sizes if not cycle_type_fits_blocks(cycle_type, b)}
         if ruled_out:
             used.append((p, cycle_type))

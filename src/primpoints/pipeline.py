@@ -10,8 +10,14 @@ The point pipeline enumerates one divisor-class representative per element
 of a user-supplied finite Mordell-Weil group, computes the dimension of
 each complete linear series, and classifies the unique effective divisor
 of every rigid (dimension 1) class as reducible, imprimitive, or
-primitive.  Classes of positive dimension contain no primitive divisors
-under the gonality hypotheses and are skipped with a recorded tag.
+primitive.  Classes of positive dimension (ell >= 2) are skipped with a
+recorded tag.  For 3 <= d <= g that loses no primitive point: every such
+series is r*g^1_2 + F (Arbarello, Cornalba, Griffiths and Harris, ch. I),
+so a member is reducible (F != 0) or a pullback under x, whose field
+contains Q(x(P)) of degree r >= 2.  Outside that range a skipped class can
+hold primitive points: at d = 2 the g^1_2 class holds infinitely many
+quadratic points, and, beyond g, X0(71) has primitive members at d = 8,
+9, 10 and 12.
 
 Mordell-Weil data is always an input, never computed here.
 """
@@ -55,9 +61,19 @@ from .numfield import field_report, is_primitive_field
 
 @dataclass(frozen=True)
 class Cover:
+    """A degree-m map to the line (gonal) or to a curve of genus gprime."""
+
     kind: str  # 'gonal' | 'relative'
     m: int
     gprime: int = None
+
+    def __post_init__(self):
+        if self.kind not in ("gonal", "relative"):
+            raise BadInput(f"cover_kind must be gonal|relative, got {self.kind!r}")
+        if self.m < 2:
+            raise BadInput("m must be >= 2")
+        if self.kind == "relative" and (self.gprime or 0) < 1:
+            raise BadInput("relative cover needs gprime >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,10 +85,8 @@ class FinitenessInput:
     j_simple: bool
 
     def __post_init__(self):
-        if self.cover.m < 2 or self.d < 2:
-            raise BadInput("cover degree m and point degree d must be at least 2")
-        if self.cover.kind == "relative" and (self.cover.gprime or 0) < 1:
-            raise BadInput("a relative cover needs a base genus of at least 1")
+        if self.d < 2:
+            raise BadInput("point degree d must be at least 2")
 
 
 YES, PRIMITIVE_ONLY, UNKNOWN = "Yes", "PrimitiveOnly", "Unknown"
@@ -138,6 +152,10 @@ class CoverRow:
     jq_finite: bool
     j_simple: bool
     d_range: tuple  # inclusive (lo, hi)
+
+    def __post_init__(self):
+        if self.g < 1 or self.d_range[0] < 2 or self.d_range[1] < self.d_range[0]:
+            raise BadInput("bad genus or degree range")
 
 
 def classify_row(row: CoverRow):
@@ -264,7 +282,6 @@ class OrbitVerdict:
     subfield_degree: int = None  # for Imprimitive
     witness_divisor: Divisor = None
     witness_minpoly: UniPoly = None
-    skip_reason: str = None
 
 
 def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
@@ -272,12 +289,7 @@ def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
     irreducible effective divisor of a rigid class, (a verdict with the
     point's minimal polynomial and no outcome yet, the point's field)."""
     if entry.ell >= 2:
-        return OrbitVerdict(
-            entry.label,
-            entry.ell,
-            SKIPPED,
-            skip_reason="positive-dimensional series on a gonal cover (m=2)",
-        ), None
+        return OrbitVerdict(entry.label, entry.ell, SKIPPED), None
     if entry.ell == 0:
         return OrbitVerdict(entry.label, 0, NO_EFFECTIVE), None
     w = entry.basis[0]

@@ -331,7 +331,8 @@ def test_degree_sets_that_share_no_degree_prove_irreducibility(monkeypatch):
     calls = _count_splitting_stages(monkeypatch)
     monkeypatch.setattr(arith, "_hensel_tree", None)  # any lift would fail
     m = poly(9, -6, 0, 0, 0, 1)  # x^5 - 6x + 9
-    assert list(arith.degree_patterns(m, 3)) == [(23, (1, 4)), (31, (2, 3)), (41, (1, 4))]
+    patterns = [(p, pattern) for p, pattern, _ in arith.degree_patterns(m, 3)]
+    assert patterns == [(23, (1, 4)), (31, (2, 3)), (41, (1, 4))]
     calls.clear()
     # a factor of degree 1 or 4 at 23, of degree 2 or 3 at 31: none over Q,
     # so the split stops at 31, with no equal-degree stage and no lift
@@ -434,11 +435,11 @@ def _residue_value(a, r):
 )
 def test_fpe_roots_are_the_roots_of_m_closed_under_frobenius(lit):
     m = parse_poly(lit)
-    orders = [(p, lcm(*pattern)) for p, pattern in arith.degree_patterns(m, 20)
+    orders = [(p, parts, lcm(*pattern)) for p, pattern, parts in arith.degree_patterns(m, 20)
               if lcm(*pattern) in pattern]
-    assert len({e for _, e in orders}) >= 2
-    for p, e in orders:
-        roots = arith.fpe_roots(m, p, e)
+    assert len({e for _, _, e in orders}) >= 2
+    for p, parts, e in orders:
+        roots = arith.fpe_roots(p, parts, e)
         field = roots[0].field
         assert field.p == p and len(field.G) == e + 1
         assert len(set(roots)) == m.degree

@@ -338,6 +338,64 @@ def test_rr_rejects_point_polynomials_that_are_not_irreducible(tmp_path, optimiz
     assert done.stdout == ""
 
 
+# input files, named by placeholders in an argv: CURVE is y^2 = x^6 + 1,
+# the *_ZERO files hold a coefficient p/0, BAD is no UTF-8 text
+INPUT_FILES = {
+    "CURVE": b"f: 1 0 0 0 0 0 1\n",
+    "CURVE_ZERO": b"f: x^6+1/0\n",
+    "MW_ZERO": b"order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x-1/0; ram)\n",
+    "BAD": b"\xff\n",
+}
+# per subcommand, a coefficient p/0 in a literal or in a file
+ZERO_DENOMINATORS = [
+    ["field", "x^2+1/0"],
+    ["construct", "x^3-1/0"],
+    ["fiber", "x^3+0/0"],
+    ["twists", "1/0*x^6+1"],
+    ["rr", "CURVE", "1*(x-1/0; ram)"],
+    ["rr", "CURVE_ZERO", "1*oo+"],
+    ["points", fixture("x0_71.curve"), "MW_ZERO", "3", "REPORT"],
+]
+
+
+def _tmp_argv(tmp_path, argv):
+    """argv with each INPUT_FILES placeholder written to tmp_path, and it and
+    REPORT replaced by their paths there."""
+    out = []
+    for arg in argv:
+        if arg in INPUT_FILES:
+            (tmp_path / arg).write_bytes(INPUT_FILES[arg])
+        out.append(str(tmp_path / arg) if arg in INPUT_FILES or arg == "REPORT" else arg)
+    return out
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv", ZERO_DENOMINATORS, ids=[
+    "field", "construct", "fiber", "twists", "rr divisor", "rr curve", "points mw",
+])
+def test_a_zero_denominator_is_a_parse_error(tmp_path, optimize, argv):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("parse error: bad coefficient: Fraction(") and line.endswith(", 0)")
+    assert not (tmp_path / "REPORT").exists()
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["classify", "BAD", "REPORT"],
+    ["points", "BAD", fixture("x0_71.mw"), "3", "REPORT"],
+    ["points", fixture("x0_71.curve"), "BAD", "3", "REPORT"],
+    ["rr", "BAD", "1*oo+"],
+], ids=["classify csv", "points curve", "points mw", "rr curve"])
+def test_an_undecodable_file_is_a_parse_error(tmp_path, optimize, argv):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 2, done.stderr
+    bad = tmp_path / "BAD"
+    assert done.stderr == f"parse error: {bad} is not UTF-8 text (invalid start byte at byte 0)\n"
+    assert not (tmp_path / "REPORT").exists()
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_twists_rejects_small_degree(optimize):
     done = _run_cli(["twists", "x^5+1"], optimize)
@@ -485,17 +543,40 @@ def test_reproduce_script_prints_the_points_report(tmp_path, capsys):
     assert sep and report == out.read_text()
 
 
-def test_reproduce_script_rejects_a_place_the_model_lacks(tmp_path):
-    """The script reads the MW file against its curve, as `points` does."""
+def _reproduce_script_on(tmp_path, mw_text):
+    """A copy of reproduce_x0_71.py whose fixtures hold X0(71) and mw_text."""
     (tmp_path / "scripts").mkdir()
     (tmp_path / "fixtures").mkdir()
     script = tmp_path / "scripts" / "reproduce_x0_71.py"
     script.write_text(open(os.path.join(SCRIPTS, "reproduce_x0_71.py")).read())
     (tmp_path / "fixtures" / "x0_71.curve").write_text(open(fixture("x0_71.curve")).read())
-    (tmp_path / "fixtures" / "x0_71.mw").write_text(
-        "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo- + 0*oo\n"
+    (tmp_path / "fixtures" / "x0_71.mw").write_text(mw_text)
+    return str(script)
+
+
+def test_reproduce_script_rejects_a_place_the_model_lacks(tmp_path):
+    """The script reads the MW file against its curve, as `points` does."""
+    script = _reproduce_script_on(
+        tmp_path, "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo- + 0*oo\n"
     )
-    done = run_python([str(script), "--degrees", "3"], False)
+    done = run_python([script, "--degrees", "3"], False)
     assert done.returncode != 0
     assert "is not a place of the curve" in done.stderr
     assert "primitive_orbits" not in done.stdout
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("script", ["reproduce_x0_71.py", "twist_growth.py"])
+def test_scripts_exit_as_the_cli_does_on_bad_input(tmp_path, optimize, script):
+    if script == "twist_growth.py":
+        argv = [os.path.join(SCRIPTS, script), "--poly", "x^5+1"]
+        cli = ["twists", "x^5+1"]
+    else:
+        mw_text = "order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 1*oo+ + 1*oo-\n"
+        argv = [_reproduce_script_on(tmp_path, mw_text), "--degrees", "3"]
+        cli = ["points", str(tmp_path / "fixtures" / "x0_71.curve"),
+               str(tmp_path / "fixtures" / "x0_71.mw"), "3", str(tmp_path / "r")]
+    done, expected = run_python(argv, optimize), _run_cli(cli, optimize)
+    assert done.returncode == expected.returncode == 4
+    assert len(done.stderr.splitlines()) == 1 and done.stderr == expected.stderr
+    assert done.stdout == ""

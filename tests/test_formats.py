@@ -38,7 +38,7 @@ def test_parse_poly_coeff_format():
 
 
 def test_parse_poly_errors():
-    for bad in ["", "x^", "x+*2", "^3", "x^-2", "y+1"]:
+    for bad in ["", "x^", "x+*2", "^3", "x^-2", "y+1", "x^2+1/0", "0/0*x", "1 1/0"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
 
@@ -157,6 +157,28 @@ def test_cover_csv_parse_and_verdict_text():
     assert rows[16].label == "45" and rows[16].cover.gprime == 9
     out = verdict_csv_text([("45", [2, 3], [6])])
     assert out == "label,finite_d,primitive_only_d\n45,2 3,6\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,5,gonal,1,,true,false,2-4", "m must be >= 2"),
+    ("x,5,weird,2,1,true,false,2-4", "cover_kind must be gonal|relative, got 'weird'"),
+    ("x,5,Gonal,2,,true,false,2-4", "cover_kind must be gonal|relative, got 'Gonal'"),
+    ("x,41,relative,3,,true,false,2-5", "relative cover needs gprime >= 1"),
+    ("x,41,relative,3,0,true,false,2-5", "relative cover needs gprime >= 1"),
+    ("x,0,gonal,2,,true,false,2-4", "bad genus or degree range"),
+    ("x,5,gonal,2,,true,false,1-4", "bad genus or degree range"),
+    ("x,5,gonal,2,,true,false,4-3", "bad genus or degree range"),
+    ("x,5,gonal,2,,true,false,2", "not enough values to unpack (expected 2, got 1)"),
+    ("x,5,gonal,two,,true,false,2-4", "invalid literal for int() with base 10: 'two'"),
+    ("x,5,gonal,2,,maybe,false,2-4", "bad boolean 'maybe'"),
+    ("x,5,gonal,2,,true,false", "'NoneType' object has no attribute 'split'"),
+])
+def test_cover_csv_names_the_line_and_the_broken_rule(row, message):
+    # the types check the rules; the parser reports them against the line
+    header = "label,g,cover_kind,m,gprime,jq_finite,j_simple,d_range\n"
+    with pytest.raises(ParseError) as exc:
+        parse_cover_csv(header + "ok,5,gonal,2,,true,false,2-4\n" + row + "\n")
+    assert str(exc.value) == f"cover CSV line 3: {message}"
 
 
 def test_cover_csv_rejects_bad_rows():

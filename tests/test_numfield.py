@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from primpoints import linalg, numfield
+from primpoints import arith, linalg, numfield
 from primpoints.arith import (
     UniPoly,
     _DetRng,
@@ -492,15 +493,16 @@ def test_pair_norm_composed_sum_is_the_resultant_norm(low, s):
 def test_pair_roots_skip_fields_smaller_than_the_pair_count(monkeypatch):
     m = parse_poly("x^6-2")
     # p = 31 splits m (e = 1), but F_31 cannot hold 36 distinct pair values
-    split = [(p, pattern) for p, pattern in numfield.degree_patterns(m, 20) if pattern == (1,) * 6]
+    split = [rec for rec in numfield.degree_patterns(m, 20) if rec[1] == (1,) * 6]
     assert split[0][0] == 31
-    assert numfield._distinct_shift(numfield.fpe_roots(m, 31, 1), numfield.PAIR_NORM_SHIFTS) is None
+    roots_at_31 = numfield.fpe_roots(31, split[0][2], 1)
+    assert numfield._distinct_shift(roots_at_31, numfield.PAIR_NORM_SHIFTS) is None
     calls = []
     original = numfield.fpe_roots
 
-    def counted(a, p, e):
+    def counted(p, parts, e):
         calls.append((p, e))
-        return original(a, p, e)
+        return original(p, parts, e)
 
     monkeypatch.setattr(numfield, "fpe_roots", counted)
     # so the first prime tried is e = 2 at p = 23, and it serves
@@ -530,6 +532,25 @@ def test_field_report_splits_by_degree_once(monkeypatch):
     assert field_report(poly(-2, 0, 0, 0, 0, 0, 1)).proper_subfield_degrees == (2, 3)
     assert field_report(poly(-1, -1, 0, 0, 0, 0, 1)).route == numfield.FROBENIUS  # x^6-x-1
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lit", ["x^6-2", "x^6+5x^5+7x^4-2x^3-9x^2-2x+4"])
+def test_field_report_splits_each_prime_of_m_once(monkeypatch, lit):
+    # a NumberField, as `points` and `fiber` pass it: m is not factored again
+    K = nf_new(parse_poly(lit))
+    _, P = K.min_poly.to_int_primitive()
+    splits = Counter()
+    original = arith._fp_distinct_degree
+
+    def counting(f, p):
+        if f == arith._fp_monic(arith._fp_reduce(P, p), p):
+            splits[p] += 1
+        return original(f, p)
+
+    monkeypatch.setattr(arith, "_fp_distinct_degree", counting)
+    # imprimitive, so the stream serves both routes and route 4 picks p = 23
+    assert field_report(K).proper_subfield_degrees
+    assert splits[23] == 1 and max(splits.values()) == 1
 
 
 # one pair label flipped, two labels swapped (the counts still fit, the

@@ -130,6 +130,19 @@ def test_finiteness_preconditions_raise_bad_input():
         cs_bound(4, -1, 1, 2, 2)
 
 
+def test_cover_types_check_their_own_rules():
+    # an unknown kind was read as a relative cover without gprime: TypeError
+    with pytest.raises(BadInput, match="cover_kind must be gonal"):
+        classify_finiteness(FinitenessInput(6, Cover("weird", 2), 4, True, False))
+    for bad in [("gonal", 1), ("relative", 3), ("relative", 3, 0), ("Gonal", 2)]:
+        with pytest.raises(BadInput):
+            Cover(*bad)
+    assert Cover("gonal", 2, 0).gprime == 0  # a gonal cover ignores gprime
+    for g, d_range in [(0, (2, 4)), (5, (1, 4)), (5, (4, 3))]:
+        with pytest.raises(BadInput, match="bad genus or degree range"):
+            CoverRow("x", g, Cover("gonal", 2), True, False, d_range)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_finiteness_input_rejects_degree_one_under_optimize(optimize):
     code = (

@@ -18,7 +18,8 @@ checkouts that print the same lines produce identical reports.  The set:
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
   checkout's own `UniPoly.compose`), on the degree-1 x-5, and on the
   reducible x^4-1 (exit 4, with one `factor:` line per factor);
-* `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1;
+* `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1, and on the maps of
+  even degree of x^4-x-1 and x^6+x+1;
 * `rr` on divisors with affine parts, split, ramified and inert, on even
   and odd models, with one-sided and negative bounds at infinity; on
   degree-2 split points whose two multiplicities differ by 2 or 3, either
@@ -77,7 +78,8 @@ COMPOSED = (
     ("x^3-x-1", "x^4+x^3-x+1"),
     ("x^2+x+3", "x^6+x+1"),
 )
-FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1")
+# odd- and even-degree fiber maps; an even one has the degree-4 or -6 witness as den
+FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1", "x^4-x-1", "x^6+x+1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
 TWIST_POLYS = ("x^7-x-1", "2x^6-3x+5/7")
 COMMANDS = ("classify", "points", "field", "rr", "construct", "fiber", "twists", "perm")

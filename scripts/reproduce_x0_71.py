@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from primpoints.cli import points_report, run_guarded  # noqa: E402
+from primpoints.cli import _int_list, _positive_int, points_report, run_guarded  # noqa: E402
 from primpoints.formats import parse_curve_file, parse_mw_file  # noqa: E402
 from primpoints.hyperell import curve_new  # noqa: E402
 from primpoints.pipeline import classify_points  # noqa: E402
@@ -26,8 +26,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--degrees", default="3,4,5,6")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--degrees", type=_int_list, default="3,4,5,6")
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     args = parser.parse_args()
 
     with open(os.path.join(FIXTURES, "x0_71.curve")) as fh:
@@ -36,7 +36,7 @@ def main():
     with open(os.path.join(FIXTURES, "x0_71.mw")) as fh:
         mw = parse_mw_file(fh.read(), curve)
 
-    for degree in (int(d) for d in args.degrees.split(",")):
+    for degree in args.degrees:
         started = time.time()
         report = classify_points(curve, mw, degree, jobs=args.jobs)
         _, lines = points_report(curve, label, report)

@@ -139,6 +139,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list:
+    """A comma-separated list of integers, for the list options of `scripts/`."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        message = f"not a comma-separated list of integers: {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:

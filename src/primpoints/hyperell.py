@@ -9,11 +9,12 @@ x-polynomials p and are classified by how y^2 = f behaves modulo p:
 * Inert: f is a non-square unit mod p; one place of degree 2 deg p.
 
 `classify_place` reads the branch off one quadratic norm over Q; p must be
-irreducible, which `rr_space` checks for the points of D.  The zeros of a
-function u + v*y need no such test: `divisor_of_function` reads each place
-and order off u + v*y and its norm, and asks `classify_place` only where
-u + v*y is a unit times a power of p.  Both read a split root as -a/b from
-some a + b*y vanishing on the branch (`_branch_root`).
+irreducible, which `rr_space` checks for the points of D.  A principal
+divisor needs no such test: div(w) = div(u + v*y) - div(den), and one
+reader takes both halves off the numerator and its norm, asking
+`classify_place` only where it is a unit times a power of p; div(den) is
+cached per denominator.  Both read a split root as -a/b from some a + b*y
+vanishing on the branch (`_branch_root`).
 
 Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
@@ -436,25 +437,6 @@ def _zeros_over(curve, p, mult, u, v):
     return [(place, mult - k), (place.conjugate(), k)]
 
 
-@lru_cache(maxsize=256)
-def _poles_along(curve: HyperCurve, den: UniPoly):
-    """(place, -order) of 1/den(x) at every place over a factor of den.
-
-    Cached per (curve, den), as `classify_place` is per (curve, p): every
-    fiber of one map shares its den.  The polynomials of these places are
-    the irreducible factors of den, the one factorization of den.
-    """
-    out = []
-    for p, mult in factor_over_Q(den).factors:
-        branch, q = classify_place(curve, p)
-        place = ClosedPoint.affine(p, branch, q)
-        if branch == SPLIT:
-            out += [(place, -mult), (place.conjugate(), -mult)]
-        else:
-            out.append((place, -2 * mult if branch == RAM else -mult))
-    return tuple(out)
-
-
 def _norm_factors(norm: UniPoly, known) -> list:
     """factor_over_Q(norm).factors, factoring only what `known` leaves.
 
@@ -472,54 +454,51 @@ def _norm_factors(norm: UniPoly, known) -> list:
     return out
 
 
-def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
-    """The full principal divisor of w; total degree always 0.
+def _numerator_divisor(curve: HyperCurve, u: UniPoly, v: UniPoly, known) -> Divisor:
+    """div(u + v*y): `_zeros_over` at each factor of the norm N = u^2 - v^2 f,
+    with the polynomials of `known` divided out of N first.
 
-    Zeros come from the factors p of the norm N = u^2 - v^2 f, each place
-    and order read off u + v*y itself (`_zeros_over`); `classify_place` is
-    asked only where u + v*y is a unit times a power of p, and for the poles
-    along den (`_poles_along`, once per den).  The factors of den are divided
-    out of N first, so only the cofactor is factored.  A factor p of den
-    divides N wherever w has a pole of lower order than den at a place over
-    p, since u + v*y vanishes there: along the ramified point of a fiber map
-    of `specialize_fiber`, for every w - beta.  Orders at infinity come from
-    the expansion of y on an even model and from deg N on an odd one.
+    At infinity, the expansion of y gives the order on an even model.  On
+    an odd one u and v*y have orders of unlike parity at oo, and u - v*y
+    has the order of u + v*y there, so N has twice it.
     """
-    if w.is_zero:
-        raise ZeroFunction("divisor of the zero function")
-    u, v, den = w.u, w.v, w.den
-    poles = _poles_along(curve, den) if den.degree > 0 else ()
-    terms = {}
-
-    def bump(pt, mult):
-        if mult:
-            terms[pt] = terms.get(pt, 0) + mult
-
-    # numerator part: zeros of u + v y via the norm u^2 - v^2 f
     norm = u * u - v * v * curve.f
     if norm.is_zero:
         raise VerificationFailed("u + v y vanished identically on the curve")
-    if norm.degree > 0:
-        for p, mult in _norm_factors(norm, dict.fromkeys(pt.p for pt, _ in poles)):
-            for pt, val in _zeros_over(curve, p, mult, u, v):
-                bump(pt, val)
+    pairs = [term for p, mult in _norm_factors(norm, known)
+             for term in _zeros_over(curve, p, mult, u, v)]
+    for place in curve.infinite_places:
+        val = -norm.degree if place == OO else _even_infinity_valuation(curve, u, v, place)
+        pairs.append((ClosedPoint.infinite(place), val))
+    return Divisor.make(pairs)
 
-    # denominator part: poles along den(x)
-    for pt, val in poles:
-        bump(pt, val)
 
-    # infinite places
-    dden = den.degree
-    if curve.parity == EVEN:
-        for place in (OO_PLUS, OO_MINUS):
-            val = _even_infinity_valuation(curve, u, v, place) + dden
-            bump(ClosedPoint.infinite(place), val)
-    else:
-        # u and v*y have orders of unlike parity at oo, and u - v*y has the
-        # order of u + v*y there, so the norm has twice it
-        bump(ClosedPoint.infinite(OO), 2 * dden - norm.degree)
+@lru_cache(maxsize=256)
+def _den_divisor(curve: HyperCurve, den: UniPoly) -> Divisor:
+    """div(den(x)): `_numerator_divisor` at v = 0, whose norm den^2 the
+    factors of den split off whole.  Cached per (curve, den), as
+    `classify_place` is per (curve, p): every fiber of one map shares its
+    den."""
+    known = [p for p, _ in factor_over_Q(den).factors]
+    return _numerator_divisor(curve, den, UniPoly.zero(), known)
 
-    out = Divisor.make(terms.items())
+
+def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
+    """The full principal divisor of w; total degree always 0.
+
+    div(w) = div(u + v*y) - div(den), both halves read by
+    `_numerator_divisor`; div(den) is cached per den, and its polynomials
+    are divided out of the norm N of u + v*y, so only the cofactor is
+    factored.  A factor p of den divides N wherever w has a pole of lower
+    order than den at a place over p, since u + v*y vanishes there: along
+    the ramified point of a fiber map of `specialize_fiber`, for every
+    w - beta.
+    """
+    if w.is_zero:
+        raise ZeroFunction("divisor of the zero function")
+    poles = _den_divisor(curve, w.den)
+    known = dict.fromkeys(pt.p for pt, _ in poles.affine_terms())
+    out = _numerator_divisor(curve, w.u, w.v, known) - poles
     if out.degree != 0:
         raise VerificationFailed(f"principal divisor degree {out.degree} != 0")
     return out

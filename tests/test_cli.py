@@ -580,3 +580,48 @@ def test_scripts_exit_as_the_cli_does_on_bad_input(tmp_path, optimize, script):
     assert done.returncode == expected.returncode == 4
     assert len(done.stderr.splitlines()) == 1 and done.stderr == expected.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "script, option, value",
+    [
+        ("reproduce_x0_71.py", "--degrees", "a"),
+        ("reproduce_x0_71.py", "--jobs", "0"),
+        ("twist_growth.py", "--heights", "5,x"),
+        ("twist_growth.py", "--heights", "50,1"),  # not increasing
+    ],
+)
+def test_scripts_reject_bad_arguments_with_a_usage_error(optimize, script, option, value):
+    done = run_python([os.path.join(SCRIPTS, script), option, value], optimize)
+    assert done.returncode == 2
+    usage, error = done.stderr.splitlines()
+    assert usage.startswith(f"usage: {script} ")
+    assert error.startswith(f"{script}: error: argument {option}: ")
+    assert done.stdout == ""
+
+
+# twist_growth.py under a census that loses a hit at the larger height bound
+LOSSY_TWIST_GROWTH = (
+    "import dataclasses, runpy, sys\n"
+    "from primpoints import pipeline\n"
+    "census = pipeline.twist_census\n"
+    "def lossy(f, M, h):\n"
+    "    result = census(f, M, h)\n"
+    "    return dataclasses.replace(result, hits=result.hits[:-1]) if h > 2 else result\n"
+    "pipeline.twist_census = lossy\n"
+    "sys.argv = [sys.argv[1], '--max-r', '30', '--heights', '2,5']\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_twist_growth_rechecks_the_hit_count(optimize):
+    script = os.path.join(SCRIPTS, "twist_growth.py")
+    done = run_python(["-c", LOSSY_TWIST_GROWTH, script], optimize)
+    assert done.returncode == 5
+    assert done.stderr == (
+        "internal verification failed: twist hit count fell from 2 to 1 at height 5\n"
+    )
+    assert done.stdout.startswith("height<=   2:   2 twists with points [1, 2] ")
+    assert "height<=   5" not in done.stdout

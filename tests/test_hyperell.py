@@ -907,6 +907,14 @@ def functions_on_models(draw):
 @example((C_X5, CurveFunction.make(poly(0, 0, 1), poly(0, 0, 1))))  # x^2 (1 + y): 7 and 2
 @example((SPLIT_OVER_SQRT2, CurveFunction.make(poly(2, -2, -1, 1), poly(2, 0, -1))))  # 2 and 1
 @example((SPLIT_OVER_SQRT2, CurveFunction.make(poly(-1, 1), poly(-1))))  # degree-2 read-off
+# poles: a repeated split factor, an inert factor, a ramified square, and a
+# mixed den on the odd model
+@example((C_X6, CurveFunction.make(poly(1, 1), poly(1), poly(0, 0, 1))))
+@example((C_X6, CurveFunction.make(poly(2, 1), poly(0, 1), poly(-1, 1))))
+@example((C_X6, CurveFunction.make(poly(1, 1), poly(1), poly(1, 0, 1) ** 2)))
+@example((C_X5, CurveFunction.make(poly(3, 0, 1), poly(1), poly(0, 1) * poly(1, 1) ** 2)))
+# the x^3 - 2 fiber map y/(x^3 - 2) minus 1: den shares x^3 - 2 with the norm
+@example((READOFF_MODELS[2], CurveFunction.make(poly(2, 0, 0, -1), poly(1), poly(-2, 0, 0, 1))))
 def test_divisor_of_function_matches_the_classified_route(curve_and_function):
     curve, w = curve_and_function
     assert divisor_of_function(curve, w) == _classified_divisor(curve, w)

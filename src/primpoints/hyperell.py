@@ -412,23 +412,24 @@ def _valuation_at(p: UniPoly, a: UniPoly) -> tuple:
 def _zeros_over(curve, p, mult, u, v):
     """(place, ord) of u + v*y over a factor p of its norm N, mult = v_p(N).
 
-    Ramified (p | f): ord = min(2 v_p(u), 2 v_p(v) + 1) = v_p(N).  Else with
-    k = min(v_p(u), v_p(v)), N = p^(2k) N' and u' + v'y = (u + v*y) / p^k:
-    mult = 2k makes u' + v'y a unit at every place over p, so each gets k
-    (`classify_place` says whether that is two split places or one inert).
-    mult > 2k makes u' + v'y vanish on the branch y = -u'/v' mod p only:
-    that branch gets mult - k and the other k.
+    With k = min(v_p(u), v_p(v)), N = p^(2k) N' and u' + v'y = (u + v*y) /
+    p^k: mult = 2k makes u' + v'y a unit at every place over p, so
+    `classify_place` says whether that is two split places or one inert
+    place, each of order k, or one ramified place of order 2k.  Else
+    mult > 2k: a ramified p (p | f) has one place, of order mult =
+    2 v_p(v) + 1; any other p has u' + v'y vanish on the branch
+    y = -u'/v' mod p only, which gets mult - k and the other k.
     """
-    if (curve.f % p).is_zero:
-        return [(ClosedPoint.affine(p, RAM), mult)]
     sides = [_valuation_at(p, a) if not a.is_zero else (None, a) for a in (u, v)]
     k = min(val for val, _ in sides if val is not None)
     if mult < 2 * k:
         raise VerificationFailed("norm valuation disagrees with the function")
     if mult == 2 * k:
         branch, q = classify_place(curve, p)
-        if branch == INERT:
-            return [(ClosedPoint.affine(p, INERT), k)]
+        if branch != SPLIT:
+            return [(ClosedPoint.affine(p, branch), k if branch == INERT else mult)]
+    elif (curve.f % p).is_zero:
+        return [(ClosedPoint.affine(p, RAM), mult)]
     else:
         # a side of order above k is 0 mod p once divided by p^k
         a, b = (cof if val == k else UniPoly.zero() for val, cof in sides)

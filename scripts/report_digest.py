@@ -16,8 +16,9 @@ checkouts that print the same lines produce identical reports.  The set:
 * `field` on the fields of fixtures/primitivity_corpus.txt, on the
   three imprimitive sextics of X0(71) at d = 6, on the composed fields
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
-  checkout's own `UniPoly.compose`), on the degree-1 x-5, and on the
-  reducible x^4-1 (exit 4, with one `factor:` line per factor);
+  checkout's own `UniPoly.compose`), on the degree-1 x-5, on the
+  reducible x^4-1 (exit 4, with one `factor:` line per factor), and on
+  x^99999999999999, whose exponent is above the size bound;
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1, and on the maps of
   even degree of x^4-x-1 and x^6+x+1;
 * `rr` on divisors with affine parts, split, ramified and inert, on even
@@ -25,12 +26,16 @@ checkouts that print the same lines produce identical reports.  The set:
   degree-2 split points whose two multiplicities differ by 2 or 3, either
   way round; on ramified multiplicities 4 and 5; on places at infinity
   that the model does not have, also with multiplicity 0 and also before
-  a term that does not parse; and on
-  y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers;
+  a term that does not parse; on
+  y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers; on
+  divisors at infinity alone, 5*oo and 1*oo on y^2 = x^5 + 1, 9*oo on
+  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; and on a point whose
+  polynomial has an exponent above the size bound;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
-  and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group
-  and on bad cycles and degrees;
+  and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group,
+  on bad cycles and degrees, and on a degree and a point above the size
+  bound;
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
 * `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
@@ -97,6 +102,9 @@ PERM_INPUTS = (
     ("(0 1)(1 2)",),
     ("()()",),
     ("(-1 2)",),
+    # a degree and a point above the size bound
+    ("()", "--degree", "1000000000000"),
+    ("(0 1000000000000)",),
 )
 # curve coefficients (lowest degree first) and divisors with affine parts
 RR_CASES = (
@@ -129,6 +137,13 @@ RR_CASES = (
     # y^2 = 4/9*x^6 + 7/5*x + 1: the series of y at infinity has k = 45 and a = 30
     ("1 7/5 0 0 0 0 4/9", "1*(x; split; 1) + 3*oo+ + 2*oo-"),
     ("1 7/5 0 0 0 0 4/9", "5*oo+ + -1*oo-"),
+    # divisors at infinity alone, on both parities
+    ("1 0 0 0 0 1", "5*oo"),
+    ("1 0 0 0 0 1", "1*oo"),
+    ("2 0 0 0 0 0 0 1", "9*oo"),
+    ("1 0 0 0 0 0 1", "4*oo+ + -1*oo-"),
+    # an exponent above the size bound
+    ("1 0 0 0 0 0 1", "1*(x^99999999999999-1; ram)"),
 )
 
 # (what is wrong, Mordell-Weil file, degree) for `points` on X0(71): one
@@ -252,7 +267,7 @@ def runs(root, scratch):
     for k, (fault, text, d) in enumerate(BAD_MW):
         path = scratch_file(scratch, f"bad{k}.mw", text)
         yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report
-    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1"):
+    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1", "x^99999999999999"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None

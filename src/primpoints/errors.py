@@ -81,5 +81,11 @@ class ParseError(PrimpointsError):
     pass
 
 
+# The largest exponent, permutation degree or point that parsed text may
+# name, far above every input the package finishes on; a larger one raises
+# ParseError before anything of its size is allocated.
+SIZE_BOUND = 10_000
+
+
 class VerificationFailed(PrimpointsError):
     """An exact re-check rejected a computed result: an internal fault."""

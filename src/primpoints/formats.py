@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .arith import UniPoly
-from .errors import BadInput, ParseError
+from .errors import SIZE_BOUND, BadInput, ParseError
 from .hyperell import INERT, OO, OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor, HyperCurve
 from .hyperell import require_infinite_places
 from .pipeline import Cover, CoverRow, MWSpec
@@ -88,10 +88,11 @@ def _parse_poly_literal(text: str) -> UniPoly:
             coef = Fraction(-1)
         else:
             coef = _rational(coef_text)
-        if m.group("x"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
+        digits = (m.group("exp") or "1").lstrip("0") if m.group("x") else ""
+        # the length first: int() refuses a string of over 4300 digits
+        if len(digits) > len(str(SIZE_BOUND)) or int(digits or 0) > SIZE_BOUND:
+            raise ParseError(f"exponent above the size bound {SIZE_BOUND} in polynomial literal")
+        exp = int(digits or 0)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():

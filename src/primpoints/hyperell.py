@@ -20,13 +20,14 @@ Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
 satisfy); odd-degree models carry a single ramified place.  Valuations at
 infinity come from an exact truncated expansion of y in t = 1/x, in
-integers, for even models and from the degree of the norm for odd ones.
+integers, for even models and from the degrees of u and v for odd ones
+(`_infinity_orders`).
 
 Riemann-Roch spaces are cut out of the candidate span {x^i} + {x^j y} by
 exact linear algebra on expansion coefficients (pole conditions at
 infinity) and congruence conditions modulo powers of defining polynomials
-(pole permissions at affine points).  Every returned basis element is
-re-checked against its divisor conditions before the space is returned.
+(pole permissions at affine points).  Every basis element w is rechecked
+against div(w) + D >= 0 at every place, on both parities.
 """
 
 from __future__ import annotations
@@ -354,6 +355,15 @@ def _even_infinity_valuation(curve, u, v, place) -> int:
     raise VerificationFailed("valuation window exhausted; function unexpectedly zero")
 
 
+def _infinity_orders(curve, u, v) -> dict:
+    """{place: ord of u + v*y} at infinity, for u + v*y nonzero.  On an odd
+    model u and v*y have orders -2 deg u and -(2 deg v + deg f) at oo, of
+    unlike parity, so the smaller wins."""
+    if curve.parity == EVEN:
+        return {pl: _even_infinity_valuation(curve, u, v, pl) for pl in curve.infinite_places}
+    return {OO: -max(2 * a.degree + s for a, s in ((u, 0), (v, curve.f.degree)) if not a.is_zero)}
+
+
 # ---------------------------------------------------------------------------
 # Branch classification and principal divisors
 
@@ -457,20 +467,14 @@ def _norm_factors(norm: UniPoly, known) -> list:
 
 def _numerator_divisor(curve: HyperCurve, u: UniPoly, v: UniPoly, known) -> Divisor:
     """div(u + v*y): `_zeros_over` at each factor of the norm N = u^2 - v^2 f,
-    with the polynomials of `known` divided out of N first.
-
-    At infinity, the expansion of y gives the order on an even model.  On
-    an odd one u and v*y have orders of unlike parity at oo, and u - v*y
-    has the order of u + v*y there, so N has twice it.
-    """
+    with the polynomials of `known` divided out of N first; `_infinity_orders`
+    at infinity."""
     norm = u * u - v * v * curve.f
     if norm.is_zero:
         raise VerificationFailed("u + v y vanished identically on the curve")
     pairs = [term for p, mult in _norm_factors(norm, known)
              for term in _zeros_over(curve, p, mult, u, v)]
-    for place in curve.infinite_places:
-        val = -norm.degree if place == OO else _even_infinity_valuation(curve, u, v, place)
-        pairs.append((ClosedPoint.infinite(place), val))
+    pairs += [(ClosedPoint.infinite(pl), val) for pl, val in _infinity_orders(curve, u, v).items()]
     return Divisor.make(pairs)
 
 
@@ -537,15 +541,6 @@ def rr_space_infty(curve: HyperCurve, n_plus: int, n_minus: int = None) -> RRSpa
     return rr_space(curve, Divisor.make(pairs))
 
 
-def _assert_infinity_bounds(curve, w, n_plus, n_minus):
-    """Exact recheck that w honours the pole bounds at infinity."""
-    dden = w.den.degree
-    vp = _even_infinity_valuation(curve, w.u, w.v, OO_PLUS) + dden
-    vm = _even_infinity_valuation(curve, w.u, w.v, OO_MINUS) + dden
-    if vp < -n_plus or vm < -n_minus:
-        raise VerificationFailed("basis element violates pole bounds")
-
-
 def require_infinite_places(curve: HyperCurve, places) -> None:
     """Raise InfinitePlace for the first of oo+, oo-, oo in places that the
     model does not have."""
@@ -606,12 +601,8 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
         U = dict(zip(free, vec))
         U.update((k, Fraction(sum(map(mul, c, scaled)), L * den)) for k, c in fixed.items())
         w = CurveFunction.make(UniPoly.make([U[k] for k in range(Bu + 1)]), UniPoly.make(V), h)
-        if curve.parity == EVEN:
-            _assert_infinity_bounds(curve, w, n_plus, n_minus)
+        _assert_in_space(curve, w, D)
         basis.append(w)
-    if affine:
-        for w in basis:
-            _assert_affine_membership(curve, w, D)
     return RRSpace(D, tuple(basis), len(basis))
 
 
@@ -707,12 +698,17 @@ def _congruence_rows(congruences, Bu, Bv):
     return rows
 
 
-def _assert_affine_membership(curve, w, D):
-    """Exact recheck of div(w) + D >= 0 at the affine support of D and w.den."""
-    div = divisor_of_function(curve, w)
-    for pt, mult in (div + D).terms:
-        if pt.kind != "inf" and mult < 0:
-            raise VerificationFailed("affine membership recheck failed")
+def _assert_in_space(curve, w, D):
+    """Exact recheck that w is in L(D): div(w) + D >= 0 at every place.  D's
+    affine part is effective (`_affine_conditions`), so a w with constant
+    den, which has no affine pole, is checked at infinity alone."""
+    if w.den.degree:
+        ok = (divisor_of_function(curve, w) + D).is_effective
+    else:
+        ok = all(val + D.infinite_coefficient(pl) >= 0
+                 for pl, val in _infinity_orders(curve, w.u, w.v).items())
+    if not ok:
+        raise VerificationFailed("basis element violates pole bounds")
 
 
 def decompose_effective(curve: HyperCurve, w: CurveFunction, base: Divisor) -> Divisor:
@@ -726,15 +722,14 @@ def decompose_effective(curve: HyperCurve, w: CurveFunction, base: Divisor) -> D
 def point_field(curve: HyperCurve, pt: ClosedPoint) -> numfield.NumberField:
     """The residue field Q(P).
 
-    A split or ramified place has Q(P) = Q[x]/(p), with no second proof
-    that p is irreducible: it is for every place the package builds, a
-    factor from `factor_over_Q` or a point of D that `rr_space` checked.
-    An inert place has the field of `absolute_minpoly`, which proves both
-    again: it factors p (`nf_new`), and rebuilds and factors the quadratic
-    norm that `classify_place` already factored.
+    A split or ramified place has Q(P) = Q[x]/(p), an inert one the field
+    of the quadratic norm of `shifted_norm`, with no second proof that
+    either is irreducible: p is a factor from `factor_over_Q` or a point of
+    D that `rr_space` checked, and `classify_place` read that same norm as
+    irreducible when it called the place inert.
     """
     if pt.kind == "inf":
         raise InfinitePlace("infinite places are rational points")
     if pt.branch in (SPLIT, RAM):
         return numfield.NumberField(pt.p)
-    return numfield.NumberField(numfield.absolute_minpoly(pt.p, curve.f))
+    return numfield.NumberField(numfield.shifted_norm(pt.p, curve.f)[1])

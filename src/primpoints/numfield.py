@@ -4,8 +4,9 @@
 polynomial down to Q by the norm of a generic shift, factor over Q, and
 pull the factors back with gcds over K.  Nothing else in the package uses
 it: points y^2 = f over an x-polynomial p need just the quadratic norm of
-`shifted_norm`, for `hyperell.classify_place` and `absolute_minpoly`, and
-principal subfields come from one norm over Q, with no arithmetic over K.
+`shifted_norm`, for `hyperell.classify_place` and `hyperell.point_field`,
+and principal subfields come from one norm over Q, with no arithmetic
+over K.
 
 This module is the only one that decides primitivity.  `field_report`
 validates m and tries four routes in order:
@@ -718,7 +719,9 @@ def absolute_minpoly(p: UniPoly, f: UniPoly) -> UniPoly:
 
     For the inert case that `hyperell.classify_place` decides: p irreducible
     and f a non-square unit mod p; the result has degree 2*deg(p).  A split
-    (reducible norm) or ramified (f = 0 mod p) point raises NotInert.
+    (reducible norm) or ramified (f = 0 mod p) point raises NotInert.  No
+    route calls it: `hyperell.point_field` takes the norm without proving
+    both again, and the tests check it against this.
     """
     p = nf_new(p).min_poly  # rejects a reducible p
     if (f % p).is_zero:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadInput, NotTransitive, ParseError
+from .errors import SIZE_BOUND, BadInput, NotTransitive, ParseError
 
 
 def compose(a, b):
@@ -51,10 +51,13 @@ def parse_cycles(text: str, degree=None) -> tuple:
     """Parse cycle notation like '(0 1 2 3)(4 5)' into a permutation tuple.
 
     Points may be separated by spaces or commas; the degree defaults to
-    1 + the largest point mentioned.
+    1 + the largest point mentioned.  A degree or point above SIZE_BOUND
+    is a ParseError.
     """
     if degree is not None and degree < 1:
         raise ParseError(f"degree must be at least 1, got {degree}")
+    if degree is not None and degree > SIZE_BOUND:
+        raise ParseError(f"degree {degree} is above the size bound {SIZE_BOUND}")
     text = text.strip()
     if text in ("", "()"):
         if degree is None:
@@ -92,6 +95,8 @@ def parse_cycles(text: str, degree=None) -> tuple:
         for p in pts:
             if p < 0:
                 raise ParseError(f"negative point {p} in cycle")
+            if p > SIZE_BOUND:
+                raise ParseError(f"point {p} is above the size bound {SIZE_BOUND}")
             if p in seen:
                 raise ParseError(f"point {p} appears in two cycles")
             seen.add(p)

@@ -381,6 +381,23 @@ def test_a_zero_denominator_is_a_parse_error(tmp_path, optimize, argv):
     assert not (tmp_path / "REPORT").exists()
 
 
+# an exponent, degree or point above the size bound, which would otherwise
+# size an allocation (a MemoryError for each of these)
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv, message", [
+    (["field", "x^99999999999999"], "exponent above the size bound 10000"),
+    (["rr", "CURVE", "1*(x^99999999999999-1; ram)"], "exponent above the size bound 10000"),
+    (["perm", "()", "--degree", "1000000000000"], "degree 1000000000000 is above the size bound"),
+    (["perm", "(0 1000000000000)"], "point 1000000000000 is above the size bound"),
+], ids=["field", "rr divisor", "perm degree", "perm point"])
+def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, message):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("parse error: ") and message in line
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("argv", [
     ["classify", "BAD", "REPORT"],

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from primpoints.arith import UniPoly, poly
 from conftest import X0_71_COEFFS
-from primpoints.errors import InfinitePlace, ParseError
+from primpoints.errors import SIZE_BOUND, InfinitePlace, ParseError
 from primpoints.formats import (
     curve_file_text,
     mw_file_text,
@@ -30,6 +30,8 @@ def test_parse_poly_literal():
     assert parse_poly("7") == poly(7)
     assert parse_poly("1/2*x^3 + x") == poly(0, 1, 0, Fraction(1, 2))
     assert parse_poly("x^2+x+x") == poly(0, 2, 1)  # merged terms
+    assert parse_poly("x^000003") == poly(0, 0, 0, 1)
+    assert parse_poly(f"x^{SIZE_BOUND}-1").degree == SIZE_BOUND
 
 
 def test_parse_poly_coeff_format():
@@ -40,6 +42,10 @@ def test_parse_poly_coeff_format():
 def test_parse_poly_errors():
     for bad in ["", "x^", "x+*2", "^3", "x^-2", "y+1", "x^2+1/0", "0/0*x", "1 1/0"]:
         with pytest.raises(ParseError):
+            parse_poly(bad)
+    # exponents above the size bound, one of more digits than int() reads
+    for bad in [f"x^{SIZE_BOUND + 1}", "2x^3+x^99999999999999", "x^" + "9" * 5000]:
+        with pytest.raises(ParseError, match="size bound"):
             parse_poly(bad)
 
 

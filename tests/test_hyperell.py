@@ -33,9 +33,9 @@ from primpoints.hyperell import (
     CurveFunction,
     Divisor,
     HyperCurve,
-    _assert_affine_membership,
-    _assert_infinity_bounds,
+    _assert_in_space,
     _even_infinity_valuation,
+    _infinity_orders,
     _valuation_at,
     canonical_divisor,
     classify_place,
@@ -374,12 +374,13 @@ def test_failed_rechecks_raise_verification_failed():
     # x has simple poles at oo+ and oo-, so it is not in L(0)
     x = CurveFunction.from_x_poly(poly(0, 1))
     with pytest.raises(VerificationFailed):
-        _assert_infinity_bounds(C_X6, x, 0, 0)
-    _assert_infinity_bounds(C_X6, x, 1, 1)
+        _assert_in_space(C_X6, x, Divisor.zero())
+    oo_both = Divisor.make((ClosedPoint.infinite(pl), 1) for pl in (OO_PLUS, OO_MINUS))
+    _assert_in_space(C_X6, x, oo_both)
     # 1/x has poles at the two points over x = 0
     inv = CurveFunction.make(UniPoly.one(), UniPoly.zero(), poly(0, 1))
     with pytest.raises(VerificationFailed):
-        _assert_affine_membership(C_X6, inv, Divisor.zero())
+        _assert_in_space(C_X6, inv, Divisor.zero())
 
 
 def test_rr_space_affine_pole_permission():
@@ -544,13 +545,13 @@ def test_rr_space_matches_the_full_kernel_with_affine_parts(
     assert rr_space(curve, D).basis == full_kernel_basis(curve, D)
 
 
-# the U coefficient fixed last by one place alone, with its sign flipped:
-# the basis element then keeps a pole that place forbids, and the
-# valuation recheck must make `rr` exit 5
-FLIPPED_FIXED_COLUMN = """
-import sys
-from primpoints import cli, hyperell
-
+# Mutants of the linear algebra whose basis keeps a pole that D forbids;
+# the recheck must make `rr` exit 5.  Flipped: the U coefficient fixed last
+# by one place alone, with its sign flipped.  Widened: a kernel taken over
+# one more V column than the span, so one vector too many (on y^2 = x^5 + 1
+# and 5*oo it adds x*y, of order -7 at oo).
+RR_MUTANTS = {
+    "flipped": """
 conditions = hyperell._infinity_conditions
 
 def flipped(*args):
@@ -560,18 +561,37 @@ def flipped(*args):
     return L, fixed, rows
 
 hyperell._infinity_conditions = flipped
-print(cli.main(["rr", sys.argv[1], "4*oo+ + 0*oo-"]))
+""",
+    "widened": """
+kernel = hyperell.kernel_basis
+hyperell.kernel_basis = lambda rows, ncols: kernel([row + [0] for row in rows], ncols + 1)
+""",
+}
+RUN_RR = """
+import sys
+from primpoints import cli, hyperell
+{mutant}
+print(cli.main(["rr", sys.argv[1], sys.argv[2]]))
 """
 
 
 @pytest.mark.parametrize("optimize", [False, True])
-def test_a_flipped_fixed_column_fails_the_pole_recheck(tmp_path, optimize):
+@pytest.mark.parametrize("mutant, coeffs, divisor", [
+    ("flipped", "1 0 0 0 0 0 1", "4*oo+ + 0*oo-"),  # y^2 = x^6 + 1
+    ("widened", "1 0 0 0 0 1", "5*oo"),  # y^2 = x^5 + 1
+    ("widened", "2 0 0 0 0 0 0 1", "9*oo"),  # y^2 = x^7 + 2
+], ids=["flipped x^6+1", "widened x^5+1", "widened x^7+2"])
+def test_a_flipped_fixed_column_fails_the_pole_recheck(
+    tmp_path, optimize, mutant, coeffs, divisor
+):
     curve = tmp_path / "c.curve"
-    curve.write_text("f: 1 0 0 0 0 0 1\n")  # y^2 = x^6 + 1
-    done = run_python(["-c", FLIPPED_FIXED_COLUMN, str(curve)], optimize)
+    curve.write_text(f"f: {coeffs}\n")
+    code = RUN_RR.format(mutant=RR_MUTANTS[mutant])
+    done = run_python(["-c", code, str(curve), divisor], optimize)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5\n"
     assert "basis element violates pole bounds" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_rr_space_rejects_places_not_on_the_curve():
@@ -698,6 +718,35 @@ def test_classify_place_matches_trager_on_random_models(p, degree, coeffs, lc):
     # odd degree, so the model needs no square leading coefficient
     curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc]))
     assert classify_place.__wrapped__(curve, p) == _trager_classify_place(curve, p)
+
+
+@given(
+    p=irreducible_point_polys(),
+    degree=st.sampled_from([5, 6, 7]),
+    coeffs=st.lists(st.integers(-5, 5), min_size=7, max_size=7),
+    lc=st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_point_field_of_an_inert_place_is_the_absolute_minpoly(p, degree, coeffs, lc):
+    # an even degree takes lc^2, so the model has rational places at infinity
+    curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc ** (2 - degree % 2)]))
+    assume(classify_place(curve, p)[0] == INERT)
+    field = point_field(curve, ClosedPoint.affine(p, INERT))
+    assert field.min_poly == numfield.absolute_minpoly(p, curve.f)
+
+
+@given(
+    degree=st.sampled_from([5, 7, 9]),
+    coeffs=st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+    lc=st.integers(-3, 3).filter(bool),
+    u=small_polys(5),
+    v=small_polys(3),
+)
+def test_the_odd_order_at_infinity_is_minus_the_degree_of_the_norm(degree, coeffs, lc, u, v):
+    # u and v*y never cancel at oo, so the norm has twice the order there
+    assume(not (u.is_zero and v.is_zero))
+    curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc]))
+    assert _infinity_orders(curve, u, v) == {OO: -(u * u - v * v * curve.f).degree}
 
 
 @given(

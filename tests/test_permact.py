@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from primpoints.errors import BadInput, NotTransitive, ParseError
+from primpoints.errors import SIZE_BOUND, BadInput, NotTransitive, ParseError
 from primpoints.permact import (
     PermGroup,
     alternating_group,
@@ -64,6 +64,12 @@ def test_parse_cycles():
         parse_cycles("(-1 2)")
     for text, degree in (("()", 0), ("(0)", -2), ("()()", None)):
         with pytest.raises(ParseError):
+            parse_cycles(text, degree)
+    # the size bound: a degree or point above it, and not at it
+    assert len(parse_cycles("()", SIZE_BOUND)) == SIZE_BOUND
+    assert len(parse_cycles(f"(0 {SIZE_BOUND})")) == SIZE_BOUND + 1
+    for text, degree in (("()", SIZE_BOUND + 1), (f"(0 {SIZE_BOUND + 1})", None)):
+        with pytest.raises(ParseError, match="size bound"):
             parse_cycles(text, degree)
     with pytest.raises(BadInput):
         PermGroup.make(0, [])

@@ -8,11 +8,13 @@ masked, as is the scratch directory that holds the input files), so two
 checkouts that print the same lines produce identical reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
-  and at d = 3 with Mordell-Weil files that each break one rule (an order
-  0, a generator of degree 1 or off infinity, a base that is not effective,
-  is 0 or is off infinity, `oo` in the base, `0*oo` in a generator), with
-  one whose generator names `oo` and whose base is malformed, and at d = 1
-  with a base of degree 0;
+  at d = 3..6, text and --json, with the base 1*oo+, which leaves labels
+  unpaired by y -> -y, and with Z/35 presented as Z/5 x Z/7; and at d = 3
+  with Mordell-Weil files that each break one rule (an order 0, a
+  generator of degree 1 or off infinity, a base that is not effective, is
+  0 or is off infinity, `oo` in the base, `0*oo` in a generator, an order
+  above the size bound), with one whose generator names `oo` and whose
+  base is malformed, and at d = 1 with a base of degree 0;
 * `field` on the fields of fixtures/primitivity_corpus.txt, on the
   three imprimitive sextics of X0(71) at d = 6, on the composed fields
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
@@ -29,8 +31,10 @@ checkouts that print the same lines produce identical reports.  The set:
   a term that does not parse; on
   y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers; on
   divisors at infinity alone, 5*oo and 1*oo on y^2 = x^5 + 1, 9*oo on
-  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; and on a point whose
-  polynomial has an exponent above the size bound;
+  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; on a point whose
+  polynomial has an exponent above the size bound; and on two
+  multiplicities above the size bound that cancel, so that a reader
+  without the bound finishes on them too;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
   and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group,
@@ -144,10 +148,12 @@ RR_CASES = (
     ("1 0 0 0 0 0 1", "4*oo+ + -1*oo-"),
     # an exponent above the size bound
     ("1 0 0 0 0 0 1", "1*(x^99999999999999-1; ram)"),
+    # multiplicities above the size bound, whose sum is 0
+    ("1 0 0 0 0 1", "1000000000000000000000*oo + -1000000000000000000000*oo"),
 )
 
 # (what is wrong, Mordell-Weil file, degree) for `points` on X0(71): one
-# broken rule each, then two faults in one input
+# broken rule each, except one input with two faults
 BAD_MW = (
     ("order 0", "order 0\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n", 3),
     ("gen of degree 1", "order 35\ngen 1*oo+\nbase 1*oo+ + 1*oo-\n", 3),
@@ -159,6 +165,14 @@ BAD_MW = (
     ("0*oo in gen", "order 35\ngen 1*oo+ + -1*oo- + 0*oo\nbase 1*oo+ + 1*oo-\n", 3),
     ("oo in gen, malformed base", "order 35\ngen 1*oo + -1*oo-\nbase 1*oo+ + x\n", 3),
     ("base 0", "order 35\ngen 1*oo+ + -1*oo-\nbase 0\n", 1),
+    ("order above the size bound",
+     "order 1000000000000\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n", 3),
+)
+# (name, Mordell-Weil file) of X0(71) other than the shipped one, for
+# `points` at d = 3..6: a base of degree 1, and Z/35 as Z/5 x Z/7
+MW_VARIANTS = (
+    ("base 1*oo+", "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+\n"),
+    ("Z/5 x Z/7", "order 5\ngen 7*oo+ + -7*oo-\norder 7\ngen 5*oo+ + -5*oo-\nbase 1*oo+ + 1*oo-\n"),
 )
 
 COVER_HEADER = "label,g,cover_kind,m,gprime,jq_finite,j_simple,d_range\n"
@@ -264,6 +278,12 @@ def runs(root, scratch):
             for width in ("1", "2"):
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
+    for k, (name, text) in enumerate(MW_VARIANTS):
+        path = scratch_file(scratch, f"variant{k}.mw", text)
+        for d in (3, 4, 5, 6):
+            for fmt in ((), ("--json",)):
+                argv = ["points", curve, path, str(d), report, *fmt]
+                yield f"points mw {name} d={d} {' '.join(fmt) or 'text'}", argv, report
     for k, (fault, text, d) in enumerate(BAD_MW):
         path = scratch_file(scratch, f"bad{k}.mw", text)
         yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report

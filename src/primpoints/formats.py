@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 
 from .arith import UniPoly
 from .errors import SIZE_BOUND, BadInput, ParseError
@@ -60,6 +61,17 @@ def poly_coeff_text(p: UniPoly) -> str:
     return " ".join(str(c) for c in p.coeffs)
 
 
+def _size(text: str, what: str, where: str) -> int:
+    """int(text) for a size read from the input: a ParseError if its
+    absolute value is above SIZE_BOUND, a ValueError if it is no integer.
+    The digit count goes first: int() refuses a string of over 4300 digits."""
+    t = text.strip()
+    digits = (t[1:] if t[:1] in ("+", "-") else t).lstrip("0")
+    if (digits.isdecimal() and len(digits) > len(str(SIZE_BOUND))) or abs(int(t)) > SIZE_BOUND:
+        raise ParseError(f"{what} above the size bound {SIZE_BOUND} in {where}")
+    return int(t)
+
+
 def _parse_poly_literal(text: str) -> UniPoly:
     compact = text.replace(" ", "")
     if not compact:
@@ -88,11 +100,7 @@ def _parse_poly_literal(text: str) -> UniPoly:
             coef = Fraction(-1)
         else:
             coef = _rational(coef_text)
-        digits = (m.group("exp") or "1").lstrip("0") if m.group("x") else ""
-        # the length first: int() refuses a string of over 4300 digits
-        if len(digits) > len(str(SIZE_BOUND)) or int(digits or 0) > SIZE_BOUND:
-            raise ParseError(f"exponent above the size bound {SIZE_BOUND} in polynomial literal")
-        exp = int(digits or 0)
+        exp = _size(m.group("exp") or "1", "exponent", "polynomial literal") if m.group("x") else 0
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -118,7 +126,7 @@ def parse_divisor(text: str, curve: HyperCurve = None) -> Divisor:
             raise ParseError(f"divisor term {term!r} needs 'mult*point'")
         mult_text, point_text = term.split("*", 1)
         try:
-            mult = int(mult_text)
+            mult = _size(mult_text, "multiplicity", "divisor literal")
         except ValueError as exc:
             raise ParseError(f"bad multiplicity {mult_text!r}") from exc
         pairs.append((_parse_point(point_text.strip(), curve), mult))
@@ -211,7 +219,7 @@ def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
             continue
         if line.startswith("order "):
             try:
-                orders.append(int(line[6:]))
+                orders.append(_size(line[6:], "order", f"mw file line {lineno}"))
             except ValueError as exc:
                 raise ParseError(f"mw file line {lineno}: bad order") from exc
         elif line.startswith("gen "):
@@ -226,6 +234,8 @@ def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
         raise ParseError("mw file needs a 'base' line")
     if not orders:
         raise ParseError("mw file needs at least one cyclic factor")
+    if prod(orders) > SIZE_BOUND:
+        raise ParseError(f"group order {prod(orders)} above the size bound {SIZE_BOUND} in mw file")
     return MWSpec(tuple(zip(orders, gens)), base)
 
 

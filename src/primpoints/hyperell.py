@@ -211,6 +211,10 @@ class Divisor:
         """The poles, as an effective divisor."""
         return Divisor(tuple((pt, -m) for pt, m in self.terms if m < 0))
 
+    def conjugate(self) -> "Divisor":
+        """The image under the involution y -> -y, point by point."""
+        return Divisor.make((pt.conjugate(), m) for pt, m in self.terms)
+
     def literal(self) -> str:
         if not self.terms:
             return "0"
@@ -272,6 +276,10 @@ class CurveFunction:
 
     def scale(self, c) -> "CurveFunction":
         return CurveFunction(self.u.scale(c), self.v.scale(c), self.den)
+
+    def conjugate(self) -> "CurveFunction":
+        """The image under the involution y -> -y: (u - v*y) / den."""
+        return CurveFunction(self.u, -self.v, self.den)
 
     def invert(self, curve: HyperCurve) -> "CurveFunction":
         """1 / self, using the conjugate: den*(u - v*y) / (u^2 - v^2 f)."""

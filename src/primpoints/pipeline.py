@@ -10,7 +10,11 @@ The point pipeline enumerates one divisor-class representative per element
 of a user-supplied finite Mordell-Weil group, computes the dimension of
 each complete linear series, and classifies the unique effective divisor
 of every rigid (dimension 1) class as reducible, imprimitive, or
-primitive.  Classes of positive dimension (ell >= 2) are skipped with a
+primitive.  The hyperelliptic involution iota: y -> -y is defined over Q,
+so the class of iota*D is read off the class of D: L(iota*D) = iota*L(D),
+div(iota*w) = iota*div(w) and Q(iota*P) = Q(P).  Each pair of
+representatives D and iota*D, matched by exact divisor identity, is
+computed once.  Classes of positive dimension (ell >= 2) are skipped with a
 recorded tag.  For 3 <= d <= g that loses no primitive point: every such
 series is r*g^1_2 + F (Arbarello, Cornalba, Griffiths and Harris, ch. I),
 so a member is reducible (F != 0) or a pullback under x, whose field
@@ -238,26 +242,39 @@ class ClassEntry:
     divisor: Divisor
     ell: int
     basis: tuple  # basis of L(divisor)
+    source: int = None  # index of the entry it is read off; None if computed
 
 
 def enumerate_classes(curve: HyperCurve, mw: MWSpec, d: int):
     """One representative divisor per group element, with its dimension.
 
     Classes are ordered lexicographically by coefficient vector over
-    symmetric ranges centered at 0.
+    symmetric ranges centered at 0.  L(D) is computed once per distinct
+    divisor up to the involution y -> -y: an entry whose divisor equals an
+    earlier one, or its conjugate, records that entry as its `source` and
+    takes its basis, conjugated in the second case, as L(iota*D) =
+    iota*L(D).  Pairs are matched by exact divisor identity, not by group
+    arithmetic, so no relation in the group is assumed.
     """
     if d < 2:
         raise UnsupportedDivisorShape("degree must be at least 2")
     shift = _shift_divisor(curve, mw, d)
     ranges = [_coefficient_range(order) for order, _ in mw.cyclic_factors]
-    entries = []
+    entries, computed = [], {}  # computed: divisor -> index of its entry
     for label in itertools.product(*ranges):
         D = shift
         for coeff, (_, gen) in zip(label, mw.cyclic_factors):
             if coeff:
                 D = D + gen.scale(coeff)
-        space = rr_space(curve, D)
-        entries.append(ClassEntry(tuple(label), D, space.dim, space.basis))
+        src = computed.get(D, computed.get(D.conjugate()))
+        if src is None:
+            space = rr_space(curve, D)
+            computed[D] = len(entries)
+            entries.append(ClassEntry(label, D, space.dim, space.basis))
+        else:
+            twin = entries[src]
+            basis = twin.basis if twin.divisor == D else tuple(w.conjugate() for w in twin.basis)
+            entries.append(ClassEntry(label, D, twin.ell, basis, src))
     return entries
 
 
@@ -308,22 +325,31 @@ def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
 
 
 def _classify_entries(curve: HyperCurve, entries, d: int, pmap) -> list:
-    """Both phases over one map (serial `map` or a pool's): each class to its
-    verdict or its point's field, then one `field_report` per distinct field."""
-    pending = list(pmap(partial(_rigid_point, curve, d), entries))
-    fields = list(dict.fromkeys(K for _, K in pending if K is not None))
+    """Both phases over one map (serial `map` or a pool's): each computed
+    class to its verdict or its point's field, then one `field_report` per
+    distinct field.  An entry read off another takes that entry's verdict
+    under its own label, with the witness conjugated when its divisor is
+    the conjugate: Q(iota*P) = Q(P), so the outcome and field are shared."""
+    own = [i for i, e in enumerate(entries) if e.source is None]
+    pending = dict(zip(own, pmap(partial(_rigid_point, curve, d), [entries[i] for i in own])))
+    fields = list(dict.fromkeys(K for _, K in pending.values() if K is not None))
     reports = dict(zip(fields, pmap(field_report, fields)))
     out = []
-    for v, K in pending:
+    for i, entry in enumerate(entries):
+        src = i if entry.source is None else entry.source
+        v, K = pending[src]
+        witness = v.witness_divisor
+        if witness is not None and entry.divisor != entries[src].divisor:
+            witness = witness.conjugate()
+        decided = {}
         if K is not None:
             report = reports[K]
             proper = report.proper_subfield_degrees
-            v = replace(
-                v,
+            decided = dict(
                 outcome=PRIMITIVE if report.is_primitive else IMPRIMITIVE,
                 subfield_degree=proper[0] if proper else None,
             )
-        out.append(v)
+        out.append(replace(v, label=entry.label, witness_divisor=witness, **decided))
     return out
 
 
@@ -349,9 +375,11 @@ class ClassificationReport:
 def classify_points(curve: HyperCurve, mw: MWSpec, d: int, jobs: int = 1):
     """Classify every divisor class of degree d over the finite group.
 
-    Each distinct point field is decided once (classes a and -a of a
-    symmetric group share one).  With jobs > 1 both phases run in one
-    process pool of min(jobs, CPU count, number of classes) workers,
+    Each representative D and its conjugate iota*D are classified once,
+    paired by exact divisor identity (`enumerate_classes`): the partner
+    keeps the outcome and the point field, and takes the conjugate witness.
+    Each distinct point field is decided once.  With jobs > 1 both phases
+    run in one process pool of min(jobs, CPU count, number of classes) workers,
     serially when that is 1; results are reassembled in canonical label
     order either way.
     """

@@ -345,6 +345,8 @@ INPUT_FILES = {
     "CURVE_ZERO": b"f: x^6+1/0\n",
     "MW_ZERO": b"order 35\ngen 1*oo+ + -1*oo-\nbase 1*(x-1/0; ram)\n",
     "BAD": b"\xff\n",
+    "MW_HUGE": b"order 1000000000000\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n",
+    "CURVE_ODD": b"f: 1 0 0 0 0 1\n",
 }
 # per subcommand, a coefficient p/0 in a literal or in a file
 ZERO_DENOMINATORS = [
@@ -381,15 +383,18 @@ def test_a_zero_denominator_is_a_parse_error(tmp_path, optimize, argv):
     assert not (tmp_path / "REPORT").exists()
 
 
-# an exponent, degree or point above the size bound, which would otherwise
-# size an allocation (a MemoryError for each of these)
+# an exponent, degree, point, group order or multiplicity above the size
+# bound, which would otherwise size an allocation or a loop (a MemoryError
+# for each of these but the multiplicity, which ran for over 100 s)
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("argv, message", [
     (["field", "x^99999999999999"], "exponent above the size bound 10000"),
     (["rr", "CURVE", "1*(x^99999999999999-1; ram)"], "exponent above the size bound 10000"),
     (["perm", "()", "--degree", "1000000000000"], "degree 1000000000000 is above the size bound"),
     (["perm", "(0 1000000000000)"], "point 1000000000000 is above the size bound"),
-], ids=["field", "rr divisor", "perm degree", "perm point"])
+    (["points", fixture("x0_71.curve"), "MW_HUGE", "3", "REPORT"], "order above the size bound 10000"),
+    (["rr", "CURVE_ODD", "1000000000000000000000*oo"], "multiplicity above the size bound 10000"),
+], ids=["field", "rr divisor", "perm degree", "perm point", "points order", "rr multiplicity"])
 def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, message):
     done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
     assert done.returncode == 2, done.stderr

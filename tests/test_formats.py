@@ -86,6 +86,14 @@ def test_divisor_parse_errors():
         parse_divisor("1*(x^2-2)")  # missing branch
     with pytest.raises(ParseError):
         parse_divisor("1*(x^2-2; weird)")
+    # a multiplicity is at most SIZE_BOUND in absolute value
+    for mult in (SIZE_BOUND, -SIZE_BOUND):
+        assert parse_divisor(f"{mult}*oo").literal() == f"{mult}*oo"
+    for mult in (SIZE_BOUND + 1, -SIZE_BOUND - 1, 10**21, "1" * 5000, "1_000_000"):
+        with pytest.raises(ParseError, match="multiplicity above the size bound"):
+            parse_divisor(f"3*oo+ + {mult}*oo-")
+    with pytest.raises(ParseError, match="bad multiplicity '\\+-5'"):
+        parse_divisor("+-5*oo")
 
 
 EVEN_MODEL = curve_new(poly(1, 0, 0, 0, 0, 0, 1))  # places oo+ and oo- at infinity
@@ -154,6 +162,18 @@ def test_mw_file_roundtrip():
     assert parse_mw_file(mw_file_text(mw)) == mw
     with pytest.raises(ParseError):
         parse_mw_file("order 35\n")  # missing gen and base
+
+
+def test_an_order_above_the_size_bound_is_a_parse_error():
+    gen = "gen 1*oo+ + -1*oo-\n"
+    assert parse_mw_file(f"order {SIZE_BOUND}\n{gen}base 2*oo+\n").order == SIZE_BOUND
+    for order in (SIZE_BOUND + 1, 10**12, "9" * 5000):
+        with pytest.raises(ParseError, match="order above the size bound 10000 in mw file line 2"):
+            parse_mw_file(f"# one factor\norder {order}\n{gen}base 2*oo+\n")
+    # each order is below the bound, the group order 101^2 above it
+    with pytest.raises(ParseError, match="group order 10201 above the size bound"):
+        parse_mw_file(f"order 101\n{gen}order 101\n{gen}base 2*oo+\n")
+    assert parse_mw_file(f"order 100\n{gen}order 100\n{gen}base 2*oo+\n").order == SIZE_BOUND
 
 
 def test_cover_csv_parse_and_verdict_text():

@@ -466,6 +466,42 @@ def test_riemann_roch_with_affine_parts(model, split_q, split_conj, ram, inert, 
 # rr_space against one kernel over every U and V column
 
 
+@given(
+    degree=st.sampled_from([5, 6, 7]),
+    coeffs=st.lists(st.integers(-5, 5), min_size=7, max_size=7),
+    lc=st.integers(1, 3),
+    u=small_polys(4),
+    v=small_polys(2),
+    den=small_polys(2),
+)
+@settings(max_examples=30, deadline=None)
+def test_the_involution_commutes_with_the_principal_divisor(degree, coeffs, lc, u, v, den):
+    # iota: y -> -y is defined over Q, so div(iota*w) = iota*div(w)
+    assume(not (u.is_zero and v.is_zero) and not den.is_zero)
+    curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc ** (2 - degree % 2)]))
+    w = CurveFunction.make(u, v, den)
+    assert w.conjugate() == CurveFunction.make(u, -v, den)
+    div = divisor_of_function(curve, w)
+    assert divisor_of_function(curve, w.conjugate()) == div.conjugate()
+    assert div.conjugate().conjugate() == div
+
+
+@given(**dict(AFFINE_DIVISORS, extra=st.integers(-5, 2)))
+@example(model="odd", split_q=2, split_conj=0, ram=1, inert=0, extra=-5, tilt=0)
+@example(model="even", split_q=1, split_conj=0, ram=0, inert=0, extra=-3, tilt=2)
+@settings(max_examples=30, deadline=None)
+def test_the_involution_maps_l_of_d_onto_l_of_its_conjugate(
+    model, split_q, split_conj, ram, inert, extra, tilt
+):
+    # L(iota*D) = iota*L(D), also below degree 2g - 1, where l(D) is not
+    # fixed by the degree
+    curve, D = affine_divisor(model, split_q, split_conj, ram, inert, extra, tilt)
+    space = rr_space(curve, D)
+    assert rr_space(curve, D.conjugate()).dim == space.dim
+    for w in space.basis:
+        _assert_in_space(curve, w.conjugate(), D.conjugate())
+
+
 def _infinity_rows(curve, bound_plus, bound_minus, B):
     """Integer rows of the pole conditions at oo+ and oo- on U + V y.
 

@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from primpoints.errors import (
     UnsupportedDivisorShape,
 )
 from primpoints.hyperell import (
+    OO,
     OO_MINUS,
     OO_PLUS,
     RAM,
@@ -265,6 +267,77 @@ def test_classify_points_decides_each_distinct_field_once(monkeypatch):
         if by_label[a].witness_minpoly is not None:
             assert by_label[a].witness_minpoly == by_label[-a].witness_minpoly
             assert by_label[a].outcome == by_label[-a].outcome
+
+
+C_X5 = curve_new(poly(1, 0, 0, 0, 0, 1))  # y^2 = x^5 + 1, odd
+OO_PLUS_ONLY = Divisor.make([(ClosedPoint.infinite(OO_PLUS), 1)])
+OO_ONLY = Divisor.make([(ClosedPoint.infinite(OO), 1)])
+# (name, curve, Mordell-Weil spec, degrees): the shipped group; a base that
+# leaves labels at the edge of the range unpaired; Z/35 as Z/5 x Z/7; and
+# generators 0, whose labels share one divisor
+ORACLE_CASES = [
+    ("MW_71", X0_71, MW_71, (3, 4, 5, 6)),
+    ("base oo+", X0_71, MWSpec(((35, D0),), OO_PLUS_ONLY), (3, 4, 5, 6)),
+    ("Z/5 x Z/7", X0_71, MWSpec(((5, D0.scale(7)), (7, D0.scale(5))), D_INF), (3, 4, 5, 6)),
+    ("gen 0 x Z/35", X0_71, MWSpec(((3, Divisor.zero()), (35, D0)), D_INF), (3, 6)),
+    ("odd gen 0", C_X5, MWSpec(((4, Divisor.zero()),), OO_ONLY), (2, 3)),
+]
+
+
+def _label_divisor(curve, mw, d, label):
+    return pipeline._shift_divisor(curve, mw, d) + sum(
+        (gen.scale(c) for c, (_, gen) in zip(label, mw.cyclic_factors)), Divisor.zero()
+    )
+
+
+def _oracle_verdicts(curve, mw, d):
+    """Every label from scratch: its own L(D) and `_rigid_point`, no pairing."""
+    ranges = [pipeline._coefficient_range(order) for order, _ in mw.cyclic_factors]
+    reports, out = {}, []
+    for label in itertools.product(*ranges):
+        D = _label_divisor(curve, mw, d, label)
+        space = rr_space(curve, D)
+        entry = pipeline.ClassEntry(label, D, space.dim, space.basis)
+        v, K = pipeline._rigid_point(curve, d, entry)
+        if K is not None:
+            if K not in reports:
+                reports[K] = numfield.field_report(K)
+            proper = reports[K].proper_subfield_degrees
+            outcome = pipeline.PRIMITIVE if reports[K].is_primitive else pipeline.IMPRIMITIVE
+            v = replace(v, outcome=outcome, subfield_degree=proper[0] if proper else None)
+        out.append(v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, curve, mw, degrees", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_classify_points_matches_the_per_label_oracle(monkeypatch, name, curve, mw, degrees, jobs):
+    # one L(D) per divisor up to y -> -y; the partner's verdict, witness
+    # included, is the one its own L(D) gives
+    spaces = _record_calls(monkeypatch, pipeline, "rr_space")
+    for d in degrees:
+        spaces.clear()
+        report = classify_points(curve, mw, d, jobs=jobs)
+        assert report.verdicts == _oracle_verdicts(curve, mw, d), (name, d)
+        ranges = [pipeline._coefficient_range(order) for order, _ in mw.cyclic_factors]
+        pairs = {frozenset((D, D.conjugate())) for D in (
+            _label_divisor(curve, mw, d, label) for label in itertools.product(*ranges)
+        )}
+        assert len(spaces) == len(pairs), (name, d)
+
+
+def test_involution_pairs_of_the_shipped_group():
+    # a <-> -a at even d, a <-> -a-1 at odd d, read off the earlier label;
+    # at odd d label 17 is unpaired
+    for d in (3, 4, 5, 6):
+        entries = enumerate_classes(X0_71, MW_71, d)
+        mirrors = {e.label[0]: entries[e.source].label[0] for e in entries if e.source is not None}
+        expected = {a: -a for a in range(1, 18)} if d % 2 == 0 else {a: -a - 1 for a in range(17)}
+        assert mirrors == expected
+        for e in entries:
+            if e.source is not None:
+                assert e.divisor == entries[e.source].divisor.conjugate()
+                assert e.ell == entries[e.source].ell
 
 
 def test_mwspec_validation():

@@ -8,6 +8,7 @@ masked, as is the scratch directory that holds the input files), so two
 checkouts that print the same lines produce identical reports.  The set:
 
 * `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
+  at d = 2 and 7..12, text;
   at d = 3..6, text and --json, with the base 1*oo+, which leaves labels
   unpaired by y -> -y, and with Z/35 presented as Z/5 x Z/7; and at d = 3
   with Mordell-Weil files that each break one rule (an order 0, a
@@ -31,8 +32,11 @@ checkouts that print the same lines produce identical reports.  The set:
   a term that does not parse; on
   y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers; on
   divisors at infinity alone, 5*oo and 1*oo on y^2 = x^5 + 1, 9*oo on
-  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; on a point whose
-  polynomial has an exponent above the size bound; and on two
+  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; on X0(71) at the
+  edges of the span deg V <= max(n+, n-) - g - 1: V of degree 0, no V,
+  a negative bound on either side, and 35*(oo+ - oo-), which is
+  principal; on a point whose polynomial has an exponent above the size
+  bound; and on two
   multiplicities above the size bound that cancel, so that a reader
   without the bound finishes on them too;
 * `perm`, text and --json, on the generators of every group of the
@@ -110,6 +114,7 @@ PERM_INPUTS = (
     ("()", "--degree", "1000000000000"),
     ("(0 1000000000000)",),
 )
+X0_71_F = "-11 4 40 30 -70 -122 1 148 111 -26 -77 -38 -2 4 1"
 # curve coefficients (lowest degree first) and divisors with affine parts
 RR_CASES = (
     ("1 0 0 0 0 0 1", "2*(x; split; 1) + 1*(x; split; -1) + 1*oo+ + 0*oo-"),
@@ -118,7 +123,7 @@ RR_CASES = (
     ("1 0 0 0 0 1", "2*(x; split; 1) + 2*(x+1; ram) + 3*oo"),
     ("1 0 0 0 0 1", "1*(x-1; inert) + 1*(x; split; -1) + 4*oo"),
     ("-4 0 0 0 0 0 1", "1*(x^3-2; ram)"),
-    ("-11 4 40 30 -70 -122 1 148 111 -26 -77 -38 -2 4 1", "1*(x; inert) + 4*oo+ + 2*oo-"),
+    (X0_71_F, "1*(x; inert) + 4*oo+ + 2*oo-"),
     # x^2-2 splits on y^2 = x^6 + 1 with y = +-3, x^2-2x+2 on y^2 = x^5 + 1
     # with y = +-(2x-3): the condition sits on the side of the smaller
     # multiplicity, lifted past p
@@ -146,6 +151,14 @@ RR_CASES = (
     ("1 0 0 0 0 1", "1*oo"),
     ("2 0 0 0 0 0 0 1", "9*oo"),
     ("1 0 0 0 0 0 1", "4*oo+ + -1*oo-"),
+    # on X0(71), g = 6, where the span has deg V <= max(n+, n-) - 7: one V
+    # column, none, and wide spans with a negative bound on either side
+    (X0_71_F, "7*oo+ + 0*oo-"),
+    (X0_71_F, "6*oo+ + 6*oo-"),
+    (X0_71_F, "20*oo+ + -17*oo-"),
+    (X0_71_F, "-3*oo+ + 10*oo-"),
+    (X0_71_F, "13*oo+ + 1*oo-"),
+    (X0_71_F, "35*oo+ + -35*oo-"),
     # an exponent above the size bound
     ("1 0 0 0 0 0 1", "1*(x^99999999999999-1; ram)"),
     # multiplicities above the size bound, whose sum is 0
@@ -278,6 +291,8 @@ def runs(root, scratch):
             for width in ("1", "2"):
                 argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
                 yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
+    for d in (2, 7, 8, 9, 10, 11, 12):
+        yield f"points d={d} text", ["points", curve, mw, str(d), report], report
     for k, (name, text) in enumerate(MW_VARIANTS):
         path = scratch_file(scratch, f"variant{k}.mw", text)
         for d in (3, 4, 5, 6):

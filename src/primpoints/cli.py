@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -103,10 +104,12 @@ def build_parser():
         "--jobs", type=_positive_int, default=1, help="parallel class evaluation width"
     )
     command("field", cmd_field, "primitivity of the field cut out by a polynomial", "poly")
+    # argparse takes only -<digits> for a negative number and anything else
+    # after a minus sign for an option; a literal such as -1*oo is a divisor
     command(
         "rr", cmd_rr, "dimension and basis of L(D) for a divisor literal",
         "curve_file", "divisor",
-    )
+    )._negative_number_matcher = re.compile(r"-\d")
     command(
         "construct", cmd_construct, "curve of genus d-1 with a ramified primitive point",
         "poly", ("--seed", dict(type=int, default=0)),

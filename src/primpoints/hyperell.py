@@ -23,11 +23,16 @@ infinity come from an exact truncated expansion of y in t = 1/x, in
 integers, for even models and from the degrees of u and v for odd ones
 (`_infinity_orders`).
 
-Riemann-Roch spaces are cut out of the candidate span {x^i} + {x^j y} by
-exact linear algebra on expansion coefficients (pole conditions at
-infinity) and congruence conditions modulo powers of defining polynomials
-(pole permissions at affine points).  Every basis element w is rechecked
-against div(w) + D >= 0 at every place, on both parities.
+Riemann-Roch spaces are cut out of the candidate span {x^i : i <= Bu} +
+{x^j y : j <= Bv} by exact linear algebra on expansion coefficients (pole
+conditions at infinity) and congruence conditions modulo powers of defining
+polynomials (pole permissions at affine points).  The span is the tight
+one: for w = (U + V y) / h in L(D), w and its conjugate bound the poles of
+2U and 2V y at infinity by M = max(n+, n-) + deg h on even models, so
+Bu = M and Bv = M - g - 1; on odd models M = n + 2 deg h, and x and y have
+pole orders 2 and 2g + 1 at oo, so Bu = M // 2 and Bv = (M - 2g - 1) // 2;
+each is clamped at -1.  Every basis element w is rechecked against
+div(w) + D >= 0 at every place, on both parities.
 """
 
 from __future__ import annotations
@@ -566,7 +571,8 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     conditions modulo their powers (`_affine_conditions`); a negative
     affine part raises UnsupportedDivisorShape.  Each basis element is
     (U + V y) / h for a kernel vector (U, V) of the pole and congruence
-    conditions.
+    conditions, with deg U <= Bu and deg V <= Bv: the tight span, derived
+    below, outside which every element of L(D) has zero coefficients.
 
     The pole conditions at infinity are solved for U first
     (`_infinity_conditions`); the U coefficients they fix are substituted
@@ -581,10 +587,19 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
     affine = D.affine_terms()
     h, congruences = _affine_conditions(curve, affine)
     dh = h.degree
+    # The span: h has a pole of order dh at oo+ and oo- (2 dh at oo), so
+    # U + V y = w h has poles of order <= n + dh at each place at infinity
+    # (n + 2 dh at oo), and its conjugate U - V y the same at the conjugate
+    # place: y -> -y swaps oo+ and oo- and fixes oo.  So 2U and 2V y have
+    # poles of order <= M at every place at infinity, M = max(n+, n-) + dh
+    # (n + 2 dh at oo).  There x and y have poles of order 1 and g + 1 (2
+    # and 2g + 1 at oo), so deg U <= M and deg V <= M - g - 1 (M // 2 and
+    # (M - 2g - 1) // 2 at oo), each clamped at -1.
     if curve.parity == EVEN:
         n_plus = D.infinite_coefficient(OO_PLUS)
         n_minus = D.infinite_coefficient(OO_MINUS)
-        Bu = Bv = max(max(n_plus, n_minus) + dh + curve.genus + 2, -1)
+        Bu = max(max(n_plus, n_minus) + dh, -1)
+        Bv = max(Bu - curve.genus - 1, -1)
         L, fixed, v_rows = _infinity_conditions(curve, n_plus + dh, n_minus + dh, Bu)
     else:
         # odd model: infinity bounds are pure degree caps
@@ -660,7 +675,10 @@ def _affine_conditions(curve, affine):
 
 def _infinity_conditions(curve, bound_plus, bound_minus, B):
     """(L, fixed, rows): the pole conditions at oo+ and oo- on U + V y,
-    i, j <= B in the span {x^i} + {x^j y}, solved for U where they fix it.
+    i <= B and j <= Bv = max(B - g - 1, -1) in the span {x^i} + {x^j y},
+    solved for U where they fix it.  Both x^B and x^Bv y have a pole of
+    order at most B, so the orders run from t^-B; with Bv = -1 each W_e is
+    empty.
 
     With y from `_y_series_scaled`, L times the coefficient of t^e at oo+-
     is L U_{-e} +- W_e . V, W_e = (N[e + j + g + 1])_j.  Where both places
@@ -673,12 +691,13 @@ def _infinity_conditions(curve, bound_plus, bound_minus, B):
     if B < 0:
         return 1, {}, []
     g = curve.genus
-    nterms = B + g + 2 + max(0, -bound_plus, -bound_minus) + 2
+    Bv = max(B - g - 1, -1)
+    nterms = B + 2 + max(0, -bound_plus, -bound_minus)
     L, N = _y_series_scaled(curve, _series_length(nterms))
     fixed, rows = {}, []
-    for e in range(-(B + g + 1), max(-bound_plus, -bound_minus)):
+    for e in range(-B, max(-bound_plus, -bound_minus)):
         start = max(0, -(e + g + 1))
-        W = [0] * start + list(N[e + g + 1 + start : e + g + 2 + B])
+        W = [0] * start + list(N[e + g + 1 + start : e + g + 2 + Bv])
         plus, minus = e < -bound_plus, e < -bound_minus
         if not 0 <= -e <= B:
             rows.append(W)

@@ -338,6 +338,28 @@ def test_rr_rejects_point_polynomials_that_are_not_irreducible(tmp_path, optimiz
     assert done.stdout == ""
 
 
+# a divisor literal that starts with a minus sign is the divisor, not an
+# option, wherever --json stands; -- before it still works
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["rr", "CURVE_ODD", "-1*oo"],
+    ["rr", "CURVE_ODD", "--", "-1*oo"],
+    ["rr", "--json", "CURVE_ODD", "-1*oo"],
+    ["rr", "CURVE_ODD", "-1*oo", "--json"],
+    ["rr", "--json", "CURVE_ODD", "--", "-1*oo"],
+], ids=["plain", "after --", "--json before", "--json after", "--json before --"])
+def test_rr_reads_a_literal_with_a_leading_minus_as_the_divisor(tmp_path, optimize, argv):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    if "--json" in argv:
+        assert json.loads(done.stdout) == {
+            "basis": [], "divisor": "-1*oo", "ell": 0, "schema": "primpoints.rr/1",
+        }
+    else:
+        assert done.stdout == "ell=0\n"
+
+
 # input files, named by placeholders in an argv: CURVE is y^2 = x^6 + 1,
 # the *_ZERO files hold a coefficient p/0, BAD is no UTF-8 text
 INPUT_FILES = {
@@ -394,7 +416,11 @@ def test_a_zero_denominator_is_a_parse_error(tmp_path, optimize, argv):
     (["perm", "(0 1000000000000)"], "point 1000000000000 is above the size bound"),
     (["points", fixture("x0_71.curve"), "MW_HUGE", "3", "REPORT"], "order above the size bound 10000"),
     (["rr", "CURVE_ODD", "1000000000000000000000*oo"], "multiplicity above the size bound 10000"),
-], ids=["field", "rr divisor", "perm degree", "perm point", "points order", "rr multiplicity"])
+    (["rr", "CURVE_ODD", "-10001*oo"], "multiplicity above the size bound 10000"),
+], ids=[
+    "field", "rr divisor", "perm degree", "perm point", "points order", "rr multiplicity",
+    "rr negative multiplicity",
+])
 def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, message):
     done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
     assert done.returncode == 2, done.stderr

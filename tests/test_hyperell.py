@@ -21,7 +21,7 @@ from primpoints.errors import (
     VerificationFailed,
     ZeroFunction,
 )
-from primpoints.formats import parse_coeff_text, parse_poly
+from primpoints.formats import parse_coeff_text, parse_mw_file, parse_poly
 from primpoints.hyperell import (
     INERT,
     OO,
@@ -533,7 +533,9 @@ def _infinity_rows(curve, bound_plus, bound_minus, B):
 def full_kernel_basis(curve, D):
     """The basis of L(D) from every pole condition as a row and one kernel
     over all U and V columns, as rr_space built it before it solved the
-    conditions at infinity for U."""
+    conditions at infinity for U.  On even models it keeps the wide span
+    deg U, deg V <= M + g + 2, M = max(n+, n-) + deg h, so it does not rest
+    on the tight bounds deg U <= M and deg V <= M - g - 1 of rr_space."""
     h, congruences = hyperell._affine_conditions(curve, D.affine_terms())
     dh = h.degree
     if curve.parity == "even":
@@ -574,11 +576,35 @@ def test_rr_space_matches_the_full_kernel_over_the_sweep_window():
 @example(model="even", split_q=2, split_conj=1, ram=0, inert=0, extra=0, tilt=-2)
 @example(model="even", split_q=0, split_conj=1, ram=3, inert=1, extra=2, tilt=2)
 @example(model="odd", split_q=1, split_conj=1, ram=2, inert=1, extra=2, tilt=0)
+# the clamps of the tight span on y^2 = x^6 + 1 (g = 2), each with a
+# negative part at infinity offset by deg h: M = -1 (no column), M = 0,
+# M = g (Bv = -1 while Bu = g, so the V rows are empty) and M = g + 1 (Bv = 0)
+@example(model="even", split_q=0, split_conj=0, ram=0, inert=1, extra=-5, tilt=-2)
+@example(model="even", split_q=0, split_conj=0, ram=0, inert=1, extra=-3, tilt=-1)
+@example(model="even", split_q=0, split_conj=0, ram=2, inert=0, extra=0, tilt=-1)
+@example(model="even", split_q=0, split_conj=0, ram=2, inert=1, extra=2, tilt=-1)
 def test_rr_space_matches_the_full_kernel_with_affine_parts(
     model, split_q, split_conj, ram, inert, extra, tilt
 ):
     curve, D = affine_divisor(model, split_q, split_conj, ram, inert, extra, tilt)
     assert rr_space(curve, D).basis == full_kernel_basis(curve, D)
+
+
+def test_rr_space_matches_the_full_kernel_on_the_x0_71_classes():
+    # every class divisor of the shipped Mordell-Weil file at d = 2..12: the
+    # positive-dimensional ones have basis elements with v != 0
+    with open(os.path.join(FIXTURES, "x0_71.mw")) as fh:
+        mw = parse_mw_file(fh.read(), X0_71)
+    [(order, gen)] = mw.cyclic_factors
+    with_v = 0
+    for d in range(2, 13):
+        shift = pipeline._shift_divisor(X0_71, mw, d)
+        for k in pipeline._coefficient_range(order):
+            D = shift + gen.scale(k)
+            basis = rr_space(X0_71, D).basis
+            assert basis == full_kernel_basis(X0_71, D), (d, k)
+            with_v += any(not w.v.is_zero for w in basis)
+    assert with_v > 0
 
 
 # Mutants of the linear algebra whose basis keeps a pole that D forbids;

@@ -41,7 +41,8 @@ checkouts that print the same lines produce identical reports.  The set:
   without the bound finishes on them too;
 * `perm`, text and --json, on the generators of every group of the
   checkout's transitive corpus (read through its own `transitive_corpus`
-  and `cycles_literal`), on S_10, A_10 and S_12, on an intransitive group,
+  and `cycles_literal`, from `primpoints.permact` where it has them and
+  else from the checkout's `tests/oracles.py`), on S_10, A_10 and S_12, on an intransitive group,
   on bad cycles and degrees, and on a degree and a point above the size
   bound;
 * `classify` on fixtures/table1.csv, text and --json;
@@ -58,7 +59,12 @@ checkouts that print the same lines produce identical reports.  The set:
   `fiber` and `twists`, in a divisor literal and in the curve file for
   `rr`, and in the base of a Mordell-Weil file for `points`;
 * a file holding the byte 0xff as the curve file of `rr` and `points`,
-  the Mordell-Weil file of `points` and the cover table of `classify`.
+  the Mordell-Weil file of `points` and the cover table of `classify`;
+* a polynomial literal that starts with a minus sign for `field`,
+  `construct`, `fiber` and `twists`;
+* a curve file with a second `f:` line for `rr`, and with a second
+  `label:` line, and a Mordell-Weil file with a second `base` line, for
+  `points`.
 
 Every run sees COLUMNS=80, so argparse wraps its help and usage lines the
 same way whatever terminal the script is started from.
@@ -212,6 +218,23 @@ ZERO_DENOMINATOR_LITERALS = (
     ("twists", "1/0*x^6+1"),
 )
 
+# (subcommand, literal, options) with a literal that starts with a minus sign
+LEADING_MINUS = (
+    ("field", "-x^3+2", ()),
+    ("field", "-x^4+2", ("--json",)),
+    ("construct", "-x^3+2", ()),
+    ("fiber", "-x^3+2", ("--samples", "40")),
+    ("twists", "-x^6-1", ("--max-r", "30", "--height", "20")),
+)
+# (what is repeated, curve file or None for X0(71)'s, Mordell-Weil file or
+# None for rr) with a directive that a file may hold once given twice
+REPEATED_DIRECTIVES = (
+    ("f:", "f: 1 0 0 0 0 1\nf: 1 0 0 0 0 0 1\n", None),
+    ("label:", f"f: {X0_71_F}\nlabel: X0(71)\nlabel: other\n",
+     "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n"),
+    ("base", None, "order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\nbase 2*oo+\n"),
+)
+
 
 def python(root, code, *argv):
     """Run code in a fresh interpreter on the checkout's own `src/`."""
@@ -261,13 +284,18 @@ def composed_fields(root):
 
 
 def corpus_groups(root):
-    """(name, degree, generators in cycle notation) of the checkout's corpus."""
+    """(name, degree, generators in cycle notation) of the checkout's corpus,
+    from `primpoints.permact` or else from the test-only `tests/oracles.py`."""
     code = (
-        "from primpoints.permact import cycles_literal, transitive_corpus\n"
-        "for name, G, _ in transitive_corpus(7):\n"
-        "    print(name, G.degree, *map(cycles_literal, G.generators), sep='\\t')"
+        "import sys\n"
+        "from primpoints import permact as corpus\n"
+        "if not hasattr(corpus, 'transitive_corpus'):\n"
+        "    sys.path.insert(0, sys.argv[1])\n"
+        "    import oracles as corpus\n"
+        "for name, G, _ in corpus.transitive_corpus(7):\n"
+        "    print(name, G.degree, *map(corpus.cycles_literal, G.generators), sep='\\t')"
     )
-    done = python(root, code)
+    done = python(root, code, os.path.join(root, "tests"))
     done.check_returncode()
     for line in done.stdout.decode().splitlines():
         name, degree, *gens = line.split("\t")
@@ -350,6 +378,16 @@ def runs(root, scratch):
         ("classify csv", ["classify", undecodable, report]),
     ):
         yield f"{label} holds the byte 0xff", argv, report
+    for command, lit, options in LEADING_MINUS:
+        yield f"{command} {lit} {' '.join(options)}".rstrip(), [command, lit, *options], None
+    for k, (directive, curve_text, mw_text) in enumerate(REPEATED_DIRECTIVES):
+        path = scratch_file(scratch, f"twice{k}.curve", curve_text) if curve_text else curve
+        if mw_text is None:
+            yield f"rr a second {directive} line", ["rr", path, "3*oo+"], None
+        else:
+            mw_path = scratch_file(scratch, f"twice{k}.mw", mw_text)
+            argv = ["points", path, mw_path, "3", report]
+            yield f"points a second {directive} line", argv, report
 
 
 def main():

@@ -268,11 +268,6 @@ class UniPoly:
         return self.literal()
 
 
-def poly(*coeffs) -> UniPoly:
-    """Shorthand constructor, lowest degree first: poly(-1, 0, 1) is x^2 - 1."""
-    return UniPoly.make(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # GCD, squarefree structure, resultants
 

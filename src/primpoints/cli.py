@@ -83,8 +83,14 @@ def build_parser():
     sub = parser.add_subparsers(required=True)
 
     def command(name, func, help, *arguments):
-        """A subparser: each argument a name or (name, options), then --json."""
+        """A subparser: each argument a name or (name, options), then --json.
+
+        argparse takes only -<digits> for a negative number and anything
+        else after a minus sign for an option; here a value may also start
+        with -<digit> or -x, such as the divisor -1*oo or the polynomial
+        -x^3+2.  No option of a subcommand starts that way."""
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = re.compile(r"-[\dx]")
         for arg in arguments:
             dest, options = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(dest, **options)
@@ -104,12 +110,10 @@ def build_parser():
         "--jobs", type=_positive_int, default=1, help="parallel class evaluation width"
     )
     command("field", cmd_field, "primitivity of the field cut out by a polynomial", "poly")
-    # argparse takes only -<digits> for a negative number and anything else
-    # after a minus sign for an option; a literal such as -1*oo is a divisor
     command(
         "rr", cmd_rr, "dimension and basis of L(D) for a divisor literal",
         "curve_file", "divisor",
-    )._negative_number_matcher = re.compile(r"-\d")
+    )
     command(
         "construct", cmd_construct, "curve of genus d-1 with a ramified primitive point",
         "poly", ("--seed", dict(type=int, default=0)),

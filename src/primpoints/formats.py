@@ -55,12 +55,6 @@ def parse_coeff_text(text: str) -> UniPoly:
     return UniPoly.make(coeffs)
 
 
-def poly_coeff_text(p: UniPoly) -> str:
-    if p.is_zero:
-        return "0"
-    return " ".join(str(c) for c in p.coeffs)
-
-
 def _size(text: str, what: str, where: str) -> int:
     """int(text) for a size read from the input: a ParseError if its
     absolute value is above SIZE_BOUND, a ValueError if it is no integer.
@@ -181,8 +175,15 @@ def _parse_point(text: str, curve: HyperCurve = None) -> ClosedPoint:
 # Curve and Mordell-Weil files
 
 
+def _once(value, directive: str, where: str):
+    """A ParseError if a directive that may appear once already has `value`."""
+    if value is not None:
+        raise ParseError(f"{where}: a second {directive!r} line")
+
+
 def parse_curve_file(text: str):
-    """Returns (UniPoly, label or None) from 'f:' / optional 'label:' lines."""
+    """Returns (UniPoly, label or None) from one 'f:' and at most one
+    'label:' line."""
     f = None
     label = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -190,21 +191,16 @@ def parse_curve_file(text: str):
         if not line or line.startswith("#"):
             continue
         if line.startswith("f:"):
+            _once(f, "f:", f"curve file line {lineno}")
             f = parse_poly(line[2:])
         elif line.startswith("label:"):
+            _once(label, "label:", f"curve file line {lineno}")
             label = line[6:].strip()
         else:
             raise ParseError(f"curve file line {lineno}: unknown directive {line!r}")
     if f is None:
         raise ParseError("curve file needs an 'f:' line")
     return f, label
-
-
-def curve_file_text(f: UniPoly, label=None) -> str:
-    lines = [f"f: {poly_coeff_text(f)}"]
-    if label:
-        lines.append(f"label: {label}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
@@ -225,6 +221,7 @@ def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
         elif line.startswith("gen "):
             gens.append(parse_divisor(line[4:], curve))
         elif line.startswith("base "):
+            _once(base, "base", f"mw file line {lineno}")
             base = parse_divisor(line[5:], curve)
         else:
             raise ParseError(f"mw file line {lineno}: unknown directive {line!r}")
@@ -237,15 +234,6 @@ def parse_mw_file(text: str, curve: HyperCurve = None) -> MWSpec:
     if prod(orders) > SIZE_BOUND:
         raise ParseError(f"group order {prod(orders)} above the size bound {SIZE_BOUND} in mw file")
     return MWSpec(tuple(zip(orders, gens)), base)
-
-
-def mw_file_text(mw: MWSpec) -> str:
-    lines = []
-    for order, gen in mw.cyclic_factors:
-        lines.append(f"order {order}")
-        lines.append(f"gen {gen.literal()}")
-    lines.append(f"base {mw.base.literal()}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,6 @@ class CurveFunction:
     def constant(c) -> "CurveFunction":
         return CurveFunction.make(UniPoly.const(c), UniPoly.zero())
 
-    @staticmethod
-    def from_x_poly(p: UniPoly) -> "CurveFunction":
-        return CurveFunction.make(p, UniPoly.zero())
-
     @property
     def is_zero(self) -> bool:
         return self.u.is_zero and self.v.is_zero
@@ -285,13 +281,6 @@ class CurveFunction:
     def conjugate(self) -> "CurveFunction":
         """The image under the involution y -> -y: (u - v*y) / den."""
         return CurveFunction(self.u, -self.v, self.den)
-
-    def invert(self, curve: HyperCurve) -> "CurveFunction":
-        """1 / self, using the conjugate: den*(u - v*y) / (u^2 - v^2 f)."""
-        if self.is_zero:
-            raise ZeroFunction("cannot invert the zero function")
-        norm = self.u * self.u - self.v * self.v * curve.f
-        return CurveFunction.make(self.den * self.u, -(self.den * self.v), norm)
 
     def literal(self) -> str:
         num = []
@@ -520,14 +509,6 @@ def divisor_of_function(curve: HyperCurve, w: CurveFunction) -> Divisor:
     if out.degree != 0:
         raise VerificationFailed(f"principal divisor degree {out.degree} != 0")
     return out
-
-
-def canonical_divisor(curve: HyperCurve) -> Divisor:
-    """Divisor of dx/y: degree 2g - 2, shared equally by the places at
-    infinity."""
-    places = curve.infinite_places
-    mult = (2 * curve.genus - 2) // len(places)
-    return Divisor.make([(ClosedPoint.infinite(place), mult) for place in places])
 
 
 # ---------------------------------------------------------------------------

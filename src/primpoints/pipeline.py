@@ -138,14 +138,6 @@ def _cs_genus_bound(gY: int, gZ: int, m: int, n: int) -> int:
     return m * gY + n * gZ + (m - 1) * (n - 1)
 
 
-def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
-    """True iff gX > m*gY + n*gZ + (m-1)(n-1), forcing a common factorization
-    of any pair of independent covers of those degrees."""
-    if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
-        raise BadInput("cover degrees must be positive and genera non-negative")
-    return gX > _cs_genus_bound(gY, gZ, m, n)
-
-
 @dataclass(frozen=True)
 class CoverRow:
     """One row of the cover-table driver (CSV interface)."""
@@ -206,13 +198,6 @@ class MWSpec:
             raise UnsupportedDivisorShape("base divisor must be effective of degree >= 1")
         if not self.base.is_infinity_supported():
             raise UnsupportedDivisorShape("base divisor must live at infinity")
-
-    @property
-    def order(self) -> int:
-        total = 1
-        for order, _ in self.cyclic_factors:
-            total *= order
-        return total
 
 
 def _coefficient_range(order: int):

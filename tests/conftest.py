@@ -14,15 +14,17 @@ X0_71_COEFFS = [-11, 4, 40, 30, -70, -122, 1, 148, 111, -26, -77, -38, -2, 4, 1]
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def run_python(args, optimize):
-    """Run a fresh interpreter on the package, with or without python -O."""
+    """Run a fresh interpreter on the package and the test-only `oracles`,
+    with or without python -O."""
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, *args],
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS))),
     )

@@ -1,0 +1,261 @@
+"""Test-only constructions: what the tests build on and no route of the
+package runs.
+
+* permutation groups: the cyclic, dihedral, symmetric and alternating
+  groups, wreath products on blocks, the transitive groups of degree 2..7
+  and the machine check of the stabilizer lemma;
+* writers of the text formats, the inverses of the `formats` parsers;
+* curve helpers: the canonical divisor, 1/w, and x-polynomials as
+  functions on the curve;
+* the Castelnuovo-Severi inequality, and `poly`, the shorthand for a
+  polynomial from its coefficients.
+
+`scripts/report_digest.py` reads `transitive_corpus` and `cycles_literal`
+from here to build its `perm` runs.
+"""
+
+from __future__ import annotations
+
+from primpoints.arith import UniPoly
+from primpoints.errors import BadInput, NotTransitive, ZeroFunction
+from primpoints.hyperell import ClosedPoint, CurveFunction, Divisor, HyperCurve
+from primpoints.permact import (
+    PermGroup,
+    minimal_blocks,
+    orbit_transversal,
+    parse_cycles,
+    schreier_generators,
+)
+from primpoints.pipeline import MWSpec, _cs_genus_bound
+
+
+def poly(*coeffs) -> UniPoly:
+    """Shorthand constructor, lowest degree first: poly(-1, 0, 1) is x^2 - 1."""
+    return UniPoly.make(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Permutation groups
+
+
+def cycles_literal(perm) -> str:
+    """Inverse of parse_cycles, with fixed points omitted."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        out.append("(" + " ".join(str(p) for p in cyc) + ")")
+    return "".join(out) or "()"
+
+
+def is_primitive_action(G: PermGroup) -> bool:
+    """True iff the transitive action admits no nontrivial block system."""
+    return minimal_blocks(G) is None
+
+
+def verify_stabilizer_lemma(G: PermGroup) -> bool:
+    """Machine check: imprimitive iff the point stabilizer is non-maximal.
+
+    Every subgroup above Stab(0) is a union of its cosets, and <Stab(0), g>
+    depends only on the coset of g, that is on g(0); so one coset
+    representative t_b per point b of the orbit of 0 stands for all of G,
+    and the Schreier generators generate Stab(0).  H = <Stab(0), t_b> has
+    |H| = |Stab(0)| * |orbit_H(0)|, so it is a proper intermediate subgroup
+    exactly when 1 < |orbit_H(0)| < degree.  The outcome is compared with
+    the independent block-system computation.
+    """
+    n = G.degree
+    transversal = orbit_transversal(G.generators, 0, n)
+    if len(transversal) != n:
+        raise NotTransitive("the stabilizer lemma concerns transitive actions")
+    stab_gens = schreier_generators(G.generators, transversal)
+    exists_intermediate = any(
+        1 < len(orbit_transversal(stab_gens + (t,), 0, n)) < n for t in transversal.values()
+    )
+    return exists_intermediate == (not is_primitive_action(G))
+
+
+def cyclic_group(n: int) -> PermGroup:
+    return PermGroup.make(n, [tuple((i + 1) % n for i in range(n))])
+
+
+def dihedral_group(n: int) -> PermGroup:
+    rot = tuple((i + 1) % n for i in range(n))
+    ref = tuple((n - i) % n for i in range(n))
+    return PermGroup.make(n, [rot, ref])
+
+
+def symmetric_group(n: int) -> PermGroup:
+    if n == 1:
+        return PermGroup.make(1, [])
+    if n == 2:
+        return PermGroup.make(2, [(1, 0)])
+    rot = tuple((i + 1) % n for i in range(n))
+    swap = (1, 0) + tuple(range(2, n))
+    return PermGroup.make(n, [rot, swap])
+
+
+def alternating_group(n: int) -> PermGroup:
+    if n <= 2:
+        return PermGroup.make(max(n, 1), [])
+    three = (1, 2, 0) + tuple(range(3, n))
+    if n % 2:
+        rot = tuple((i + 1) % n for i in range(n))
+    else:
+        rot = (0,) + tuple(1 + ((i + 1) % (n - 1)) for i in range(n - 1))
+    return PermGroup.make(n, [three, rot])
+
+
+def wreath_on_blocks(inner_gens, block_count: int, block_size: int, top_gens):
+    """Generators of (inner wr top) acting on block_count*block_size points."""
+    n = block_count * block_size
+    gens = []
+    for g in inner_gens:
+        for b in range(block_count):
+            perm = list(range(n))
+            for i in range(block_size):
+                perm[b * block_size + i] = b * block_size + g[i]
+            gens.append(tuple(perm))
+    for t in top_gens:
+        perm = list(range(n))
+        for b in range(block_count):
+            for i in range(block_size):
+                perm[b * block_size + i] = t[b] * block_size + i
+        gens.append(tuple(perm))
+    return gens
+
+
+# Transitive groups of degree 2..7, one per conjugacy class, after Butler
+# and McKay, "The transitive groups of degree up to eleven", Comm. Algebra
+# 11 (1983): (name, degree, order, generators in cycle notation).
+
+TRANSITIVE_GROUPS = (
+    ("S2", 2, 2, ("(0 1)",)),
+    ("C3", 3, 3, ("(0 1 2)",)),
+    ("S3", 3, 6, ("(0 1 2)", "(0 1)")),
+    ("C4", 4, 4, ("(0 1 2 3)",)),
+    ("V4", 4, 4, ("(0 1)(2 3)", "(0 2)(1 3)")),
+    ("D4", 4, 8, ("(0 1 2 3)", "(1 3)")),
+    ("A4", 4, 12, ("(0 1 2)", "(1 2 3)")),
+    ("S4", 4, 24, ("(0 1 2 3)", "(0 1)")),
+    ("C5", 5, 5, ("(0 1 2 3 4)",)),
+    ("D5", 5, 10, ("(0 1 2 3 4)", "(1 4)(2 3)")),
+    ("F20", 5, 20, ("(0 1 2 3 4)", "(1 2 4 3)")),
+    ("A5", 5, 60, ("(0 1 2)", "(0 1 2 3 4)")),
+    ("S5", 5, 120, ("(0 1 2 3 4)", "(0 1)")),
+    ("C6", 6, 6, ("(0 1 2 3 4 5)",)),
+    ("S3(regular)", 6, 6, ("(0 3 4)(1 5 2)", "(0 2)(1 4)(3 5)")),
+    ("D6", 6, 12, ("(0 1 2 3 4 5)", "(1 5)(2 4)")),
+    ("A4(6)", 6, 12, ("(0 2 3)(1 5 4)", "(0 1 2)(3 4 5)")),
+    ("C3wrC2", 6, 18, ("(0 1 2)", "(3 4 5)", "(0 3)(1 4)(2 5)")),
+    ("C2wrC3", 6, 24, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)")),
+    ("S4(6c)", 6, 24, ("(1 2 4 3)", "(0 4)(1 5)(2 3)")),
+    ("S4(6d)", 6, 24, ("(0 2 5 3)(1 4)", "(1 3)(2 4)")),
+    ("(S3xS3):2 half A", 6, 36,
+     ("(3 4 5)", "(1 2)(4 5)", "(0 1)(4 5)", "(0 3)(1 4)(2 5)")),
+    ("(S3xS3):2 half B", 6, 36,
+     ("(3 4 5)", "(1 2)(4 5)", "(0 1)(4 5)", "(0 3)(1 4 2 5)")),
+    ("C2wrS3", 6, 48, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)", "(0 2)(1 3)")),
+    ("PSL(2,5)", 6, 60, ("(0 1 2 3 4)", "(0 5)(1 4)")),
+    ("S3wrC2", 6, 72, ("(0 1 2)", "(3 4 5)", "(0 1)", "(3 4)", "(0 3)(1 4)(2 5)")),
+    ("PGL(2,5)", 6, 120, ("(0 1 2 3 4)", "(0 5)(1 4)", "(1 2 4 3)")),
+    ("A6", 6, 360, ("(0 1 2)", "(1 2 3 4 5)")),
+    ("S6", 6, 720, ("(0 1 2 3 4 5)", "(0 1)")),
+    ("C7", 7, 7, ("(0 1 2 3 4 5 6)",)),
+    ("D7", 7, 14, ("(0 1 2 3 4 5 6)", "(1 6)(2 5)(3 4)")),
+    ("F21", 7, 21, ("(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)")),
+    ("F42", 7, 42, ("(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)")),
+    ("GL(3,2)", 7, 168, ("(1 2)(5 6)", "(0 1 3)(2 5 4)")),
+    ("A7", 7, 2520, ("(0 1 2)", "(0 1 2 3 4 5 6)")),
+    ("S7", 7, 5040, ("(0 1 2 3 4 5 6)", "(0 1)")),
+)
+
+
+def transitive_corpus(max_degree: int = 7):
+    """(name, group, order) for every entry of degree at most max_degree.
+
+    Complete up to conjugacy for every degree covered; the tests check
+    each entry's transitivity and order, and completeness up to degree 5
+    by exhaustion.
+    """
+    return [
+        (name, PermGroup.make(degree, [parse_cycles(g, degree) for g in gens]), order)
+        for name, degree, order, gens in TRANSITIVE_GROUPS
+        if degree <= max_degree
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Writers of the text formats
+
+
+def poly_coeff_text(p: UniPoly) -> str:
+    if p.is_zero:
+        return "0"
+    return " ".join(str(c) for c in p.coeffs)
+
+
+def curve_file_text(f: UniPoly, label=None) -> str:
+    lines = [f"f: {poly_coeff_text(f)}"]
+    if label:
+        lines.append(f"label: {label}")
+    return "\n".join(lines) + "\n"
+
+
+def mw_file_text(mw: MWSpec) -> str:
+    lines = []
+    for order, gen in mw.cyclic_factors:
+        lines.append(f"order {order}")
+        lines.append(f"gen {gen.literal()}")
+    lines.append(f"base {mw.base.literal()}")
+    return "\n".join(lines) + "\n"
+
+
+def mw_order(mw: MWSpec) -> int:
+    """The order of the group, the product of its cyclic factors' orders."""
+    total = 1
+    for order, _ in mw.cyclic_factors:
+        total *= order
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Curves and covers
+
+
+def canonical_divisor(curve: HyperCurve) -> Divisor:
+    """Divisor of dx/y: degree 2g - 2, shared equally by the places at
+    infinity."""
+    places = curve.infinite_places
+    mult = (2 * curve.genus - 2) // len(places)
+    return Divisor.make([(ClosedPoint.infinite(place), mult) for place in places])
+
+
+def from_x_poly(p: UniPoly) -> CurveFunction:
+    """p(x) as a function on the curve."""
+    return CurveFunction.make(p, UniPoly.zero())
+
+
+def invert(w: CurveFunction, curve: HyperCurve) -> CurveFunction:
+    """1 / w, using the conjugate: den*(u - v*y) / (u^2 - v^2 f)."""
+    if w.is_zero:
+        raise ZeroFunction("cannot invert the zero function")
+    norm = w.u * w.u - w.v * w.v * curve.f
+    return CurveFunction.make(w.den * w.u, -(w.den * w.v), norm)
+
+
+def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
+    """True iff gX > m*gY + n*gZ + (m-1)(n-1), forcing a common factorization
+    of any pair of independent covers of those degrees."""
+    if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
+        raise BadInput("cover degrees must be positive and genera non-negative")
+    return gX > _cs_genus_bound(gY, gZ, m, n)

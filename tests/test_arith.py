@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS
+from oracles import poly
 from primpoints import arith
 from primpoints.arith import (
     Factorization,
@@ -20,7 +21,6 @@ from primpoints.arith import (
     hensel_sqrt,
     is_squarefree,
     lagrange_interpolate,
-    poly,
     poly_gcd,
     resultant,
     squarefree_decomposition,

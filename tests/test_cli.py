@@ -360,6 +360,49 @@ def test_rr_reads_a_literal_with_a_leading_minus_as_the_divisor(tmp_path, optimi
         assert done.stdout == "ell=0\n"
 
 
+# a polynomial literal that starts with a minus sign is the polynomial, not
+# an option, on every subcommand that takes one, wherever --json stands;
+# -- before it still works: (subcommand, literal, options)
+LEADING_MINUS = [
+    ("field", "-x^3+2", []),
+    ("construct", "-x^3+2", []),
+    ("fiber", "-x^3+2", ["--samples", "3"]),
+    ("twists", "-x^6-1", ["--max-r", "10", "--height", "5"]),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("command, literal, options", LEADING_MINUS, ids=[
+    "field", "construct", "fiber", "twists",
+])
+def test_a_literal_with_a_leading_minus_is_the_polynomial(optimize, command, literal, options):
+    plain = _run_cli([command, literal, *options], optimize)
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stderr == ""
+    after_dashes = _run_cli([command, *options, "--", literal], optimize)
+    assert (after_dashes.returncode, after_dashes.stdout) == (0, plain.stdout)
+    before = _run_cli([command, "--json", literal, *options], optimize)
+    after = _run_cli([command, literal, *options, "--json"], optimize)
+    for done in (before, after):
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["schema"] == f"primpoints.{command}/1"
+    assert before.stdout == after.stdout
+
+
+@pytest.mark.parametrize("negated, literal", [("-x^3+2", "x^3-2"), ("-x^4+2", "x^4-2")])
+def test_field_of_a_negated_literal_is_the_field_of_the_literal(negated, literal):
+    done, expected = _run_cli(["field", negated], False), _run_cli(["field", literal], False)
+    assert done.returncode == expected.returncode == 0, done.stderr
+    assert done.stdout == expected.stdout
+
+
+@pytest.mark.parametrize("command", ["field", "construct", "fiber", "twists", "rr"])
+def test_help_still_parses_as_an_option(command):
+    done = _run_cli([command, "-h"], False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"usage: primpoints {command} [-h]")
+
+
 # input files, named by placeholders in an argv: CURVE is y^2 = x^6 + 1,
 # the *_ZERO files hold a coefficient p/0, BAD is no UTF-8 text
 INPUT_FILES = {
@@ -369,6 +412,8 @@ INPUT_FILES = {
     "BAD": b"\xff\n",
     "MW_HUGE": b"order 1000000000000\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\n",
     "CURVE_ODD": b"f: 1 0 0 0 0 1\n",
+    "CURVE_TWO_F": b"f: 1 0 0 0 0 1\nf: 1 0 0 0 0 0 1\n",
+    "MW_TWO_BASES": b"order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\nbase 2*oo+\n",
 }
 # per subcommand, a coefficient p/0 in a literal or in a file
 ZERO_DENOMINATORS = [
@@ -427,6 +472,22 @@ def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, messa
     [line] = done.stderr.splitlines()
     assert line.startswith("parse error: ") and message in line
     assert done.stdout == ""
+
+
+# a directive that a file may hold once, given twice, is refused at the
+# second line instead of read as the last one
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv, message", [
+    (["rr", "CURVE_TWO_F", "1*oo"], "curve file line 2: a second 'f:' line"),
+    (["points", fixture("x0_71.curve"), "MW_TWO_BASES", "3", "REPORT"],
+     "mw file line 4: a second 'base' line"),
+], ids=["rr curve f", "points mw base"])
+def test_a_repeated_directive_is_a_parse_error(tmp_path, optimize, argv, message):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"parse error: {message}\n"
+    assert done.stdout == ""
+    assert not (tmp_path / "REPORT").exists()
 
 
 @pytest.mark.parametrize("optimize", [False, True])

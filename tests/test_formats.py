@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primpoints.arith import UniPoly, poly
 from conftest import X0_71_COEFFS
+from oracles import curve_file_text, mw_file_text, mw_order, poly, poly_coeff_text
+from primpoints.arith import UniPoly
 from primpoints.errors import SIZE_BOUND, InfinitePlace, ParseError
 from primpoints.formats import (
-    curve_file_text,
-    mw_file_text,
     parse_coeff_text,
     parse_cover_csv,
     parse_curve_file,
     parse_divisor,
     parse_mw_file,
     parse_poly,
-    poly_coeff_text,
     verdict_csv_text,
 )
 from primpoints.hyperell import OO_MINUS, OO_PLUS, RAM, SPLIT, ClosedPoint, Divisor, curve_new
@@ -153,10 +151,28 @@ def test_curve_file_roundtrip():
         parse_curve_file("g: 1 2 3")
 
 
+def test_a_directive_given_twice_is_a_parse_error():
+    # the file formats allow one 'f:', at most one 'label:' and one 'base'
+    with pytest.raises(ParseError, match="curve file line 2: a second 'f:' line"):
+        parse_curve_file("f: 1 0 0 0 0 1\nf: 1 0 0 0 0 0 1\n")
+    with pytest.raises(ParseError, match="curve file line 4: a second 'label:' line"):
+        parse_curve_file("label: a\nf: 1 0 0 0 0 1\n# label: c\nlabel: b\n")
+    with pytest.raises(ParseError, match="curve file line 3: a second 'label:' line"):
+        parse_curve_file("f: 1 0 0 0 0 1\nlabel:\nlabel: b\n")
+    with pytest.raises(ParseError, match="mw file line 4: a second 'base' line"):
+        parse_mw_file("order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\nbase 2*oo+\n")
+    # the same line twice is no exception
+    with pytest.raises(ParseError, match="mw file line 2: a second 'base' line"):
+        parse_mw_file("base 2*oo+\nbase 2*oo+\norder 35\ngen 1*oo+ + -1*oo-\n")
+    # 'order' and 'gen' come in pairs, one per cyclic factor
+    text = "order 5\ngen 7*oo+ + -7*oo-\norder 7\ngen 5*oo+ + -5*oo-\nbase 2*oo+\n"
+    assert mw_order(parse_mw_file(text)) == 35
+
+
 def test_mw_file_roundtrip():
     text = open("fixtures/x0_71.mw").read()
     mw = parse_mw_file(text)
-    assert mw.order == 35
+    assert mw_order(mw) == 35
     assert mw.cyclic_factors[0][0] == 35
     assert mw.base.degree == 2
     assert parse_mw_file(mw_file_text(mw)) == mw
@@ -166,14 +182,14 @@ def test_mw_file_roundtrip():
 
 def test_an_order_above_the_size_bound_is_a_parse_error():
     gen = "gen 1*oo+ + -1*oo-\n"
-    assert parse_mw_file(f"order {SIZE_BOUND}\n{gen}base 2*oo+\n").order == SIZE_BOUND
+    assert mw_order(parse_mw_file(f"order {SIZE_BOUND}\n{gen}base 2*oo+\n")) == SIZE_BOUND
     for order in (SIZE_BOUND + 1, 10**12, "9" * 5000):
         with pytest.raises(ParseError, match="order above the size bound 10000 in mw file line 2"):
             parse_mw_file(f"# one factor\norder {order}\n{gen}base 2*oo+\n")
     # each order is below the bound, the group order 101^2 above it
     with pytest.raises(ParseError, match="group order 10201 above the size bound"):
         parse_mw_file(f"order 101\n{gen}order 101\n{gen}base 2*oo+\n")
-    assert parse_mw_file(f"order 100\n{gen}order 100\n{gen}base 2*oo+\n").order == SIZE_BOUND
+    assert mw_order(parse_mw_file(f"order 100\n{gen}order 100\n{gen}base 2*oo+\n")) == SIZE_BOUND
 
 
 def test_cover_csv_parse_and_verdict_text():

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS, run_python
+from oracles import canonical_divisor, from_x_poly, poly
 from primpoints import hyperell, numfield, pipeline
-from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, poly, rational_sqrt
+from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, rational_sqrt
 from primpoints.errors import (
     BadInput,
     DegreeTooSmall,
@@ -37,7 +38,6 @@ from primpoints.hyperell import (
     _even_infinity_valuation,
     _infinity_orders,
     _valuation_at,
-    canonical_divisor,
     classify_place,
     curve_new,
     decompose_effective,
@@ -148,7 +148,7 @@ def test_integer_series_matches_the_fraction_series(curve, nterms):
 
 
 def test_divisor_of_x_on_odd_curve():
-    w = CurveFunction.from_x_poly(poly(0, 1))
+    w = from_x_poly(poly(0, 1))
     div = divisor_of_function(C_X5, w)
     assert div.degree == 0
     inf = ClosedPoint.infinite(OO)
@@ -277,7 +277,7 @@ def test_rr_odd_infinity_basis_is_monomial_staircase():
         g = curve.genus
         for n in range(-3, 4 * g + 3):
             expected = [
-                CurveFunction.from_x_poly(UniPoly.x() ** i) for i in range(n + 1) if 2 * i <= n
+                from_x_poly(UniPoly.x() ** i) for i in range(n + 1) if 2 * i <= n
             ] + [
                 CurveFunction.make(UniPoly.zero(), UniPoly.x() ** j)
                 for j in range(n + 1)
@@ -372,7 +372,7 @@ def test_basis_membership_via_divisor_recheck():
 
 def test_failed_rechecks_raise_verification_failed():
     # x has simple poles at oo+ and oo-, so it is not in L(0)
-    x = CurveFunction.from_x_poly(poly(0, 1))
+    x = from_x_poly(poly(0, 1))
     with pytest.raises(VerificationFailed):
         _assert_in_space(C_X6, x, Divisor.zero())
     oo_both = Divisor.make((ClosedPoint.infinite(pl), 1) for pl in (OO_PLUS, OO_MINUS))
@@ -687,7 +687,7 @@ def test_divisor_checks_raise_verification_failed(monkeypatch):
         divisor_of_function(C_X5, CurveFunction.make(poly(1), poly(1)))
     # mult < 2k: x - 1 divides u once, so the norm (x - 1)^2 has valuation 2
     with pytest.raises(VerificationFailed, match="norm valuation disagrees"):
-        divisor_of_function(C_X5, CurveFunction.from_x_poly(x1))
+        divisor_of_function(C_X5, from_x_poly(x1))
     # mult > 2k = 0 but p | v': no branch root to read off
     with pytest.raises(VerificationFailed, match="b = 0 mod p"):
         divisor_of_function(C_X5, CurveFunction.make(poly(1), x1))
@@ -704,7 +704,7 @@ def test_rr_space_rejects_negative_affine():
 def test_decompose_effective():
     base = Divisor.make([(ClosedPoint.infinite(OO_PLUS), 2)])
     assert decompose_effective(C_X6, CurveFunction.constant(1), base) == base
-    w = CurveFunction.from_x_poly(poly(0, 1))
+    w = from_x_poly(poly(0, 1))
     with pytest.raises(NotInLinearSeries):
         decompose_effective(C_X6, w, Divisor.zero())
 
@@ -876,8 +876,8 @@ def test_classify_place_builds_no_number_field(monkeypatch):
 def test_classify_place_rejects_a_corrupted_root(optimize):
     # twice b^-1 reads off 2q, and (2q)^2 = 4f is not f mod p
     code = (
+        "from oracles import poly\n"
         "from primpoints import arith, hyperell\n"
-        "from primpoints.arith import poly\n"
         "from primpoints.errors import VerificationFailed\n"
         "hyperell._poly_inverse_mod = lambda b, m: arith._poly_inverse_mod(b, m).scale(2)\n"
         "p = poly(-2, 0, 1)\n"
@@ -1035,8 +1035,8 @@ def test_divisor_of_function_matches_the_classified_route(curve_and_function):
 def test_divisor_of_function_rejects_a_corrupted_root(optimize):
     # twice v'^-1 reads off 2q, and (2q)^2 = 4f is not f mod p
     code = (
+        "from oracles import poly\n"
         "from primpoints import arith, hyperell\n"
-        "from primpoints.arith import poly\n"
         "from primpoints.errors import VerificationFailed\n"
         "hyperell._poly_inverse_mod = lambda b, m: arith._poly_inverse_mod(b, m).scale(2)\n"
         "p = poly(-2, 0, 1)\n"

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
+from oracles import poly
 from primpoints import arith, linalg, numfield
 from primpoints.arith import (
     UniPoly,
@@ -18,7 +19,6 @@ from primpoints.arith import (
     factor_over_Q,
     interpolate_values,
     is_prime,
-    poly,
     resultant,
 )
 from primpoints.errors import (
@@ -559,8 +559,8 @@ def test_field_report_splits_each_prime_of_m_once(monkeypatch, lit):
 # the check that caught it
 CORRUPTED_ORBITALS = """
 import dataclasses
+from oracles import poly
 from primpoints import cli, numfield
-from primpoints.arith import poly
 
 labels, factor = numfield._pair_labels, numfield.factor_over_Q
 roots_in_fpe = numfield.fpe_roots
@@ -688,7 +688,7 @@ def test_absolute_minpoly_leaves_the_branch_test_to_classify_place(monkeypatch):
 @pytest.mark.parametrize("optimize", [False, True])
 def test_absolute_minpoly_not_inert_under_optimize(optimize):
     code = (
-        "from primpoints.arith import poly\n"
+        "from oracles import poly\n"
         "from primpoints.errors import NotInert\n"
         "from primpoints.numfield import absolute_minpoly\n"
         "for p, f in ((poly(-2, 0, 1), poly(-2, 0, 0, 0, 1)), (poly(0, 1), poly(0, 1))):\n"

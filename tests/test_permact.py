@@ -8,27 +8,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from primpoints.errors import SIZE_BOUND, BadInput, NotTransitive, ParseError
-from primpoints.permact import (
-    PermGroup,
+from oracles import (
     alternating_group,
-    compose,
-    cycle_type_fits_blocks,
     cycles_literal,
     cyclic_group,
-    _sims_filter,
     dihedral_group,
-    group_order,
-    identity,
     is_primitive_action,
-    is_transitive,
-    minimal_blocks,
-    orbit_transversal,
-    parse_cycles,
     symmetric_group,
     transitive_corpus,
     verify_stabilizer_lemma,
     wreath_on_blocks,
+)
+from primpoints.errors import SIZE_BOUND, BadInput, NotTransitive, ParseError
+from primpoints.permact import (
+    PermGroup,
+    compose,
+    cycle_type_fits_blocks,
+    _sims_filter,
+    group_order,
+    identity,
+    is_transitive,
+    minimal_blocks,
+    orbit_transversal,
+    parse_cycles,
 )
 
 
@@ -235,7 +237,7 @@ def test_stabilizer_lemma_under_optimize(optimize):
     code = (
         f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
         "from test_permact import _beyond_corpus\n"
-        "from primpoints.permact import *\n"
+        "from oracles import is_primitive_action, transitive_corpus, verify_stabilizer_lemma\n"
         "corpus = [G for _, G, _ in transitive_corpus(7)]\n"
         "print(sum(map(verify_stabilizer_lemma, corpus)))\n"
         "print(sum(verify_stabilizer_lemma(G) and is_primitive_action(G) == primitive\n"

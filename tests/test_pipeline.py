@@ -8,8 +8,9 @@ from math import gcd
 import pytest
 
 from conftest import run_python
+from oracles import cs_bound, invert, poly
 from primpoints import arith, numfield, pipeline
-from primpoints.arith import UniPoly, is_squarefree, poly, rational_sqrt
+from primpoints.arith import UniPoly, is_squarefree, rational_sqrt
 from primpoints.errors import (
     BadInput,
     ConstantFunction,
@@ -47,7 +48,6 @@ from primpoints.pipeline import (
     classify_points,
     classify_row,
     construct_primitive_curve,
-    cs_bound,
     enumerate_classes,
     fiber_sample_report,
     specialize_fiber,
@@ -425,7 +425,7 @@ def build_fiber_map():
 def test_specialize_fiber_pole_anchor():
     curve, witness, w = build_fiber_map()
     # the inverted map has the witness divisor as its zero fiber
-    w_inv = w.invert(curve)
+    w_inv = invert(w, curve)
     poles = divisor_of_function(curve, w_inv).negative_part()
     fiber = divisor_of_function(curve, w_inv) + poles
     assert fiber == Divisor.make([(witness, 1)])

@@ -7,8 +7,8 @@ and `fixtures/`.  A digest covers the exit code, stdout, stderr and, for
 masked, as is the scratch directory that holds the input files), so two
 checkouts that print the same lines produce identical reports.  The set:
 
-* `points` on X0(71), d = 3..6, text and --json, --jobs 1 and --jobs 2;
-  at d = 2 and 7..12, text;
+* `points` on X0(71), d = 3..6, text and --json; at d = 2 and 7..12,
+  text; at d = 3 with `--jobs 2`, an option it does not take;
   at d = 3..6, text and --json, with the base 1*oo+, which leaves labels
   unpaired by y -> -y, and with Z/35 presented as Z/5 x Z/7; and at d = 3
   with Mordell-Weil files that each break one rule (an order 0, a
@@ -49,6 +49,9 @@ checkouts that print the same lines produce identical reports.  The set:
 * `construct` on x^3-2 and x^5-x-1;
 * `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
   --height 50` on x^7-x-1 and 2x^6-3x+5/7;
+* sizes on the command line above the size bound: `points` at d = 20001,
+  `twists x^6+1` with `--max-r 100000000 --height 2` and with `--max-r 2
+  --height 100000`, and `fiber x^3-2 --samples 10001`;
 * `--help`, at the top level and of each subcommand, which pins every
   usage line;
 * `classify` on cover tables whose one row each breaks one rule: m = 1,
@@ -316,9 +319,9 @@ def runs(root, scratch):
     report = os.path.join(scratch, "report")
     for d in (3, 4, 5, 6):
         for fmt in ((), ("--json",)):
-            for width in ("1", "2"):
-                argv = ["points", curve, mw, str(d), report, *fmt, "--jobs", width]
-                yield f"points d={d} {' '.join(fmt) or 'text'} jobs={width}", argv, report
+            argv = ["points", curve, mw, str(d), report, *fmt]
+            yield f"points d={d} {' '.join(fmt) or 'text'}", argv, report
+    yield "points d=3 --jobs 2", ["points", curve, mw, "3", report, "--jobs", "2"], report
     for d in (2, 7, 8, 9, 10, 11, 12):
         yield f"points d={d} text", ["points", curve, mw, str(d), report], report
     for k, (name, text) in enumerate(MW_VARIANTS):
@@ -354,6 +357,10 @@ def runs(root, scratch):
     yield "twists x^6+1", ["twists", "x^6+1", "--max-r", "30", "--height", "20"], None
     for lit in TWIST_POLYS:
         yield f"twists {lit}", ["twists", lit, "--max-r", "100", "--height", "50"], None
+    yield "points d=20001", ["points", curve, mw, "20001", report], report
+    for options in (("--max-r", "100000000", "--height", "2"), ("--max-r", "2", "--height", "100000")):
+        yield f"twists x^6+1 {' '.join(options)}", ["twists", "x^6+1", *options], None
+    yield "fiber x^3-2 --samples 10001", ["fiber", "x^3-2", "--samples", "10001"], None
     yield "--help", ["--help"], None
     for command in COMMANDS:
         yield f"{command} --help", [command, "--help"], None

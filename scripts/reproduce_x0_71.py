@@ -6,7 +6,7 @@ Mordell-Weil data and prints each per-class report.  Degree 6 is the
 interesting one: 22 primitive orbits, reducible classes at a = +-3, and
 imprimitive classes at a = +-5, +-7, +-12.
 
-Usage: python3 scripts/reproduce_x0_71.py [--degrees 3,4,5,6] [--jobs N]
+Usage: python3 scripts/reproduce_x0_71.py [--degrees 3,4,5,6]
 """
 
 import argparse
@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from primpoints.cli import _int_list, _positive_int, points_report, run_guarded  # noqa: E402
+from primpoints.cli import _int_list, points_report, run_guarded  # noqa: E402
 from primpoints.formats import parse_curve_file, parse_mw_file  # noqa: E402
 from primpoints.hyperell import curve_new  # noqa: E402
 from primpoints.pipeline import classify_points  # noqa: E402
@@ -27,7 +27,6 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--degrees", type=_int_list, default="3,4,5,6")
-    parser.add_argument("--jobs", type=_positive_int, default=1)
     args = parser.parse_args()
 
     with open(os.path.join(FIXTURES, "x0_71.curve")) as fh:
@@ -38,7 +37,7 @@ def main():
 
     for degree in args.degrees:
         started = time.time()
-        report = classify_points(curve, mw, degree, jobs=args.jobs)
+        report = classify_points(curve, mw, degree)
         _, lines = points_report(curve, label, report)
         print("\n".join(lines) + "\n")
         print(f"# degree {degree} took {time.time() - started:.1f}s\n")

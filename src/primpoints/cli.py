@@ -4,9 +4,8 @@ Exit codes: 0 success, 2 I/O or parse failure, 3 unsupported divisor or
 group shape, 4 domain precondition violation, 5 internal verification
 failed.  Every subcommand accepts --json for a machine-readable document
 carrying a versioned schema tag; all reports are byte-deterministic for
-fixed inputs and flags, regardless of the parallelism width.  Each
-subcommand builds its JSON document and its text lines once and hands
-both to `_emit`, the one place that reads --json.
+fixed inputs and flags.  Each subcommand builds its JSON document and its
+text lines once and hands both to `_emit`, the one place that reads --json.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from fractions import Fraction
 
 from . import formats, hyperell, numfield, permact, pipeline
 from .errors import (
+    SIZE_BOUND,
     BadInput,
     ParseError,
     PrimpointsError,
@@ -102,12 +102,9 @@ def build_parser():
         "classify", cmd_classify, "finiteness verdicts for a cover table CSV",
         "csv_in", "csv_out",
     )
-    # --jobs follows --json, as it always has on the usage line
     command(
         "points", cmd_points, "classify degree-d divisor classes on a curve",
-        "curve_file", "mw_file", ("degree", dict(type=int)), "report_out",
-    ).add_argument(
-        "--jobs", type=_positive_int, default=1, help="parallel class evaluation width"
+        "curve_file", "mw_file", ("degree", dict(type=_size)), "report_out",
     )
     command("field", cmd_field, "primitivity of the field cut out by a polynomial", "poly")
     command(
@@ -120,13 +117,13 @@ def build_parser():
     )
     command(
         "fiber", cmd_fiber, "fiber specialization sampling report",
-        "poly", ("--samples", dict(type=int, default=20)),
-        ("--height", dict(type=int, default=50)),
+        "poly", ("--samples", dict(type=_size, default=20)),
+        ("--height", dict(type=_size, default=50)),
     )
     command(
         "twists", cmd_twists, "quadratic twist census with exact verification",
-        "poly", ("--max-r", dict(type=int, default=100)),
-        ("--height", dict(type=int, default=50)),
+        "poly", ("--max-r", dict(type=_size, default=100)),
+        ("--height", dict(type=_size, default=50)),
     )
     command(
         "perm", cmd_perm, "primitivity of a permutation group from cycles",
@@ -144,6 +141,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _size(text: str) -> int:
+    """A size on the command line, read as `formats` reads one from a file:
+    argparse's usage error if it is no integer or its absolute value is
+    above SIZE_BOUND, so the work it sizes stays bounded."""
+    try:
+        return formats._size(text, "size", "argument")
+    except (ParseError, ValueError):
+        message = f"not an integer of absolute value at most {SIZE_BOUND}: {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _int_list(text: str) -> list:
@@ -246,7 +254,7 @@ def cmd_points(args) -> int:
     mw_text = _read(args.mw_file)
     curve = hyperell.curve_new(f)
     mw = formats.parse_mw_file(mw_text, curve)
-    report = pipeline.classify_points(curve, mw, args.degree, jobs=args.jobs)
+    report = pipeline.classify_points(curve, mw, args.degree)
     doc, lines = points_report(curve, label, report)
     _emit(args, doc, lines, args.report_out)
     print(f"primitive_orbits={doc['primitive_orbits']}")

@@ -29,10 +29,8 @@ Mordell-Weil data is always an input, never computed here.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt
 
 from . import hyperell
@@ -287,9 +285,9 @@ class OrbitVerdict:
 
 
 def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
-    """First phase of one class: (its final verdict, None), or, for the
-    irreducible effective divisor of a rigid class, (a verdict with the
-    point's minimal polynomial and no outcome yet, the point's field)."""
+    """One class short of its field report: (its final verdict, None), or,
+    for the irreducible effective divisor of a rigid class, (a verdict with
+    the point's minimal polynomial and no outcome yet, the point's field)."""
     if entry.ell >= 2:
         return OrbitVerdict(entry.label, entry.ell, SKIPPED), None
     if entry.ell == 0:
@@ -307,35 +305,6 @@ def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
     K = point_field(curve, terms[0][0])
     assert K.degree == d
     return OrbitVerdict(entry.label, 1, None, witness_divisor=eff, witness_minpoly=K.min_poly), K
-
-
-def _classify_entries(curve: HyperCurve, entries, d: int, pmap) -> list:
-    """Both phases over one map (serial `map` or a pool's): each computed
-    class to its verdict or its point's field, then one `field_report` per
-    distinct field.  An entry read off another takes that entry's verdict
-    under its own label, with the witness conjugated when its divisor is
-    the conjugate: Q(iota*P) = Q(P), so the outcome and field are shared."""
-    own = [i for i, e in enumerate(entries) if e.source is None]
-    pending = dict(zip(own, pmap(partial(_rigid_point, curve, d), [entries[i] for i in own])))
-    fields = list(dict.fromkeys(K for _, K in pending.values() if K is not None))
-    reports = dict(zip(fields, pmap(field_report, fields)))
-    out = []
-    for i, entry in enumerate(entries):
-        src = i if entry.source is None else entry.source
-        v, K = pending[src]
-        witness = v.witness_divisor
-        if witness is not None and entry.divisor != entries[src].divisor:
-            witness = witness.conjugate()
-        decided = {}
-        if K is not None:
-            report = reports[K]
-            proper = report.proper_subfield_degrees
-            decided = dict(
-                outcome=PRIMITIVE if report.is_primitive else IMPRIMITIVE,
-                subfield_degree=proper[0] if proper else None,
-            )
-        out.append(replace(v, label=entry.label, witness_divisor=witness, **decided))
-    return out
 
 
 @dataclass(frozen=True)
@@ -357,27 +326,37 @@ class ClassificationReport:
         return out
 
 
-def classify_points(curve: HyperCurve, mw: MWSpec, d: int, jobs: int = 1):
+def classify_points(curve: HyperCurve, mw: MWSpec, d: int):
     """Classify every divisor class of degree d over the finite group.
 
     Each representative D and its conjugate iota*D are classified once,
     paired by exact divisor identity (`enumerate_classes`): the partner
-    keeps the outcome and the point field, and takes the conjugate witness.
-    Each distinct point field is decided once.  With jobs > 1 both phases
-    run in one process pool of min(jobs, CPU count, number of classes) workers,
-    serially when that is 1; results are reassembled in canonical label
-    order either way.
+    takes its source's verdict under its own label, with the witness
+    conjugated when its divisor is the conjugate, as Q(iota*P) = Q(P).
+    Each distinct point field is decided once.  Verdicts come in the label
+    order of `enumerate_classes`.
     """
     entries = enumerate_classes(curve, mw, d)
-    width = min(jobs, os.cpu_count() or 1, len(entries))
-    if width > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            verdicts = _classify_entries(curve, entries, d, pool.map)
-    else:
-        verdicts = _classify_entries(curve, entries, d, map)
-    verdicts.sort(key=lambda v: v.label)
+    verdicts, reports = [], {}  # reports: point field -> its field_report
+    for entry in entries:
+        if entry.source is None:
+            v, K = _rigid_point(curve, d, entry)
+            if K is not None:
+                if K not in reports:
+                    reports[K] = field_report(K)
+                proper = reports[K].proper_subfield_degrees
+                v = replace(
+                    v,
+                    outcome=PRIMITIVE if reports[K].is_primitive else IMPRIMITIVE,
+                    subfield_degree=proper[0] if proper else None,
+                )
+        else:
+            v = verdicts[entry.source]
+            witness = v.witness_divisor
+            if witness is not None and entry.divisor != entries[entry.source].divisor:
+                witness = witness.conjugate()
+            v = replace(v, label=entry.label, witness_divisor=witness)
+        verdicts.append(v)
     report = ClassificationReport(d, len(entries), tuple(verdicts))
     counts = report.summary()
     assert sum(counts.values()) == len(entries)

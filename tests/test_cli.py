@@ -47,17 +47,6 @@ def test_missing_file_exit_code(tmp_path):
                  str(tmp_path / "r")]) == 2
 
 
-@pytest.mark.parametrize("width", ["0", "-3"])
-def test_points_rejects_jobs_below_one(tmp_path, capsys, width):
-    out = tmp_path / "r.txt"
-    with pytest.raises(SystemExit) as exc:
-        main(["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "3", str(out),
-              "--jobs", width])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     def failing(curve, D):
         raise VerificationFailed("basis element violates pole bounds")
@@ -474,6 +463,47 @@ def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, messa
     assert done.stdout == ""
 
 
+# a size on the command line above the bound, which sized a loop that ran
+# until killed, or whose absolute value is: argparse's usage error
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv, option", [
+    (["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "20001", "REPORT"], "degree"),
+    (["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "-20001", "REPORT"], "degree"),
+    (["twists", "x^6+1", "--max-r", "100000000", "--height", "2"], "--max-r"),
+    (["twists", "x^6+1", "--max-r", "2", "--height", "100000"], "--height"),
+    (["fiber", "x^3-2", "--samples", "10001"], "--samples"),
+    (["fiber", "x^3-2", "--samples", "3", "--height", "9" * 5000], "--height"),
+], ids=[
+    "points degree", "points negative degree", "twists max-r", "twists height",
+    "fiber samples", "fiber height of 5000 digits",
+])
+def test_a_size_argument_above_the_bound_is_a_usage_error(tmp_path, optimize, argv, option):
+    done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"usage: primpoints {argv[0]} ")
+    error = done.stderr.splitlines()[-1]
+    assert error.startswith(f"primpoints {argv[0]}: error: argument {option}: ")
+    assert "absolute value at most 10000" in error
+    assert done.stdout == ""
+    assert not (tmp_path / "REPORT").exists()
+
+
+def test_a_size_argument_within_the_bound_runs_as_before(tmp_path, capsys):
+    assert main(["twists", "x^6+1", "--max-r", "10000", "--height", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_r"] == 10000 and [h["r"] for h in doc["hits"]] == [1, 2]
+    out = tmp_path / "r.txt"
+    argv = ["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "-10000", str(out)]
+    assert main(argv) == 3
+    assert main(["twists", "x^6+1", "--max-r", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "unsupported shape: degree must be at least 2\n"
+        "domain error: twist bound and height bound must be at least 1\n"
+    )
+    assert not out.exists()
+
+
 # a directive that a file may hold once, given twice, is refused at the
 # second line instead of read as the last one
 @pytest.mark.parametrize("optimize", [False, True])
@@ -568,10 +598,7 @@ def test_points_command_degree4_deterministic(tmp_path, capsys):
     code = main(["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "4", str(out1)])
     assert code == 0
     assert "primitive_orbits=0" in capsys.readouterr().out
-    code = main(
-        ["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "4", str(out2),
-         "--jobs", "2"]
-    )
+    code = main(["points", fixture("x0_71.curve"), fixture("x0_71.mw"), "4", str(out2)])
     assert code == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
@@ -587,17 +614,22 @@ REFERENCE = os.path.join(FIXTURES, "..", "perfbench", "reference", "x0_71-points
 @pytest.mark.slow
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_points_reports_are_the_same_at_every_width(d, tmp_path, capsys):
-    # text as in the committed benchmark reference, --json equal across widths
+    # text as in the committed benchmark reference, --json with the same
+    # stdout, classes and summary
     reference = open(REFERENCE, encoding="utf-8").read()
-    docs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"r{jobs}.txt"
-        argv = ["points", fixture("x0_71.curve"), fixture("x0_71.mw"), str(d), str(out)]
-        code = main(argv + ["--jobs", jobs])
-        assert f"## d={d}\nexit={code}\n{capsys.readouterr().out}{out.read_text()}\n" in reference
-        assert main(argv + ["--jobs", jobs, "--json"]) == 0
-        docs.append((capsys.readouterr().out, out.read_text()))
-    assert docs[0] == docs[1]
+    out = tmp_path / "r.txt"
+    argv = ["points", fixture("x0_71.curve"), fixture("x0_71.mw"), str(d), str(out)]
+    code = main(argv)
+    stdout, text = capsys.readouterr().out, out.read_text()
+    assert f"## d={d}\nexit={code}\n{stdout}{text}\n" in reference
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == stdout
+    doc = json.loads(out.read_text())
+    [summary] = [line for line in text.splitlines() if line.startswith("summary: ")]
+    assert dict(kv.split("=") for kv in summary.split()[1:]) == {
+        key: str(n) for key, n in doc["summary"].items()
+    }
+    assert len(doc["classes"]) == text.count("class a=") == doc["group_order"]
 
 
 @pytest.mark.slow
@@ -696,7 +728,6 @@ def test_scripts_exit_as_the_cli_does_on_bad_input(tmp_path, optimize, script):
     "script, option, value",
     [
         ("reproduce_x0_71.py", "--degrees", "a"),
-        ("reproduce_x0_71.py", "--jobs", "0"),
         ("twist_growth.py", "--heights", "5,x"),
         ("twist_growth.py", "--heights", "50,1"),  # not increasing
     ],

@@ -218,35 +218,6 @@ def test_classify_points_x0_71_degree4_head():
     assert sum(counts.values()) == 35
 
 
-class _SerialPool:
-    """Stand-in for ProcessPoolExecutor: records the width, maps in-process."""
-
-    widths = []
-
-    def __init__(self, max_workers):
-        self.widths.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus,expected", [(4, [4]), (64, [35]), (1, []), (None, [])])
-def test_classify_points_caps_the_pool_width(monkeypatch, cpus, expected):
-    """--jobs 10**6 never asks for more workers than CPUs or classes."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "widths", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    report = classify_points(X0_71, MW_71, 4, jobs=10**6)
-    assert _SerialPool.widths == expected
-    assert report == classify_points(X0_71, MW_71, 4)
-
-
 def test_classify_points_decides_each_distinct_field_once(monkeypatch):
     # the 28 irreducible degree-6 classes come in 14 pairs a, -a with one
     # field each; 3 of those fields are imprimitive
@@ -309,15 +280,14 @@ def _oracle_verdicts(curve, mw, d):
     return tuple(out)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name, curve, mw, degrees", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_classify_points_matches_the_per_label_oracle(monkeypatch, name, curve, mw, degrees, jobs):
+def test_classify_points_matches_the_per_label_oracle(monkeypatch, name, curve, mw, degrees):
     # one L(D) per divisor up to y -> -y; the partner's verdict, witness
     # included, is the one its own L(D) gives
     spaces = _record_calls(monkeypatch, pipeline, "rr_space")
     for d in degrees:
         spaces.clear()
-        report = classify_points(curve, mw, d, jobs=jobs)
+        report = classify_points(curve, mw, d)
         assert report.verdicts == _oracle_verdicts(curve, mw, d), (name, d)
         ranges = [pipeline._coefficient_range(order) for order, _ in mw.cyclic_factors]
         pairs = {frozenset((D, D.conjugate())) for D in (

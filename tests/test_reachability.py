@@ -12,6 +12,12 @@ Statements that run at import and define nothing are roots too.
 A local that shadows a top-level name counts as a use, so the scan can
 miss dead code but never reports live code.  What only tests use
 belongs in `tests/oracles.py`.
+
+A method, defined in a class body, is reached when its name appears as
+an attribute, `.name`, somewhere in `src/`, `scripts/` or `perfbench/`
+outside its own definition.  Any object's attribute of that name counts,
+so this check too can miss dead code but never reports live code.
+Dunders, which Python calls by protocol, are exempt.
 """
 
 import ast
@@ -127,3 +133,38 @@ def test_the_roots_resolve_to_package_definitions():
 
 def test_every_top_level_definition_is_reached():
     assert unreached() == []
+
+
+def _python_files(*parts):
+    for dirpath, _, filenames in os.walk(os.path.join(REPO, *parts)):
+        yield from (os.path.join(dirpath, f) for f in sorted(filenames) if f.endswith(".py"))
+
+
+def uncalled_methods():
+    """Sorted 'module.Class.method' of every method defined in a class body
+    of the package whose name no attribute outside its definition names."""
+    uses = {}  # attribute name -> [(path, line)]
+    for path in (*_python_files("src"), *_python_files("scripts"), *_python_files("perfbench")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+    out = []
+    for path in _python_files("src", "primpoints"):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                inside = range(method.lineno, method.end_lineno + 1)
+                if all(p == path and line in inside for p, line in uses.get(name, ())):
+                    module = os.path.basename(path)[:-3]
+                    out.append(f"{module}.{cls.name}.{name}")
+    return sorted(out)
+
+
+def test_every_method_is_named_outside_its_definition():
+    assert uncalled_methods() == []

@@ -47,17 +47,19 @@ checkouts that print the same lines produce identical reports.  The set:
   bound;
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
-* `twists x^6+1 --max-r 30 --height 20`, and `twists --max-r 100
-  --height 50` on x^7-x-1 and 2x^6-3x+5/7;
+* `twists x^6+1 --max-r 30 --height 20` and `--max-r 10000 --height 8`,
+  and `twists --max-r 100 --height 50` on x^7-x-1 and 2x^6-3x+5/7;
 * sizes on the command line above the size bound: `points` at d = 20001,
   `twists x^6+1` with `--max-r 100000000 --height 2` and with `--max-r 2
-  --height 100000`, and `fiber x^3-2 --samples 10001`;
+  --height 100000`, `fiber x^3-2 --samples 10001`, and `construct x^3-2`
+  with a `--seed` of 3001 digits;
 * `--help`, at the top level and of each subcommand, which pins every
   usage line;
 * `classify` on cover tables whose one row each breaks one rule: m = 1,
   kinds `weird`, `Gonal` and empty, gprime missing or 0 on a relative
   cover, g = 0, ranges `1-4`, `4-3` and `2`, m `two`, the boolean `maybe`,
-  and a short row;
+  a short row, and g, m, gprime and the end of the range `2-100000000`
+  above the size bound;
 * a zero denominator in a polynomial literal for `field`, `construct`,
   `fiber` and `twists`, in a divisor literal and in the curve file for
   `rr`, and in the base of a Mordell-Weil file for `points`;
@@ -213,6 +215,10 @@ BAD_COVER_ROWS = (
     ("m two", "x,5,gonal,two,,true,false,2-4"),
     ("boolean maybe", "x,5,gonal,2,,maybe,false,2-4"),
     ("short row", "x,5,gonal,2,,true,false"),
+    ("g above the size bound", "x,10001,gonal,2,,true,false,2-4"),
+    ("m above the size bound", "x,5,gonal,10001,,true,false,2-4"),
+    ("gprime above the size bound", "x,41,relative,3,10001,true,false,2-5"),
+    ("range end above the size bound", "x,5,gonal,2,,true,false,2-100000000"),
 )
 ZERO_DENOMINATOR_LITERALS = (
     ("field", "x^2+1/0"),
@@ -355,12 +361,16 @@ def runs(root, scratch):
     for lit in CONSTRUCT_POLYS:
         yield f"construct {lit}", ["construct", lit], None
     yield "twists x^6+1", ["twists", "x^6+1", "--max-r", "30", "--height", "20"], None
+    argv = ["twists", "x^6+1", "--max-r", "10000", "--height", "8"]
+    yield "twists x^6+1 --max-r 10000 --height 8", argv, None
     for lit in TWIST_POLYS:
         yield f"twists {lit}", ["twists", lit, "--max-r", "100", "--height", "50"], None
     yield "points d=20001", ["points", curve, mw, "20001", report], report
     for options in (("--max-r", "100000000", "--height", "2"), ("--max-r", "2", "--height", "100000")):
         yield f"twists x^6+1 {' '.join(options)}", ["twists", "x^6+1", *options], None
     yield "fiber x^3-2 --samples 10001", ["fiber", "x^3-2", "--samples", "10001"], None
+    argv = ["construct", "x^3-2", "--seed", "1" + "0" * 3000]
+    yield "construct x^3-2 --seed of 3001 digits", argv, None
     yield "--help", ["--help"], None
     for command in COMMANDS:
         yield f"{command} --help", [command, "--help"], None

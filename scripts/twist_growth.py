@@ -18,7 +18,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from primpoints.cli import _int_list, run_guarded  # noqa: E402
+from primpoints.cli import _int_list, _size, run_guarded  # noqa: E402
 from primpoints.errors import VerificationFailed  # noqa: E402
 from primpoints.formats import parse_poly  # noqa: E402
 from primpoints.pipeline import twist_census  # noqa: E402
@@ -34,7 +34,7 @@ def _heights(text):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--poly", default="x^6+1")
-    parser.add_argument("--max-r", type=int, default=100)
+    parser.add_argument("--max-r", type=_size, default=100)
     parser.add_argument("--heights", type=_heights, default="5,10,25,50")
     args = parser.parse_args()
 

@@ -808,18 +808,18 @@ def _squarefree_model(a: UniPoly) -> list:
     return a.to_int_primitive()[1]
 
 
-def degree_patterns(a: UniPoly, count: int | None):
-    """(p, degrees, parts) at the first `count` good primes of a's model, lazily.
+def degree_patterns(a: UniPoly):
+    """(p, degrees, parts) at each good prime of a's model in turn, lazily.
 
     `parts` is the distinct-degree split of a mod p, as `fpe_roots` takes
     it, and `degrees` the sorted degrees of the irreducible factors behind
     it: for an irreducible a, by Dedekind's theorem, the cycle type of a
-    Frobenius element of the Galois group acting on the roots.  A count of
-    None never ends.  BadInput, at once, unless a is squarefree of degree >= 1.
+    Frobenius element of the Galois group acting on the roots.  The stream
+    never ends; callers take a prefix with `itertools.islice`.  BadInput,
+    at once, unless a is squarefree of degree >= 1.
     """
     P = _squarefree_model(a)
-    return ((p, _degree_pattern(parts), parts)
-            for p, parts in itertools.islice(_good_primes(P), count))
+    return ((p, _degree_pattern(parts), parts) for p, parts in _good_primes(P))
 
 
 def _subset_sums(degrees) -> set:

@@ -113,7 +113,7 @@ def build_parser():
     )
     command(
         "construct", cmd_construct, "curve of genus d-1 with a ramified primitive point",
-        "poly", ("--seed", dict(type=int, default=0)),
+        "poly", ("--seed", dict(type=_size, default=0)),
     )
     command(
         "fiber", cmd_fiber, "fiber specialization sampling report",
@@ -128,19 +128,9 @@ def build_parser():
     command(
         "perm", cmd_perm, "primitivity of a permutation group from cycles",
         ("generators", dict(nargs="+")),
-        ("--degree", dict(type=_positive_int, default=None)),
+        ("--degree", dict(type=int, default=None)),
     )
     return parser
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _size(text: str) -> int:
@@ -155,12 +145,8 @@ def _size(text: str) -> int:
 
 
 def _int_list(text: str) -> list:
-    """A comma-separated list of integers, for the list options of `scripts/`."""
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        message = f"not a comma-separated list of integers: {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
+    """A comma-separated list of sizes, for the list options of `scripts/`."""
+    return [_size(part) for part in text.split(",")]
 
 
 def _read(path: str) -> str:

@@ -256,19 +256,20 @@ def parse_cover_csv(text: str):
             f"cover CSV header must be {','.join(COVER_HEADER)}"
         )
     for lineno, record in enumerate(reader, 2):
+        where = f"cover CSV line {lineno}"
         try:
             kind = record["cover_kind"].strip()
-            m = int(record["m"])
+            m = _size(record["m"], "m", where)
             gprime_text = record["gprime"].strip()
-            gprime = int(gprime_text) if gprime_text else None
+            gprime = _size(gprime_text, "gprime", where) if gprime_text else None
             lo, hi = record["d_range"].split("-")
             row = CoverRow(
                 record["label"].strip(),
-                int(record["g"]),
+                _size(record["g"], "g", where),
                 Cover(kind, m, gprime),
                 _parse_bool(record["jq_finite"]),
                 _parse_bool(record["j_simple"]),
-                (int(lo), int(hi)),
+                (_size(lo, "d_range", where), _size(hi, "d_range", where)),
             )
         except (KeyError, ValueError, AttributeError, BadInput) as exc:
             raise ParseError(f"cover CSV line {lineno}: {exc}") from exc

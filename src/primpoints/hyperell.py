@@ -193,10 +193,6 @@ class Divisor:
     def is_effective(self) -> bool:
         return all(m > 0 for _, m in self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def multiplicity(self, pt: ClosedPoint) -> int:
         for cand, m in self.terms:
             if cand == pt:
@@ -274,9 +270,6 @@ class CurveFunction:
 
     def __sub__(self, other):
         return self + CurveFunction(-other.u, -other.v, other.den)
-
-    def scale(self, c) -> "CurveFunction":
-        return CurveFunction(self.u.scale(c), self.v.scale(c), self.den)
 
     def conjugate(self) -> "CurveFunction":
         """The image under the involution y -> -y: (u - v*y) / den."""

@@ -594,7 +594,7 @@ def principal_subfields(K: NumberField, patterns) -> SubfieldReport:
 
     The graph is read at one good prime p, among the first
     `FROBENIUS_PRIME_BUDGET` of `patterns` (m's endless stream of degree
-    patterns, `degree_patterns(m, None)`) the one of smallest Frobenius
+    patterns, `degree_patterns(m)`) the one of smallest Frobenius
     order e = lcm(pattern) whose pattern has a part e and with p^e >= d^2,
     ties to the smaller p.  All roots of m lie in F_{p^e} there
     (`fpe_roots`), and e = 1 is the totally split case.  s is the first
@@ -676,7 +676,7 @@ def field_report(m: UniPoly | NumberField) -> SubfieldReport:
         return SubfieldReport((), True, route=PRIME_DEGREE)
     # one lazy stream of degree patterns for both routes, split only as far
     # as the routes read
-    for_certificate, for_subfields = itertools.tee(degree_patterns(K.min_poly, None))
+    for_certificate, for_subfields = itertools.tee(degree_patterns(K.min_poly))
     certificate = frobenius_certificate(K.min_poly, for_certificate)
     if certificate is not None:
         return SubfieldReport((), True, route=FROBENIUS, frobenius_cycle_types=certificate)

@@ -456,29 +456,19 @@ class TwistCensusResult:
     hits: tuple  # of TwistHit, ordered by (|r|, r)
 
 
-def _squarefree_ints(M: int):
-    out = []
-    for a in range(1, M + 1):
-        sf = True
-        k = 2
-        while k * k <= a:
-            if a % (k * k) == 0:
-                sf = False
-                break
-            k += 1
-        if sf:
-            out.extend([a, -a])
-    out.sort(key=lambda r: (abs(r), r))
-    return out
-
-
 def twist_census(f: UniPoly, M: int, height_bound: int) -> TwistCensusResult:
     """Search r*y^2 = f(x) for non-Weierstrass rational points.
 
-    Scans squarefree r with |r| <= M and x = p/q with |p|, |q| bounded by
-    the height bound; a hit records an exactly verified witness with
-    y != 0.  Points at infinity on odd models are Weierstrass and never
-    found by the affine scan.
+    One pass over x = p/q with |p|, |q| bounded by the height bound, q
+    first.  With f(x) = a/b != 0, y = isqrt(r*a*b) / (|r|*b) solves
+    r*y^2 = f(x) iff r*a*b is a nonzero square.  Exactly one squarefree r
+    makes it one, the squarefree part of a*b with its sign: two such r
+    have a square product.  If |r| <= M, its primes are at most M, so x is
+    a hit when dividing those primes out of |a*b| (odd powers into r)
+    leaves a square, |r| <= M, and no earlier x found r.  Memory is O(M).
+    Every witness y != 0 is verified exactly; hits are ordered by (|r|, r).
+    Points at infinity on odd models are Weierstrass and never found by
+    the affine scan.
     """
     if M < 1 or height_bound < 1:
         raise BadInput("twist bound and height bound must be at least 1")
@@ -486,25 +476,28 @@ def twist_census(f: UniPoly, M: int, height_bound: int) -> TwistCensusResult:
         raise DegreeTooSmall("twist census needs deg f >= 6")
     if not is_squarefree(f):
         raise NotSquarefree("twist census needs a squarefree model")
-    xs = []
+    primes = [ell for ell in range(2, M + 1) if is_prime(ell)]
+    hits = {}
     for q in range(1, height_bound + 1):
         for p in range(-height_bound, height_bound + 1):
-            if gcd(abs(p), q) == 1:
-                xs.append(Fraction(p, q))
-    # f(x) = a/b: r*y^2 = f(x) has y = isqrt(r*a*b) / (|r|*b) iff r*a*b is a
-    # nonzero square
-    values = [(x, v.numerator * v.denominator, v.denominator) for x, v in zip(xs, map(f, xs))]
-    hits = []
-    for r in _squarefree_ints(M):
-        for x, ab, b in values:
-            rab = r * ab
-            if rab <= 0:
+            if gcd(p, q) != 1:
                 continue
-            s = isqrt(rab)
-            if s * s == rab:
-                hit = TwistHit(r, x, Fraction(s, abs(r) * b))
-                if r * hit.y * hit.y != f(hit.x):
-                    raise VerificationFailed(f"twist witness fails r*y^2 = f(x) at r={r}, x={x}")
-                hits.append(hit)
-                break
-    return TwistCensusResult(M, height_bound, tuple(hits))
+            x = Fraction(p, q)
+            v = f(x)
+            ab = v.numerator * v.denominator
+            if ab == 0:
+                continue
+            r, rest = (1 if ab > 0 else -1), abs(ab)
+            for ell in primes:
+                while rest % (ell * ell) == 0:
+                    rest //= ell * ell
+                if rest % ell == 0:
+                    r, rest = r * ell, rest // ell
+            if isqrt(rest) ** 2 != rest or abs(r) > M or r in hits:
+                continue
+            hit = TwistHit(r, x, Fraction(isqrt(r * ab), abs(r) * v.denominator))
+            if r * hit.y * hit.y != f(hit.x):
+                raise VerificationFailed(f"twist witness fails r*y^2 = f(x) at r={r}, x={x}")
+            hits[r] = hit
+    ordered = sorted(hits.values(), key=lambda hit: (abs(hit.r), hit.r))
+    return TwistCensusResult(M, height_bound, tuple(ordered))

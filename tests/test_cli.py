@@ -403,6 +403,8 @@ INPUT_FILES = {
     "CURVE_ODD": b"f: 1 0 0 0 0 1\n",
     "CURVE_TWO_F": b"f: 1 0 0 0 0 1\nf: 1 0 0 0 0 0 1\n",
     "MW_TWO_BASES": b"order 35\ngen 1*oo+ + -1*oo-\nbase 1*oo+ + 1*oo-\nbase 2*oo+\n",
+    "COVER_HUGE_RANGE": b"label,g,cover_kind,m,gprime,jq_finite,j_simple,d_range\n"
+                        b"x,5,gonal,2,,true,false,2-100000000\n",
 }
 # per subcommand, a coefficient p/0 in a literal or in a file
 ZERO_DENOMINATORS = [
@@ -451,9 +453,11 @@ def test_a_zero_denominator_is_a_parse_error(tmp_path, optimize, argv):
     (["points", fixture("x0_71.curve"), "MW_HUGE", "3", "REPORT"], "order above the size bound 10000"),
     (["rr", "CURVE_ODD", "1000000000000000000000*oo"], "multiplicity above the size bound 10000"),
     (["rr", "CURVE_ODD", "-10001*oo"], "multiplicity above the size bound 10000"),
+    (["classify", "COVER_HUGE_RANGE", "REPORT"],
+     "d_range above the size bound 10000 in cover CSV line 2"),
 ], ids=[
     "field", "rr divisor", "perm degree", "perm point", "points order", "rr multiplicity",
-    "rr negative multiplicity",
+    "rr negative multiplicity", "classify degree range",
 ])
 def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, message):
     done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
@@ -473,9 +477,10 @@ def test_a_size_above_the_bound_is_a_parse_error(tmp_path, optimize, argv, messa
     (["twists", "x^6+1", "--max-r", "2", "--height", "100000"], "--height"),
     (["fiber", "x^3-2", "--samples", "10001"], "--samples"),
     (["fiber", "x^3-2", "--samples", "3", "--height", "9" * 5000], "--height"),
+    (["construct", "x^3-2", "--seed", "1" + "0" * 3000], "--seed"),
 ], ids=[
     "points degree", "points negative degree", "twists max-r", "twists height",
-    "fiber samples", "fiber height of 5000 digits",
+    "fiber samples", "fiber height of 5000 digits", "construct seed of 3001 digits",
 ])
 def test_a_size_argument_above_the_bound_is_a_usage_error(tmp_path, optimize, argv, option):
     done = _run_cli(_tmp_argv(tmp_path, argv), optimize)
@@ -574,6 +579,14 @@ def test_perm_rejects_bad_input(optimize, argv, expected):
     assert done.returncode == expected, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+# `parse_cycles` checks the degree, as it checks the points
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_perm_degree_below_one_is_a_parse_error(degree):
+    done = _run_cli(["perm", "()", "--degree", degree], False)
+    assert done.returncode == 2
+    assert done.stderr == f"parse error: degree must be at least 1, got {degree}\n"
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -730,6 +743,10 @@ def test_scripts_exit_as_the_cli_does_on_bad_input(tmp_path, optimize, script):
         ("reproduce_x0_71.py", "--degrees", "a"),
         ("twist_growth.py", "--heights", "5,x"),
         ("twist_growth.py", "--heights", "50,1"),  # not increasing
+        # sizes above the bound, which sized loops that ran until killed
+        ("reproduce_x0_71.py", "--degrees", "20001"),
+        ("twist_growth.py", "--heights", "5,100000"),
+        ("twist_growth.py", "--max-r", "100000000"),
     ],
 )
 def test_scripts_reject_bad_arguments_with_a_usage_error(optimize, script, option, value):

@@ -73,7 +73,7 @@ def test_divisor_roundtrip():
     )
     text = D.literal()
     assert parse_divisor(text) == D
-    assert parse_divisor("0").is_zero
+    assert parse_divisor("0") == Divisor.zero()
     assert "oo+" in text and "ram" in text and "split" in text
 
 
@@ -221,6 +221,24 @@ def test_cover_csv_names_the_line_and_the_broken_rule(row, message):
     with pytest.raises(ParseError) as exc:
         parse_cover_csv(header + "ok,5,gonal,2,,true,false,2-4\n" + row + "\n")
     assert str(exc.value) == f"cover CSV line 3: {message}"
+
+
+# a field above the size bound is refused before a loop over the degree
+# range runs: 2-100000000 ran `classify` until killed
+@pytest.mark.parametrize("row, message", [
+    ("x,10001,gonal,2,,true,false,2-4", "g above the size bound 10000"),
+    ("x,5,gonal,10001,,true,false,2-4", "m above the size bound 10000"),
+    ("x,41,relative,3,10001,true,false,2-5", "gprime above the size bound 10000"),
+    ("x,5,gonal,2,,true,false,2-100000000", "d_range above the size bound 10000"),
+    ("x,5,gonal,2,,true,false," + "9" * 5000 + "-2", "d_range above the size bound 10000"),
+])
+def test_cover_csv_fields_above_the_size_bound_are_parse_errors(row, message):
+    header = "label,g,cover_kind,m,gprime,jq_finite,j_simple,d_range\n"
+    with pytest.raises(ParseError) as exc:
+        parse_cover_csv(header + "ok,5,gonal,2,,true,false,2-4\n" + row + "\n")
+    assert str(exc.value) == f"{message} in cover CSV line 3"
+    [widest] = parse_cover_csv(header + "x,5,gonal,2,,true,false,2-10000\n")
+    assert widest.d_range == (2, SIZE_BOUND)
 
 
 def test_cover_csv_rejects_bad_rows():

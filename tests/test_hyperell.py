@@ -173,7 +173,7 @@ def test_divisor_of_y_on_odd_curve():
 
 def test_divisor_of_constant():
     w = CurveFunction.constant(5)
-    assert divisor_of_function(C_X5, w).is_zero
+    assert divisor_of_function(C_X5, w) == Divisor.zero()
     with pytest.raises(ZeroFunction):
         divisor_of_function(C_X5, CurveFunction.constant(0))
 

@@ -50,12 +50,12 @@ CORPUS_FILE = os.path.join(
 
 def subfields_of(K):
     """principal_subfields on K's own endless stream of degree patterns."""
-    return principal_subfields(K, numfield.degree_patterns(K.min_poly, None))
+    return principal_subfields(K, numfield.degree_patterns(K.min_poly))
 
 
 def certificate_of(m):
     """frobenius_certificate on m's own stream of degree patterns."""
-    return frobenius_certificate(m, numfield.degree_patterns(m, None))
+    return frobenius_certificate(m, numfield.degree_patterns(m))
 
 
 def test_nf_new():
@@ -493,7 +493,8 @@ def test_pair_norm_composed_sum_is_the_resultant_norm(low, s):
 def test_pair_roots_skip_fields_smaller_than_the_pair_count(monkeypatch):
     m = parse_poly("x^6-2")
     # p = 31 splits m (e = 1), but F_31 cannot hold 36 distinct pair values
-    split = [rec for rec in numfield.degree_patterns(m, 20) if rec[1] == (1,) * 6]
+    patterns = itertools.islice(numfield.degree_patterns(m), 20)
+    split = [rec for rec in patterns if rec[1] == (1,) * 6]
     assert split[0][0] == 31
     roots_at_31 = numfield.fpe_roots(31, split[0][2], 1)
     assert numfield._distinct_shift(roots_at_31, numfield.PAIR_NORM_SHIFTS) is None
@@ -506,13 +507,13 @@ def test_pair_roots_skip_fields_smaller_than_the_pair_count(monkeypatch):
 
     monkeypatch.setattr(numfield, "fpe_roots", counted)
     # so the first prime tried is e = 2 at p = 23, and it serves
-    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     assert calls == [(23, 2)]
     assert (roots[0].field.p, len(roots[0].field.G) - 1, s) == (23, 2, 3)
     # a budget of such primes only: s is fixed over Q, where s = 2 collides,
     # and the stream is read on to a prime that keeps the pair values apart
     budget = split[:1] * numfield.FROBENIUS_PRIME_BUDGET
-    roots, s = numfield._pair_roots(m, itertools.chain(budget, numfield.degree_patterns(m, None)))
+    roots, s = numfield._pair_roots(m, itertools.chain(budget, numfield.degree_patterns(m)))
     assert s == 3 and roots[0].field.p == 23
     assert len({rj + s * ri for ri in roots for rj in roots}) == 36
     # a stream that ends first is a Degenerate, not a failed unpacking
@@ -524,9 +525,9 @@ def test_field_report_splits_by_degree_once(monkeypatch):
     calls = []
     original = numfield.degree_patterns
 
-    def counting(a, count):
+    def counting(a):
         calls.append(a)
-        return original(a, count)
+        return original(a)
 
     monkeypatch.setattr(numfield, "degree_patterns", counting)
     assert field_report(poly(-2, 0, 0, 0, 0, 0, 1)).proper_subfield_degrees == (2, 3)
@@ -631,7 +632,7 @@ def _labels_of_every_pair(factors, roots, s):
 @pytest.mark.parametrize("lit", ["x^4-2", "x^6-2", "x^6+2x^5+x^4-x^3-x^2-x+1"])
 def test_pair_labels_per_frobenius_orbit_match_every_pair(lit):
     m = parse_poly(lit)
-    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
     labels = numfield._pair_labels(factors, roots, s)
     assert {pair: [k] for pair, k in labels.items()} == _labels_of_every_pair(factors, roots, s)
@@ -639,7 +640,7 @@ def test_pair_labels_per_frobenius_orbit_match_every_pair(lit):
 
 def test_pair_labels_reject_roots_not_closed_under_frobenius():
     m = parse_poly("x^6-2")  # its roots lie in F_{23^2}, four of them outside F_23
-    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m, None))
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     p = roots[0].field.p
     k = next(i for i, r in enumerate(roots) if r ** p != r)
     roots[k] = roots[k] + 1

@@ -1,9 +1,10 @@
 import itertools
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -485,14 +486,25 @@ def test_twist_census_sign_obstruction():
     assert all(hit.r < 0 for hit in result.hits)
 
 
+def _squarefree_ints(M):
+    """The squarefree r with |r| <= M, ordered by (|r|, r)."""
+    out = []
+    for a in range(1, M + 1):
+        if all(a % (k * k) for k in range(2, isqrt(a) + 1)):
+            out.extend([a, -a])
+    return out
+
+
 def _fraction_twist_hits(f, M, height_bound):
-    """Test-only copy of the census loop before it ran in integers: one
-    Fraction division and `rational_sqrt` per (r, x)."""
+    """Test-only copy of the census before it ran in integers and in one
+    pass over x: for each squarefree r, the first x in scan order with
+    f(x)/r a nonzero rational square, by one Fraction division and
+    `rational_sqrt` per (r, x)."""
     xs = [Fraction(p, q) for q in range(1, height_bound + 1)
           for p in range(-height_bound, height_bound + 1) if gcd(abs(p), q) == 1]
     values = [(x, f(x)) for x in xs]
     hits = []
-    for r in pipeline._squarefree_ints(M):
+    for r in _squarefree_ints(M):
         for x, val in values:
             if val == 0 or (val > 0) != (r > 0):
                 continue
@@ -503,10 +515,31 @@ def _fraction_twist_hits(f, M, height_bound):
     return tuple(hits)
 
 
-@pytest.mark.parametrize("lit", ["x^6+1", "x^7-x-1", "2x^6-3x+5/7", "-3/4*x^6+x^3-1/9"])
-def test_twist_census_matches_the_fraction_route(lit):
+@pytest.mark.parametrize("lit, M, height_bound", [
+    *(pytest.param(lit, 100, 20, id=lit)
+      for lit in ["x^6+1", "x^7-x-1", "2x^6-3x+5/7", "-3/4*x^6+x^3-1/9"]),
+    # every prime up to 10 000 divided out, and no prime at all
+    pytest.param("x^7-x-1", 10000, 8, id="x^7-x-1 M=10000 H=8"),
+    pytest.param("x^6+1", 1, 60, id="x^6+1 M=1 H=60"),
+])
+def test_twist_census_matches_the_fraction_route(lit, M, height_bound):
     f = parse_poly(lit)
-    assert twist_census(f, 100, 20).hits == _fraction_twist_hits(f, 100, 20)
+    assert twist_census(f, M, height_bound).hits == _fraction_twist_hits(f, M, height_bound)
+
+
+def test_twist_census_memory_does_not_grow_with_the_height_squared():
+    # one pass over x keeps no list of them: at height 60, the 4 407 values
+    # of x held in lists took over 800 KB
+    f = parse_poly("x^6+1")
+    twist_census(f, 1, 2)  # caches warmed outside the measurement
+    tracemalloc.start()
+    try:
+        result = twist_census(f, 1, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [hit.r for hit in result.hits] == [1]
+    assert peak < 64 * 1024
 
 
 def test_twist_census_preconditions():

@@ -32,7 +32,10 @@ checkouts that print the same lines produce identical reports.  The set:
   a term that does not parse; on
   y^2 = 4/9*x^6 + 7/5*x + 1, whose coefficients are not all integers; on
   divisors at infinity alone, 5*oo and 1*oo on y^2 = x^5 + 1, 9*oo on
-  y^2 = x^7 + 2 and 4*oo+ + -1*oo- on y^2 = x^6 + 1; on X0(71) at the
+  y^2 = x^7 + 2, 4*oo+ + -1*oo- on y^2 = x^6 + 1, and 6*oo+ + 0*oo- and
+  5*oo+ + -1*oo- on y^2 = x^6 + 3x + 1, whose basis elements cancel at
+  oo- and not at oo+, so that one side of the order at infinity is read
+  off the norm; on X0(71) at the
   edges of the span deg V <= max(n+, n-) - g - 1: V of degree 0, no V,
   a negative bound on either side, and 35*(oo+ - oo-), which is
   principal; on a point whose polynomial has an exponent above the size
@@ -162,6 +165,9 @@ RR_CASES = (
     ("1 0 0 0 0 1", "1*oo"),
     ("2 0 0 0 0 0 0 1", "9*oo"),
     ("1 0 0 0 0 0 1", "4*oo+ + -1*oo-"),
+    # y^2 = x^6 + 3x + 1, whose basis elements cancel at oo- and not at oo+
+    ("1 3 0 0 0 0 1", "6*oo+ + 0*oo-"),
+    ("1 3 0 0 0 0 1", "5*oo+ + -1*oo-"),
     # on X0(71), g = 6, where the span has deg V <= max(n+, n-) - 7: one V
     # column, none, and wide spans with a negative bound on either side
     (X0_71_F, "7*oo+ + 0*oo-"),

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
 
@@ -136,12 +136,17 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+        # in integers over the common denominators: one Fraction per
+        # coefficient of the product, not one per pair of terms
+        da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
+        ai = [c.numerator * (da // c.denominator) for c in a]
+        bi = [c.numerator * (db // c.denominator) for c in b]
+        out, den = [0] * (len(a) + len(b) - 1), da * db
+        for i, ca in enumerate(ai):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in enumerate(bi):
                     out[i + j] += ca * cb
-        return UniPoly(tuple(_strip(out)))
+        return UniPoly(tuple(Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 

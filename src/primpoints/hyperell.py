@@ -18,10 +18,11 @@ vanishing on the branch (`_branch_root`).
 
 Models of even degree 2g+2 carry two rational places at infinity (the
 leading coefficient must be a rational square, which all shipped fixtures
-satisfy); odd-degree models carry a single ramified place.  Valuations at
-infinity come from an exact truncated expansion of y in t = 1/x, in
-integers, for even models and from the degrees of u and v for odd ones
-(`_infinity_orders`).
+satisfy); odd-degree models carry a single ramified place.  Orders at
+infinity are read off the norm u^2 - v^2 f, whose degree is minus their
+sum, and on even models off the leading coefficients of u + v*y at oo+-,
+of which at most one cancels (`_infinity_orders`).  The expansion of y in
+t = 1/x, in integers, serves only the pole conditions of `rr_space`.
 
 Riemann-Roch spaces are cut out of the candidate span {x^i : i <= Bu} +
 {x^j y : j <= Bv} by exact linear algebra on expansion coefficients (pole
@@ -292,14 +293,16 @@ class CurveFunction:
 
 
 def _series_length(nterms: int) -> int:
-    """Requests are rounded up so repeated valuations share one cached series."""
+    """Requests are rounded up so the pole conditions of many `rr_space`
+    calls share one cached series."""
     return ((max(nterms, 1) + 63) // 64) * 64
 
 
 @lru_cache(maxsize=64)
 def _y_series_scaled(curve: HyperCurve, nterms: int):
     """(L, N) with integers N[i], y = +- t^{-(g+1)} * sum (N[i] / L) t^i at
-    oo+-, even models; callers round nterms with `_series_length`.
+    oo+-, even models; `_infinity_conditions` rounds nterms with
+    `_series_length` and is the only caller.
 
     With k the lcm of the denominators of f, A = k^2 t^n f(1/t) is integral
     with A_0 = a^2, and sqrt(A) = a + sum_{j>0} S_j t^j / (2a)^(2j-1) for the
@@ -322,41 +325,28 @@ def _y_series_scaled(curve: HyperCurve, nterms: int):
     return k * a2 ** (2 * m) // g, tuple(c // g for c in N)
 
 
-def _even_infinity_valuation(curve, u, v, place) -> int:
-    """ord at oo+/oo- of u(x) + v(x) y on an even model (den excluded).
+def _infinity_orders(curve, u, v, norm) -> dict:
+    """{place: ord of u + v*y} at infinity, read off its norm N = u^2 - v^2 f.
 
-    u and v are scaled once to integers by their common denominator, with
-    the place's sign folded into v; a positive scale leaves the first
-    nonzero coefficient where it was.
+    N = (u + v*y)(u - v*y), and y -> -y carries the order of u + v*y at a
+    place at infinity to that of u - v*y at the conjugate place; x has a
+    pole of order 1 at oo+- and 2 at oo, so the orders of u + v*y at
+    infinity add up to -deg N, all of it at the one place of an odd model.
+    At oo+- of an even model y = +-a x^(g+1) (1 + O(1/x)), a = sqrt(lc f) >
+    0, so u + v*y has the coefficient u_M +- a v_(M-g-1) at x^M, M =
+    max(deg u, deg v + g + 1).  Both vanish only for u = v = 0: a place
+    where it is nonzero has order -M, and the one where it cancels M -
+    deg N.  N = 0 means u + v*y = 0, which only a fault upstream passes.
     """
-    if u.is_zero and v.is_zero:
-        raise ZeroFunction("valuation of the zero function")
+    if norm.is_zero:
+        raise VerificationFailed("u + v y vanished identically on the curve")
+    if curve.parity == ODD:
+        return {OO: -norm.degree}
     g = curve.genus
-    s = lcm(*(c.denominator for c in u.coeffs + v.coeffs))
-    ui = [c.numerator * (s // c.denominator) for c in u.coeffs]
-    sign = s if place == OO_PLUS else -s
-    vi = [c.numerator * (sign // c.denominator) for c in v.coeffs]
-    dv = len(vi) - 1
-    M = max(len(ui) - 1, dv + g + 1 if vi else -1)
-    nterms = 2 * M + 2 + (dv + g + 2 if vi else 0)
-    # L times the coefficient of t^e, so the series stays in integers
-    L, N = _y_series_scaled(curve, _series_length(nterms)) if vi else (1, ())
-    for e in range(-M, M + 1):
-        coeff = L * ui[-e] if -len(ui) < e <= 0 else 0
-        lo = max(0, -(e + g + 1))
-        coeff += sum(map(mul, vi[lo:], N[e + g + 1 + lo : e + g + 2 + dv]))
-        if coeff:
-            return e
-    raise VerificationFailed("valuation window exhausted; function unexpectedly zero")
-
-
-def _infinity_orders(curve, u, v) -> dict:
-    """{place: ord of u + v*y} at infinity, for u + v*y nonzero.  On an odd
-    model u and v*y have orders -2 deg u and -(2 deg v + deg f) at oo, of
-    unlike parity, so the smaller wins."""
-    if curve.parity == EVEN:
-        return {pl: _even_infinity_valuation(curve, u, v, pl) for pl in curve.infinite_places}
-    return {OO: -max(2 * a.degree + s for a, s in ((u, 0), (v, curve.f.degree)) if not a.is_zero)}
+    M = max(len(u.coeffs) - 1, len(v.coeffs) + g if v.coeffs else -1)
+    lead_u, lead_v = u.coeff(M), rational_sqrt(curve.f.lc) * v.coeff(M - g - 1)
+    return {OO_PLUS: -M if lead_u + lead_v else M - norm.degree,
+            OO_MINUS: -M if lead_u - lead_v else M - norm.degree}
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +455,9 @@ def _numerator_divisor(curve: HyperCurve, u: UniPoly, v: UniPoly, known) -> Divi
     with the polynomials of `known` divided out of N first; `_infinity_orders`
     at infinity."""
     norm = u * u - v * v * curve.f
-    if norm.is_zero:
-        raise VerificationFailed("u + v y vanished identically on the curve")
-    pairs = [term for p, mult in _norm_factors(norm, known)
-             for term in _zeros_over(curve, p, mult, u, v)]
-    pairs += [(ClosedPoint.infinite(pl), val) for pl, val in _infinity_orders(curve, u, v).items()]
+    pairs = [(ClosedPoint.infinite(pl), val) for pl, val in _infinity_orders(curve, u, v, norm).items()]
+    pairs += [term for p, mult in _norm_factors(norm, known)
+              for term in _zeros_over(curve, p, mult, u, v)]
     return Divisor.make(pairs)
 
 
@@ -706,8 +694,9 @@ def _assert_in_space(curve, w, D):
     if w.den.degree:
         ok = (divisor_of_function(curve, w) + D).is_effective
     else:
+        norm = w.u * w.u - w.v * w.v * curve.f
         ok = all(val + D.infinite_coefficient(pl) >= 0
-                 for pl, val in _infinity_orders(curve, w.u, w.v).items())
+                 for pl, val in _infinity_orders(curve, w.u, w.v, norm).items())
     if not ok:
         raise VerificationFailed("basis element violates pole bounds")
 

@@ -5,8 +5,9 @@ package runs.
   groups, wreath products on blocks, the transitive groups of degree 2..7
   and the machine check of the stabilizer lemma;
 * writers of the text formats, the inverses of the `formats` parsers;
-* curve helpers: the canonical divisor, 1/w, and x-polynomials as
-  functions on the curve;
+* curve helpers: the canonical divisor, 1/w, x-polynomials as functions
+  on the curve, and the order of u + v*y at oo+ or oo- read off the series
+  of y, which `hyperell._infinity_orders` replaced;
 * the Castelnuovo-Severi inequality, and `poly`, the shorthand for a
   polynomial from its coefficients.
 
@@ -16,6 +17,10 @@ from here to build its `perm` runs.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
+
+from primpoints import hyperell
 from primpoints.arith import UniPoly
 from primpoints.errors import BadInput, NotTransitive, ZeroFunction
 from primpoints.hyperell import ClosedPoint, CurveFunction, Divisor, HyperCurve
@@ -251,6 +256,35 @@ def invert(w: CurveFunction, curve: HyperCurve) -> CurveFunction:
         raise ZeroFunction("cannot invert the zero function")
     norm = w.u * w.u - w.v * w.v * curve.f
     return CurveFunction.make(w.den * w.u, -(w.den * w.v), norm)
+
+
+def even_infinity_valuation(curve: HyperCurve, u: UniPoly, v: UniPoly, place: str) -> int:
+    """ord at oo+ or oo- of u(x) + v(x) y on an even model, from the series of
+    y: the first nonzero coefficient in a window of t = 1/x.
+
+    u and v are scaled once to integers by their common denominator, with
+    the place's sign folded into v; a positive scale leaves the first
+    nonzero coefficient where it was.
+    """
+    if u.is_zero and v.is_zero:
+        raise ZeroFunction("valuation of the zero function")
+    g = curve.genus
+    s = lcm(*(c.denominator for c in u.coeffs + v.coeffs))
+    ui = [c.numerator * (s // c.denominator) for c in u.coeffs]
+    sign = s if place == hyperell.OO_PLUS else -s
+    vi = [c.numerator * (sign // c.denominator) for c in v.coeffs]
+    dv = len(vi) - 1
+    M = max(len(ui) - 1, dv + g + 1 if vi else -1)
+    nterms = 2 * M + 2 + (dv + g + 2 if vi else 0)
+    # L times the coefficient of t^e, so the series stays in integers
+    L, N = hyperell._y_series_scaled(curve, hyperell._series_length(nterms)) if vi else (1, ())
+    for e in range(-M, M + 1):
+        coeff = L * ui[-e] if -len(ui) < e <= 0 else 0
+        lo = max(0, -(e + g + 1))
+        coeff += sum(map(mul, vi[lo:], N[e + g + 1 + lo : e + g + 2 + dv]))
+        if coeff:
+            return e
+    raise AssertionError("valuation window exhausted; function unexpectedly zero")
 
 
 def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:

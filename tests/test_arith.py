@@ -60,6 +60,19 @@ def test_poly_basics():
     assert str(poly(Fraction(1, 2), -2, 1)) == "x^2-2x+1/2"
 
 
+@given(polys(), polys(), st.integers(0, 3))
+def test_product_matches_the_term_by_term_fraction_sum(a, b, exponent):
+    # the product runs in integers over the common denominators; the sum of
+    # every ca * cb in Fractions is the definition it must meet, also for
+    # denominators as large as those of a Riemann-Roch basis
+    a = a.scale(Fraction(1, 10**exponent + 7))
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    assert a * b == UniPoly.make(out)
+
+
 def test_compose_and_shift():
     p = poly(0, 0, 1)  # x^2
     assert p.shift_x(1) == poly(1, 2, 1)

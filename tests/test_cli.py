@@ -268,26 +268,83 @@ def test_a_bad_base_is_reported_before_a_degree_below_2(tmp_path, optimize):
     assert done.stderr == "unsupported shape: base divisor must be effective of degree >= 1\n"
 
 
-# a zero series of y at infinity: the order of a basis element at oo+ finds
-# no nonzero coefficient, which must make `rr` exit 5, also under python -O
-ZERO_SERIES_AT_INFINITY = """
+# a series of y at infinity that is all zero, or whose t^1 coefficient is
+# raised by 1; the orders at infinity are read off the norm, so the recheck
+# of every basis element does not share the corrupted series
+CORRUPTED_SERIES_OF_Y = """
 import sys
 from primpoints import cli, hyperell
 
-hyperell._y_series_scaled = lambda curve, nterms: (1, (0,) * nterms)
+series = hyperell._y_series_scaled
+
+
+def bumped(curve, nterms):
+    L, N = series(curve, nterms)
+    return L, (N[0], N[1] + L, *N[2:])
+
+
+if sys.argv[3] == "zero":
+    hyperell._y_series_scaled = lambda curve, nterms: (1, (0,) * nterms)
+elif sys.argv[3] == "bumped":
+    hyperell._y_series_scaled = bumped
+print(cli.main(["rr", sys.argv[1], sys.argv[2]]))
+"""
+
+
+def _rr_on_a_corrupted_series(tmp_path, coeffs, divisor, mutant, optimize):
+    curve = tmp_path / "c.curve"
+    curve.write_text(f"f: {coeffs}\n")
+    return run_python(["-c", CORRUPTED_SERIES_OF_Y, str(curve), divisor, mutant], optimize)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "coeffs, divisor, mutant",
+    [
+        ("1 0 0 0 0 0 1", "4*oo+ + 0*oo-", "zero"),
+        # y^2 = x^6 + 3x + 1: basis elements cancel at oo- and not at oo+
+        ("1 3 0 0 0 0 1", "6*oo+ + 0*oo-", "bumped"),
+    ],
+)
+def test_a_corrupted_series_of_y_exits_5(tmp_path, optimize, coeffs, divisor, mutant):
+    done = _rr_on_a_corrupted_series(tmp_path, coeffs, divisor, mutant, optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
+    assert "Traceback" not in done.stderr
+    assert "basis element violates pole bounds" in done.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_zero_series_leaves_a_basis_with_no_pole_condition_unchanged(tmp_path, optimize):
+    # with n+ = n- no pole condition is built, so the series is not read
+    args = (tmp_path, "1 0 0 0 0 0 1", "4*oo+ + 4*oo-")
+    done = _rr_on_a_corrupted_series(*args, "zero", optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ell=7\n") and done.stdout.endswith("\n0\n")
+    assert done.stdout == _rr_on_a_corrupted_series(*args, "none", optimize).stdout
+
+
+# a zero vector appended to every kernel: the zero function is no basis
+# element, so `rr` must exit 5, also under python -O
+ZERO_KERNEL_VECTOR = """
+import sys
+from primpoints import cli, hyperell
+
+kernel_basis = hyperell.kernel_basis
+hyperell.kernel_basis = lambda rows, ncols: [*kernel_basis(rows, ncols), [0] * ncols]
 print(cli.main(["rr", sys.argv[1], "4*oo+ + 4*oo-"]))
 """
 
 
 @pytest.mark.parametrize("optimize", [False, True])
-def test_an_exhausted_valuation_window_exits_5(tmp_path, optimize):
+def test_a_zero_basis_element_exits_5(tmp_path, optimize):
     curve = tmp_path / "c.curve"
     curve.write_text("f: 1 0 0 0 0 0 1\n")
-    done = run_python(["-c", ZERO_SERIES_AT_INFINITY, str(curve)], optimize)
+    done = run_python(["-c", ZERO_KERNEL_VECTOR, str(curve)], optimize)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5\n"
     assert "Traceback" not in done.stderr
-    assert "valuation window exhausted" in done.stderr
+    assert "u + v y vanished identically on the curve" in done.stderr
 
 
 # every hit's y scaled by 2: the exact check r*y^2 = f(x) must make `twists`

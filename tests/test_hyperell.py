@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS, run_python
-from oracles import canonical_divisor, from_x_poly, poly
+from oracles import canonical_divisor, even_infinity_valuation, from_x_poly, poly
 from primpoints import hyperell, numfield, pipeline
 from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, rational_sqrt
 from primpoints.errors import (
@@ -35,7 +35,6 @@ from primpoints.hyperell import (
     Divisor,
     HyperCurve,
     _assert_in_space,
-    _even_infinity_valuation,
     _infinity_orders,
     _valuation_at,
     classify_place,
@@ -121,13 +120,17 @@ def test_x0_71_leading_expansion():
     L, N = hyperell._y_series_scaled(X0_71, hyperell._series_length(4))
     assert Fraction(N[0], L) == 1  # the leading coefficient of X0(71) is 1
     one, x7 = UniPoly.one(), UniPoly.make([0] * 7 + [1])
+
+    def orders(u, v):
+        return _infinity_orders(X0_71, u, v, u * u - v * v * X0_71.f)
+
     for place in (OO_PLUS, OO_MINUS):
-        assert _even_infinity_valuation(X0_71, UniPoly.zero(), one, place) == -7
+        assert orders(UniPoly.zero(), one)[place] == -7
     # y - x^7 loses the pole at oo+ only, y + x^7 at oo- only
-    assert _even_infinity_valuation(X0_71, -x7, one, OO_PLUS) > -7
-    assert _even_infinity_valuation(X0_71, -x7, one, OO_MINUS) == -7
-    assert _even_infinity_valuation(X0_71, x7, one, OO_MINUS) > -7
-    assert _even_infinity_valuation(X0_71, x7, one, OO_PLUS) == -7
+    assert orders(-x7, one)[OO_PLUS] > -7
+    assert orders(-x7, one)[OO_MINUS] == -7
+    assert orders(x7, one)[OO_MINUS] > -7
+    assert orders(x7, one)[OO_PLUS] == -7
 
 
 @st.composite
@@ -145,6 +148,34 @@ def even_models_with_square_lc(draw):
 @settings(max_examples=20, deadline=None)
 def test_integer_series_matches_the_fraction_series(curve, nterms):
     assert hyperell._y_series_scaled.__wrapped__(curve, nterms) == _fraction_y_series(curve, nterms)
+
+
+def fraction_polys(max_degree):
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.lists(fracs, max_size=max_degree + 1).map(UniPoly.make)
+
+
+@given(
+    curve=even_models_with_square_lc(),
+    u=fraction_polys(12),
+    v=fraction_polys(6),
+    cancel=st.booleans(),
+    sign=st.sampled_from([1, -1]),
+)
+@example(curve=X0_71, u=poly(0, 0, 0, 0, 0, 0, 0, 1), v=poly(1), cancel=True, sign=1)
+@example(curve=X0_71, u=poly(0, 0, 0, 0, 0, 0, 0, 1), v=poly(1), cancel=True, sign=-1)
+@settings(max_examples=40, deadline=None)
+def test_infinity_orders_match_the_series_of_y(curve, u, v, cancel, sign):
+    # with cancel set, u's top coefficient is -sign * a * lc(v), a = sqrt(lc f),
+    # at the degree of v*y, so that u + v*y loses its leading term at oo+
+    # (sign 1) or at oo- (sign -1)
+    if cancel and not v.is_zero:
+        top = v.degree + curve.genus + 1
+        coeffs = [u.coeff(i) for i in range(top)]
+        u = UniPoly.make(coeffs + [-sign * rational_sqrt(curve.f.lc) * v.lc])
+    assume(not (u.is_zero and v.is_zero))
+    expected = {pl: even_infinity_valuation(curve, u, v, pl) for pl in (OO_PLUS, OO_MINUS)}
+    assert _infinity_orders(curve, u, v, u * u - v * v * curve.f) == expected
 
 
 def test_divisor_of_x_on_odd_curve():
@@ -808,7 +839,8 @@ def test_the_odd_order_at_infinity_is_minus_the_degree_of_the_norm(degree, coeff
     # u and v*y never cancel at oo, so the norm has twice the order there
     assume(not (u.is_zero and v.is_zero))
     curve = _curve_or_reject(UniPoly.make(coeffs[:degree] + [lc]))
-    assert _infinity_orders(curve, u, v) == {OO: -(u * u - v * v * curve.f).degree}
+    norm = u * u - v * v * curve.f
+    assert _infinity_orders(curve, u, v, norm) == {OO: _odd_infinity_valuation(u, v, curve.genus)}
 
 
 @given(
@@ -946,7 +978,7 @@ def _classified_divisor(curve, w):
             pairs.append((ClosedPoint.affine(p, branch), -mult * (2 if branch == RAM else 1)))
     if curve.parity == "even":
         for place in (OO_PLUS, OO_MINUS):
-            val = hyperell._even_infinity_valuation(curve, u, v, place) + den.degree
+            val = even_infinity_valuation(curve, u, v, place) + den.degree
             pairs.append((ClosedPoint.infinite(place), val))
     else:
         val = _odd_infinity_valuation(u, v, curve.genus) + 2 * den.degree
@@ -1029,6 +1061,36 @@ def functions_on_models(draw):
 def test_divisor_of_function_matches_the_classified_route(curve_and_function):
     curve, w = curve_and_function
     assert divisor_of_function(curve, w) == _classified_divisor(curve, w)
+
+
+FIBER_REFERENCE = os.path.join(FIXTURES, "..", "perfbench", "reference", "fiber-sample.txt")
+
+
+def test_principal_divisors_and_fibers_need_no_series_of_y(monkeypatch):
+    # the three fiber-sample maps, each the nonconstant element of L(P) for
+    # the ramified witness P of its constructed curve; the series of y is
+    # read while they are built, and never after
+    maps = {}
+    for lit in ("x^3-2", "x^5-x-1", "x^7-x-1"):
+        curve, witness, _ = pipeline.construct_primitive_curve(parse_poly(lit), 0)
+        basis = rr_space(curve, Divisor.make([(witness, 1)])).basis
+        w = next(b for b in basis if not b.is_constant)
+        maps[lit] = curve, w, _classified_divisor(curve, w)
+    with open(FIBER_REFERENCE, encoding="utf-8") as fh:
+        blocks = fh.read().split("## ")[1:]
+    expected = [block.split() for block in blocks]  # [lit, "beta=...", outcome]
+
+    def no_series(curve, nterms):
+        raise AssertionError("the series of y was read")
+
+    monkeypatch.setattr(hyperell, "_y_series_scaled", no_series)
+    hyperell._den_divisor.cache_clear()
+    for curve, w, div in maps.values():
+        assert divisor_of_function(curve, w) == div
+    assert len(expected) == 120
+    for lit, beta, outcome in expected:
+        curve, w, _ = maps[lit]
+        assert pipeline.specialize_fiber(curve, w, Fraction(beta.removeprefix("beta="))) == outcome
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -43,11 +43,10 @@ checkouts that print the same lines produce identical reports.  The set:
   multiplicities above the size bound that cancel, so that a reader
   without the bound finishes on them too;
 * `perm`, text and --json, on the generators of every group of the
-  checkout's transitive corpus (read through its own `transitive_corpus`
-  and `cycles_literal`, from `primpoints.permact` where it has them and
-  else from the checkout's `tests/oracles.py`), on S_10, A_10 and S_12, on an intransitive group,
-  on bad cycles and degrees, and on a degree and a point above the size
-  bound;
+  checkout's transitive corpus (read through the `transitive_corpus` and
+  `cycles_literal` of its `tests/oracles.py`), on S_10, A_10 and S_12, on
+  an intransitive group, on bad cycles and degrees, and on a degree and a
+  point above the size bound;
 * `classify` on fixtures/table1.csv, text and --json;
 * `construct` on x^3-2 and x^5-x-1;
 * `twists x^6+1 --max-r 30 --height 20` and `--max-r 10000 --height 8`,
@@ -300,15 +299,13 @@ def composed_fields(root):
 
 def corpus_groups(root):
     """(name, degree, generators in cycle notation) of the checkout's corpus,
-    from `primpoints.permact` or else from the test-only `tests/oracles.py`."""
+    from its test-only `tests/oracles.py`."""
     code = (
         "import sys\n"
-        "from primpoints import permact as corpus\n"
-        "if not hasattr(corpus, 'transitive_corpus'):\n"
-        "    sys.path.insert(0, sys.argv[1])\n"
-        "    import oracles as corpus\n"
-        "for name, G, _ in corpus.transitive_corpus(7):\n"
-        "    print(name, G.degree, *map(corpus.cycles_literal, G.generators), sep='\\t')"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import oracles\n"
+        "for name, G, _ in oracles.transitive_corpus(7):\n"
+        "    print(name, G.degree, *map(oracles.cycles_literal, G.generators), sep='\\t')"
     )
     done = python(root, code, os.path.join(root, "tests"))
     done.check_returncode()

@@ -376,9 +376,6 @@ def cmd_perm(args) -> int:
     degree = args.degree or max(len(g) for g in gens)
     gens = [g + tuple(range(len(g), degree)) for g in gens]
     G = permact.PermGroup.make(degree, gens)
-    if not permact.is_transitive(G):
-        print("not transitive", file=sys.stderr)
-        return EXIT_DOMAIN
     blocks = permact.minimal_blocks(G)
     partition = [sorted(b) for b in blocks.partition] if blocks else None
     doc = {

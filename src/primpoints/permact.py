@@ -234,7 +234,7 @@ def minimal_blocks(G: PermGroup):
     returns the one with the smallest block size (smallest b on ties).
     """
     if not is_transitive(G):
-        raise NotTransitive("block systems need a transitive action")
+        raise NotTransitive("the group is not transitive; block systems need a transitive action")
     n = G.degree
     best = None
     for b in range(1, n):

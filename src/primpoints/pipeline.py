@@ -103,14 +103,15 @@ class FinitenessVerdict:
 def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
     """Verdict for one (curve, degree) pair from the cover inequalities.
 
-    The genus bound is Castelnuovo-Severi for the cover (base genus 0 for a
-    gonal one) and a degree-d map to the line.
+    The genus bound is Castelnuovo-Severi, m*gY + n*gZ + (m-1)(n-1), for
+    the degree-m cover to a curve of genus gY (base genus 0 for a gonal
+    cover) and the degree-d map to the line (n = d, gZ = 0).
     """
     m, d, g = inp.cover.m, inp.d, inp.g
     gonal = inp.cover.kind == "gonal"
     if gonal and d == m:
         return FinitenessVerdict(UNKNOWN, ("degree equals gonality",))
-    bound = _cs_genus_bound(0 if gonal else inp.cover.gprime, 0, m, d)
+    bound = m * (0 if gonal else inp.cover.gprime) + (m - 1) * (d - 1)
     if g <= bound:
         return FinitenessVerdict(UNKNOWN, (f"genus bound fails: {g} <= {bound}",))
     trace = [f"{'gonality' if gonal else 'relative cover'} bound holds: {g} > {bound}"]
@@ -129,11 +130,6 @@ def classify_finiteness(inp: FinitenessInput) -> FinitenessVerdict:
         return FinitenessVerdict(YES, tuple(trace))
     trace.append(f"gcd({d},{m}) > 1 and {d} composite")
     return FinitenessVerdict(PRIMITIVE_ONLY, tuple(trace))
-
-
-def _cs_genus_bound(gY: int, gZ: int, m: int, n: int) -> int:
-    """m*gY + n*gZ + (m-1)(n-1), the Castelnuovo-Severi genus bound."""
-    return m * gY + n * gZ + (m - 1) * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -284,27 +280,29 @@ class OrbitVerdict:
     witness_minpoly: UniPoly = None
 
 
-def _rigid_point(curve: HyperCurve, d: int, entry: ClassEntry) -> tuple:
-    """One class short of its field report: (its final verdict, None), or,
-    for the irreducible effective divisor of a rigid class, (a verdict with
-    the point's minimal polynomial and no outcome yet, the point's field)."""
+def _class_verdict(curve: HyperCurve, d: int, entry: ClassEntry, reports: dict) -> OrbitVerdict:
+    """The finished verdict of one computed class: skipped (ell >= 2), no
+    effective member (ell = 0), or, for a rigid class, reducible unless its
+    effective divisor is one affine point P of multiplicity 1 (of degree d,
+    as div(w) has degree 0), and then primitive or imprimitive as Q(P) is.
+    `reports` maps each point field to its `field_report`, so that each
+    field is decided once."""
     if entry.ell >= 2:
-        return OrbitVerdict(entry.label, entry.ell, SKIPPED), None
+        return OrbitVerdict(entry.label, entry.ell, SKIPPED)
     if entry.ell == 0:
-        return OrbitVerdict(entry.label, 0, NO_EFFECTIVE), None
-    w = entry.basis[0]
-    eff = decompose_effective(curve, w, entry.divisor)
+        return OrbitVerdict(entry.label, 0, NO_EFFECTIVE)
+    eff = decompose_effective(curve, entry.basis[0], entry.divisor)
     assert eff.degree == d
     terms = eff.terms
-    irreducible = (
-        len(terms) == 1 and terms[0][1] == 1 and terms[0][0].degree == d
-        and terms[0][0].kind == "affine"
-    )
-    if not irreducible:
-        return OrbitVerdict(entry.label, 1, REDUCIBLE, witness_divisor=eff), None
+    if len(terms) != 1 or terms[0][1] != 1 or terms[0][0].kind != "affine":
+        return OrbitVerdict(entry.label, 1, REDUCIBLE, witness_divisor=eff)
     K = point_field(curve, terms[0][0])
     assert K.degree == d
-    return OrbitVerdict(entry.label, 1, None, witness_divisor=eff, witness_minpoly=K.min_poly), K
+    if K not in reports:
+        reports[K] = field_report(K)
+    proper = reports[K].proper_subfield_degrees
+    outcome = PRIMITIVE if reports[K].is_primitive else IMPRIMITIVE
+    return OrbitVerdict(entry.label, 1, outcome, proper[0] if proper else None, eff, K.min_poly)
 
 
 @dataclass(frozen=True)
@@ -333,23 +331,15 @@ def classify_points(curve: HyperCurve, mw: MWSpec, d: int):
     paired by exact divisor identity (`enumerate_classes`): the partner
     takes its source's verdict under its own label, with the witness
     conjugated when its divisor is the conjugate, as Q(iota*P) = Q(P).
-    Each distinct point field is decided once.  Verdicts come in the label
-    order of `enumerate_classes`.
+    Every other class is decided by `_class_verdict`, through one field
+    report per distinct point field of the run.  Verdicts come in the
+    label order of `enumerate_classes`.
     """
     entries = enumerate_classes(curve, mw, d)
     verdicts, reports = [], {}  # reports: point field -> its field_report
     for entry in entries:
         if entry.source is None:
-            v, K = _rigid_point(curve, d, entry)
-            if K is not None:
-                if K not in reports:
-                    reports[K] = field_report(K)
-                proper = reports[K].proper_subfield_degrees
-                v = replace(
-                    v,
-                    outcome=PRIMITIVE if reports[K].is_primitive else IMPRIMITIVE,
-                    subfield_degree=proper[0] if proper else None,
-                )
+            v = _class_verdict(curve, d, entry, reports)
         else:
             v = verdicts[entry.source]
             witness = v.witness_divisor
@@ -357,10 +347,7 @@ def classify_points(curve: HyperCurve, mw: MWSpec, d: int):
                 witness = witness.conjugate()
             v = replace(v, label=entry.label, witness_divisor=witness)
         verdicts.append(v)
-    report = ClassificationReport(d, len(entries), tuple(verdicts))
-    counts = report.summary()
-    assert sum(counts.values()) == len(entries)
-    return report
+    return ClassificationReport(d, len(entries), tuple(verdicts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ package runs.
 * curve helpers: the canonical divisor, 1/w, x-polynomials as functions
   on the curve, and the order of u + v*y at oo+ or oo- read off the series
   of y, which `hyperell._infinity_orders` replaced;
+* a search for points by their x-coordinate, with no Riemann-Roch space,
+  divisor class or effective divisor, to check `classify_points` against;
 * the Castelnuovo-Severi inequality, and `poly`, the shorthand for a
   polynomial from its coefficients.
 
@@ -17,11 +19,12 @@ from here to build its `perm` runs.
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
 from operator import mul
 
 from primpoints import hyperell
-from primpoints.arith import UniPoly
+from primpoints.arith import UniPoly, factor_over_Q
 from primpoints.errors import BadInput, NotTransitive, ZeroFunction
 from primpoints.hyperell import ClosedPoint, CurveFunction, Divisor, HyperCurve
 from primpoints.permact import (
@@ -31,7 +34,7 @@ from primpoints.permact import (
     parse_cycles,
     schreier_generators,
 )
-from primpoints.pipeline import MWSpec, _cs_genus_bound
+from primpoints.pipeline import MWSpec
 
 
 def poly(*coeffs) -> UniPoly:
@@ -287,9 +290,60 @@ def even_infinity_valuation(curve: HyperCurve, u: UniPoly, v: UniPoly, place: st
     raise AssertionError("valuation window exhausted; function unexpectedly zero")
 
 
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def x_coordinate_search(curve: HyperCurve, d: int, B: int):
+    """The points over split and ramified places of degree d whose
+    x-coordinate polynomial is monic integral with coefficients in [-B, B],
+    two for a split place and one for a ramified one, in the order of the
+    enumeration.
+
+    The model must be integral.  A point over an irreducible a makes f a
+    square q^2 mod a over Q.  A simple root r of a mod an odd prime p lifts
+    by Hensel's lemma to a root R of a in Z_p, so f(R) = q(R)^2 is a square
+    in Q_p, and f(r) = f(R) mod p is no non-square mod p.  So a is rejected
+    when some simple root of a mod p makes f a non-square, whether or not a
+    is squarefree mod p.  Survivors that `factor_over_Q` proves
+    irreducible go to `classify_place`.
+    """
+    f = [int(c) for c in curve.f.coeffs]
+    if list(curve.f.coeffs) != f:
+        raise BadInput("the sieve needs an integral model")
+    sieve = []  # (p, the powers of each r mod p with f(r) a non-square)
+    for p in SIEVE_PRIMES:
+        powers = [[pow(r, i, p) for i in range(max(d + 1, len(f)))] for r in range(p)]
+        bad = [pw for pw in powers if pow(sum(map(mul, f, pw)) % p, (p - 1) // 2, p) == p - 1]
+        sieve.append((p, bad))
+    points = []
+    for low in itertools.product(range(-B, B + 1), repeat=d):
+        coeffs = (*low, 1)
+        if any(_has_simple_root_at(coeffs, p, bad) for p, bad in sieve):
+            continue
+        a = UniPoly.make(coeffs)
+        if factor_over_Q(a).factors != ((a, 1),):
+            continue
+        branch, q = hyperell.classify_place(curve, a)
+        if branch != hyperell.INERT:
+            P = ClosedPoint.affine(a, branch, q)
+            points += [P, P.conjugate()] if branch == hyperell.SPLIT else [P]
+    return points
+
+
+def _has_simple_root_at(coeffs, p: int, roots) -> bool:
+    """True iff some r, given by its powers r^0, r^1, ..., is a simple root
+    of the polynomial with these coefficients mod p."""
+    for pw in roots:
+        if sum(map(mul, coeffs, pw)) % p == 0 and sum(
+            i * c * pw[i - 1] for i, c in enumerate(coeffs) if i
+        ) % p:
+            return True
+    return False
+
+
 def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
     """True iff gX > m*gY + n*gZ + (m-1)(n-1), forcing a common factorization
     of any pair of independent covers of those degrees."""
     if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
         raise BadInput("cover degrees must be positive and genera non-negative")
-    return gX > _cs_genus_bound(gY, gZ, m, n)
+    return gX > m * gY + n * gZ + (m - 1) * (n - 1)

@@ -629,6 +629,7 @@ def test_fiber_rejects_empty_samples(optimize, bounds):
         (["()()"], 2),  # no point and no degree
         (["(-1 2)"], 2),
         (["(0 1)", "--degree", "4"], 4),  # not transitive
+        (["(0 1)", "--degree", "4", "--json"], 4),
     ],
 )
 def test_perm_rejects_bad_input(optimize, argv, expected):
@@ -636,6 +637,10 @@ def test_perm_rejects_bad_input(optimize, argv, expected):
     assert done.returncode == expected, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+    if expected == 4:
+        assert done.stderr == (
+            "domain error: the group is not transitive; block systems need a transitive action\n"
+        )
 
 
 # `parse_cycles` checks the degree, as it checks the points

@@ -9,6 +9,7 @@ same verdict, and a split or ramified witness over p(x) must become the
 witness over p(lam*x' + mu), made monic.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -42,7 +43,7 @@ def _image_label(a, d, lam):
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
-@pytest.mark.parametrize("lam, mu", [(-1, 0), (2, 1)])
+@pytest.mark.parametrize("lam, mu", [(-1, 0), (2, 1), (Fraction(1, 3), -2)], ids=str)
 def test_an_affine_change_of_model_keeps_every_verdict(lam, mu, d):
     old, new = _verdicts(1, 0, d), _verdicts(lam, mu, d)
     assert len(new) == len(old) == 35

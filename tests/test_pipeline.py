@@ -2,14 +2,13 @@ import itertools
 import os
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from conftest import run_python
-from oracles import cs_bound, invert, poly
+from oracles import cs_bound, invert, poly, x_coordinate_search
 from primpoints import arith, numfield, pipeline
 from primpoints.arith import UniPoly, is_squarefree, rational_sqrt
 from primpoints.errors import (
@@ -21,6 +20,7 @@ from primpoints.errors import (
     UnsupportedDivisorShape,
 )
 from primpoints.hyperell import (
+    INERT,
     OO,
     OO_MINUS,
     OO_PLUS,
@@ -34,7 +34,7 @@ from primpoints.hyperell import (
     rr_space,
 )
 from primpoints.formats import parse_poly
-from primpoints.numfield import is_primitive_field, nf_minpoly, nf_new
+from primpoints.numfield import field_report, is_primitive_field, nf_minpoly, nf_new
 from primpoints.pipeline import (
     DEGENERATE,
     IRRED_PRIMITIVE,
@@ -263,21 +263,14 @@ def _label_divisor(curve, mw, d, label):
 
 
 def _oracle_verdicts(curve, mw, d):
-    """Every label from scratch: its own L(D) and `_rigid_point`, no pairing."""
+    """Every label from scratch: its own L(D) and `_class_verdict`, no pairing."""
     ranges = [pipeline._coefficient_range(order) for order, _ in mw.cyclic_factors]
     reports, out = {}, []
     for label in itertools.product(*ranges):
         D = _label_divisor(curve, mw, d, label)
         space = rr_space(curve, D)
         entry = pipeline.ClassEntry(label, D, space.dim, space.basis)
-        v, K = pipeline._rigid_point(curve, d, entry)
-        if K is not None:
-            if K not in reports:
-                reports[K] = numfield.field_report(K)
-            proper = reports[K].proper_subfield_degrees
-            outcome = pipeline.PRIMITIVE if reports[K].is_primitive else pipeline.IMPRIMITIVE
-            v = replace(v, outcome=outcome, subfield_degree=proper[0] if proper else None)
-        out.append(v)
+        out.append(pipeline._class_verdict(curve, d, entry, reports))
     return tuple(out)
 
 
@@ -300,6 +293,45 @@ def test_classify_points_matches_the_per_label_oracle(monkeypatch, name, curve, 
             report = classify_points(curve, mw, d)
             assert report.verdicts == expected, (name, d)
             assert len(spaces) == len(pairs), (name, d)
+
+
+# (d, B) of each search box, and the x-polynomials of the points found in it
+# with the labels and outcome of their classes
+POINT_SEARCH_HITS = {
+    (3, 6): {},
+    (4, 3): {},
+    (5, 2): {},
+    (6, 2): {"x^6+2x^5+x^4-x^3-x^2-x+1": ([-12, 12], pipeline.IMPRIMITIVE)},
+}
+
+
+@pytest.mark.parametrize("d, B", sorted(POINT_SEARCH_HITS))
+def test_classify_points_matches_an_x_coordinate_point_search(d, B):
+    # for 3 <= d <= g a split or ramified point of degree d lies in no class
+    # with ell >= 2, so it is the witness of exactly one rigid class
+    witnessed = {}  # point -> the verdicts whose witness it is
+    for v in classify_points(X0_71, MW_71, d).verdicts:
+        if v.witness_minpoly is not None:
+            ((point, _),) = v.witness_divisor.terms
+            witnessed.setdefault(point, []).append(v)
+    hits = x_coordinate_search(X0_71, d, B)
+    found = {}
+    for point in hits:
+        assert len(witnessed.get(point, ())) == 1, point.literal()
+        (v,) = witnessed[point]
+        report = field_report(point.p)
+        proper = report.proper_subfield_degrees
+        assert v.outcome == (pipeline.PRIMITIVE if report.is_primitive else pipeline.IMPRIMITIVE)
+        assert v.subfield_degree == (proper[0] if proper else None)
+        found.setdefault(point.p.literal(), ([], v.outcome))[0].append(v.label[0])
+    in_box = {
+        point for point in witnessed
+        if point.branch != INERT and all(c.denominator == 1 and abs(c) <= B for c in point.p.coeffs)
+    }
+    assert in_box <= set(hits)
+    assert {p: (sorted(labels), outcome) for p, (labels, outcome) in found.items()} == (
+        POINT_SEARCH_HITS[(d, B)]
+    )
 
 
 def test_involution_pairs_of_the_shipped_group():

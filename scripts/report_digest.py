@@ -19,7 +19,10 @@ checkouts that print the same lines produce identical reports.  The set:
 * `field` on the fields of fixtures/primitivity_corpus.txt, on the
   three imprimitive sextics of X0(71) at d = 6, on the composed fields
   g(h(x)) of degrees 2*4, 4*2, 3*3, 2*5, 5*2, 3*4 and 2*6 (built with the
-  checkout's own `UniPoly.compose`), on the degree-1 x-5, on the
+  checkout's own `UniPoly.compose`), on x^8+1, x^8-40x^6+352x^4-960x^2+576
+  and x^9-3x^3+1, whose Frobenius elements all have small order, so that
+  the choice of prime for the principal subfields matters most there (as
+  it does for the corpus field x^6+x^3+1), on the degree-1 x-5, on the
   reducible x^4-1 (exit 4, with one `factor:` line per factor), and on
   x^99999999999999, whose exponent is above the size bound;
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1, and on the maps of
@@ -104,6 +107,9 @@ COMPOSED = (
     ("x^3-x-1", "x^4+x^3-x+1"),
     ("x^2+x+3", "x^6+x+1"),
 )
+# fields whose Frobenius elements all have small order; x^6+x^3+1 is one of
+# the corpus fields
+SMALL_ORDER_FIELDS = ("x^8+1", "x^8-40x^6+352x^4-960x^2+576", "x^9-3x^3+1")
 # odd- and even-degree fiber maps; an even one has the degree-4 or -6 witness as den
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1", "x^4-x-1", "x^6+x+1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
@@ -342,7 +348,8 @@ def runs(root, scratch):
     for k, (fault, text, d) in enumerate(BAD_MW):
         path = scratch_file(scratch, f"bad{k}.mw", text)
         yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report
-    for lit in (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), "x-5", "x^4-1", "x^99999999999999"):
+    fields = (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), *SMALL_ORDER_FIELDS)
+    for lit in (*fields, "x-5", "x^4-1", "x^99999999999999"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None

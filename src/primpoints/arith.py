@@ -14,10 +14,12 @@ admit no common factor degree prove it irreducible (Musser's degree-set
 intersection); otherwise only the first prime with the fewest factors runs
 the equal-degree stage (deterministic generator sequence).
 Its factors are Hensel-lifted to a Landau-Mignotte style coefficient bound
-and recombined by subsets; degrees in scope stay small enough (norms of
-degree-6 fields give degree 36) that this needs no lattice reduction.  The
-distinct-degree split alone gives the degree pattern mod p
-(`degree_patterns`), which `numfield` reads as a Frobenius cycle type.
+and recombined by subsets (`_lift_and_recombine`, which `numfield` also
+calls on pair norms whose factors mod p it reads off known roots); degrees
+in scope stay small enough (norms of degree-6 fields give degree 36) that
+this needs no lattice reduction.  The distinct-degree split alone gives the
+degree pattern mod p (`degree_patterns`), which `numfield` reads as a
+Frobenius cycle type.
 
 Squarefreeness is certified mod one prime first: a polynomial that stays
 squarefree mod a prime not dividing its leading coefficient is squarefree
@@ -468,14 +470,15 @@ def _fp_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("division by zero polynomial mod p")
     rem = list(a)
-    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    db = len(b) - 1
+    inv = None if b[-1] == 1 else pow(b[-1], -1, p)  # no inverse for a monic b
     if len(rem) - 1 < db:
         return [], _fp_trim(rem)
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
         if c:
-            q = c * inv % p
+            q = c if inv is None else c * inv % p
             quot[i - db] = q
             for j, bv in enumerate(b):
                 rem[i - db + j] -= q * bv
@@ -857,8 +860,24 @@ def _zassenhaus_irreducibles(s: UniPoly) -> list:
         if best is None or len(pattern) < best[0]:
             best = (len(pattern), p, parts)
     _, p, parts = best
-    modular = _fp_equal_degree(parts, p, _DetRng(seed + p))
+    return _lift_and_recombine(P, p, _fp_equal_degree(parts, p, _DetRng(seed + p)))
 
+
+def _lift_and_recombine(P: list, p: int, modular: list) -> list:
+    """Monic irreducible factors over Q of the squarefree integer model P,
+    sorted, from `modular`: the monic irreducible factors of P mod p, for a
+    prime p that divides neither lc(P) nor the discriminant.
+
+    The one lifting and recombination path: `factor_over_Q` splits P mod p
+    by degree to get `modular`; `numfield._pair_norm_factors` passes, for
+    P the pair norm N_s over its diagonal factor (1+s)^d * m(x/(1+s)), a
+    Q-factor as m rescaled, the products of x - (r_j + s*r_i) over the
+    Frobenius orbits of the other root pairs, each irreducible mod p since
+    Frobenius permutes its roots transitively.  The factors are
+    Hensel-lifted to a Landau-Mignotte style coefficient bound and
+    recombined by subsets.
+    """
+    n = len(P) - 1
     height = max(abs(c) for c in P)
     lc = P[-1]
     bound = 2 * (n + 1) * (1 << n) * height * abs(lc) + 1

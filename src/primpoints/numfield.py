@@ -27,12 +27,17 @@ validates m and tries four routes in order:
    of m over K, has degree strictly between 1 and [K:Q], because every
    maximal subfield is principal.  Their degrees are read off the orbital
    graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
-   theta_j + s*theta_i, labelled in F_{p^e} at one prime p of small
-   Frobenius order e, where all roots of m lie.  Routes 3 and 4 read one
-   lazy stream of degree patterns with their distinct-degree splits, and
-   `fpe_roots` takes the split at the prime route 4 picks, so no prime of
-   m is split twice there; a polynomial m is first proven irreducible by
-   the factorization in `nf_new`, at its own first primes.
+   theta_j + s*theta_i, labelled in F_{p^e} at one prime p where all roots
+   of m lie, picked for the fewest Frobenius orbits on ordered pairs.  The
+   same roots factor the norm mod p, with no splitting: each orbit of pair
+   values off the diagonal is one irreducible factor, as Frobenius permutes
+   its roots transitively, and these are Hensel-lifted and recombined; the
+   diagonal pairs give the Q-factor (1+s)^d * m(x/(1+s)), m rescaled, in
+   closed form.  Routes 3 and 4 read one lazy stream of degree patterns
+   with their distinct-degree splits, and `fpe_roots` takes the split at
+   the prime route 4 picks, so no prime of m is split twice there; a
+   polynomial m is first proven irreducible by the factorization in
+   `nf_new`, at its own first primes.
 
 `is_primitive_field` is its bool view.
 
@@ -50,11 +55,15 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
 from .arith import (
     UniPoly,
+    _fp_monic,
+    _fp_mul,
+    _fp_reduce,
+    _lift_and_recombine,
     _poly_inverse_mod,
     degree_patterns,
     factor_over_Q,
@@ -445,41 +454,82 @@ class SubfieldReport:
 PAIR_NORM_SHIFTS = tuple(s for k in range(2, 26) for s in (k, -k))
 
 
-def _pair_labels(factors, roots, s: int) -> dict:
-    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
+def _pair_orbits(roots) -> list:
+    """The orbits of Frobenius on the ordered pairs (i, j) of `roots`, each a
+    list of pairs in the order (i, j), (sigma i, sigma j), ...
 
-    The roots are those of `fpe_roots`, and the d^2 pair values must be
-    distinct.  Frobenius permutes the roots (sigma, read off r^p) and
-    h(v^p) = h(v)^p, so the pairs of one orbit of (i, j) -> (sigma i,
-    sigma j) lie on one factor: one pair per orbit is evaluated and its
-    label given to the whole orbit.  A root whose p-th power is not a
-    root, or a pair on no factor or on several, raises VerificationFailed.
+    The roots are those of `fpe_roots`; sigma is read off r^p, and a root
+    whose p-th power is not a root raises VerificationFailed.  Diagonal
+    pairs (i, i) form orbits of their own.
     """
     p = roots[0].field.p
     index = {r: i for i, r in enumerate(roots)}
     sigma = [index.get(r ** p) for r in roots]
     if None in sigma:
         raise VerificationFailed("the p-th power of a root in F_{p^e} is not a root")
+    seen, orbits = set(), []
+    for a, b in itertools.product(range(len(roots)), repeat=2):
+        orbit = []
+        while (a, b) not in seen:
+            seen.add((a, b))
+            orbit.append((a, b))
+            a, b = sigma[a], sigma[b]
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def _orbit_factors(roots, s: int) -> list:
+    """The irreducible factors mod p of N_s / diag: for each Frobenius orbit
+    of off-diagonal pairs (i, j), i != j, the monic product of
+    x - (r_j + s*r_i) over the orbit, as residues mod p.
+
+    The d^2 pair values must be distinct.  Frobenius maps r_j + s*r_i to
+    r_(sigma j) + s*r_(sigma i), since s lies in F_p, so it permutes the
+    roots of each product: its coefficients lie in F_p, where a product
+    outside F_p[x] raises VerificationFailed, and it permutes them
+    transitively, so the product is irreducible mod p.
+    """
+    F = roots[0].field
+    one = F((1,))
+    factors = []
+    for orbit in _pair_orbits(roots):
+        if orbit[0][0] == orbit[0][1]:
+            continue
+        factor = [one]
+        for i, j in orbit:
+            factor = _fp_mul(factor, [-(roots[j] + s * roots[i]), one], F)
+        if any(len(c.c) > 1 for c in factor):
+            raise VerificationFailed("an orbit of pair values has a factor outside F_p[x]")
+        factors.append([c.c[0] if c.c else 0 for c in factor])
+    return factors
+
+
+def _pair_labels(factors, roots, s: int) -> dict:
+    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
+
+    The roots are those of `fpe_roots`, and the d^2 pair values must be
+    distinct.  h(v^p) = h(v)^p, so the pairs of one Frobenius orbit
+    (`_pair_orbits`) lie on one factor: one pair per orbit is evaluated and
+    its label given to the whole orbit.  A pair on no factor or on several
+    raises VerificationFailed.
+    """
+    p = roots[0].field.p
     residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
     labels = {}
-    for i, ri in enumerate(roots):
-        for j, rj in enumerate(roots):
-            if (i, j) in labels:
-                continue
-            v = rj + s * ri
-            hits = []
-            for k, hp in enumerate(residues):
-                acc = 0
-                for c in reversed(hp):
-                    acc = acc * v + c
-                if not acc:
-                    hits.append(k)
-            if len(hits) != 1:
-                raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
-            a, b = i, j
-            while (a, b) not in labels:
-                labels[a, b] = hits[0]
-                a, b = sigma[a], sigma[b]
+    for orbit in _pair_orbits(roots):
+        i, j = orbit[0]
+        v = roots[j] + s * roots[i]
+        hits = []
+        for k, hp in enumerate(residues):
+            acc = 0
+            for c in reversed(hp):
+                acc = acc * v + c
+            if not acc:
+                hits.append(k)
+        if len(hits) != 1:
+            raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
+        labels.update(dict.fromkeys(orbit, hits[0]))
     return labels
 
 
@@ -538,12 +588,24 @@ def _newton(model: list, count: int) -> list:
 
 
 def _distinct_shift(roots, shifts):
-    """The first s in `shifts` whose d^2 pair values r_j + s*r_i are distinct."""
-    for s in shifts:
-        scaled = [s * r for r in roots]
-        if len({rj + sri for sri in scaled for rj in roots}) == len(roots) ** 2:
-            return s
-    return None
+    """The first s in `shifts` whose d^2 pair values r_j + s*r_i are distinct.
+
+    r_j + s*r_i = r_l + s*r_k with (i, j) != (k, l) forces i != k and
+    r_j - r_l = s*(r_k - r_i): s = 0 mod p, or s is the ratio of two
+    differences of roots that span one F_p-line.  Scaling the residue of a
+    difference monic names its line, so every colliding s is read off the
+    d(d-1) differences once, not off d^2 values per shift.
+    """
+    p = roots[0].field.p
+    lines = {}
+    for a, b in itertools.permutations(roots, 2):
+        c = (a - b).c
+        if not c:
+            return None  # a repeated root: every shift collides
+        inv = pow(c[-1], -1, p)
+        lines.setdefault(tuple(v * inv % p for v in c), []).append(c[-1])
+    ratios = {a * pow(b, -1, p) % p for leads in lines.values() for a in leads for b in leads}
+    return next((s for s in shifts if s % p and s % p not in ratios), None)
 
 
 def _pair_roots(m: UniPoly, patterns):
@@ -553,11 +615,16 @@ def _pair_roots(m: UniPoly, patterns):
     A prime serves if its pattern has a part of degree e = lcm(pattern),
     so that the roots lie in F_{p^e}, and p^e >= d^2, since a smaller field
     cannot hold d^2 distinct values.  The serving primes among the first
-    `FROBENIUS_PRIME_BUDGET` of `patterns` are tried by smallest e, then
-    smallest p, each with every shift.  If every shift collides at all of
-    them, s is fixed as the first shift with N_s squarefree over Q (else
-    Degenerate), which only the primes dividing its discriminant break,
-    and the stream, which must be endless, is read on.
+    `FROBENIUS_PRIME_BUDGET` of `patterns` are tried by fewest Frobenius
+    orbits on ordered pairs of roots, the sum of gcd(a, b) over the parts
+    a, b of the pattern, then by smallest e and smallest p, each with every
+    shift.  Each orbit off the diagonal gives one irreducible factor of
+    N_s / diag mod p, since Frobenius permutes its pair values transitively
+    (`_orbit_factors`), so this order leaves the fewest modular factors to
+    recombine over Q.  If every shift collides at all of them, s is fixed
+    as the first shift with N_s squarefree over Q (else Degenerate), which
+    only the primes dividing its discriminant break, and the stream, which
+    must be endless, is read on.
     """
     d2 = m.degree ** 2
 
@@ -565,10 +632,11 @@ def _pair_roots(m: UniPoly, patterns):
         for p, pattern, parts in stream:
             e = lcm(*pattern)
             if e in pattern and p ** e >= d2:
-                yield e, p, parts
+                orbits = sum(gcd(a, b) for a in pattern for b in pattern)
+                yield orbits, e, p, parts
 
     patterns = iter(patterns)
-    for e, p, parts in sorted(serving(itertools.islice(patterns, FROBENIUS_PRIME_BUDGET))):
+    for _, e, p, parts in sorted(serving(itertools.islice(patterns, FROBENIUS_PRIME_BUDGET))):
         roots = fpe_roots(p, parts, e)
         s = _distinct_shift(roots, PAIR_NORM_SHIFTS)
         if s is not None:
@@ -576,11 +644,50 @@ def _pair_roots(m: UniPoly, patterns):
     s = next((s for s in PAIR_NORM_SHIFTS if is_squarefree(pair_norm(m, s))), None)
     if s is None:
         raise Degenerate("no squarefree pair norm within the shift cap")
-    for e, p, parts in serving(patterns):
+    for _, e, p, parts in serving(patterns):
         roots = fpe_roots(p, parts, e)
         if _distinct_shift(roots, (s,)) is not None:
             return roots, s
     raise Degenerate("the degree patterns ran out before a prime kept the pair values apart")
+
+
+def _pair_norm_factors(m: UniPoly, roots, s: int) -> list:
+    """The monic irreducible factors over Q of N_s, sorted as `factor_over_Q`
+    sorts them, with roots and s from `_pair_roots`.
+
+    The diagonal pairs (i, i) give diag = prod (x - (1+s)*theta_i) =
+    (1+s)^d * m(x/(1+s)), a Q-factor since it is the irreducible m
+    rescaled, and it is divided out exactly.  p, a good prime of m, divides
+    no denominator of m, so N_s / diag reduces mod p, and its irreducible
+    factors there are the products over the Frobenius orbits of the other
+    pairs (`_orbit_factors`): they are lifted and recombined
+    (`arith._lift_and_recombine`) with no splitting mod p at all.  Checked:
+    the exact division, p against the leading coefficient of the integer
+    model, the orbit products against N_s / diag mod p, and the Q-factors
+    by re-multiplication.
+    """
+    d, p = m.degree, roots[0].field.p
+    norm = pair_norm(m, s)
+    diag = UniPoly.make([c * (1 + s) ** (d - i) for i, c in enumerate(m.coeffs)])
+    rest, remainder = divmod(norm, diag)
+    if remainder:
+        raise VerificationFailed("the diagonal factor does not divide the pair norm")
+    _, P = rest.to_int_primitive()
+    if P[-1] % p == 0:
+        raise VerificationFailed("p divides the leading coefficient of N_s / diag")
+    modular = _orbit_factors(roots, s)
+    product = [1]
+    for g in modular:
+        product = _fp_mul(product, g, p)
+    if product != _fp_monic(_fp_reduce(P, p), p):
+        raise VerificationFailed("the orbit products do not multiply to N_s / diag mod p")
+    lifted = _lift_and_recombine(P, p, modular)
+    check = diag
+    for h in lifted:
+        check = check * h
+    if check != norm:
+        raise VerificationFailed("the pair-norm factors do not multiply back to N_s")
+    return sorted([diag, *lifted], key=UniPoly.sort_key)
 
 
 def principal_subfields(K: NumberField, patterns) -> SubfieldReport:
@@ -594,23 +701,31 @@ def principal_subfields(K: NumberField, patterns) -> SubfieldReport:
 
     The graph is read at one good prime p, among the first
     `FROBENIUS_PRIME_BUDGET` of `patterns` (m's endless stream of degree
-    patterns, `degree_patterns(m)`) the one of smallest Frobenius
-    order e = lcm(pattern) whose pattern has a part e and with p^e >= d^2,
-    ties to the smaller p.  All roots of m lie in F_{p^e} there
-    (`fpe_roots`), and e = 1 is the totally split case.  s is the first
-    shift whose d^2 pair values r_j + s*r_i are distinct in F_{p^e}; that
-    proves N_s squarefree mod p, hence over Q, and no smaller field could
-    hold them.  Where every shift collides, the next prime in that order
-    is tried, and past the budget the stream is read on (`_pair_roots`); a
-    Frobenius element of order 1 has density 1/|Gal(m)| (Chebotarev), so
-    the scan ends.  N_s itself is a composed sum (`pair_norm`).  Checked:
-    each pair lies on exactly one factor h, h gets exactly deg h pairs, and
-    the components of each graph have one size.  No arithmetic over K and
-    no resultant is needed.
+    patterns, `degree_patterns(m)`) the one with the fewest Frobenius
+    orbits on ordered pairs whose pattern has a part e = lcm(pattern) and
+    with p^e >= d^2, ties to the smaller e, then p.  All roots of m lie in
+    F_{p^e} there (`fpe_roots`), and e = 1 is the totally split case.  s is
+    the first shift whose d^2 pair values r_j + s*r_i are distinct in
+    F_{p^e}; that proves N_s squarefree mod p, hence over Q, and no smaller
+    field could hold them.  Where every shift collides, the next prime in
+    that order is tried, and past the budget the stream is read on
+    (`_pair_roots`); a Frobenius element of order 1 has density 1/|Gal(m)|
+    (Chebotarev), so the scan ends.
+
+    N_s itself is a composed sum (`pair_norm`), and the same roots factor
+    it (`_pair_norm_factors`): the diagonal pairs give the Q-factor
+    (1+s)^d * m(x/(1+s)), which is m rescaled and so irreducible, and each
+    Frobenius orbit of the other pairs gives one irreducible factor mod p,
+    since Frobenius permutes its pair values transitively; those are
+    Hensel-lifted and recombined, so nothing of degree above d is split
+    mod p.  Checked: the Q-factors multiply back to N_s, each pair lies on
+    exactly one factor h, h gets exactly deg h pairs, and the components
+    of each graph have one size.  No arithmetic over K and no resultant is
+    needed.
     """
     m, d = K.min_poly, K.degree
     roots, s = _pair_roots(m, patterns)
-    factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
+    factors = _pair_norm_factors(m, roots, s)
     labels = _pair_labels(factors, roots, s)
     degrees = []
     for k, h in enumerate(factors):

@@ -3,6 +3,7 @@ import itertools
 import os
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -506,10 +507,15 @@ def test_pair_roots_skip_fields_smaller_than_the_pair_count(monkeypatch):
         return original(p, parts, e)
 
     monkeypatch.setattr(numfield, "fpe_roots", counted)
-    # so the first prime tried is e = 2 at p = 23, and it serves
+    # the serving primes are tried by fewest Frobenius orbits on ordered
+    # pairs, and pattern (6) has 6, the fewest.  The first such prime,
+    # p = 37, does not serve: 6 | 36 puts the sixth roots of unity z^k in
+    # F_37, so the pair values r*(z^j + s*z^i) of the roots r*z^i lie on
+    # the line r*F_37, and every shift makes two of them collide.  The
+    # next prime of pattern (6), p = 61, keeps them apart at s = 3
     roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
-    assert calls == [(23, 2)]
-    assert (roots[0].field.p, len(roots[0].field.G) - 1, s) == (23, 2, 3)
+    assert calls == [(37, 6), (61, 6)]
+    assert (roots[0].field.p, len(roots[0].field.G) - 1, s) == (61, 6, 3)
     # a budget of such primes only: s is fixed over Q, where s = 2 collides,
     # and the stream is read on to a prime that keeps the pair values apart
     budget = split[:1] * numfield.FROBENIUS_PRIME_BUDGET
@@ -549,21 +555,21 @@ def test_field_report_splits_each_prime_of_m_once(monkeypatch, lit):
         return original(f, p)
 
     monkeypatch.setattr(arith, "_fp_distinct_degree", counting)
-    # imprimitive, so the stream serves both routes and route 4 picks p = 23
+    # imprimitive, so the stream serves both routes, which both read p = 23
     assert field_report(K).proper_subfield_degrees
     assert splits[23] == 1 and max(splits.values()) == 1
 
 
 # one pair label flipped, two labels swapped (the counts still fit, the
-# orbital graph does not), one pair-norm factor shifted by 1, then one root
+# orbital graph does not), one lifted Q-factor of N_s / diag shifted by 1,
+# one pair-norm factor shifted by 1 on its way to the labels, then one root
 # in F_{p^e} moved by 1: each must make `field` exit 5 with the message of
-# the check that caught it
+# the check that caught it, and no traceback
 CORRUPTED_ORBITALS = """
-import dataclasses
 from oracles import poly
 from primpoints import cli, numfield
 
-labels, factor = numfield._pair_labels, numfield.factor_over_Q
+labels, lift = numfield._pair_labels, numfield._lift_and_recombine
 roots_in_fpe = numfield.fpe_roots
 
 def one_label_flipped(factors, *rest):
@@ -576,12 +582,13 @@ def two_labels_swapped(*args):
     out[0, 0], out[0, 1] = out[0, 1], out[0, 0]
     return out
 
-def one_factor_shifted(a):
-    fact = factor(a)
-    if a.degree != 16:  # leave nf_new's factorization of m alone
-        return fact
-    (h, mult), *others = fact.factors
-    return dataclasses.replace(fact, factors=((h + poly(1), mult), *others))
+def one_lifted_factor_shifted(*args):
+    h, *others = lift(*args)
+    return [h + poly(1), *others]
+
+def one_labelled_factor_shifted(factors, *rest):
+    h, *others = factors
+    return labels([h + poly(1), *others], *rest)
 
 def one_root_moved(*args):
     roots = roots_in_fpe(*args)
@@ -590,7 +597,8 @@ def one_root_moved(*args):
 for name, corrupted in (
     ("_pair_labels", one_label_flipped),
     ("_pair_labels", two_labels_swapped),
-    ("factor_over_Q", one_factor_shifted),
+    ("_lift_and_recombine", one_lifted_factor_shifted),
+    ("_pair_labels", one_labelled_factor_shifted),
     ("fpe_roots", one_root_moved),
 ):
     original = getattr(numfield, name)
@@ -604,10 +612,13 @@ for name, corrupted in (
 def test_corrupted_orbitals_raise_verification_failed(optimize):
     done = run_python(["-c", CORRUPTED_ORBITALS], optimize)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "5\n5\n5\n5\n"
+    assert done.stdout == "5\n5\n5\n5\n5\n"
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("internal verification failed") == 5
     assert "does not get deg h root pairs" in done.stderr
     assert "orbital graph components differ in size" in done.stderr
     assert "lies on no pair-norm factor or on several" in done.stderr
+    assert "do not multiply back to N_s" in done.stderr
 
 
 def _labels_of_every_pair(factors, roots, s):
@@ -639,7 +650,7 @@ def test_pair_labels_per_frobenius_orbit_match_every_pair(lit):
 
 
 def test_pair_labels_reject_roots_not_closed_under_frobenius():
-    m = parse_poly("x^6-2")  # its roots lie in F_{23^2}, four of them outside F_23
+    m = parse_poly("x^6-2")  # its roots lie in F_{61^6}, none of them in F_61
     roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     p = roots[0].field.p
     k = next(i for i, r in enumerate(roots) if r ** p != r)
@@ -647,6 +658,136 @@ def test_pair_labels_reject_roots_not_closed_under_frobenius():
     factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
     with pytest.raises(VerificationFailed, match="p-th power of a root"):
         numfield._pair_labels(factors, roots, s)
+
+
+def _distinct_shift_by_counting(roots, shifts):
+    """Test-only copy of the earlier `_distinct_shift`: all d^2 pair values
+    per shift, counted."""
+    for s in shifts:
+        if len({rj + s * ri for ri in roots for rj in roots}) == len(roots) ** 2:
+            return s
+    return None
+
+
+@pytest.mark.parametrize("lit", ["x^6-2", "x^6+3", "x^4+1", "x^8+1", X0_71_IMPRIMITIVE_FIELDS[0]])
+def test_distinct_shift_reads_the_collisions_off_root_differences(lit):
+    m = parse_poly(lit)
+    for p, pattern, parts in itertools.islice(numfield.degree_patterns(m), 8):
+        e = lcm(*pattern)
+        if e not in pattern:
+            continue
+        roots = numfield.fpe_roots(p, parts, e)
+        # 0 and +-p collide wherever d >= 2, +-1 always
+        for s in (*range(-25, 26), p, -p):
+            assert numfield._distinct_shift(roots, (s,)) == _distinct_shift_by_counting(
+                roots, (s,)
+            ), (lit, p, s)
+
+
+# the composed fields g(h(x)) of scripts/report_digest.py, degrees 8 to 12
+DIGEST_COMPOSED_FIELDS = tuple(
+    parse_poly(g).compose(parse_poly(h)).literal()
+    for g, h in (
+        ("x^2+x+3", "x^4+x^3-x+1"),
+        ("x^4+x^3-x+1", "x^2+x+2"),
+        ("x^3-x-1", "x^3+x+1"),
+        ("x^2+x+3", "x^5-x-1"),
+        ("x^5-x-1", "x^2+x+2"),
+        ("x^3-x-1", "x^4+x^3-x+1"),
+        ("x^2+x+3", "x^6+x+1"),
+    )
+)
+# fields whose Frobenius elements all have small order
+SMALL_ORDER_FIELDS = ("x^8+1", "x^8-40x^6+352x^4-960x^2+576", "x^9-3x^3+1", "x^6+x^3+1")
+
+
+def _assert_orbit_route_matches_factor_over_Q(m):
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
+    oracle = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
+    assert numfield._pair_norm_factors(m, roots, s) == oracle, str(m)
+
+
+@pytest.mark.parametrize(
+    "lit",
+    [lit for lit, _, tag in _composite_degree_corpus() if tag != "primitive"]
+    + list(X0_71_IMPRIMITIVE_FIELDS) + list(DIGEST_COMPOSED_FIELDS) + list(SMALL_ORDER_FIELDS),
+)
+def test_pair_norm_factors_from_the_pair_roots_match_factor_over_Q(lit):
+    _assert_orbit_route_matches_factor_over_Q(nf_new(parse_poly(lit)).min_poly)
+
+
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=6, max_size=6),
+)
+@settings(max_examples=6, deadline=None)
+def test_pair_norm_factors_match_factor_over_Q_on_composed_fields(degrees, low):
+    dg, dh = degrees
+    m = UniPoly.make(low[:dg] + [1]).compose(UniPoly.make(low[dg:dg + dh] + [1]))
+    try:
+        K = nf_new(m)
+    except ReduciblePolynomial:
+        assume(False)
+    _assert_orbit_route_matches_factor_over_Q(K.min_poly)
+
+
+@pytest.mark.parametrize("lit", ["x^4-2", "x^6-2", "x^6+3", X0_71_IMPRIMITIVE_FIELDS[0]])
+def test_orbit_factors_are_the_split_of_the_pair_norm_mod_p(lit):
+    m = parse_poly(lit)
+    roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
+    p = roots[0].field.p
+    d = m.degree
+    diag = UniPoly.make([c * (1 + s) ** (d - i) for i, c in enumerate(m.coeffs)])
+    _, P = (pair_norm(m, s) // diag).to_int_primitive()
+    rest = arith._fp_monic(arith._fp_reduce(P, p), p)
+    split = _fp_equal_degree(_fp_distinct_degree(rest, p), p, _DetRng(0))
+    orbit_factors = numfield._orbit_factors(roots, s)
+    assert sorted(orbit_factors, key=lambda c: (len(c), c)) == split
+
+
+def test_pair_norm_factors_reject_pair_values_off_the_pair_norm():
+    # x^6-2 splits mod 23 as (1, 1, 2, 2): roots[0] lies in F_23, so moved by
+    # 1 it is still closed under Frobenius and its orbit products lie in
+    # F_23[x], but they no longer multiply to N_s / diag mod 23
+    m = parse_poly("x^6-2")
+    p, pattern, parts = next(iter(numfield.degree_patterns(m)))
+    assert (p, pattern) == (23, (1, 1, 2, 2))
+    roots = numfield.fpe_roots(p, parts, 2)
+    roots[0] = roots[0] + 1
+    s = numfield._distinct_shift(roots, numfield.PAIR_NORM_SHIFTS)
+    with pytest.raises(VerificationFailed, match="do not multiply to N_s / diag mod p"):
+        numfield._pair_norm_factors(m, roots, s)
+
+
+@pytest.mark.parametrize("lit", X0_71_IMPRIMITIVE_FIELDS)
+def test_principal_subfields_split_nothing_of_degree_above_d(monkeypatch, lit):
+    # the factors of the degree-36 pair norm mod p are read off the roots of
+    # m in F_{p^e}: no split by degree sees more than m, and m's roots are
+    # found at one prime
+    m = parse_poly(lit)
+    degrees, roots_at = [], []
+    distinct, equal, roots_in_fpe = (
+        arith._fp_distinct_degree, arith._fp_equal_degree, numfield.fpe_roots
+    )
+
+    def counting_distinct(f, p):
+        degrees.append(len(f) - 1)
+        return distinct(f, p)
+
+    def counting_equal(parts, p, rng):
+        degrees.extend(len(g) - 1 for g, _ in parts)
+        return equal(parts, p, rng)
+
+    def counting_roots(p, parts, e):
+        roots_at.append(p)
+        return roots_in_fpe(p, parts, e)
+
+    monkeypatch.setattr(arith, "_fp_distinct_degree", counting_distinct)
+    monkeypatch.setattr(arith, "_fp_equal_degree", counting_equal)
+    monkeypatch.setattr(numfield, "fpe_roots", counting_roots)
+    assert field_report(m).proper_subfield_degrees
+    assert degrees and max(degrees) <= m.degree
+    assert len(roots_at) == 1
 
 
 # ---------------------------------------------------------------------------

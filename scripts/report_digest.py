@@ -41,7 +41,9 @@ checkouts that print the same lines produce identical reports.  The set:
   off the norm; on X0(71) at the
   edges of the span deg V <= max(n+, n-) - g - 1: V of degree 0, no V,
   a negative bound on either side, and 35*(oo+ - oo-), which is
-  principal; on a point whose polynomial has an exponent above the size
+  principal; on X0(71) at 4P - 2*oo+ - 2*oo-, with P the split witness of
+  class 12 at d = 6, whose branch roots invert modulo a degree-20 factor
+  of the norm; on a point whose polynomial has an exponent above the size
   bound; and on two
   multiplicities above the size bound that cancel, so that a reader
   without the bound finishes on them too;
@@ -181,6 +183,10 @@ RR_CASES = (
     (X0_71_F, "-3*oo+ + 10*oo-"),
     (X0_71_F, "13*oo+ + 1*oo-"),
     (X0_71_F, "35*oo+ + -35*oo-"),
+    # 4P - 2*oo+ - 2*oo- with P the split witness of class 12 at d = 6: the
+    # branch roots invert modulo a degree-20 factor of the norm
+    (X0_71_F, "4*(x^6+2x^5+x^4-x^3-x^2-x+1; split; -2x^5-6x^4-4x^3+3x^2+3x-1)"
+              " + -2*oo+ + -2*oo-"),
     # an exponent above the size bound
     ("1 0 0 0 0 0 1", "1*(x^99999999999999-1; ram)"),
     # multiplicities above the size bound, whose sum is 0

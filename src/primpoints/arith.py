@@ -37,6 +37,7 @@ from functools import reduce
 from math import gcd, isqrt, lcm
 
 from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
+from .linalg import _kernel
 
 
 def rational_sqrt(a: Fraction):
@@ -983,13 +984,23 @@ def hensel_sqrt(f: UniPoly, p: UniPoly, q0: UniPoly, k: int) -> UniPoly:
 
 
 def _poly_inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
-    """Inverse of a modulo a polynomial it is coprime to."""
-    r0, r1 = modulus, a % modulus
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
+    """Inverse t of a modulo a polynomial it is coprime to.
+
+    With n = deg modulus, (t, 1) spans the kernel of [A | -e_0], where
+    column j of A holds a * x^j mod modulus: A t = e_0 says a * t = 1.  A is
+    invertible exactly when a is, and else the kernel has another vector.
+    """
+    n = modulus.degree
+    col = [*(a % modulus).coeffs, *[0] * n][:n]
+    columns = [col]
+    for _ in range(n - 1):
+        top, col = col[-1], [0, *col[:-1]]
+        if top:
+            q = top / modulus.lc
+            col = [c - q * m for c, m in zip(col, modulus.coeffs)]
+        columns.append(col)
+    rows = [[*row, -int(i == 0)] for i, row in enumerate(zip(*columns))]
+    basis = _kernel(rows, n + 1)
+    if len(basis) != 1 or not basis[0][n]:
         raise BadInput("element not invertible modulo the given polynomial")
-    return (t0.scale(1 / r0.lc)) % modulus
+    return UniPoly.make(basis[0][:n])

@@ -11,7 +11,10 @@ package runs.
 * a search for points by their x-coordinate, with no Riemann-Roch space,
   divisor class or effective divisor, to check `classify_points` against;
 * the Castelnuovo-Severi inequality, and `poly`, the shorthand for a
-  polynomial from its coefficients.
+  polynomial from its coefficients;
+* the certified multi-modular kernel that `linalg` ran before its
+  fraction-free Gauss-Jordan core, and the extended Euclid inverse that
+  `arith._poly_inverse_mod` ran before it solved on that core.
 
 `scripts/report_digest.py` reads `transitive_corpus` and `cycles_literal`
 from here to build its `perm` runs.
@@ -20,12 +23,15 @@ from here to build its `perm` runs.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from bisect import bisect
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from primpoints import hyperell
-from primpoints.arith import UniPoly, factor_over_Q
-from primpoints.errors import BadInput, NotTransitive, ZeroFunction
+from primpoints.arith import UniPoly, factor_over_Q, is_prime
+from primpoints.errors import BadInput, NotTransitive, VerificationFailed, ZeroFunction
+from primpoints.linalg import _int_rows
 from primpoints.hyperell import ClosedPoint, CurveFunction, Divisor, HyperCurve
 from primpoints.permact import (
     PermGroup,
@@ -347,3 +353,194 @@ def cs_bound(gX: int, gY: int, gZ: int, m: int, n: int) -> bool:
     if m < 1 or n < 1 or min(gX, gY, gZ) < 0:
         raise BadInput("cover degrees must be positive and genera non-negative")
     return gX > m * gY + n * gZ + (m - 1) * (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# The certified multi-modular kernel
+#
+# Each row is scaled to a primitive integer row, the matrix is brought to
+# row-echelon form modulo primes below 2^31, each free column's kernel
+# vector is read off by back substitution, and the basis is rebuilt from the
+# residues by Chinese remaindering and rational reconstruction.  Nothing is
+# returned unproved:
+#
+# * full rank mod p proves the kernel is {0}, since rank mod p <= rank over Q;
+# * k = ncols - rank mod p vectors that the exact integer product M v sends
+#   to 0, each with 1 at its own free column, 0 at the other free columns
+#   and nothing after its free column, prove the kernel has dimension k and
+#   that each free column depends on the columns before it.  So the free
+#   columns are those of the reduced row-echelon form over Q, and the basis
+#   is exactly the one Gauss-Jordan elimination over Q would return.
+#
+# A prime whose rank profile is beaten by another prime's divides a nonzero
+# minor, so it is dropped.  Those bad primes multiply to at most H, the
+# Hadamard bound of the rows, and reconstruction succeeds once the good
+# primes multiply past 2 H^2.  So when the primes tried multiply past 2 H^3
+# and no candidate has passed its check, the modular results are wrong:
+# VerificationFailed is raised instead of looping.
+
+# The largest primes below 2^31, in decreasing order.  One suffices unless
+# the kernel has entries beyond about 2^15 or the prime divides a minor.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579,
+    2147483563, 2147483549, 2147483543, 2147483497,
+)
+P0 = PRIMES[0]
+
+
+def primes():
+    """Primes below 2^31 in decreasing order: the table, then found on demand."""
+    yield from PRIMES
+    n = PRIMES[-1]
+    while True:
+        n -= 2
+        if is_prime(n):
+            yield n
+
+
+def echelon_mod(rows, ncols, p):
+    """(pivot columns, pivot rows) of a row-echelon form mod p: each pivot
+    scaled to 1, zeros below it."""
+    work = [[v % p for v in row] for row in rows]
+    nrows = len(work)
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        pivot = next((i for i in range(rk, nrows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        prow = work[pivot]
+        work[pivot] = work[rk]
+        inv = pow(prow[col], -1, p)
+        work[rk] = prow = [v * inv % p for v in prow]
+        for i in range(rk + 1, nrows):
+            f = work[i][col]
+            if f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
+        pivots.append(col)
+        if rk + 1 == nrows:
+            break
+    return pivots, work[:len(pivots)]
+
+
+def back_substitute(pivots, echelon, ncols, p):
+    """Per free column fc, the residues at the pivot columns of the kernel
+    vector with 1 at fc, 0 at the other free columns: x_pc = -sum over
+    c > pc of row[c] * x_c, walking the pivot rows bottom-up, and x_pc = 0
+    for pc > fc.  These are the entries -row[fc] of the reduced form."""
+    taken = set(pivots)
+    out = []
+    for fc in range(ncols):
+        if fc in taken:
+            continue
+        x = [0] * (fc + 1)
+        x[fc] = 1
+        column = [0] * len(pivots)
+        for r in range(bisect(pivots, fc) - 1, -1, -1):
+            pc = pivots[r]
+            x[pc] = column[r] = -sum(map(mul, echelon[r][pc + 1 : fc + 1], x[pc + 1 :])) % p
+        out.append(column)
+    return out
+
+
+def _beats(pivots, other):
+    """True when pivot list `pivots` proves the prime behind `other` bad."""
+    return len(pivots) > len(other) or (len(pivots) == len(other) and pivots < other)
+
+
+def _ratrec(u, m, bound):
+    """(n, d) with n = d * u mod m, |n| <= bound, 0 < d <= bound; else None."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _certified_basis(rows, ncols, pivots, residues, modulus):
+    """The kernel basis the residues stand for, if it passes M v = 0 exactly."""
+    bound = isqrt(modulus // 2)
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    basis = []
+    for fc, column in zip(free, residues):
+        entries = {fc: (1, 1)}
+        for pc, u in zip(pivots, column):
+            if u:
+                frac = _ratrec(u, modulus, bound)
+                if frac is None:
+                    return None
+                entries[pc] = frac
+        den = lcm(*(d for _, d in entries.values()))
+        support = [(j, n * (den // d)) for j, (n, d) in entries.items()]
+        if any(sum(row[j] * w for j, w in support) for row in rows):
+            return None
+        vec = [Fraction(0)] * ncols
+        for j, (n, d) in entries.items():
+            vec[j] = Fraction(n, d)
+        basis.append(vec)
+    return basis
+
+
+def _hadamard(rows):
+    """An integer bound on the absolute value of every minor of rows."""
+    out = 1
+    for row in rows:
+        out *= isqrt(sum(v * v for v in row)) + 1
+    return out
+
+
+def modular_kernel(rows, ncols):
+    """Certified kernel basis of rational rows, as Fraction vectors, with the
+    contract of `linalg.kernel_basis`."""
+    rows = _int_rows(rows)
+    if not rows:
+        return [[Fraction(int(i == k)) for i in range(ncols)] for k in range(ncols)]
+    pivots = limit = None
+    tried = 1
+    for p in primes():
+        pivots_p, echelon = echelon_mod(rows, ncols, p)
+        if len(pivots_p) == ncols:
+            return []
+        tried *= p
+        residues_p = back_substitute(pivots_p, echelon, ncols, p)
+        if pivots is None or _beats(pivots_p, pivots):
+            pivots, residues, modulus = pivots_p, residues_p, p
+        elif pivots_p == pivots:
+            step = pow(modulus, -1, p)
+            residues = [
+                [a + modulus * ((b - a) * step % p) for a, b in zip(col, col_p)]
+                for col, col_p in zip(residues, residues_p)
+            ]
+            modulus *= p
+        if pivots_p == pivots:  # else p divides a minor the kept primes do not
+            basis = _certified_basis(rows, ncols, pivots, residues, modulus)
+            if basis is not None:
+                return basis
+        if limit is None:
+            limit = 2 * _hadamard(rows) ** 3
+        if tried > limit:
+            raise VerificationFailed(
+                "modular kernel failed its exact check beyond the Hadamard bound"
+            )
+
+
+# ---------------------------------------------------------------------------
+# The extended Euclid inverse
+
+
+def euclid_inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
+    """Inverse of a modulo a polynomial it is coprime to, by extended Euclid
+    over Q."""
+    r0, r1 = modulus, a % modulus
+    t0, t1 = UniPoly.zero(), UniPoly.one()
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise BadInput("element not invertible modulo the given polynomial")
+    return (t0.scale(1 / r0.lc)) % modulus

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS
-from oracles import poly
+from oracles import euclid_inverse_mod, poly
 from primpoints import arith
 from primpoints.arith import (
     Factorization,
@@ -522,6 +522,50 @@ def test_hensel_sqrt_congruence(f, r, k):
     assert ((q * q - f) % (p**k)).is_zero
     assert ((q - UniPoly.const(root)) % p).is_zero
     assert q.degree is None or q.degree < k
+
+
+# --- inverses modulo a polynomial ------------------------------------------
+
+
+def check_inverse_matches_euclid(a, m):
+    """The kernel-solved inverse agrees with extended Euclid: both raise
+    BadInput, or both give the t with a*t = 1 mod m and deg t < deg m."""
+    try:
+        expected = euclid_inverse_mod(a, m)
+    except BadInput:
+        with pytest.raises(BadInput):
+            arith._poly_inverse_mod(a, m)
+        return
+    t = arith._poly_inverse_mod(a, m)
+    assert t == expected
+    assert ((a * t - UniPoly.one()) % m).is_zero
+    assert t.degree is None or t.degree < m.degree
+
+
+@given(polys(10), polys(8, nonzero=True).filter(lambda m: m.degree >= 1))
+@settings(max_examples=80)
+def test_inverse_mod_matches_euclid(a, m):
+    check_inverse_matches_euclid(a, m)
+
+
+@given(
+    polys(9, nonzero=True),
+    st.lists(small_rationals(), min_size=1, max_size=3).map(lambda low: UniPoly.make([*low, 1])),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40)
+def test_inverse_mod_matches_euclid_on_prime_powers(a, p, k):
+    # hensel_sqrt inverts modulo p^prec for a monic p, here of degree 1-3
+    check_inverse_matches_euclid(a, p**k)
+
+
+def test_inverse_mod_edge_cases():
+    check_inverse_matches_euclid(poly(0, 1), poly(0, 0, 1))  # x shares x with x^2
+    check_inverse_matches_euclid(UniPoly.zero(), poly(1, 1))
+    check_inverse_matches_euclid(poly(2), poly(1, 0, 3))  # a constant, m not monic
+    check_inverse_matches_euclid(poly(1, 2, 3), poly(5))  # a constant modulus
+    with pytest.raises(BadInput):
+        arith._poly_inverse_mod(poly(-1, 1), poly(-1, 0, 1))
 
 
 # --- interpolation helper --------------------------------------------------

@@ -22,7 +22,7 @@ from primpoints.errors import (
     VerificationFailed,
     ZeroFunction,
 )
-from primpoints.formats import parse_coeff_text, parse_mw_file, parse_poly
+from primpoints.formats import parse_coeff_text, parse_divisor, parse_mw_file, parse_poly
 from primpoints.hyperell import (
     INERT,
     OO,
@@ -636,6 +636,21 @@ def test_rr_space_matches_the_full_kernel_on_the_x0_71_classes():
             assert basis == full_kernel_basis(X0_71, D), (d, k)
             with_v += any(not w.v.is_zero for w in basis)
     assert with_v > 0
+
+
+def test_rr_space_on_a_multiple_of_a_degree_6_split_point():
+    # 4P - 2*oo+ - 2*oo- on X0(71), with P the split witness of class 12 at
+    # d = 6: its branch roots invert b modulo a degree-20 factor of the norm.
+    # l = deg D - g + 1 = 20 - 6 + 1, and the basis is the one the
+    # extended Euclid inverses gave, kept in the fixture.
+    P = "x^6+2x^5+x^4-x^3-x^2-x+1; split; -2x^5-6x^4-4x^3+3x^2+3x-1"
+    D = parse_divisor(f"4*({P}) + -2*oo+ + -2*oo-", X0_71)
+    space = rr_space(X0_71, D)
+    with open(os.path.join(FIXTURES, "x0_71_split4_rr.txt"), encoding="utf-8") as fh:
+        ell, *basis = fh.read().splitlines()
+    assert space.dim == 15 == D.degree - X0_71.genus + 1
+    assert ell == "ell=15"
+    assert [f"basis: {w.literal()}" for w in space.basis] == basis
 
 
 # Mutants of the linear algebra whose basis keeps a pole that D forbids;

@@ -1,8 +1,12 @@
-"""Differential tests of the certified modular linear algebra.
+"""Differential tests of the exact linear algebra.
 
-The reference below is the Fraction Gauss-Jordan elimination the modular
-core replaced; kernels must agree with it entry for entry, and with sympy
-where sympy is installed.
+Kernels and ranks come from fraction-free Gauss-Jordan elimination over
+the integers.  They must agree entry for entry with the Fraction
+Gauss-Jordan reference below, with sympy where sympy is installed, and
+with the certified multi-modular kernel of `tests/oracles.py`, which the
+integer core replaced; that oracle's own prime sequence, back
+substitution and Chinese remaindering are tested here too.  A corrupted
+elimination must end in VerificationFailed, also under python -O.
 """
 
 import itertools
@@ -15,11 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primpoints import linalg
+import oracles
+from oracles import P0
+from primpoints import formats, hyperell, linalg, pipeline
 from primpoints.arith import is_prime
 from primpoints.errors import VerificationFailed
 
-P0 = linalg._PRIMES[0]
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
 # --- reference: exact Fraction Gauss-Jordan --------------------------------
 
@@ -130,7 +136,7 @@ def test_kernel_rank_det_match_sympy(case):
         assert linalg.det(rows) == Fraction(int(det.p), int(det.q))
 
 
-# --- modular edge cases ----------------------------------------------------
+# --- inputs singular modulo the modular oracle's first prime ---------------
 
 
 @pytest.mark.parametrize(
@@ -144,7 +150,7 @@ def test_kernel_rank_det_match_sympy(case):
 )
 def test_singular_mod_first_prime_only(rows):
     n = len(rows[0])
-    assert linalg.kernel_basis(rows, n) == ref_kernel(rows, n)
+    assert linalg.kernel_basis(rows, n) == ref_kernel(rows, n) == oracles.modular_kernel(rows, n)
     assert linalg.rank(rows) == ref_rank(rows)
     if len(rows) == n:
         assert linalg.det(rows) == ref_det(rows) != 0
@@ -203,20 +209,20 @@ def echelon_cases(draw):
 def test_back_substitution_matches_gauss_jordan(case):
     rows, n, p = case
     pivots, residues = gauss_jordan_residues(rows, n, p)
-    pivots_e, echelon = linalg._echelon_mod(rows, n, p)
+    pivots_e, echelon = oracles.echelon_mod(rows, n, p)
     assert pivots_e == pivots
-    assert linalg._back_substitute(pivots, echelon, n, p) == residues
+    assert oracles.back_substitute(pivots, echelon, n, p) == residues
 
 
 def _counting_echelon(monkeypatch):
     calls = []
-    original = linalg._echelon_mod
+    original = oracles.echelon_mod
 
     def counted(rows, ncols, p):
         calls.append(p)
         return original(rows, ncols, p)
 
-    monkeypatch.setattr(linalg, "_echelon_mod", counted)
+    monkeypatch.setattr(oracles, "echelon_mod", counted)
     return calls
 
 
@@ -224,14 +230,15 @@ def test_huge_kernel_entries_force_crt(monkeypatch):
     a, b = 3**40, 2**63 + 5  # coprime, both beyond 2^62
     rows = [[a, b, 0], [0, 1, 1]]
     calls = _counting_echelon(monkeypatch)
-    basis = linalg.kernel_basis(rows, 3)
+    basis = oracles.modular_kernel(rows, 3)
     assert basis == ref_kernel(rows, 3) == [[Fraction(b, a), Fraction(-1), Fraction(1)]]
-    assert len(calls) > 2 and calls == list(linalg._PRIMES[: len(calls)])
+    assert basis == linalg.kernel_basis(rows, 3)
+    assert len(calls) > 2 and calls == list(oracles.PRIMES[: len(calls)])
 
 
 def test_full_rank_needs_one_prime(monkeypatch):
     calls = _counting_echelon(monkeypatch)
-    assert linalg.kernel_basis([[2, 1], [1, 1]], 2) == []
+    assert oracles.modular_kernel([[2, 1], [1, 1]], 2) == []
     assert calls == [P0]
 
 
@@ -256,32 +263,78 @@ def test_rank_does_not_count_as_a_kernel_call(monkeypatch):
 
 
 def test_prime_sequence_is_fixed_and_extends_lazily():
-    primes = list(itertools.islice(linalg._primes(), len(linalg._PRIMES) + 2))
-    assert primes[len(linalg._PRIMES):] == [2147483489, 2147483477]
+    primes = list(itertools.islice(oracles.primes(), len(oracles.PRIMES) + 2))
+    assert primes[len(oracles.PRIMES):] == [2147483489, 2147483477]
     assert primes[0] == 2**31 - 1
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in range(primes[-1] + 1, 2**31) if n not in primes)
+
+
+# --- the integer core against the modular oracle ---------------------------
+
+
+def test_core_matches_the_modular_oracle_on_x0_71(monkeypatch):
+    # the kernel systems `classify_points` builds on X0(71) at d = 3..6
+    with open(os.path.join(FIXTURES, "x0_71.curve"), encoding="utf-8") as fh:
+        curve = hyperell.curve_new(formats.parse_curve_file(fh.read())[0])
+    with open(os.path.join(FIXTURES, "x0_71.mw"), encoding="utf-8") as fh:
+        mw = formats.parse_mw_file(fh.read(), curve)
+    systems = []
+    original = hyperell.kernel_basis
+
+    def recording(rows, ncols):
+        systems.append((rows, ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(hyperell, "kernel_basis", recording)
+    for d in (3, 4, 5, 6):
+        pipeline.classify_points(curve, mw, d)
+    assert len(systems) == 72 and any(linalg.kernel_basis(r, n) for r, n in systems)
+    for rows, ncols in systems:
+        assert linalg.kernel_basis(rows, ncols) == oracles.modular_kernel(rows, ncols)
+
+
+wide = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def wide_low_rank_matrices(draw):
+    """X Y with entries of X and Y up to 2^70, so kernel entries pass 2^62."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, n)))
+    X = [[draw(wide) for _ in range(r)] for _ in range(m)]
+    Y = [[draw(wide) for _ in range(n)] for _ in range(r)]
+    return [[sum(X[i][k] * Y[k][j] for k in range(r)) for j in range(n)] for i in range(m)], n
+
+
+@given(wide_low_rank_matrices())
+@settings(max_examples=40, deadline=None)
+@example(([[2**70 - 1, 2**69 + 3]], 2))  # five primes before the check passes
+def test_core_matches_the_modular_oracle_on_wide_entries(case):
+    rows, n = case
+    assert linalg.kernel_basis(rows, n) == oracles.modular_kernel(rows, n) == ref_kernel(rows, n)
 
 
 # --- the exact check is the gate -------------------------------------------
 
 
 def check_corrupted_kernel_raises():
-    """A modular result missing a pivot must be rejected, not returned."""
-    original = linalg._echelon_mod
+    """An elimination result missing a pivot row must be rejected, not returned."""
+    original = linalg._eliminate
 
-    def corrupted(rows, ncols, p):
-        pivots, echelon = original(rows, ncols, p)
-        return pivots[:-1], echelon[:-1]
+    def corrupted(rows, ncols):
+        pivots, reduced = original(rows, ncols)
+        return pivots[:-1], reduced[:-1]
 
-    linalg._echelon_mod = corrupted
+    linalg._eliminate = corrupted
     try:
         linalg.kernel_basis([[1, 2, 3], [4, 5, 6]], 3)
     except VerificationFailed:
         return
     finally:
-        linalg._echelon_mod = original
-    raise AssertionError("a corrupted modular kernel was accepted")
+        linalg._eliminate = original
+    raise AssertionError("a corrupted elimination was accepted")
 
 
 def test_corrupted_modular_result_raises():

@@ -989,9 +989,12 @@ def _poly_inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
     With n = deg modulus, (t, 1) spans the kernel of [A | -e_0], where
     column j of A holds a * x^j mod modulus: A t = e_0 says a * t = 1.  A is
     invertible exactly when a is, and else the kernel has another vector.
+    A nonzero constant residue is inverted directly.
     """
-    n = modulus.degree
-    col = [*(a % modulus).coeffs, *[0] * n][:n]
+    n, a = modulus.degree, a % modulus
+    if a.degree == 0:
+        return UniPoly.const(1 / a.lc)
+    col = [*a.coeffs, *[0] * n][:n]
     columns = [col]
     for _ in range(n - 1):
         top, col = col[-1], [0, *col[:-1]]

@@ -426,8 +426,8 @@ def _zeros_over(curve, p, mult, u, v):
     elif (curve.f % p).is_zero:
         return [(ClosedPoint.affine(p, RAM), mult)]
     else:
-        # a side of order above k is 0 mod p once divided by p^k
-        a, b = (cof if val == k else UniPoly.zero() for val, cof in sides)
+        # the sides over p^k, reduced mod p; one of order above k is 0 there
+        a, b = (cof % p if val == k else UniPoly.zero() for val, cof in sides)
         q = _branch_root(a, b, p, curve.f)
     place = ClosedPoint.affine(p, SPLIT, q)
     return [(place, mult - k), (place.conjugate(), k)]

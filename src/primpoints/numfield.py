@@ -27,17 +27,17 @@ validates m and tries four routes in order:
    of m over K, has degree strictly between 1 and [K:Q], because every
    maximal subfield is principal.  Their degrees are read off the orbital
    graphs of Gal(m): the Q-factors of the squarefree norm of the root pairs
-   theta_j + s*theta_i, labelled in F_{p^e} at one prime p where all roots
-   of m lie, picked for the fewest Frobenius orbits on ordered pairs.  The
-   same roots factor the norm mod p, with no splitting: each orbit of pair
-   values off the diagonal is one irreducible factor, as Frobenius permutes
-   its roots transitively, and these are Hensel-lifted and recombined; the
-   diagonal pairs give the Q-factor (1+s)^d * m(x/(1+s)), m rescaled, in
-   closed form.  Routes 3 and 4 read one lazy stream of degree patterns
-   with their distinct-degree splits, and `fpe_roots` takes the split at
-   the prime route 4 picks, so no prime of m is split twice there; a
-   polynomial m is first proven irreducible by the factorization in
-   `nf_new`, at its own first primes.
+   theta_j + s*theta_i, at one prime p where all roots of m lie in F_{p^e},
+   picked for the fewest Frobenius orbits on ordered pairs.  One table of
+   those orbits and their products mod p serves all the work mod p: each
+   orbit off the diagonal is one irreducible factor of the norm, lifted
+   and recombined with no splitting; the diagonal gives the Q-factor
+   (1+s)^d * m(x/(1+s)), m rescaled; and an orbit's label is the one
+   Q-factor its product divides mod p.  Routes 3 and 4 read one lazy stream
+   of degree patterns with their distinct-degree splits, and `fpe_roots`
+   takes the split at the prime route 4 picks, so no prime of m is split
+   twice there; a polynomial m is first proven irreducible by the
+   factorization in `nf_new`, at its own first primes.
 
 `is_primitive_field` is its bool view.
 
@@ -60,6 +60,7 @@ from math import comb, gcd, lcm
 from . import linalg
 from .arith import (
     UniPoly,
+    _fp_divmod,
     _fp_monic,
     _fp_mul,
     _fp_reduce,
@@ -480,53 +481,43 @@ def _pair_orbits(roots) -> list:
 
 
 def _orbit_factors(roots, s: int) -> list:
-    """The irreducible factors mod p of N_s / diag: for each Frobenius orbit
-    of off-diagonal pairs (i, j), i != j, the monic product of
-    x - (r_j + s*r_i) over the orbit, as residues mod p.
+    """The Frobenius-orbit table of one `principal_subfields` call: (orbit,
+    g) for each orbit of `_pair_orbits`, diagonal ones included, with g the
+    monic product of x - (r_j + s*r_i) over the orbit as residues mod p.
 
     The d^2 pair values must be distinct.  Frobenius maps r_j + s*r_i to
     r_(sigma j) + s*r_(sigma i), since s lies in F_p, so it permutes the
     roots of each product: its coefficients lie in F_p, where a product
     outside F_p[x] raises VerificationFailed, and it permutes them
-    transitively, so the product is irreducible mod p.
+    transitively, so the product is irreducible mod p.  The products off
+    the diagonal are the irreducible factors of N_s / diag mod p.
     """
     F = roots[0].field
     one = F((1,))
-    factors = []
+    table = []
     for orbit in _pair_orbits(roots):
-        if orbit[0][0] == orbit[0][1]:
-            continue
-        factor = [one]
+        g = [one]
         for i, j in orbit:
-            factor = _fp_mul(factor, [-(roots[j] + s * roots[i]), one], F)
-        if any(len(c.c) > 1 for c in factor):
+            g = _fp_mul(g, [-(roots[j] + s * roots[i]), one], F)
+        if any(len(c.c) > 1 for c in g):
             raise VerificationFailed("an orbit of pair values has a factor outside F_p[x]")
-        factors.append([c.c[0] if c.c else 0 for c in factor])
-    return factors
+        table.append((orbit, [c.c[0] if c.c else 0 for c in g]))
+    return table
 
 
-def _pair_labels(factors, roots, s: int) -> dict:
-    """{(i, j): index of the one factor h with h(r_j + s*r_i) = 0 in F_{p^e}}.
+def _pair_labels(factors, table, p: int) -> dict:
+    """{(i, j): index of the one factor h that g, the product of the orbit
+    of (i, j) in `table` (`_orbit_factors`), divides exactly mod p}.
 
-    The roots are those of `fpe_roots`, and the d^2 pair values must be
-    distinct.  h(v^p) = h(v)^p, so the pairs of one Frobenius orbit
-    (`_pair_orbits`) lie on one factor: one pair per orbit is evaluated and
-    its label given to the whole orbit.  A pair on no factor or on several
-    raises VerificationFailed.
+    g has the orbit's pair values as simple roots, and h(v^p) = h(v)^p for
+    h mod p, reduced from its primitive integer model: g divides h exactly
+    when h vanishes at one pair of the orbit, and then at every pair of it.
+    An orbit on no factor or on several raises VerificationFailed.
     """
-    p = roots[0].field.p
-    residues = [[c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs] for h in factors]
+    residues = [_fp_reduce(h.to_int_primitive()[1], p) for h in factors]
     labels = {}
-    for orbit in _pair_orbits(roots):
-        i, j = orbit[0]
-        v = roots[j] + s * roots[i]
-        hits = []
-        for k, hp in enumerate(residues):
-            acc = 0
-            for c in reversed(hp):
-                acc = acc * v + c
-            if not acc:
-                hits.append(k)
+    for orbit, g in table:
+        hits = [k for k, h in enumerate(residues) if not _fp_divmod(h, g, p)[1]]
         if len(hits) != 1:
             raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
         labels.update(dict.fromkeys(orbit, hits[0]))
@@ -651,22 +642,22 @@ def _pair_roots(m: UniPoly, patterns):
     raise Degenerate("the degree patterns ran out before a prime kept the pair values apart")
 
 
-def _pair_norm_factors(m: UniPoly, roots, s: int) -> list:
+def _pair_norm_factors(m: UniPoly, s: int, table, p: int) -> list:
     """The monic irreducible factors over Q of N_s, sorted as `factor_over_Q`
-    sorts them, with roots and s from `_pair_roots`.
+    sorts them, with s and p from `_pair_roots`, `table` of `_orbit_factors`.
 
     The diagonal pairs (i, i) give diag = prod (x - (1+s)*theta_i) =
     (1+s)^d * m(x/(1+s)), a Q-factor since it is the irreducible m
     rescaled, and it is divided out exactly.  p, a good prime of m, divides
     no denominator of m, so N_s / diag reduces mod p, and its irreducible
-    factors there are the products over the Frobenius orbits of the other
-    pairs (`_orbit_factors`): they are lifted and recombined
+    factors there are the table's products over the Frobenius orbits of
+    the other pairs: they are lifted and recombined
     (`arith._lift_and_recombine`) with no splitting mod p at all.  Checked:
     the exact division, p against the leading coefficient of the integer
     model, the orbit products against N_s / diag mod p, and the Q-factors
     by re-multiplication.
     """
-    d, p = m.degree, roots[0].field.p
+    d = m.degree
     norm = pair_norm(m, s)
     diag = UniPoly.make([c * (1 + s) ** (d - i) for i, c in enumerate(m.coeffs)])
     rest, remainder = divmod(norm, diag)
@@ -675,7 +666,7 @@ def _pair_norm_factors(m: UniPoly, roots, s: int) -> list:
     _, P = rest.to_int_primitive()
     if P[-1] % p == 0:
         raise VerificationFailed("p divides the leading coefficient of N_s / diag")
-    modular = _orbit_factors(roots, s)
+    modular = [g for orbit, g in table if orbit[0][0] != orbit[0][1]]
     product = [1]
     for g in modular:
         product = _fp_mul(product, g, p)
@@ -712,21 +703,23 @@ def principal_subfields(K: NumberField, patterns) -> SubfieldReport:
     (`_pair_roots`); a Frobenius element of order 1 has density 1/|Gal(m)|
     (Chebotarev), so the scan ends.
 
-    N_s itself is a composed sum (`pair_norm`), and the same roots factor
-    it (`_pair_norm_factors`): the diagonal pairs give the Q-factor
-    (1+s)^d * m(x/(1+s)), which is m rescaled and so irreducible, and each
-    Frobenius orbit of the other pairs gives one irreducible factor mod p,
-    since Frobenius permutes its pair values transitively; those are
-    Hensel-lifted and recombined, so nothing of degree above d is split
-    mod p.  Checked: the Q-factors multiply back to N_s, each pair lies on
-    exactly one factor h, h gets exactly deg h pairs, and the components
-    of each graph have one size.  No arithmetic over K and no resultant is
-    needed.
+    N_s itself is a composed sum (`pair_norm`), and one table of the
+    Frobenius orbits of root pairs with their products mod p
+    (`_orbit_factors`) factors it (`_pair_norm_factors`): the diagonal
+    pairs give the Q-factor (1+s)^d * m(x/(1+s)), m rescaled and so
+    irreducible, and each other orbit one irreducible factor mod p, lifted
+    and recombined, so nothing of degree above d is split mod p.  The same
+    table labels the pairs (`_pair_labels`).  Checked: the Q-factors
+    multiply back to N_s, each orbit's product divides exactly one factor
+    h mod p, h gets exactly deg h pairs, and the components of each graph
+    have one size.  No arithmetic over K and no resultant is needed.
     """
     m, d = K.min_poly, K.degree
     roots, s = _pair_roots(m, patterns)
-    factors = _pair_norm_factors(m, roots, s)
-    labels = _pair_labels(factors, roots, s)
+    p = roots[0].field.p
+    table = _orbit_factors(roots, s)
+    factors = _pair_norm_factors(m, s, table, p)
+    labels = _pair_labels(factors, table, p)
     degrees = []
     for k, h in enumerate(factors):
         edges = [pair for pair, label in labels.items() if label == k]

@@ -564,6 +564,11 @@ def test_inverse_mod_edge_cases():
     check_inverse_matches_euclid(UniPoly.zero(), poly(1, 1))
     check_inverse_matches_euclid(poly(2), poly(1, 0, 3))  # a constant, m not monic
     check_inverse_matches_euclid(poly(1, 2, 3), poly(5))  # a constant modulus
+    # constants, inverted without the kernel
+    for m in (parse_poly("x^3-2"), parse_poly("x^5-x-1"), parse_poly("x^7-x-1")):
+        for c in (Fraction(1), Fraction(-3, 7)):
+            check_inverse_matches_euclid(UniPoly.const(c), m)
+            check_inverse_matches_euclid(UniPoly.const(c) + m, m)  # a constant residue
     with pytest.raises(BadInput):
         arith._poly_inverse_mod(poly(-1, 1), poly(-1, 0, 1))
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 
@@ -10,6 +11,8 @@ from primpoints.errors import VerificationFailed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "primpoints")
+FORMATS_DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
 
 def fixture(name):
@@ -844,3 +847,40 @@ def test_twist_growth_rechecks_the_hit_count(optimize):
     )
     assert done.stdout.startswith("height<=   2:   2 twists with points [1, 2] ")
     assert "height<=   5" not in done.stdout
+
+
+def _verification_messages():
+    """(module, message) for every VerificationFailed(...) in src/, read
+    with `ast`: the string, or the constant prefix of an f-string."""
+    out = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "VerificationFailed":
+                continue
+            (arg,) = node.args
+            if isinstance(arg, ast.JoinedStr):
+                prefix = []
+                for part in arg.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    prefix.append(part.value)
+                out.append((name, "".join(prefix)))
+            else:
+                assert isinstance(arg, ast.Constant), (name, ast.dump(arg))
+                out.append((name, arg.value))
+    return out
+
+
+def test_every_verification_message_is_quoted_under_exit_5():
+    with open(FORMATS_DOC, encoding="utf-8") as fh:
+        doc = fh.read()
+    section = doc[doc.index("Exit code 5 means"):]
+    section = section.split("\n## ")[0]
+    messages = _verification_messages()
+    assert len(messages) >= 20 and all(message for _, message in messages)
+    assert [(name, message) for name, message in messages if message not in section] == []

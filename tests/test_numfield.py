@@ -562,9 +562,10 @@ def test_field_report_splits_each_prime_of_m_once(monkeypatch, lit):
 
 # one pair label flipped, two labels swapped (the counts still fit, the
 # orbital graph does not), one lifted Q-factor of N_s / diag shifted by 1,
-# one pair-norm factor shifted by 1 on its way to the labels, then one root
-# in F_{p^e} moved by 1: each must make `field` exit 5 with the message of
-# the check that caught it, and no traceback
+# one pair-norm factor shifted by 1 on its way to the labels, one root in
+# F_{p^e} moved by 1, then one orbit product shifted by 1 on its way to the
+# labels: each must make `field` exit 5 with the message of the check that
+# caught it, and no traceback
 CORRUPTED_ORBITALS = """
 from oracles import poly
 from primpoints import cli, numfield
@@ -594,12 +595,17 @@ def one_root_moved(*args):
     roots = roots_in_fpe(*args)
     return [roots[0] + 1, *roots[1:]]
 
+def one_orbit_product_shifted(factors, table, p):
+    (orbit, g), *others = table
+    return labels(factors, [(orbit, [(g[0] + 1) % p, *g[1:]]), *others], p)
+
 for name, corrupted in (
     ("_pair_labels", one_label_flipped),
     ("_pair_labels", two_labels_swapped),
     ("_lift_and_recombine", one_lifted_factor_shifted),
     ("_pair_labels", one_labelled_factor_shifted),
     ("fpe_roots", one_root_moved),
+    ("_pair_labels", one_orbit_product_shifted),
 ):
     original = getattr(numfield, name)
     setattr(numfield, name, corrupted)
@@ -612,13 +618,30 @@ for name, corrupted in (
 def test_corrupted_orbitals_raise_verification_failed(optimize):
     done = run_python(["-c", CORRUPTED_ORBITALS], optimize)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "5\n5\n5\n5\n5\n"
+    assert done.stdout == "5\n5\n5\n5\n5\n5\n"
     assert "Traceback" not in done.stderr
-    assert done.stderr.count("internal verification failed") == 5
+    assert done.stderr.count("internal verification failed") == 6
     assert "does not get deg h root pairs" in done.stderr
     assert "orbital graph components differ in size" in done.stderr
-    assert "lies on no pair-norm factor or on several" in done.stderr
+    assert done.stderr.count("lies on no pair-norm factor or on several") == 2
     assert "do not multiply back to N_s" in done.stderr
+
+
+# the composed fields g(h(x)) of scripts/report_digest.py, degrees 8 to 12
+DIGEST_COMPOSED_FIELDS = tuple(
+    parse_poly(g).compose(parse_poly(h)).literal()
+    for g, h in (
+        ("x^2+x+3", "x^4+x^3-x+1"),
+        ("x^4+x^3-x+1", "x^2+x+2"),
+        ("x^3-x-1", "x^3+x+1"),
+        ("x^2+x+3", "x^5-x-1"),
+        ("x^5-x-1", "x^2+x+2"),
+        ("x^3-x-1", "x^4+x^3-x+1"),
+        ("x^2+x+3", "x^6+x+1"),
+    )
+)
+# fields whose Frobenius elements all have small order
+SMALL_ORDER_FIELDS = ("x^8+1", "x^8-40x^6+352x^4-960x^2+576", "x^9-3x^3+1", "x^6+x^3+1")
 
 
 def _labels_of_every_pair(factors, roots, s):
@@ -640,12 +663,18 @@ def _labels_of_every_pair(factors, roots, s):
     return out
 
 
-@pytest.mark.parametrize("lit", ["x^4-2", "x^6-2", "x^6+2x^5+x^4-x^3-x^2-x+1"])
+@pytest.mark.parametrize(
+    "lit",
+    ["x^4-2", "x^6-2", "x^6+2x^5+x^4-x^3-x^2-x+1"]
+    + list(DIGEST_COMPOSED_FIELDS) + list(SMALL_ORDER_FIELDS),
+)
 def test_pair_labels_per_frobenius_orbit_match_every_pair(lit):
-    m = parse_poly(lit)
+    # the labels come from exact division mod p; the oracle evaluates every
+    # factor at every pair value in F_{p^e}
+    m = nf_new(parse_poly(lit)).min_poly
     roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
-    labels = numfield._pair_labels(factors, roots, s)
+    labels = numfield._pair_labels(factors, numfield._orbit_factors(roots, s), roots[0].field.p)
     assert {pair: [k] for pair, k in labels.items()} == _labels_of_every_pair(factors, roots, s)
 
 
@@ -655,9 +684,23 @@ def test_pair_labels_reject_roots_not_closed_under_frobenius():
     p = roots[0].field.p
     k = next(i for i, r in enumerate(roots) if r ** p != r)
     roots[k] = roots[k] + 1
-    factors = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
     with pytest.raises(VerificationFailed, match="p-th power of a root"):
-        numfield._pair_labels(factors, roots, s)
+        numfield._orbit_factors(roots, s)
+
+
+def test_principal_subfields_walks_the_pair_orbits_once(monkeypatch):
+    calls = []
+    original = numfield._pair_orbits
+
+    def counting(roots):
+        calls.append(roots)
+        return original(roots)
+
+    monkeypatch.setattr(numfield, "_pair_orbits", counting)
+    for lit in (*X0_71_IMPRIMITIVE_FIELDS, *SMALL_ORDER_FIELDS):
+        calls.clear()
+        subfields_of(nf_new(parse_poly(lit)))
+        assert len(calls) == 1, lit
 
 
 def _distinct_shift_by_counting(roots, shifts):
@@ -684,27 +727,11 @@ def test_distinct_shift_reads_the_collisions_off_root_differences(lit):
             ), (lit, p, s)
 
 
-# the composed fields g(h(x)) of scripts/report_digest.py, degrees 8 to 12
-DIGEST_COMPOSED_FIELDS = tuple(
-    parse_poly(g).compose(parse_poly(h)).literal()
-    for g, h in (
-        ("x^2+x+3", "x^4+x^3-x+1"),
-        ("x^4+x^3-x+1", "x^2+x+2"),
-        ("x^3-x-1", "x^3+x+1"),
-        ("x^2+x+3", "x^5-x-1"),
-        ("x^5-x-1", "x^2+x+2"),
-        ("x^3-x-1", "x^4+x^3-x+1"),
-        ("x^2+x+3", "x^6+x+1"),
-    )
-)
-# fields whose Frobenius elements all have small order
-SMALL_ORDER_FIELDS = ("x^8+1", "x^8-40x^6+352x^4-960x^2+576", "x^9-3x^3+1", "x^6+x^3+1")
-
-
 def _assert_orbit_route_matches_factor_over_Q(m):
     roots, s = numfield._pair_roots(m, numfield.degree_patterns(m))
     oracle = [h for h, _ in factor_over_Q(pair_norm(m, s)).factors]
-    assert numfield._pair_norm_factors(m, roots, s) == oracle, str(m)
+    table = numfield._orbit_factors(roots, s)
+    assert numfield._pair_norm_factors(m, s, table, roots[0].field.p) == oracle, str(m)
 
 
 @pytest.mark.parametrize(
@@ -738,11 +765,13 @@ def test_orbit_factors_are_the_split_of_the_pair_norm_mod_p(lit):
     p = roots[0].field.p
     d = m.degree
     diag = UniPoly.make([c * (1 + s) ** (d - i) for i, c in enumerate(m.coeffs)])
-    _, P = (pair_norm(m, s) // diag).to_int_primitive()
-    rest = arith._fp_monic(arith._fp_reduce(P, p), p)
-    split = _fp_equal_degree(_fp_distinct_degree(rest, p), p, _DetRng(0))
-    orbit_factors = numfield._orbit_factors(roots, s)
-    assert sorted(orbit_factors, key=lambda c: (len(c), c)) == split
+    table = numfield._orbit_factors(roots, s)
+    for on_diagonal, target in ((False, pair_norm(m, s) // diag), (True, diag)):
+        _, P = target.to_int_primitive()
+        rest = arith._fp_monic(arith._fp_reduce(P, p), p)
+        split = _fp_equal_degree(_fp_distinct_degree(rest, p), p, _DetRng(0))
+        products = [g for orbit, g in table if (orbit[0][0] == orbit[0][1]) == on_diagonal]
+        assert sorted(products, key=lambda c: (len(c), c)) == split, on_diagonal
 
 
 def test_pair_norm_factors_reject_pair_values_off_the_pair_norm():
@@ -756,7 +785,7 @@ def test_pair_norm_factors_reject_pair_values_off_the_pair_norm():
     roots[0] = roots[0] + 1
     s = numfield._distinct_shift(roots, numfield.PAIR_NORM_SHIFTS)
     with pytest.raises(VerificationFailed, match="do not multiply to N_s / diag mod p"):
-        numfield._pair_norm_factors(m, roots, s)
+        numfield._pair_norm_factors(m, s, numfield._orbit_factors(roots, s), p)
 
 
 @pytest.mark.parametrize("lit", X0_71_IMPRIMITIVE_FIELDS)

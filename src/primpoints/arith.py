@@ -6,6 +6,13 @@ coefficients, lowest degree first, with no trailing zeros.  The zero
 polynomial has an empty coefficient list and its degree is the sentinel
 ``None``, never a number.
 
+Products and divisions run in integers over the common denominators and
+make one `Fraction` per output coefficient.  Division scales the integer
+remainder by lc/gcd(c, lc), for its leading coefficient c and the
+divisor's lc, only at the steps where lc does not divide c, so a monic
+divisor never scales it; the quotient terms are kept as integer pairs, and
+`%` never turns them into Fractions.
+
 Factorization over Q takes the classical modular route.  A primitive
 integer model is reduced once at each of up to three small primes avoiding
 the leading coefficient and the discriminant, and split there by degree
@@ -19,13 +26,20 @@ calls on pair norms whose factors mod p it reads off known roots); degrees
 in scope stay small enough (norms of degree-6 fields give degree 36) that
 this needs no lattice reduction.  The distinct-degree split alone gives the
 degree pattern mod p (`degree_patterns`), which `numfield` reads as a
-Frobenius cycle type.
+Frobenius cycle type.  One memo (`_fp_split`) holds the split of each
+monic residue mod p, so a residue is split once per interpreter: a field's
+m when `nf_new` factors it and again when its degree patterns are read,
+and the cofactors of fibers over values that agree mod p.
 
 Squarefreeness is certified mod one prime first: a polynomial that stays
 squarefree mod a prime not dividing its leading coefficient is squarefree
 over Q, so `is_squarefree` and `squarefree_decomposition` run a gcd over Q
 only when that check fails.  The same modular kit also computes in
 F_{p^e} = F_p[t]/(G), with residues mod G as coefficients (`fpe_roots`).
+Where only a remainder is wanted (gcds, powers mod f, products in F_{p^e},
+the Hensel correction, the pair labels of `numfield`), `_fp_rem` builds no
+quotient, and a product goes into it unreduced, so that it is reduced mod
+p once per coefficient.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 
 from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
@@ -72,6 +86,17 @@ def _strip(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _convolve(a, b) -> list:
+    """The product of two coefficient lists, unreduced: for integers, and
+    for the residues of the modular kit before they are reduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        if va:
+            for j, vb in enumerate(b):
+                out[i + j] += va * vb
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,12 +169,8 @@ class UniPoly:
         da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
         ai = [c.numerator * (da // c.denominator) for c in a]
         bi = [c.numerator * (db // c.denominator) for c in b]
-        out, den = [0] * (len(a) + len(b) - 1), da * db
-        for i, ca in enumerate(ai):
-            if ca:
-                for j, cb in enumerate(bi):
-                    out[i + j] += ca * cb
-        return UniPoly(tuple(Fraction(c, den) for c in out))
+        den = da * db
+        return UniPoly(tuple(Fraction(c, den) for c in _convolve(ai, bi)))
 
     __rmul__ = __mul__
 
@@ -159,30 +180,54 @@ class UniPoly:
             return UniPoly.zero()
         return UniPoly(tuple(co * c for co in self.coeffs))
 
-    def __divmod__(self, divisor):
+    def _divide(self, divisor):
+        """(quotient terms, remainder) of self by divisor.
+
+        On the integer lists A = da*self and B = db*divisor, the loop keeps
+        R/s as the remainder of A so far, scaling R and s by lc(B)/gcd(c,
+        lc(B)) only when lc(B) does not divide the leading c, and takes
+        k*x^i*B off R.  Quotient term i, k*db/(s*da), stays an integer
+        pair; the remainder is R/(s*da).
+        """
         if divisor.is_zero:
             raise ZeroPolynomial("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        dl = divisor.lc
-        if len(rem) - 1 < dd:
-            return UniPoly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
+        a, b = self.coeffs, divisor.coeffs
+        n = len(b) - 1
+        if len(a) <= n:
+            return [], self
+        da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
+        rem = [c.numerator * (da // c.denominator) for c in a]
+        low = [c.numerator * (db // c.denominator) for c in b]
+        lead = low.pop()
+        scale = 1
+        quot = [(0, 1)] * (len(a) - n)
+        for i in range(len(a) - 1, n - 1, -1):
             c = rem[i]
             if not c:
                 continue
-            q = c / dl
-            quot[i - dd] = q
-            for j, dc in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= q * dc
-        return UniPoly(tuple(_strip(quot))), UniPoly(tuple(_strip(rem)))
+            if c % lead:
+                g = gcd(c, lead)
+                t = lead // g
+                rem[:i] = [v * t for v in rem[:i]]
+                scale *= t
+                k = c // g
+            else:
+                k = c // lead
+            quot[i - n] = (k * db, scale * da)
+            for j, v in enumerate(low, i - n):
+                rem[j] -= k * v
+        den = scale * da
+        return quot, UniPoly(tuple(Fraction(v, den) for v in _strip(rem[:n])))
+
+    def __divmod__(self, divisor):
+        quot, rem = self._divide(divisor)
+        return UniPoly(tuple(Fraction(k, d) for k, d in quot)), rem
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other)[1]
 
     def __pow__(self, n: int):
         if n < 0:
@@ -424,10 +469,11 @@ def interpolate_values(npoints: int, value) -> UniPoly:
 # ---------------------------------------------------------------------------
 # Polynomials modulo an integer m: a prime p, or a prime power p^k during
 # Hensel lifting.  `_fp_reduce`, `_fp_add`, `_fp_sub` and `_fp_mul` work for
-# any m, and `_fp_divmod` whenever lc(b) is a unit mod m, as for the monic
-# divisors of the lifting; `_fp_monic`, `_fp_gcd`, `_fp_bezout` and the
-# splitting stages need m prime.  `_fp_mul` and `_fp_divmod` reduce mod m
-# once per coefficient, not after every product.
+# any m, and `_fp_divmod` and `_fp_rem` whenever lc(b) is a unit mod m, as
+# for the monic divisors of the lifting; `_fp_monic`, `_fp_gcd`,
+# `_fp_bezout` and the splitting stages need m prime.  `_fp_mul`,
+# `_fp_divmod` and `_fp_rem` reduce mod m once per coefficient, not after
+# every product.
 
 
 def _fp_trim(c):
@@ -457,14 +503,7 @@ def _fp_sub(a, b, p):
 
 
 def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va:
-            for j, vb in enumerate(b):
-                out[i + j] += va * vb
-    return _fp_reduce(out, p)
+    return _fp_reduce(_convolve(a, b), p) if a and b else []
 
 
 def _fp_divmod(a, b, p):
@@ -474,7 +513,7 @@ def _fp_divmod(a, b, p):
     db = len(b) - 1
     inv = None if b[-1] == 1 else pow(b[-1], -1, p)  # no inverse for a monic b
     if len(rem) - 1 < db:
-        return [], _fp_trim(rem)
+        return [], _fp_reduce(rem, p)
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
@@ -484,6 +523,28 @@ def _fp_divmod(a, b, p):
             for j, bv in enumerate(b):
                 rem[i - db + j] -= q * bv
     return _fp_trim(quot), _fp_reduce(rem, p)
+
+
+def _fp_rem(a, b, m):
+    """`_fp_divmod(a, b, m)[1]` with no quotient: the loop updates only the
+    coefficients below deg b and keeps only those.
+
+    a may hold unreduced values, as a product straight from `_convolve`
+    does, so a multiplication and its reduction mod b reduce mod m once.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial mod p")
+    n = len(b) - 1
+    rem, low = list(a), b[:-1]
+    inv = None if b[-1] == 1 else pow(b[-1], -1, m)  # no inverse for a monic b
+    for i in range(len(rem) - 1, n - 1, -1):
+        c = rem[i] % m
+        if c:
+            if inv is not None:
+                c = c * inv % m
+            for j, v in enumerate(low, i - n):
+                rem[j] -= c * v
+    return _fp_reduce(rem[:n], m)
 
 
 def _fp_monic(a, p):
@@ -496,19 +557,21 @@ def _fp_monic(a, p):
 def _fp_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        a, b = b, _fp_rem(a, b, p)
     return _fp_monic(a, p)
 
 
 def _fp_powmod(base, e, mod, p):
+    """base^e mod `mod` by squaring; each product is reduced mod p only
+    within its reduction mod `mod`."""
     result = [1]
-    base = _fp_divmod(base, mod, p)[1]
+    base = _fp_rem(base, mod, p)
     while e:
         if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
+            result = _fp_rem(_convolve(result, base), mod, p)
         e >>= 1
         if e:
-            base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+            base = _fp_rem(_convolve(base, base), mod, p)
     return result
 
 
@@ -541,7 +604,7 @@ def _fp_distinct_degree(f, p) -> list:
             dd_parts.append((g, d))
             rem = _fp_divmod(rem, g, p)[0]
             if len(rem) > 1:
-                h = _fp_divmod(h, rem, p)[1]
+                h = _fp_rem(h, rem, p)
     if len(rem) > 1:
         dd_parts.append((rem, len(rem) - 1))
     return dd_parts
@@ -585,8 +648,8 @@ def _fp_equal_degree(parts, p, rng) -> list:
 # ---------------------------------------------------------------------------
 # F_q = F_p[t]/(G), q = p^e, on the same kit: an element is its residue mod
 # G, and the field takes the place of the modulus p, so `_fp_mul`,
-# `_fp_divmod`, `_fp_gcd` and `_fp_powmod` run unchanged on polynomials with
-# `_FqElement` coefficients.
+# `_fp_divmod`, `_fp_rem`, `_fp_gcd` and `_fp_powmod` run unchanged on
+# polynomials with `_FqElement` coefficients.
 
 
 class _Fq:
@@ -596,7 +659,7 @@ class _Fq:
         self.p, self.G = p, G
 
     def __call__(self, residue) -> "_FqElement":
-        return _FqElement(self, tuple(_fp_divmod(_fp_reduce(residue, self.p), self.G, self.p)[1]))
+        return _FqElement(self, tuple(_fp_rem(residue, self.G, self.p)))
 
     def __rmod__(self, v: int) -> "_FqElement":
         return self((v,))  # an integer the kit left in a coefficient
@@ -630,8 +693,7 @@ class _FqElement:
 
     def __mul__(self, other):
         F = self.field
-        product = _fp_mul(self.c, self._lift(other).c, F.p)
-        return _FqElement(F, tuple(_fp_divmod(product, F.G, F.p)[1]))
+        return _FqElement(F, tuple(_fp_rem(_convolve(self.c, self._lift(other).c), F.G, F.p)))
 
     __rmul__ = __mul__
 
@@ -717,8 +779,8 @@ def _hensel_pair(f, g, h, s, t, p, target_exp):
     """Lift f = g*h (mod p), s*g + t*h = 1 (mod p) to modulus p^target_exp.
 
     Quadratic lifting with both g and h monic, so every division below is
-    by a monic polynomial: `_fp_divmod` inverts lc = 1 and stays valid over
-    Z/p^k.
+    by a monic polynomial: `_fp_divmod` and `_fp_rem` need no inverse of
+    lc = 1 and stay valid over Z/p^k.
     """
     k = 1
     while k < target_exp:
@@ -726,7 +788,7 @@ def _hensel_pair(f, g, h, s, t, p, target_exp):
         m = p ** k
         fm = _fp_reduce(f, m)
         e = _fp_sub(fm, _fp_mul(g, h, m), m)
-        _, corr = _fp_divmod(_fp_mul(t, e, m), g, m)
+        corr = _fp_rem(_convolve(t, e), g, m)
         g = _fp_add(g, corr, m)
         h, rem = _fp_divmod(fm, g, m)
         if rem:
@@ -796,17 +858,26 @@ def _fp_squarefree(P, p):
     return _fp_monic(fp, p) if dp and len(_fp_gcd(fp, dp, p)) == 1 else None
 
 
+@lru_cache(maxsize=256)
+def _fp_split(f: tuple, p: int) -> tuple:
+    """The distinct-degree split of the monic squarefree residue f mod p,
+    as a tuple of (tuple g, d) that no caller can change: the one memo of
+    the splitting stage, read by `_good_primes`, so that `factor_over_Q`
+    and `degree_patterns` split each residue once per interpreter."""
+    return tuple((tuple(g), d) for g, d in _fp_distinct_degree(list(f), p))
+
+
 def _good_primes(P):
     """Yield (p, parts) for the primes p > 20 that keep the integer model P
     squarefree with full degree, in order; parts is the distinct-degree
-    split of P mod p.  Lazy and endless; callers take a prefix with
-    `itertools.islice`.
+    split of P mod p, from `_fp_split`.  Lazy and endless; callers take a
+    prefix with `itertools.islice`.
     """
     for p in filter(is_prime, itertools.count(21)):
         if P[-1] % p:
             fp = _fp_squarefree(P, p)
             if fp is not None:
-                yield p, _fp_distinct_degree(fp, p)
+                yield p, _fp_split(tuple(fp), p)
 
 
 def _squarefree_model(a: UniPoly) -> list:

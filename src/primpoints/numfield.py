@@ -36,8 +36,10 @@ validates m and tries four routes in order:
    Q-factor its product divides mod p.  Routes 3 and 4 read one lazy stream
    of degree patterns with their distinct-degree splits, and `fpe_roots`
    takes the split at the prime route 4 picks, so no prime of m is split
-   twice there; a polynomial m is first proven irreducible by the
-   factorization in `nf_new`, at its own first primes.
+   twice there.  A polynomial m is first proven irreducible by the
+   factorization in `nf_new`, and the stream reads that factorization's
+   splits at the same first primes from `arith`'s memo of splits, so no
+   prime of m is split twice across both either.
 
 `is_primitive_field` is its bool view.
 
@@ -60,10 +62,10 @@ from math import comb, gcd, lcm
 from . import linalg
 from .arith import (
     UniPoly,
-    _fp_divmod,
     _fp_monic,
     _fp_mul,
     _fp_reduce,
+    _fp_rem,
     _lift_and_recombine,
     _poly_inverse_mod,
     degree_patterns,
@@ -517,7 +519,7 @@ def _pair_labels(factors, table, p: int) -> dict:
     residues = [_fp_reduce(h.to_int_primitive()[1], p) for h in factors]
     labels = {}
     for orbit, g in table:
-        hits = [k for k, h in enumerate(residues) if not _fp_divmod(h, g, p)[1]]
+        hits = [k for k, h in enumerate(residues) if not _fp_rem(h, g, p)]
         if len(hits) != 1:
             raise VerificationFailed("a root pair lies on no pair-norm factor or on several")
         labels.update(dict.fromkeys(orbit, hits[0]))

@@ -14,7 +14,9 @@ package runs.
   polynomial from its coefficients;
 * the certified multi-modular kernel that `linalg` ran before its
   fraction-free Gauss-Jordan core, and the extended Euclid inverse that
-  `arith._poly_inverse_mod` ran before it solved on that core.
+  `arith._poly_inverse_mod` ran before it solved on that core;
+* the long division in `Fraction`s that `UniPoly.__divmod__` ran before
+  it divided in integers over the common denominators.
 
 `scripts/report_digest.py` reads `transitive_corpus` and `cycles_literal`
 from here to build its `perm` runs.
@@ -29,8 +31,14 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from primpoints import hyperell
-from primpoints.arith import UniPoly, factor_over_Q, is_prime
-from primpoints.errors import BadInput, NotTransitive, VerificationFailed, ZeroFunction
+from primpoints.arith import UniPoly, _strip, factor_over_Q, is_prime
+from primpoints.errors import (
+    BadInput,
+    NotTransitive,
+    VerificationFailed,
+    ZeroFunction,
+    ZeroPolynomial,
+)
 from primpoints.linalg import _int_rows
 from primpoints.hyperell import ClosedPoint, CurveFunction, Divisor, HyperCurve
 from primpoints.permact import (
@@ -544,3 +552,29 @@ def euclid_inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
     if r0.degree != 0:
         raise BadInput("element not invertible modulo the given polynomial")
     return (t0.scale(1 / r0.lc)) % modulus
+
+
+# ---------------------------------------------------------------------------
+# Long division in Fractions
+
+
+def fraction_divmod(a: UniPoly, divisor: UniPoly):
+    """(quotient, remainder) of a by divisor, one Fraction operation per
+    term of the long division."""
+    if divisor.is_zero:
+        raise ZeroPolynomial("polynomial division by zero")
+    rem = list(a.coeffs)
+    dd = divisor.degree
+    dl = divisor.lc
+    if len(rem) - 1 < dd:
+        return UniPoly.zero(), a
+    quot = [Fraction(0)] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = c / dl
+        quot[i - dd] = q
+        for j, dc in enumerate(divisor.coeffs):
+            rem[i - dd + j] -= q * dc
+    return UniPoly(tuple(_strip(quot))), UniPoly(tuple(_strip(rem)))

@@ -2,14 +2,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import X0_71_COEFFS
-from oracles import euclid_inverse_mod, poly
+from oracles import euclid_inverse_mod, fraction_divmod, poly
 from primpoints import arith
 from primpoints.arith import (
     Factorization,
@@ -71,6 +71,63 @@ def test_product_matches_the_term_by_term_fraction_sum(a, b, exponent):
         for j, cb in enumerate(b.coeffs):
             out[i + j] += ca * cb
     assert a * b == UniPoly.make(out)
+
+
+@given(polys(8), polys(5, nonzero=True), st.integers(1, 2**70), st.integers(1, 12),
+       st.booleans(), st.integers(0, 3))
+@example(UniPoly.zero(), poly(1, 3), 2**70, 1, False, 0)
+@example(poly(Fraction(1, 3), 2), poly(1, 2, 3), 2**70 - 1, 7, True, 2)
+def test_division_matches_fraction_long_division(a, b, top, den, negative, exponent):
+    # divisors rescaled to a leading coefficient of up to 2^70 over a small
+    # denominator, dividends of any degree, lower than the divisor's and
+    # zero included: divmod, // and % in integers over the common
+    # denominators give the long division in Fractions, each coefficient a
+    # normalized Fraction
+    a = a.scale(Fraction(1, 10**exponent + 7))
+    b = b.scale(Fraction(-top if negative else top, den) / b.lc)
+    got = [*divmod(a, b), a // b, a % b]
+    assert got == [*fraction_divmod(a, b)] * 2
+    for c in (c for p in got for c in p.coeffs):
+        assert type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def residues(m, max_size=8):
+    return st.lists(st.integers(-3 * m, 3 * m), max_size=max_size)
+
+
+@given(residues(29, 12), residues(29, 6), st.integers(2, 28))
+def test_fp_rem_matches_the_divmod_remainder_mod_a_prime(a, low, lead):
+    # a non-monic divisor mod 29, an unreduced dividend
+    b = [v % 29 for v in low] + [lead]
+    assert arith._fp_rem(a, b, 29) == arith._fp_divmod(a, b, 29)[1]
+
+
+@given(residues(23**3, 12), residues(23**3, 5), st.integers(1, 3))
+def test_fp_rem_matches_the_divmod_remainder_mod_a_prime_power(a, low, k):
+    # a monic divisor mod 23^k, as in a Hensel step
+    m = 23**k
+    b = [v % m for v in low] + [1]
+    assert arith._fp_rem(a, b, m) == arith._fp_divmod(a, b, m)[1]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(-50, 50), st.integers(0, 22)), max_size=8),
+       st.lists(st.integers(0, 22), min_size=1, max_size=4), st.integers(1, 22))
+def test_fp_rem_matches_the_divmod_remainder_over_fq(entries, low, lead):
+    # coefficients in F_23[t]/(t^2 + 1), the dividend with integers the kit
+    # has not reduced mixed in, the divisor non-monic
+    field = arith._Fq(23, [1, 0, 1])
+    a = [v if raw else field([v, w]) for raw, v, w in entries]
+    b = [field([v, 1]) for v in low] + [field([lead])]
+    assert arith._fp_rem(a, b, field) == arith._fp_divmod(a, b, field)[1]
+
+
+@given(residues(31, 8), residues(31, 6), st.integers(0, 40))
+def test_fp_powmod_matches_repeated_multiplication(base, low, e):
+    f = [v % 31 for v in low] + [1]
+    power = [1]
+    for _ in range(e):
+        power = arith._fp_divmod(_fp_mul(power, base, 31), f, 31)[1]
+    assert arith._fp_powmod(base, e, f, 31) == power
 
 
 def test_compose_and_shift():
@@ -348,6 +405,7 @@ def test_degree_sets_that_share_no_degree_prove_irreducibility(monkeypatch):
     patterns = [(p, pattern) for p, pattern, _ in islice(arith.degree_patterns(m), 3)]
     assert patterns == [(23, (1, 4)), (31, (2, 3)), (41, (1, 4))]
     calls.clear()
+    arith._fp_split.cache_clear()  # the patterns filled the memo at 23, 31, 41
     # a factor of degree 1 or 4 at 23, of degree 2 or 3 at 31: none over Q,
     # so the split stops at 31, with no equal-degree stage and no lift
     assert factor_over_Q(m).is_irreducible()

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 
 import pytest
 
@@ -821,6 +822,27 @@ def test_scripts_reject_bad_arguments_with_a_usage_error(optimize, script, optio
     assert usage.startswith(f"usage: {script} ")
     assert error.startswith(f"{script}: error: argument {option}: ")
     assert done.stdout == ""
+
+
+def test_ab_script_exits_1_when_the_two_checkouts_differ(tmp_path):
+    # this checkout against itself, then against a copy whose irreducible
+    # fibers all read imprimitive: only fiber-sample's outputs change
+    repo = os.path.join(SCRIPTS, "..")
+    copy = tmp_path / "src" / "primpoints"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "pipeline.py").read_text()
+    verdict = "return IRRED_PRIMITIVE if is_primitive_field(K) else IRRED_IMPRIMITIVE"
+    assert verdict in text
+    (copy / "pipeline.py").write_text(text.replace(verdict, "return IRRED_IMPRIMITIVE"))
+    script = os.path.join(SCRIPTS, "ab_inprocess.py")
+    same = run_python([script, repo, repo, "--rounds", "1"], False)
+    assert same.returncode == 0, same.stderr
+    assert [line.split(":")[0] for line in same.stdout.splitlines()] == [
+        "fiber-sample", "fiber-divisors", "x0_71-points"]
+    differ = run_python([script, repo, str(tmp_path), "--rounds", "1"], False)
+    assert differ.returncode == 1, differ.stderr
+    assert [line for line in differ.stdout.splitlines() if "differ" in line] == [
+        "fiber-sample: outputs differ in round 0"]
 
 
 # twist_growth.py under a census that loses a hit at the larger height bound

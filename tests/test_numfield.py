@@ -555,8 +555,16 @@ def test_field_report_splits_each_prime_of_m_once(monkeypatch, lit):
         return original(f, p)
 
     monkeypatch.setattr(arith, "_fp_distinct_degree", counting)
+    arith._fp_split.cache_clear()  # nf_new split m at its first primes
     # imprimitive, so the stream serves both routes, which both read p = 23
     assert field_report(K).proper_subfield_degrees
+    assert splits[23] == 1 and max(splits.values()) == 1
+    # a polynomial, counted from before `nf_new`: its factorization proves m
+    # irreducible at 23, 29, ... and the degree-pattern stream reads the
+    # same primes again, from the memo
+    arith._fp_split.cache_clear()
+    splits.clear()
+    assert field_report(parse_poly(lit)).proper_subfield_degrees
     assert splits[23] == 1 and max(splits.values()) == 1
 
 

@@ -2,6 +2,7 @@ import itertools
 import os
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -485,6 +486,28 @@ def test_a_fiber_factors_only_its_point_polynomial(monkeypatch):
     assert specialize_fiber(curve, w, Fraction(-37, 29)) == IRRED_PRIMITIVE
     assert [a.degree for a in factored] == [7]
     assert fields == []
+
+
+def test_fibers_over_values_congruent_mod_23_split_their_cofactor_once(monkeypatch):
+    # the cofactor of the norm mod p depends on beta mod p only: the fibers
+    # of x^7-x-1's map over beta and beta + 23 both ask for the split of one
+    # degree-7 residue at 23, and it runs once
+    curve, witness, _ = construct_primitive_curve(parse_poly("x^7-x-1"))
+    space = rr_space(curve, Divisor.make([(witness, 1)]))
+    w = next(b for b in space.basis if not b.is_constant)
+    asked, split = Counter(), Counter()
+    for name, seen in (("_fp_split", asked), ("_fp_distinct_degree", split)):
+        def recording(f, p, _original=getattr(arith, name), _seen=seen):
+            _seen[tuple(f), p] += 1
+            return _original(f, p)
+
+        monkeypatch.setattr(arith, name, recording)
+    beta = Fraction(-37, 29)
+    for value in (beta, beta + 23):
+        assert specialize_fiber(curve, w, value) == IRRED_PRIMITIVE
+    at_23 = [key for key in asked if key[1] == 23 and len(key[0]) == 8]
+    assert len(at_23) == 1 and asked[at_23[0]] == 2
+    assert split[at_23[0]] == 1 and max(split.values()) == 1
 
 
 # ---------------------------------------------------------------------------

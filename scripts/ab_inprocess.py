@@ -5,14 +5,18 @@ Loads OLD/src/primpoints and NEW/src/primpoints under two package names,
 builds each side's items with `perfbench/workloads.py` of this checkout,
 and runs the passes in alternating order, so that a drift of machine speed
 falls on both sides alike.  Every `lru_cache` of a package is cleared
-before each fiber pass and before each x0_71 item (the benchmark runs
-every x0_71 item in a fresh interpreter).  Per workload it prints the
-minimum over the rounds for each side and NEW/OLD; it exits 1 if any item's
-output differs between the sides.
+before each pass and before each x0_71 item (the benchmark runs every
+x0_71 item in a fresh interpreter, and each other workload's items in one).
+Per workload it prints the minimum over the rounds for each side and
+NEW/OLD; it exits 1 if any item's output differs between the sides.
+Outputs are the workloads' own strings and, for fiber-divisors, each
+divisor's literal, so a change of a class's repr is no difference.
 
     fiber-sample      120 seeded fibers through `specialize_fiber`
     fiber-divisors    `divisor_of_function` alone on the same fibers
     x0_71-points      `points` on X0(71) at d = 4, 3, 6, 5 through the CLI
+    rr-sweep          the Riemann-Roch sweep's `rr_space` dimensions
+    field-corpus      `field` on the primitivity corpus through the CLI
 
 Usage: python3 scripts/ab_inprocess.py OLD NEW [--rounds 11] [--seed 0]
 """
@@ -31,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 
-WORKLOADS = ("fiber-sample", "fiber-divisors", "x0_71-points")
+WORKLOADS = ("fiber-sample", "fiber-divisors", "x0_71-points", "rr-sweep", "field-corpus")
 MODULES = ("errors", "linalg", "arith", "permact", "numfield", "hyperell",
            "formats", "pipeline", "cli")
 
@@ -78,7 +82,7 @@ class Side:
         self.name, self.package = name, load_package(f"primpoints_{name}", checkout)
         self.states = {}
         with as_primpoints(self.package):
-            for workload in ("fiber-sample", "x0_71-points"):
+            for workload in ("fiber-sample", "x0_71-points", "rr-sweep", "field-corpus"):
                 self.states[workload] = workloads.setup(workload, ROOT, seed, out_dir)
 
     def run(self, workload):
@@ -87,19 +91,22 @@ class Side:
             if workload == "x0_71-points":
                 return self._x0_71()
             clear_caches(self.package)
-            state = self.states["fiber-sample"]
-            if workload == "fiber-sample":
-                start = time.perf_counter()
-                outputs = [workloads.run_item(state, i) for i in range(workloads.item_count(state))]
-                return time.perf_counter() - start, outputs
-            hyperell = self.package.hyperell
+            if workload == "fiber-divisors":
+                return self._fiber_divisors()
+            state = self.states[workload]
             start = time.perf_counter()
-            outputs = [
-                str(hyperell.divisor_of_function(
-                    curve, w - hyperell.CurveFunction.constant(Fraction(beta))))
-                for (curve, w), beta in state["fibers"]
-            ]
+            outputs = [workloads.run_item(state, i) for i in range(workloads.item_count(state))]
             return time.perf_counter() - start, outputs
+
+    def _fiber_divisors(self):
+        hyperell = self.package.hyperell
+        start = time.perf_counter()
+        outputs = [
+            hyperell.divisor_of_function(
+                curve, w - hyperell.CurveFunction.constant(Fraction(beta))).literal()
+            for (curve, w), beta in self.states["fiber-sample"]["fibers"]
+        ]
+        return time.perf_counter() - start, outputs
 
     def _x0_71(self):
         state, seconds, outputs = self.states["x0_71-points"], 0.0, []

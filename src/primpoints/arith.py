@@ -1,17 +1,23 @@
 """Exact rational scalars and dense univariate polynomial algebra.
 
-Coefficients are `fractions.Fraction` throughout; nothing in this module
-(or the package) touches floating point.  Polynomials are dense lists of
-coefficients, lowest degree first, with no trailing zeros.  The zero
-polynomial has an empty coefficient list and its degree is the sentinel
-``None``, never a number.
+Nothing in this module (or the package) touches floating point.  A
+polynomial is its integer numerators over one common denominator: `num`, a
+tuple of ints, lowest degree first, with no trailing zeros, and `den`, a
+positive int with gcd(den, *num) = 1.  Of the split into content and
+primitive part (von zur Gathen and Gerhard, Modern Computer Algebra, 6.2)
+only the denominator is kept apart; `to_int_primitive` takes the rest of
+the content with one gcd.  The form is unique, so equality, hashing and
+`sort_key` run on ints.  The zero polynomial is ((), 1) and its degree
+is the sentinel ``None``, never a number.  `coeffs`, the coefficients as
+`fractions.Fraction`s, is derived from num/den once per object, for the
+edges that print or evaluate; scalars such as `lc` are Fractions.
 
-Products and divisions run in integers over the common denominators and
-make one `Fraction` per output coefficient.  Division scales the integer
-remainder by lc/gcd(c, lc), for its leading coefficient c and the
-divisor's lc, only at the steps where lc does not divide c, so a monic
-divisor never scales it; the quotient terms are kept as integer pairs, and
-`%` never turns them into Fractions.
+Sums, products and divisions run on the numerators, with no conversion in
+or out, and divide the gcd with the denominator out once at the end.
+Division scales the integer remainder by lc/gcd(c, lc), for its leading
+coefficient c and the divisor's leading numerator lc, only at the steps
+where lc does not divide c, so a monic integer divisor never scales it; the
+quotient terms are kept as integer pairs, which `%` never combines.
 
 Factorization over Q takes the classical modular route.  A primitive
 integer model is reduced once at each of up to three small primes avoiding
@@ -47,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, isqrt, lcm
 
 from .errors import BadInput, RamifiedBranch, VerificationFailed, ZeroPolynomial
@@ -81,13 +87,6 @@ def is_prime(n: int) -> bool:
 # Dense univariate polynomials over Q
 
 
-def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _convolve(a, b) -> list:
     """The product of two coefficient lists, unreduced: for integers, and
     for the residues of the modular kit before they are reduced."""
@@ -99,15 +98,44 @@ def _convolve(a, b) -> list:
     return out
 
 
+def _from_ints(num, den: int = 1) -> "UniPoly":
+    """sum num[i]/den x^i, for a sequence of ints num and an int den != 0,
+    in the canonical form of `UniPoly`."""
+    top = len(num)
+    while top and not num[top - 1]:
+        top -= 1
+    if not top:
+        return UniPoly(())
+    if top < len(num):
+        num = num[:top]
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = [v // g for v in num], den // g
+    return UniPoly(tuple(num), den)
+
+
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial over Q, lowest degree first, no trailing zeros."""
+    """Dense polynomial over Q: sum num[i]/den x^i, lowest degree first.
 
-    coeffs: tuple
+    `num` is a tuple of ints with no trailing zeros and `den` a positive int
+    with gcd(den, *num) = 1; zero is ((), 1).  The form is unique, so `==`
+    and `hash` compare ints.  `coeffs` is derived from it, once per object.
+    """
+
+    num: tuple
+    den: int = 1
+
+    from_ints = staticmethod(_from_ints)
 
     @staticmethod
     def make(coeffs) -> "UniPoly":
-        return UniPoly(tuple(Fraction(c) for c in _strip(coeffs)))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return _from_ints([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -115,89 +143,89 @@ class UniPoly:
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly((Fraction(1),))
+        return UniPoly((1,))
 
     @staticmethod
     def x() -> "UniPoly":
-        return UniPoly((Fraction(0), Fraction(1)))
+        return UniPoly((0, 1))
 
     @staticmethod
     def const(c) -> "UniPoly":
         return UniPoly.make([c])
 
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
+
+    def _combine(self, other, sign):
+        """self + sign*other over the common denominator."""
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        out = list(self.num) if den == da else [v * (den // da) for v in self.num]
+        out += [0] * (len(other.num) - len(out))
+        t = sign * (den // db)
+        for i, v in enumerate(other.num):
+            out[i] += t * v
+        return _from_ints(out, den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(tuple(_strip(out)))
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return UniPoly(tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.num or not other.num:
             return UniPoly.zero()
-        # in integers over the common denominators: one Fraction per
-        # coefficient of the product, not one per pair of terms
-        da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
-        ai = [c.numerator * (da // c.denominator) for c in a]
-        bi = [c.numerator * (db // c.denominator) for c in b]
-        den = da * db
-        return UniPoly(tuple(Fraction(c, den) for c in _convolve(ai, bi)))
+        return _from_ints(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "UniPoly":
-        c = Fraction(c)
-        if c == 0:
-            return UniPoly.zero()
-        return UniPoly(tuple(co * c for co in self.coeffs))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _from_ints([v * c.numerator for v in self.num], self.den * c.denominator)
 
     def _divide(self, divisor):
-        """(quotient terms, remainder) of self by divisor.
+        """(quotient terms, s, remainder) of self by divisor.
 
-        On the integer lists A = da*self and B = db*divisor, the loop keeps
-        R/s as the remainder of A so far, scaling R and s by lc(B)/gcd(c,
-        lc(B)) only when lc(B) does not divide the leading c, and takes
-        k*x^i*B off R.  Quotient term i, k*db/(s*da), stays an integer
-        pair; the remainder is R/(s*da).
+        On the numerators A and B, the loop keeps R/s as the remainder of A
+        so far, scaling R and s by lc(B)/gcd(c, lc(B)) only when lc(B) does
+        not divide the leading c, and takes k*x^i*B off R.  Quotient term i
+        is the pair (k, s at that step), k*den(B)/(s*den(A)); the remainder
+        is R/(s*den(A)).
         """
         if divisor.is_zero:
             raise ZeroPolynomial("polynomial division by zero")
-        a, b = self.coeffs, divisor.coeffs
-        n = len(b) - 1
+        a = self.num
+        n = len(divisor.num) - 1
         if len(a) <= n:
-            return [], self
-        da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
-        rem = [c.numerator * (da // c.denominator) for c in a]
-        low = [c.numerator * (db // c.denominator) for c in b]
+            return [], 1, self
+        rem, low = list(a), list(divisor.num)
         lead = low.pop()
         scale = 1
         quot = [(0, 1)] * (len(a) - n)
@@ -213,21 +241,21 @@ class UniPoly:
                 k = c // g
             else:
                 k = c // lead
-            quot[i - n] = (k * db, scale * da)
+            quot[i - n] = (k, scale)
             for j, v in enumerate(low, i - n):
                 rem[j] -= k * v
-        den = scale * da
-        return quot, UniPoly(tuple(Fraction(v, den) for v in _strip(rem[:n])))
+        return quot, scale, _from_ints(rem[:n], scale * self.den)
 
     def __divmod__(self, divisor):
-        quot, rem = self._divide(divisor)
-        return UniPoly(tuple(Fraction(k, d) for k, d in quot)), rem
+        quot, scale, rem = self._divide(divisor)
+        db = divisor.den
+        return _from_ints([k * (scale // s) * db for k, s in quot], scale * self.den), rem
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return self._divide(other)[1]
+        return self._divide(other)[2]
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,12 +271,17 @@ class UniPoly:
         return result
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        """self / lc: the numerators over their content, den the leading one."""
+        num = self.num
+        if not num or num[-1] == self.den:
             return self
-        return self.scale(1 / self.lc)
+        g = gcd(*num)
+        if num[-1] < 0:
+            g = -g
+        return UniPoly(tuple(v // g for v in num), num[-1] // g)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(_strip(i * c for i, c in enumerate(self.coeffs) if i)))
+        return _from_ints([i * v for i, v in enumerate(self.num) if i], self.den)
 
     def __call__(self, value):
         """Evaluate by Horner; accepts anything with +,* against Fractions."""
@@ -271,23 +304,22 @@ class UniPoly:
         return self.compose(UniPoly.make([a, 1]))
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     def to_int_primitive(self):
         """Return (scale, P) with self = scale * P, P primitive in Z[x], lc(P) > 0."""
-        if self.is_zero:
+        if not self.num:
             return Fraction(0), []
-        den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
-                     self.coeffs, 1)
-        ints = [int(c * den) for c in self.coeffs]
-        content = reduce(gcd, (abs(v) for v in ints))
-        sign = -1 if ints[-1] < 0 else 1
-        ints = [v // (sign * content) for v in ints]
-        return Fraction(sign * content, den), ints
+        content = gcd(*self.num)
+        if self.num[-1] < 0:
+            content = -content
+        return Fraction(content, self.den), [v // content for v in self.num]
 
     def sort_key(self):
-        deg = self.degree if self.degree is not None else -1
-        return (deg, tuple((c.numerator, c.denominator) for c in self.coeffs))
+        """(degree, the (numerator, denominator) pair of each coefficient)."""
+        den = self.den
+        pairs = tuple((v // g, den // g) for v in self.num for g in (gcd(v, den),))
+        return (len(self.num) - 1, pairs)
 
     def literal(self) -> str:
         """Render as a literal like 'x^3-2x+1/2', highest degree first."""
@@ -342,7 +374,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         if fb:
             content = reduce(gcd, (abs(v) for v in fb))
             fb = [v // content for v in fb]
-    return UniPoly.make(fa).monic()
+    return UniPoly.from_ints(fa).monic()
 
 
 def _int_prem(a: list, b: list) -> list:
@@ -990,16 +1022,16 @@ def _lift_and_recombine(P: list, p: int, modular: list) -> list:
             if content == 0:
                 continue
             cand = [v // content for v in cand]
-            q, r = divmod(UniPoly.make(current), UniPoly.make(cand))
+            q, r = divmod(UniPoly.from_ints(current), UniPoly.from_ints(cand))
             if r.is_zero:
-                result.append(UniPoly.make(cand).monic())
+                result.append(UniPoly.from_ints(cand).monic())
                 _, current = q.to_int_primitive()
                 pool = [i for i in pool if i not in combo]
                 break
         else:
             size += 1
     if len(current) > 1:
-        result.append(UniPoly.make(current).monic())
+        result.append(UniPoly.from_ints(current).monic())
     result.sort(key=UniPoly.sort_key)
     return result
 

@@ -311,9 +311,8 @@ def _y_series_scaled(curve: HyperCurve, nterms: int):
     so L is the least common denominator.
     """
     assert curve.parity == EVEN
-    n = curve.f.degree
-    k = lcm(*(c.denominator for c in curve.f.coeffs))
-    A = [int(curve.f.coeff(n - i) * k * k) for i in range(n + 1)]
+    n, k = curve.f.degree, curve.f.den
+    A = [c * k for c in reversed(curve.f.num)]
     a2 = 2 * isqrt(A[0])
     S = [0]
     for j in range(1, nterms):
@@ -343,7 +342,7 @@ def _infinity_orders(curve, u, v, norm) -> dict:
     if curve.parity == ODD:
         return {OO: -norm.degree}
     g = curve.genus
-    M = max(len(u.coeffs) - 1, len(v.coeffs) + g if v.coeffs else -1)
+    M = max(len(u.num) - 1, len(v.num) + g if v.num else -1)
     lead_u, lead_v = u.coeff(M), rational_sqrt(curve.f.lc) * v.coeff(M - g - 1)
     return {OO_PLUS: -M if lead_u + lead_v else M - norm.degree,
             OO_MINUS: -M if lead_u - lead_v else M - norm.degree}
@@ -585,7 +584,8 @@ def rr_space(curve: HyperCurve, D: Divisor) -> RRSpace:
         scaled = [a.numerator * (den // a.denominator) for a in V]
         U = dict(zip(free, vec))
         U.update((k, Fraction(sum(map(mul, c, scaled)), L * den)) for k, c in fixed.items())
-        w = CurveFunction.make(UniPoly.make([U[k] for k in range(Bu + 1)]), UniPoly.make(V), h)
+        w = CurveFunction.make(
+            UniPoly.make([U[k] for k in range(Bu + 1)]), UniPoly.from_ints(scaled, den), h)
         _assert_in_space(curve, w, D)
         basis.append(w)
     return RRSpace(D, tuple(basis), len(basis))

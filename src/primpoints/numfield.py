@@ -558,15 +558,15 @@ def pair_norm(m: UniPoly, s: int) -> UniPoly:
     algebraic integers, so every division is exact.
     """
     d, n = m.degree, m.degree ** 2
-    D = lcm(*(c.denominator for c in m.coeffs))
-    model = [int(m.coeffs[i] * D ** (d - i)) for i in range(d + 1)]
+    D = m.den
+    model = [c * D ** (d - i) // D for i, c in enumerate(m.num)]
     P = _newton(model, n)
     Q = [sum(comb(k, a) * s ** a * P[a] * P[k - a] for a in range(k + 1)) for k in range(n + 1)]
     # back from the power sums: k*c_(n-k) = -sum_(i<k) c_(n-i) Q_(k-i), c_n = 1
     coeffs = [1]
     for k in range(1, n + 1):
         coeffs.append(-sum(coeffs[i] * Q[k - i] for i in range(k)) // k)
-    return UniPoly.make([Fraction(c, D ** (n - i)) for i, c in enumerate(reversed(coeffs))])
+    return UniPoly.from_ints([c * D ** i for i, c in enumerate(reversed(coeffs))], D ** n)
 
 
 def _newton(model: list, count: int) -> list:
@@ -661,7 +661,7 @@ def _pair_norm_factors(m: UniPoly, s: int, table, p: int) -> list:
     """
     d = m.degree
     norm = pair_norm(m, s)
-    diag = UniPoly.make([c * (1 + s) ** (d - i) for i, c in enumerate(m.coeffs)])
+    diag = UniPoly.from_ints([c * (1 + s) ** (d - i) for i, c in enumerate(m.num)], m.den)
     rest, remainder = divmod(norm, diag)
     if remainder:
         raise VerificationFailed("the diagonal factor does not divide the pair norm")

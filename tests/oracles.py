@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from primpoints import hyperell
-from primpoints.arith import UniPoly, _strip, factor_over_Q, is_prime
+from primpoints.arith import UniPoly, factor_over_Q, is_prime
 from primpoints.errors import (
     BadInput,
     NotTransitive,
@@ -577,4 +577,4 @@ def fraction_divmod(a: UniPoly, divisor: UniPoly):
         quot[i - dd] = q
         for j, dc in enumerate(divisor.coeffs):
             rem[i - dd + j] -= q * dc
-    return UniPoly(tuple(_strip(quot))), UniPoly(tuple(_strip(rem)))
+    return UniPoly.make(quot), UniPoly.make(rem)

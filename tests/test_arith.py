@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -89,6 +89,109 @@ def test_division_matches_fraction_long_division(a, b, top, den, negative, expon
     assert got == [*fraction_divmod(a, b)] * 2
     for c in (c for p in got for c in p.coeffs):
         assert type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+# --- the num/den representation against plain Fraction tuples -------------
+
+
+def big_rationals():
+    # numerators and denominators up to 2^70, either sign
+    return st.builds(
+        lambda n, d, negative: Fraction(n, -d if negative else d),
+        st.integers(-(2**70), 2**70), st.integers(1, 2**70), st.booleans())
+
+
+def fraction_lists(max_size=6):
+    return st.lists(big_rationals() | small_rationals(), max_size=max_size)
+
+
+def strip(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_sum(a, b, sign=1) -> tuple:
+    return strip(x + sign * y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def fraction_product(a, b) -> tuple:
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return strip(out)
+
+
+def fraction_literal(a) -> str:
+    terms = []
+    for i in range(len(a) - 1, -1, -1):
+        if a[i]:
+            mag, xs = abs(a[i]), "x" if i == 1 else f"x^{i}"
+            body = (str(mag) if i == 0 else xs if mag == 1
+                    else f"{mag}{xs}" if mag.denominator == 1 else f"{mag}*{xs}")
+            terms.append(("-" if a[i] < 0 else "+") + body)
+    return "".join(terms).removeprefix("+") or "0"
+
+
+def assert_canonical(p):
+    assert type(p.num) is tuple and all(type(v) is int for v in p.num)
+    assert type(p.den) is int and p.den > 0 and gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.coeffs == tuple(Fraction(v, p.den) for v in p.num)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(fraction_lists(), fraction_lists(), big_rationals(), st.integers(0, 2))
+@example([], [], Fraction(1), 0)
+@example([Fraction(0), Fraction(0)], [Fraction(-3, 2**70)], Fraction(-(2**70), 3), 1)
+def test_num_den_representation_matches_fraction_tuples(xs, ys, c, pad):
+    a, b = strip(xs), strip(ys)
+    p, q = UniPoly.make([*xs, *[0] * pad]), UniPoly.make(ys)
+    assert_canonical(p)
+    assert p.coeffs == a and UniPoly.make(p.coeffs) == p
+    if not a:
+        assert (p.num, p.den) == ((), 1) and p == UniPoly.zero()
+    results = {
+        "+": (p + q, fraction_sum(a, b)),
+        "-": (p - q, fraction_sum(a, b, -1)),
+        "*": (p * q, fraction_product(a, b)),
+        "scale": (p.scale(c), tuple(x * c for x in a) if c else ()),
+        "derivative": (p.derivative(), strip(i * x for i, x in enumerate(a))[1:]),
+        "monic": (p.monic(), tuple(x / a[-1] for x in a) if a else ()),
+    }
+    if b:
+        quot, rem = divmod(p, q)
+        results["//"] = (quot, fraction_divmod(p, q)[0].coeffs)
+        results["%"] = (rem, fraction_divmod(p, q)[1].coeffs)
+        assert (p // q, p % q) == (quot, rem)
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got.coeffs == want, name
+    for i in range(-1, len(a) + 2):
+        assert p.coeff(i) == (a[i] if 0 <= i < len(a) else 0)
+    assert p.sort_key() == (len(a) - 1, tuple((x.numerator, x.denominator) for x in a))
+    assert p.literal() == fraction_literal(a)
+    assert parse_poly(p.literal()) == p
+    if a:
+        assert p.lc == a[-1]
+        den = lcm(*(x.denominator for x in a))
+        ints = [int(x * den) for x in a]
+        content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        assert p.to_int_primitive() == (Fraction(content, den), [v // content for v in ints])
+        # one polynomial reached by different routes: equal, with equal hashes
+        routes = [UniPoly.make(a), -(-p), p.monic().scale(a[-1]), (p - q) + q]
+        if c:
+            routes.append(p.scale(c).scale(1 / c))
+        if b:
+            routes.append((p * q) // q)
+        for r in routes:
+            assert r == p and hash(r) == hash(p) and (r.num, r.den) == (p.num, p.den)
+    else:
+        assert p.to_int_primitive() == (0, [])
+        with pytest.raises(ZeroPolynomial):
+            p.lc
 
 
 def residues(m, max_size=8):

@@ -838,11 +838,28 @@ def test_ab_script_exits_1_when_the_two_checkouts_differ(tmp_path):
     same = run_python([script, repo, repo, "--rounds", "1"], False)
     assert same.returncode == 0, same.stderr
     assert [line.split(":")[0] for line in same.stdout.splitlines()] == [
-        "fiber-sample", "fiber-divisors", "x0_71-points"]
+        "fiber-sample", "fiber-divisors", "x0_71-points", "rr-sweep", "field-corpus"]
     differ = run_python([script, repo, str(tmp_path), "--rounds", "1"], False)
     assert differ.returncode == 1, differ.stderr
     assert [line for line in differ.stdout.splitlines() if "differ" in line] == [
         "fiber-sample: outputs differ in round 0"]
+
+
+def test_ab_script_exits_0_when_the_two_checkouts_differ_only_in_a_repr(tmp_path):
+    # a copy whose UniPoly prints another repr: the divisors are compared by
+    # their literals, not by the dataclass repr that contains UniPoly's
+    repo = os.path.join(SCRIPTS, "..")
+    copy = tmp_path / "src" / "primpoints"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "arith.py").read_text()
+    anchor = "    def __str__(self):\n        return self.literal()\n"
+    assert text.count(anchor) == 1
+    (copy / "arith.py").write_text(text.replace(
+        anchor, anchor + "\n    def __repr__(self):\n        return f\"UniPoly<{self.literal()}>\"\n"))
+    script = os.path.join(SCRIPTS, "ab_inprocess.py")
+    done = run_python([script, repo, str(tmp_path), "--rounds", "1"], False)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "differ" not in done.stdout
 
 
 # twist_growth.py under a census that loses a hit at the larger height bound

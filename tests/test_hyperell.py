@@ -773,6 +773,19 @@ def test_point_field():
         point_field(C_X5, ClosedPoint.infinite(OO))
 
 
+def test_classified_point_equals_and_hashes_like_its_parsed_literal():
+    # p and q with denominators: the root q comes out of integer divisions,
+    # the parsed one out of the literal's Fractions
+    p, q0 = poly(Fraction(-1, 3), 0, 1), poly(Fraction(1, 2), Fraction(1, 3))
+    curve = curve_new(p * poly(1, 0, 0, 0, 1) + q0 * q0)
+    branch, q = classify_place(curve, p)
+    assert branch == SPLIT and q in (q0, -q0)
+    point = ClosedPoint.affine(p, SPLIT, q)
+    [(parsed, mult)] = parse_divisor(f"2*{point.literal()}", curve).terms
+    assert parsed == point and hash(parsed) == hash(point) and mult == 2
+    assert Divisor.make([(point, 1), (parsed, 1)]).terms == ((point, 2),)
+
+
 def test_x0_71_ell_profile_head():
     # the first few dimensions of the golden run, checked at module level
     assert rr_space_infty(X0_71, 3, 3).dim == 4

@@ -7,10 +7,16 @@ and runs the passes in alternating order, so that a drift of machine speed
 falls on both sides alike.  Every `lru_cache` of a package is cleared
 before each pass and before each x0_71 item (the benchmark runs every
 x0_71 item in a fresh interpreter, and each other workload's items in one).
-Per workload it prints the minimum over the rounds for each side and
-NEW/OLD; it exits 1 if any item's output differs between the sides.
+Per workload it prints each side's minimum and median over the rounds and
+NEW/OLD of both; it exits 1 if any item's output differs between the sides.
 Outputs are the workloads' own strings and, for fiber-divisors, each
 divisor's literal, so a change of a class's repr is no difference.
+
+The noise floor: one checkout against itself (seven runs of 7 or 11
+rounds, seeds 0 and 1, on a 2-CPU VM shared with other work) read NEW/OLD
+of the minima 0.95-1.03 on fiber-sample and fiber-divisors and 0.74-1.12
+on x0_71-points, rr-sweep and field-corpus, and of the medians 0.90-1.12
+and 0.80-1.24.  A ratio inside that band shows no difference.
 
     fiber-sample      120 seeded fibers through `specialize_fiber`
     fiber-divisors    `divisor_of_function` alone on the same fibers
@@ -25,6 +31,7 @@ import argparse
 import contextlib
 import importlib.util
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -141,9 +148,12 @@ def main(argv=None):
                 if outputs["old"] != outputs["new"]:
                     differ = True
                     print(f"{workload}: outputs differ in round {r}", flush=True)
-            old, new = min(times["old"]), min(times["new"])
-            print(f"{workload}: old {old * 1000:.1f} ms  new {new * 1000:.1f} ms  "
-                  f"new/old {new / old:.3f}  (min of {args.rounds})", flush=True)
+            old, new = (min(times[side]) for side in ("old", "new"))
+            old_med, new_med = (statistics.median(times[side]) for side in ("old", "new"))
+            print(f"{workload}: old {old * 1000:.1f} ms (median {old_med * 1000:.1f})  "
+                  f"new {new * 1000:.1f} ms (median {new_med * 1000:.1f})  "
+                  f"new/old {new / old:.3f} (median {new_med / old_med:.3f})  "
+                  f"(min of {args.rounds})", flush=True)
     return 1 if differ else 0
 
 

@@ -23,7 +23,9 @@ checkouts that print the same lines produce identical reports.  The set:
   and x^9-3x^3+1, whose Frobenius elements all have small order, so that
   the choice of prime for the principal subfields matters most there (as
   it does for the corpus field x^6+x^3+1), on the degree-1 x-5, on the
-  reducible x^4-1 (exit 4, with one `factor:` line per factor), and on
+  reducible x^4-1 (exit 4, with one `factor:` line per factor), on
+  x^4-2x^2+1 and (x-1)(x-1-23*29*31)(x-5)^2, which are not squarefree
+  (exit 4, with a `factor:` line and its multiplicity per factor), and on
   x^99999999999999, whose exponent is above the size bound;
 * `fiber --samples 40` on x^3-2, x^5-x-1 and x^7-x-1, and on the maps of
   even degree of x^4-x-1 and x^6+x+1;
@@ -112,6 +114,10 @@ COMPOSED = (
 # fields whose Frobenius elements all have small order; x^6+x^3+1 is one of
 # the corpus fields
 SMALL_ORDER_FIELDS = ("x^8+1", "x^8-40x^6+352x^4-960x^2+576", "x^9-3x^3+1")
+# fields with repeated factors; the second, (x-1)(x-1-23*29*31)(x-5)^2, is
+# not squarefree mod 23, 29 or 31, so its multiplicities come off the gcd
+# over Q even where they are 1
+NOT_SQUAREFREE_FIELDS = ("x^4-2x^2+1", "x^4-20689x^3+227493x^2-723755x+516950")
 # odd- and even-degree fiber maps; an even one has the degree-4 or -6 witness as den
 FIBER_POLYS = ("x^3-2", "x^5-x-1", "x^7-x-1", "x^4-x-1", "x^6+x+1")
 CONSTRUCT_POLYS = ("x^3-2", "x^5-x-1")
@@ -355,7 +361,7 @@ def runs(root, scratch):
         path = scratch_file(scratch, f"bad{k}.mw", text)
         yield f"points bad mw ({fault}) d={d}", ["points", curve, path, str(d), report], report
     fields = (*corpus_fields(root), *X0_71_SEXTICS, *composed_fields(root), *SMALL_ORDER_FIELDS)
-    for lit in (*fields, "x-5", "x^4-1", "x^99999999999999"):
+    for lit in (*fields, "x-5", "x^4-1", *NOT_SQUAREFREE_FIELDS, "x^99999999999999"):
         yield f"field {lit}", ["field", lit], None
     for lit in FIBER_POLYS:
         yield f"fiber {lit}", ["fiber", lit, "--samples", "40"], None

@@ -37,15 +37,16 @@ monic residue mod p, so a residue is split once per interpreter: a field's
 m when `nf_new` factors it and again when its degree patterns are read,
 and the cofactors of fibers over values that agree mod p.
 
-Squarefreeness is certified mod one prime first: a polynomial that stays
-squarefree mod a prime not dividing its leading coefficient is squarefree
-over Q, so `is_squarefree` and `squarefree_decomposition` run a gcd over Q
-only when that check fails.  The same modular kit also computes in
-F_{p^e} = F_p[t]/(G), with residues mod G as coefficients (`fpe_roots`).
-Where only a remainder is wanted (gcds, powers mod f, products in F_{p^e},
-the Hensel correction, the pair labels of `numfield`), `_fp_rem` builds no
-quotient, and a product goes into it unreduced, so that it is reduced mod
-p once per coefficient.
+Squarefreeness has one test per ring: mod p the memo `_fp_split`, which
+returns None off the squarefree residues, and over Q, only where none of
+three primes not dividing the leading coefficient keeps a squarefree, the
+gcd of `squarefree_part`; `factor_over_Q` then factors that part and reads
+each multiplicity off a by exact division.  The same modular kit also
+computes in F_{p^e} = F_p[t]/(G), with residues mod G as coefficients
+(`fpe_roots`).  Where only a remainder is wanted (gcds, powers mod f,
+products in F_{p^e}, the Hensel correction, the pair labels of
+`numfield`), `_fp_rem` builds no quotient, and a product goes into it
+unreduced, so that it is reduced mod p once per coefficient.
 """
 
 from __future__ import annotations
@@ -400,6 +401,16 @@ def squarefree_part(a: UniPoly) -> UniPoly:
     return (a // g).monic()
 
 
+def _valuation_at(p: UniPoly, a: UniPoly) -> tuple:
+    """(k, a / p^k) with k the exponent of p in a; a nonzero."""
+    k = 0
+    while True:
+        q, r = divmod(a, p)
+        if not r.is_zero:
+            return k, a
+        a, k = q, k + 1
+
+
 def _squarefree_mod_a_prime(a: UniPoly) -> bool:
     """True if a, of degree >= 1, is squarefree mod one of the first three
     primes p > 20 that do not divide the leading coefficient of its integer
@@ -409,8 +420,7 @@ def _squarefree_mod_a_prime(a: UniPoly) -> bool:
     factor of positive degree mod such a p.  False proves nothing.
     """
     _, P = a.to_int_primitive()
-    primes = (p for p in filter(is_prime, itertools.count(21)) if P[-1] % p)
-    return any(_fp_squarefree(P, p) is not None for p in itertools.islice(primes, 3))
+    return any(parts is not None for _, parts in itertools.islice(_prime_splits(P), 3))
 
 
 def is_squarefree(a: UniPoly) -> bool:
@@ -418,32 +428,7 @@ def is_squarefree(a: UniPoly) -> bool:
         return False
     if a.degree == 0:
         return True
-    return _squarefree_mod_a_prime(a) or poly_gcd(a, a.derivative()).degree == 0
-
-
-def squarefree_decomposition(a: UniPoly):
-    """Yun's algorithm: list of (monic squarefree g_i, i) with a = lc * prod g_i^i.
-
-    An a that is squarefree mod a prime is its own decomposition, with no
-    gcd over Q.
-    """
-    a = a.monic()
-    if a.degree and _squarefree_mod_a_prime(a):
-        return [(a, 1)]
-    out = []
-    g = poly_gcd(a, a.derivative())
-    if g.degree == 0:
-        return [(a, 1)]
-    w = a // g
-    i = 1
-    while w.degree and w.degree > 0:
-        y = poly_gcd(w, g)
-        factor = w // y
-        if factor.degree and factor.degree > 0:
-            out.append((factor.monic(), i))
-        w, g = y, g // y
-        i += 1
-    return out
+    return _squarefree_mod_a_prime(a) or squarefree_part(a).degree == a.degree
 
 
 def resultant(a: UniPoly, b: UniPoly) -> Fraction:
@@ -879,37 +864,36 @@ class Factorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-def _fp_squarefree(P, p):
-    """P mod p made monic if it is squarefree there, else None; p must not
-    divide the leading coefficient of the integer list P.
-
-    The one place that reduces a model mod p.
-    """
-    fp = _fp_reduce(P, p)
-    dp = _fp_reduce([i * c for i, c in enumerate(P)][1:], p)
-    return _fp_monic(fp, p) if dp and len(_fp_gcd(fp, dp, p)) == 1 else None
-
-
 @lru_cache(maxsize=256)
-def _fp_split(f: tuple, p: int) -> tuple:
-    """The distinct-degree split of the monic squarefree residue f mod p,
-    as a tuple of (tuple g, d) that no caller can change: the one memo of
-    the splitting stage, read by `_good_primes`, so that `factor_over_Q`
-    and `degree_patterns` split each residue once per interpreter."""
+def _fp_split(f: tuple, p: int):
+    """The distinct-degree split of the monic residue f mod p, as a tuple of
+    (tuple g, d) that no caller can change, or None when f is not
+    squarefree mod p (f' = 0 or gcd(f, f') != 1): the one squarefree test
+    mod p and the one memo of the splitting stage, so that the certificate,
+    `factor_over_Q` and `degree_patterns` test and split a residue once."""
+    df = _fp_reduce([i * c for i, c in enumerate(f)][1:], p)
+    if not df or len(_fp_gcd(f, df, p)) != 1:
+        return None
     return tuple((tuple(g), d) for g, d in _fp_distinct_degree(list(f), p))
 
 
-def _good_primes(P):
-    """Yield (p, parts) for the primes p > 20 that keep the integer model P
-    squarefree with full degree, in order; parts is the distinct-degree
-    split of P mod p, from `_fp_split`.  Lazy and endless; callers take a
-    prefix with `itertools.islice`.
-    """
+def _prime_splits(P):
+    """Yield (p, parts) for the primes p > 20 that do not divide the leading
+    coefficient of the integer model P, in order; parts is `_fp_split` of
+    the monic residue of P mod p, None where P is not squarefree mod p.
+    The one place that reduces a model mod p.  Lazy and endless."""
     for p in filter(is_prime, itertools.count(21)):
         if P[-1] % p:
-            fp = _fp_squarefree(P, p)
-            if fp is not None:
-                yield p, _fp_split(tuple(fp), p)
+            yield p, _fp_split(tuple(_fp_monic(_fp_reduce(P, p), p)), p)
+
+
+def _good_primes(P):
+    """Yield (p, parts) for the primes of `_prime_splits` that keep P
+    squarefree with full degree, in order, with parts the distinct-degree
+    split of P mod p.  Lazy and endless; callers take a prefix with
+    `itertools.islice`.
+    """
+    return ((p, parts) for p, parts in _prime_splits(P) if parts is not None)
 
 
 def _squarefree_model(a: UniPoly) -> list:
@@ -943,7 +927,8 @@ def _subset_sums(degrees) -> set:
 
 
 def _zassenhaus_irreducibles(s: UniPoly) -> list:
-    """Monic irreducible factors over Q of a monic squarefree polynomial."""
+    """Monic irreducible factors over Q of a monic squarefree polynomial,
+    sorted by `UniPoly.sort_key`."""
     if s.degree <= 1:
         return [s]
     _, P = s.to_int_primitive()
@@ -1047,12 +1032,13 @@ def factor_over_Q(a: UniPoly) -> Factorization:
     unit = a.lc
     if a.degree == 0:
         return Factorization(unit, ())
-    # Yun's parts are pairwise coprime, so no irreducible occurs twice
-    factors = sorted(
-        ((irr, mult) for part, mult in squarefree_decomposition(a)
-         for irr in _zassenhaus_irreducibles(part)),
-        key=lambda fm: fm[0].sort_key(),
-    )
+    if _squarefree_mod_a_prime(a):
+        factors = [(irr, 1) for irr in _zassenhaus_irreducibles(a.monic())]
+    else:
+        factors, rest = [], a
+        for irr in _zassenhaus_irreducibles(squarefree_part(a)):
+            mult, rest = _valuation_at(irr, rest)
+            factors.append((irr, mult))
     fact = Factorization(unit, tuple(factors))
     if fact.expand() != a:
         raise VerificationFailed("factorization failed exact re-multiplication")

@@ -48,6 +48,7 @@ from . import numfield
 from .arith import (
     UniPoly,
     _poly_inverse_mod,
+    _valuation_at,
     factor_over_Q,
     hensel_sqrt,
     is_squarefree,
@@ -391,16 +392,6 @@ def _branch_root(a: UniPoly, b: UniPoly, p: UniPoly, f: UniPoly) -> UniPoly:
     if not ((q * q - f) % p).is_zero:
         raise VerificationFailed("root read off the function fails q^2 = f (mod p)")
     return q
-
-
-def _valuation_at(p: UniPoly, a: UniPoly) -> tuple:
-    """(k, a / p^k) with k the exponent of p in a; a nonzero."""
-    k = 0
-    while True:
-        q, r = divmod(a, p)
-        if not r.is_zero:
-            return k, a
-        a, k = q, k + 1
 
 
 def _zeros_over(curve, p, mult, u, v):

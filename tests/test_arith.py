@@ -16,15 +16,16 @@ from primpoints.arith import (
     UniPoly,
     _fp_mul,
     _fp_reduce,
+    _fp_split,
     _good_primes,
     _hensel_tree,
+    _valuation_at,
     factor_over_Q,
     hensel_sqrt,
     is_squarefree,
     lagrange_interpolate,
     poly_gcd,
     resultant,
-    squarefree_decomposition,
     squarefree_part,
 )
 from primpoints.errors import BadInput, RamifiedBranch, ZeroPolynomial
@@ -282,11 +283,16 @@ def test_x0_71_model_is_squarefree():
 
 def test_squarefree_decomposition_roundtrip():
     p = poly(-1, 1) ** 3 * poly(1, 1) ** 2 * poly(1, 0, 1)
-    parts = squarefree_decomposition(p)
-    rebuilt = UniPoly.one()
-    for q, m in parts:
-        rebuilt = rebuilt * q**m
-    assert rebuilt == p.monic()
+    fact = factor_over_Q(p)
+    assert dict(fact.factors) == {poly(-1, 1): 3, poly(1, 1): 2, poly(1, 0, 1): 1}
+    assert fact.expand() == p
+
+
+@given(polys(3, nonzero=True), polys(3, nonzero=True), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_valuation_at_divides_out_the_exact_power(p, q, k):
+    assume(p.degree and p.degree > 0 and poly_gcd(p, q).degree == 0)
+    assert _valuation_at(p, p**k * q) == (k, q)
 
 
 # --- resultant -------------------------------------------------------------
@@ -575,7 +581,12 @@ def test_squarefree_decomposition_matches_sympy_sqf_list(parts, collide):
         (mult, tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())))
         for g, mult in ref
     )
-    got = sorted((mult, g.coeffs) for g, mult in squarefree_decomposition(a))
+    # the irreducibles of factor_over_Q grouped by multiplicity: the
+    # squarefree decomposition
+    grouped = {}
+    for g, mult in factor_over_Q(a).factors:
+        grouped[mult] = grouped.get(mult, UniPoly.one()) * g
+    got = sorted((mult, g.coeffs) for mult, g in grouped.items())
     assert got == expected
     assert is_squarefree(a) == all(mult == 1 for mult, _ in expected)
 
@@ -583,16 +594,36 @@ def test_squarefree_decomposition_matches_sympy_sqf_list(parts, collide):
 def test_squarefree_mod_a_prime_runs_no_gcd_over_Q(monkeypatch):
     calls = _count_poly_gcd(monkeypatch)
     f = UniPoly.make(X0_71_COEFFS)
-    assert is_squarefree(f) and squarefree_decomposition(f) == [(f.monic(), 1)]
+    assert is_squarefree(f) and {mult for _, mult in factor_over_Q(f).factors} == {1}
     assert calls == []
     # 23 | lc, and (x - 1)(x - 24) is (x - 1)^2 mod 23 only: the fast path
     # goes on to 29
     assert is_squarefree(poly(-1, 0, 23 * 2)) and is_squarefree(poly(24, -25, 1))
     assert calls == []
-    # not squarefree mod 23, 29 or 31: today's exact path decides
+    # not squarefree mod 23, 29 or 31: the gcd over Q decides
     assert is_squarefree(COLLIDING) and len(calls) == 1
-    assert squarefree_decomposition(COLLIDING) == [(COLLIDING, 1)]
+    assert dict(factor_over_Q(COLLIDING).factors) == {poly(-1, 1): 1, poly(-20678, 1): 1}
+    assert len(calls) == 2
     assert not is_squarefree(poly(-1, 1) ** 2 * poly(2, 1))
+
+
+@given(
+    st.sampled_from([23, 29, 31]),
+    st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    st.lists(st.integers(0, 30), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+@example(23, [1] + [0] * 22, [0], False)  # (x + 1)^23 mod 23: f' = 0
+def test_fp_split_is_none_exactly_off_the_squarefree_residues(p, low, square_low, square):
+    sympy = pytest.importorskip("sympy")
+    f = _fp_reduce(low + [1], p)
+    if square:
+        h = _fp_reduce(square_low + [1], p)
+        f = _fp_mul(f, _fp_mul(h, h, p), p)
+    # sympy's is_sqf reads (x + 1)^23 mod 23 as squarefree; its sqf_list does not
+    _, ref = sympy.Poly(list(reversed(f)), sympy.Symbol("x"), modulus=p).sqf_list()
+    assert (_fp_split(tuple(f), p) is not None) == all(mult == 1 for _, mult in ref)
 
 
 # --- roots in F_{p^e} --------------------------------------------------------

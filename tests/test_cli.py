@@ -370,6 +370,44 @@ def test_a_corrupted_twist_hit_exits_5(optimize):
     assert "twist witness fails r*y^2 = f(x)" in done.stderr
 
 
+# `field` on a polynomial with repeated factors, with every multiplicity
+# read as 1 on the gcd route when the argument says "mutant": the exact
+# re-multiplication of the factorization must make `field` exit 5, also
+# under python -O
+MULTIPLICITY_ONE = """
+import sys
+from primpoints import arith, cli
+
+if sys.argv[2] == "mutant":
+    arith._valuation_at = lambda p, a: (1, a // p)
+print(cli.main(["field", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "literal, factors",
+    [
+        ("x^4-2x^2+1", ["x-1 multiplicity 2", "x+1 multiplicity 2"]),
+        # (x - 1)(x - 1 - 23*29*31)(x - 5)^2: no fast prime, so the gcd
+        # route reads even the multiplicities 1
+        ("x^4-20689x^3+227493x^2-723755x+516950",
+         ["x-20678 multiplicity 1", "x-5 multiplicity 2", "x-1 multiplicity 1"]),
+    ],
+)
+def test_field_reads_multiplicities_off_the_squarefree_part(optimize, literal, factors):
+    done = run_python(["-c", MULTIPLICITY_ONE, literal, "none"], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "4\n"
+    assert [line for line in done.stderr.splitlines() if line.startswith("factor:")] == [
+        f"factor: {factor}" for factor in factors]
+    done = run_python(["-c", MULTIPLICITY_ONE, literal, "mutant"], optimize)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
+    assert "Traceback" not in done.stderr
+    assert "factorization failed exact re-multiplication" in done.stderr
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize(
     "divisor, factors",

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from conftest import X0_71_COEFFS, run_python
 from oracles import canonical_divisor, even_infinity_valuation, from_x_poly, poly
 from primpoints import hyperell, numfield, pipeline
-from primpoints.arith import Factorization, UniPoly, factor_over_Q, hensel_sqrt, rational_sqrt
+from primpoints.arith import (
+    Factorization,
+    UniPoly,
+    _valuation_at,
+    factor_over_Q,
+    hensel_sqrt,
+    rational_sqrt,
+)
 from primpoints.errors import (
     BadInput,
     DegreeTooSmall,
@@ -36,7 +43,6 @@ from primpoints.hyperell import (
     HyperCurve,
     _assert_in_space,
     _infinity_orders,
-    _valuation_at,
     classify_place,
     curve_new,
     decompose_effective,

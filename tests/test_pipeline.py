@@ -491,23 +491,26 @@ def test_a_fiber_factors_only_its_point_polynomial(monkeypatch):
 def test_fibers_over_values_congruent_mod_23_split_their_cofactor_once(monkeypatch):
     # the cofactor of the norm mod p depends on beta mod p only: the fibers
     # of x^7-x-1's map over beta and beta + 23 both ask for the split of one
-    # degree-7 residue at 23, and it runs once
+    # degree-7 residue at 23, twice each (the squarefree certificate, then
+    # the scan for good primes), and its squarefree test and split run once
     curve, witness, _ = construct_primitive_curve(parse_poly("x^7-x-1"))
     space = rr_space(curve, Divisor.make([(witness, 1)]))
     w = next(b for b in space.basis if not b.is_constant)
-    asked, split = Counter(), Counter()
-    for name, seen in (("_fp_split", asked), ("_fp_distinct_degree", split)):
-        def recording(f, p, _original=getattr(arith, name), _seen=seen):
-            _seen[tuple(f), p] += 1
-            return _original(f, p)
+    asked, split, gcds = Counter(), Counter(), Counter()
+    for name, seen in (("_fp_split", asked), ("_fp_distinct_degree", split), ("_fp_gcd", gcds)):
+        def recording(f, *args, _original=getattr(arith, name), _seen=seen):
+            _seen[tuple(f), args[-1]] += 1
+            return _original(f, *args)
 
         monkeypatch.setattr(arith, name, recording)
     beta = Fraction(-37, 29)
     for value in (beta, beta + 23):
         assert specialize_fiber(curve, w, value) == IRRED_PRIMITIVE
     at_23 = [key for key in asked if key[1] == 23 and len(key[0]) == 8]
-    assert len(at_23) == 1 and asked[at_23[0]] == 2
+    assert len(at_23) == 1 and asked[at_23[0]] == 4
     assert split[at_23[0]] == 1 and max(split.values()) == 1
+    # gcd(f, f') is the one _fp_gcd call whose first argument is f itself
+    assert gcds[at_23[0]] == 1
 
 
 # ---------------------------------------------------------------------------
